@@ -21,6 +21,7 @@ import (
 
 	"abm"
 	"abm/internal/obs"
+	"abm/internal/prof"
 )
 
 func main() {
@@ -61,8 +62,10 @@ func run(args []string, stdout io.Writer) error {
 		topol   = fs.String("topology", "", "fabric topology: leafspine or fattree; empty keeps the scenario/scale shape")
 		karity  = fs.Int("k", 0, "fat-tree arity (even, >= 2; implies -topology fattree)")
 		of      obs.Flags
+		pf      prof.Flags
 	)
 	of.AddFlagsTo(fs, false)
+	pf.AddFlagsTo(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -164,8 +167,13 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	stopProf, err := pf.Start()
+	if err != nil {
+		return err
+	}
 	start := time.Now()
 	res, col, err := abm.RunScenarioDetailed(sc)
+	stopProf()
 	if err != nil {
 		return err
 	}

@@ -24,7 +24,6 @@ type Link struct {
 	delay   units.Time
 	dst     Endpoint
 	deliver func(any) // prebound: delivery schedules without allocating
-	lane    sim.LaneID
 	box     *sim.Mailbox
 
 	Delivered      int64
@@ -39,9 +38,7 @@ func NewLink(s *sim.Simulator, delay units.Time, dst Endpoint) *Link {
 	if delay < 0 {
 		panic("device: negative link delay")
 	}
-	// Fixed delay means departures and arrivals share one time order:
-	// deliveries ride a private calendar lane (O(1) scheduling).
-	l := &Link{sim: s, delay: delay, dst: dst, lane: s.NewLane()}
+	l := &Link{sim: s, delay: delay, dst: dst}
 	l.deliver = func(a any) { l.dst.Receive(a.(*packet.Packet)) }
 	return l
 }
@@ -77,7 +74,7 @@ func (l *Link) Send(pkt *packet.Packet) {
 		l.box.Post(l.sim.Now()+l.delay, l.deliver, pkt)
 		return
 	}
-	l.sim.AfterLaneArg(l.lane, l.delay, l.deliver, pkt)
+	l.sim.AfterArg(l.delay, l.deliver, pkt)
 }
 
 // Router maps a packet to an egress port index on a given switch.
@@ -269,16 +266,13 @@ type Port struct {
 	txPkt  *packet.Packet
 	txQ    *Queue
 	txDone func()
-	// Single-in-flight serialization means txDone completions are
-	// scheduled in nondecreasing time order: a private calendar lane.
-	txLane sim.LaneID
 
 	TxPkts  int64
 	TxBytes units.ByteCount
 }
 
 func newPort(sw *Switch, idx int, rate units.Rate, prios int, newSched func() Scheduler) *Port {
-	p := &Port{sw: sw, idx: idx, rate: rate, txLane: sw.sim.NewLane()}
+	p := &Port{sw: sw, idx: idx, rate: rate}
 	p.queues = make([]*Queue, prios)
 	for i := range p.queues {
 		p.queues[i] = &Queue{Port: idx, Prio: i}
@@ -380,7 +374,7 @@ func (p *Port) emitDequeue(pkt *packet.Packet, q *Queue, enqAt units.Time, verdi
 func (p *Port) transmit(pkt *packet.Packet, q *Queue) {
 	p.busy = true
 	p.txPkt, p.txQ = pkt, q
-	p.sw.sim.AfterLane(p.txLane, p.rate.TxTime(pkt.Size()), p.txDone)
+	p.sw.sim.After(p.rate.TxTime(pkt.Size()), p.txDone)
 }
 
 // finishTx completes the in-flight transmission: stamp INT, hand the

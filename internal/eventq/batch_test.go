@@ -42,14 +42,14 @@ func TestPushBatchOrder(t *testing.T) {
 	}
 }
 
-// TestPushBatchMatchesPushLoop cross-checks both PushBatch code paths
-// (per-item sift and bottom-up heapify) against a loop of PushArg calls
-// on randomized workloads: the pop sequences must be identical.
+// TestPushBatchMatchesPushLoop cross-checks PushBatch against a loop
+// of PushArg calls on randomized workloads: the pop sequences must be
+// identical.
 func TestPushBatchMatchesPushLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		pre := rng.Intn(200)   // events already in the calendar
-		k := 1 + rng.Intn(300) // batch size; sometimes >> pre (heapify path)
+		k := 1 + rng.Intn(300) // batch size; sometimes >> pre
 		var batched, looped Queue
 		nop := func(any) {}
 		for i := 0; i < pre; i++ {
@@ -79,8 +79,6 @@ func TestPushBatchMatchesPushLoop(t *testing.T) {
 	}
 }
 
-// TestPushBatchReusesFreeSlots checks the heapify path recycles arena
-// slots like Push does (no arena growth when capacity suffices).
 func TestPushBatchEmpty(t *testing.T) {
 	var q Queue
 	q.PushBatch(nil)
@@ -125,10 +123,12 @@ func benchBatch(b *testing.B, n, k int, batch bool) {
 }
 
 // The barrier-injection shape: a handful of cross-window deliveries
-// landing in a busy calendar (sift path)...
+// landing in a busy calendar...
 func BenchmarkPushBatchSmallIntoBusy(b *testing.B) { benchBatch(b, 4096, 16, true) }
 func BenchmarkPushLoopSmallIntoBusy(b *testing.B)  { benchBatch(b, 4096, 16, false) }
 
-// ...and a large merge into a mostly-drained calendar (heapify path).
+// ...and a large merge into a mostly-drained calendar. PushBatch is a
+// push loop now; both names are kept so the committed BENCH_*.json
+// baselines still gate them.
 func BenchmarkPushBatchLargeIntoIdle(b *testing.B) { benchBatch(b, 64, 512, true) }
 func BenchmarkPushLoopLargeIntoIdle(b *testing.B)  { benchBatch(b, 64, 512, false) }

@@ -259,18 +259,23 @@ func BenchmarkEventQueue(b *testing.B) {
 	}
 }
 
-// TestLanePopOrderAcrossStructures interleaves lane and heap events
-// with colliding times: pops must come back in global (time, push
-// order), no matter which structure holds each event.
+// The TestLane* tests date from the per-source lane calendar. The lane
+// entry points survive as shims onto the one calendar (see LaneID), so
+// these now pin that the shims keep the global (time, push order)
+// contract whatever lane a caller names.
+
+// TestLanePopOrderAcrossStructures interleaves lane-shim and plain
+// pushes with colliding times: pops must come back in global (time,
+// push order).
 func TestLanePopOrderAcrossStructures(t *testing.T) {
 	var q Queue
 	ln := q.NewLane()
 	var got []int
 	rec := func(id int) func() { return func() { got = append(got, id) } }
-	q.PushLane(ln, 10, rec(0)) // lane
-	q.Push(10, rec(1))         // heap, same time: later push pops second
-	q.PushLane(ln, 10, rec(2)) // lane, same time again
-	q.Push(5, rec(3))          // heap, earlier
+	q.PushLane(ln, 10, rec(0))
+	q.Push(10, rec(1)) // same time: later push pops second
+	q.PushLane(ln, 10, rec(2))
+	q.Push(5, rec(3)) // earlier
 	q.PushLane(ln, 20, rec(4))
 	for {
 		fn, arg, _, ok := q.Pop()
@@ -287,16 +292,16 @@ func TestLanePopOrderAcrossStructures(t *testing.T) {
 	}
 }
 
-// TestLaneOutOfOrderFallback pushes a time below the lane tail; it must
-// divert to the heap and still pop in correct global order.
+// TestLaneOutOfOrderFallback pushes decreasing times through one lane;
+// they must still pop in correct global order.
 func TestLaneOutOfOrderFallback(t *testing.T) {
 	var q Queue
 	ln := q.NewLane()
 	var got []units.Time
 	q.PushLane(ln, 50, func() { got = append(got, 50) })
-	ev := q.PushLane(ln, 30, func() { got = append(got, 30) }) // below tail -> heap
+	ev := q.PushLane(ln, 30, func() { got = append(got, 30) })
 	if !ev.Scheduled() {
-		t.Fatal("fallback event lost")
+		t.Fatal("out-of-order event lost")
 	}
 	q.PushLane(ln, 50, func() { got = append(got, 51) })
 	for {
@@ -311,8 +316,8 @@ func TestLaneOutOfOrderFallback(t *testing.T) {
 	}
 }
 
-// TestLaneCancelHead cancels a lane's head; the lane's later events
-// must still pop, and Len must account for the lazy discard.
+// TestLaneCancelHead cancels the earliest event; later events must
+// still pop, and Len must account for the lazy discard.
 func TestLaneCancelHead(t *testing.T) {
 	var q Queue
 	ln := q.NewLane()
@@ -335,12 +340,12 @@ func TestLaneCancelHead(t *testing.T) {
 	}
 	fn(arg)
 	if !fired {
-		t.Fatal("surviving lane event did not fire")
+		t.Fatal("surviving event did not fire")
 	}
 }
 
-// TestPopLEBounds checks the fused bounded pops against both
-// structures: events at the bound pop under PopLE but not PopLT.
+// TestPopLEBounds checks the fused bounded pops: events at the bound
+// pop under PopLE but not PopLT.
 func TestPopLEBounds(t *testing.T) {
 	var q Queue
 	ln := q.NewLane()
@@ -360,8 +365,9 @@ func TestPopLEBounds(t *testing.T) {
 	}
 }
 
-// TestLaneRecycle releases a lane with residual events and reuses the
-// ID: residual events drain in order and new pushes stay correct.
+// TestLaneRecycle releases a lane with events still queued and asks
+// for a new one: the queued events drain in order and new pushes stay
+// correct.
 func TestLaneRecycle(t *testing.T) {
 	var q Queue
 	ln := q.NewLane()
@@ -373,8 +379,6 @@ func TestLaneRecycle(t *testing.T) {
 	if ln2 != ln {
 		t.Fatalf("recycled lane ID %d, want %d", ln2, ln)
 	}
-	// Reuse while residual events are queued: below-tail goes to the
-	// heap, at-or-above-tail extends the ring; order must hold.
 	q.PushLane(ln2, 7, func() { got = append(got, 7) })
 	q.PushLane(ln2, 9, func() { got = append(got, 91) })
 	for {
@@ -392,9 +396,9 @@ func TestLaneRecycle(t *testing.T) {
 	}
 }
 
-// BenchmarkLanePushPop measures the steady-state lane path: one push
-// and one pop per iteration against a populated queue spread over many
-// lanes, the shape the packet pipeline produces.
+// BenchmarkLanePushPop measures one in-order push and one pop per
+// iteration against a populated queue, through the lane shim. The name
+// is kept so the committed BENCH_*.json baselines still gate it.
 func BenchmarkLanePushPop(b *testing.B) {
 	var q Queue
 	const lanes = 64

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"abm/internal/obs"
+	"abm/internal/scenario"
 	"abm/internal/units"
 )
 
@@ -150,5 +151,43 @@ func TestPacketConservation(t *testing.T) {
 			t.Errorf("shards=%d: Result.Drops %d != telemetry drops %d",
 				shards, res.Drops, admissionDrops+c["model/drops_dequeue"])
 		}
+	}
+}
+
+// TestEngineCalendarCounters checks the engine's self-observation: with
+// counters on, a run reports where its calendar pushes went, serial or
+// sharded. At the committed 10 us link delay both events of every
+// packet-hop (serialization, delivery) take the wheel and only tickers
+// and timers reach the far heap; a link delay beyond the wheel's
+// horizon shows up as one far push per delivery instead of as an
+// unexplained slowdown.
+func TestEngineCalendarCounters(t *testing.T) {
+	run := func(shards int, linkDelay units.Time) map[string]int64 {
+		cell := obsCell()
+		cell.Shards = shards
+		cell.Obs = obs.Options{Counters: true}
+		sc := cell.Scenario()
+		sc.Fabric.LinkDelay = scenario.Duration(linkDelay)
+		res, _, err := scenario.Run(sc)
+		if err != nil {
+			t.Fatalf("shards=%d delay=%v: %v", shards, linkDelay, err)
+		}
+		if res.Counters["engine/calendar_drained"] == 0 {
+			t.Errorf("shards=%d delay=%v: no wheel bucket drained", shards, linkDelay)
+		}
+		return res.Counters
+	}
+	for _, shards := range []int{0, 2} {
+		c := run(shards, 10*units.Microsecond)
+		if wheel, hops := c["engine/calendar_wheel"], c["model/admitted_pkts"]; wheel < 2*hops {
+			t.Errorf("shards=%d: wheel=%d for %d packet-hops, want both events of every hop in the wheel", shards, wheel, hops)
+		}
+		if c["engine/timer_stale_wakes"] == 0 {
+			t.Errorf("shards=%d: no engine/timer_stale_wakes in %v", shards, c)
+		}
+	}
+	c := run(0, 40*units.Microsecond)
+	if wheel, far, hops := c["engine/calendar_wheel"], c["engine/calendar_far"], c["model/admitted_pkts"]; far < hops || wheel >= 2*hops {
+		t.Errorf("40us links: wheel=%d far=%d for %d packet-hops, want every delivery in far", wheel, far, hops)
 	}
 }

@@ -49,9 +49,6 @@ type Host struct {
 	// schedules without allocating a closure.
 	txPkt  *packet.Packet
 	txDone func()
-	// The NIC serializes one packet at a time, so txDone completions
-	// are in nondecreasing time order: a private calendar lane.
-	txLane sim.LaneID
 
 	senders   map[uint64]*transport.Sender
 	receivers map[uint64]*transport.Receiver
@@ -81,7 +78,6 @@ func New(s *sim.Simulator, cfg Config) *Host {
 	h := &Host{
 		sim:       s,
 		cfg:       cfg,
-		txLane:    s.NewLane(),
 		senders:   make(map[uint64]*transport.Sender),
 		receivers: make(map[uint64]*transport.Receiver),
 	}
@@ -158,7 +154,7 @@ func (h *Host) maybeTransmit() {
 	}
 	h.busy = true
 	h.txPkt = pkt
-	h.sim.AfterLane(h.txLane, h.cfg.Rate.TxTime(pkt.Size()), h.txDone)
+	h.sim.After(h.cfg.Rate.TxTime(pkt.Size()), h.txDone)
 }
 
 // finishTx completes the in-flight NIC transmission.

@@ -8,8 +8,8 @@ type Ctr uint8
 
 // Counter IDs. The model/ block is a pure function of the simulated
 // model and therefore shard-count-invariant; the engine/ block
-// describes the parallel run itself (wall clocks, batch sizes) and is
-// not.
+// describes the run itself (wall clocks, batch sizes, calendar traffic
+// per shard) and is not.
 const (
 	// model/: packet lifecycle.
 	CtrDataSent     Ctr = iota // data packets handed to a host NIC (incl. retransmits)
@@ -50,6 +50,14 @@ const (
 	CtrMailboxEvents  // events merged across shard boundaries
 	CtrTraceDropped   // events discarded by the per-shard buffer cap
 
+	// engine/: event calendar self-observation (see eventq.Stats). Each
+	// shard has its own calendar, so the split depends on the partition.
+	CtrCalendarNear    // pushes into the current-bucket heap
+	CtrCalendarWheel   // pushes into the wheel (the O(1) path)
+	CtrCalendarFar     // pushes beyond the wheel's horizon; ~all means the scenario's delays exceed it
+	CtrCalendarDrained // wheel buckets poured into the near heap
+	CtrTimerStaleWakes // sim.Timer wake-ups that fired before their deadline and rescheduled
+
 	NumCtrs
 )
 
@@ -82,6 +90,11 @@ var ctrNames = [NumCtrs]string{
 	"engine/mailbox_batches",
 	"engine/mailbox_events",
 	"engine/trace_events_dropped",
+	"engine/calendar_near",
+	"engine/calendar_wheel",
+	"engine/calendar_far",
+	"engine/calendar_drained",
+	"engine/timer_stale_wakes",
 }
 
 // Name returns the counter's export name ("model/..." or "engine/...").

@@ -30,12 +30,16 @@ type Flags struct {
 // profiles are the instruments for the parallel engine's barrier and
 // mailbox contention; they carry a sampling cost, so the runtime rates
 // are only raised when the flags are set.
-func (f *Flags) AddFlags() {
-	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
-	flag.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
-	flag.StringVar(&f.Trace, "trace", "", "write a runtime execution trace to this file")
-	flag.StringVar(&f.BlockProfile, "blockprofile", "", "write a goroutine blocking profile to this file on exit")
-	flag.StringVar(&f.MutexProfile, "mutexprofile", "", "write a mutex contention profile to this file on exit")
+func (f *Flags) AddFlags() { f.AddFlagsTo(flag.CommandLine) }
+
+// AddFlagsTo is AddFlags on an explicit flag set, for CLIs that parse
+// a private one.
+func (f *Flags) AddFlagsTo(fs *flag.FlagSet) {
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&f.MemProfile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&f.Trace, "trace", "", "write a runtime execution trace to this file")
+	fs.StringVar(&f.BlockProfile, "blockprofile", "", "write a goroutine blocking profile to this file on exit")
+	fs.StringVar(&f.MutexProfile, "mutexprofile", "", "write a mutex contention profile to this file on exit")
 }
 
 // Start begins the requested CPU profile and trace. It returns a stop

@@ -228,6 +228,7 @@ func Run(s Scenario) (Result, *metrics.Collector, error) {
 	eng.Run() // flush canceled tickers
 	rec.finish(drainEnd)
 
+	eng.ExportEngineStats(sess.ShardSink(0))
 	res := collectResult(r, n, col, rate, eng.Executed())
 	res.Counters = sess.Totals()
 	res.Hists = sess.HistTotals()
@@ -292,6 +293,9 @@ func runSharded(r Scenario, cfg topo.Config, totalBuffer units.ByteCount,
 	p.Drain() // run remaining retransmission chains to exhaustion
 	rec.finish(drainEnd)
 
+	for i := 0; i < p.NumShards(); i++ {
+		p.Shard(i).ExportEngineStats(sess.ShardSink(i))
+	}
 	res := collectResult(r, n, col, rate, p.Executed())
 	res.Counters = sess.Totals()
 	res.Hists = sess.HistTotals()

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 
 	"abm/internal/eventq"
+	"abm/internal/obs"
 	"abm/internal/packet"
 	"abm/internal/units"
 )
@@ -25,10 +26,6 @@ import (
 // value; the zero Event is inert (Cancel is a no-op, Scheduled reports
 // false), so components can hold one without a nil check.
 type Event = eventq.Event
-
-// LaneID names a per-source FIFO lane of the simulator's calendar; see
-// NewLane.
-type LaneID = eventq.LaneID
 
 // Simulator owns the virtual clock, the event calendar, and the packet
 // free list.
@@ -40,6 +37,8 @@ type Simulator struct {
 	seed   int64
 	nexec  uint64
 	halted bool
+
+	staleWakes uint64 // Timer wake-ups that fired before their deadline
 }
 
 // New returns a simulator whose random source is seeded with seed.
@@ -107,54 +106,23 @@ func (s *Simulator) AfterArg(d units.Time, fn func(any), arg any) Event {
 	return s.q.PushArg(s.now+d, fn, arg)
 }
 
-// NewLane allocates a FIFO lane in the calendar. A component whose
-// events are born in nondecreasing time order — a link with fixed
-// delay, a serializing transmitter, a pacing or retransmission timer —
-// should allocate one lane per such stream at construction time and
-// schedule through the AtLane/AfterLane variants: in-order pushes then
-// bypass the calendar heap entirely (see internal/eventq). Lanes are
-// never reclaimed; allocate them per component, not per packet.
-func (s *Simulator) NewLane() LaneID { return s.q.NewLane() }
+// LaneID, NewLane, AtLaneArg and AfterLaneArg are the source-
+// compatibility remains of the per-source lane calendar: benchmark/
+// still compiles against them. The lane is ignored and no model
+// package may call them; see eventq.LaneID.
+type LaneID = eventq.LaneID
 
-// ReleaseLane recycles a lane for a future NewLane; transient
-// components (per-flow timers) call it on completion so lane state
-// stays bounded by the number of live components, not the number ever
-// created. The releasing component must not schedule through the ID
-// again.
-func (s *Simulator) ReleaseLane(id LaneID) { s.q.ReleaseLane(id) }
+// NewLane returns a placeholder lane; see LaneID.
+func (s *Simulator) NewLane() LaneID { return 0 }
 
-// AtLane schedules fn at absolute time t through the given lane.
-func (s *Simulator) AtLane(id LaneID, t units.Time, fn func()) Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
-	}
-	return s.q.PushLane(id, t, fn)
+// AtLaneArg is AtArg; see LaneID.
+func (s *Simulator) AtLaneArg(_ LaneID, t units.Time, fn func(any), arg any) Event {
+	return s.AtArg(t, fn, arg)
 }
 
-// AfterLane schedules fn to run d from now through the given lane.
-func (s *Simulator) AfterLane(id LaneID, d units.Time, fn func()) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return s.q.PushLane(id, s.now+d, fn)
-}
-
-// AtLaneArg schedules fn(arg) at absolute time t through the given
-// lane; the lane counterpart of AtArg.
-func (s *Simulator) AtLaneArg(id LaneID, t units.Time, fn func(any), arg any) Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
-	}
-	return s.q.PushLaneArg(id, t, fn, arg)
-}
-
-// AfterLaneArg schedules fn(arg) to run d from now through the given
-// lane; the lane counterpart of AfterArg.
-func (s *Simulator) AfterLaneArg(id LaneID, d units.Time, fn func(any), arg any) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return s.q.PushLaneArg(id, s.now+d, fn, arg)
+// AfterLaneArg is AfterArg; see LaneID.
+func (s *Simulator) AfterLaneArg(_ LaneID, d units.Time, fn func(any), arg any) Event {
+	return s.AfterArg(d, fn, arg)
 }
 
 // Halt stops the run loop after the currently executing event returns.
@@ -234,6 +202,19 @@ func (s *Simulator) InjectBatch(items []eventq.Item) {
 // canceled events not yet discarded).
 func (s *Simulator) Pending() int { return s.q.Len() }
 
+// ExportEngineStats adds the engine's self-observation — where the
+// calendar's pushes went (eventq.Stats) and how many Timer wake-ups
+// fired early — to sk's engine/ counter block. Call it once, after the
+// run; a nil sink (counters off) is a no-op.
+func (s *Simulator) ExportEngineStats(sk *obs.Sink) {
+	st := s.q.Stats()
+	sk.Ctr(obs.CtrCalendarNear).Add(int64(st.Near))
+	sk.Ctr(obs.CtrCalendarWheel).Add(int64(st.Wheel))
+	sk.Ctr(obs.CtrCalendarFar).Add(int64(st.Far))
+	sk.Ctr(obs.CtrCalendarDrained).Add(int64(st.Drained))
+	sk.Ctr(obs.CtrTimerStaleWakes).Add(int64(s.staleWakes))
+}
+
 // Ticker repeatedly invokes fn every interval until Stop is called.
 type Ticker struct {
 	sim      *Simulator
@@ -241,7 +222,6 @@ type Ticker struct {
 	fn       func()
 	fire     func() // prebound so re-arming never allocates
 	ev       Event
-	lane     LaneID // firing times are strictly increasing: a perfect lane
 	stopped  bool
 }
 
@@ -251,7 +231,7 @@ func (s *Simulator) NewTicker(interval units.Time, fn func()) *Ticker {
 	if interval <= 0 {
 		panic("sim: ticker interval must be positive")
 	}
-	t := &Ticker{sim: s, interval: interval, fn: fn, lane: s.NewLane()}
+	t := &Ticker{sim: s, interval: interval, fn: fn}
 	t.fire = func() {
 		if t.stopped {
 			return
@@ -264,7 +244,7 @@ func (s *Simulator) NewTicker(interval units.Time, fn func()) *Ticker {
 }
 
 func (t *Ticker) arm() {
-	t.ev = t.sim.AfterLane(t.lane, t.interval, t.fire)
+	t.ev = t.sim.After(t.interval, t.fire)
 }
 
 // Stop cancels future firings.

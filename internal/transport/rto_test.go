@@ -107,3 +107,40 @@ func TestSRTTAdapts(t *testing.T) {
 		t.Fatalf("SRTT did not adapt upward: %v -> %v", first, p.snd.SRTT())
 	}
 }
+
+// The hybrid engine's Demote tears the RTO down and Promote re-arms it:
+// nothing may fire while the flow is fluid, and after promotion the
+// timeout runs from the promotion instant, not from a deadline armed
+// before the demotion.
+func TestRTORearmsAcrossDemotePromote(t *testing.T) {
+	alg := &stubCC{cwnd: 2 * 1440}
+	p := newPipe(t, 100*1440, alg, Config{})
+	p.s.At(0, func() { p.snd.Start() })
+	p.s.RunUntil(100 * units.Microsecond) // a few clean RTTs; RTO armed ~10ms out
+	if p.snd.SndUna() == 0 || p.done {
+		t.Fatal("setup: flow should be mid-transfer")
+	}
+	p.snd.Demote()
+	p.s.RunUntil(30 * units.Millisecond) // three minRTOs in fluid mode
+	if p.snd.Timeouts != 0 {
+		t.Fatalf("RTO fired %d times while fluid", p.snd.Timeouts)
+	}
+	p.faults = func(*packet.Packet) bool { return true } // black hole from here on
+	at := p.s.Now()
+	p.snd.Promote(p.snd.SndUna() + 10*1440)
+	rto := p.snd.RTO()
+	p.s.RunUntil(at + rto - 1)
+	if p.snd.Timeouts != 0 {
+		t.Fatalf("RTO fired before promotion time + RTO (%v)", rto)
+	}
+	p.s.RunUntil(at + rto)
+	if p.snd.Timeouts != 1 {
+		t.Fatalf("timeouts = %d at promotion time + RTO, want 1", p.snd.Timeouts)
+	}
+	// A second demotion with the backed-off timer pending stops it too.
+	p.snd.Demote()
+	p.s.RunUntil(at + 10*rto)
+	if p.snd.Timeouts != 1 {
+		t.Fatalf("backed-off RTO fired while fluid: timeouts = %d", p.snd.Timeouts)
+	}
+}

@@ -87,20 +87,13 @@ type Sender struct {
 	srtt, rttvar units.Time
 	rto          units.Time
 	rtoBackoff   uint
-	rtoTimer     sim.Event
+	rtoTimer     sim.Timer // re-armed on every packet and ACK, rarely fires
 	pacingTimer  sim.Event
 	pacingNext   units.Time
 
-	// Prebound timer callbacks: created once so re-arming the RTO or
-	// pacing timer never allocates a closure.
-	rtoFn    func()
+	// Prebound pacing callback: created once so arming the pacing timer
+	// never allocates a closure.
 	pacingFn func()
-	// Timer lanes. RTO deadlines are nondecreasing except across a
-	// backoff reset, pacing times except after an RTO rewinds
-	// pacingNext; the lane push falls back to the calendar heap in
-	// those rare cases, so each timer stream stays O(1) to (re)arm.
-	rtoLane    sim.LaneID
-	pacingLane sim.LaneID
 
 	// Counters.
 	PktsSent    int64
@@ -131,10 +124,8 @@ func NewSender(s *sim.Simulator, cfg Config, alg cc.Algorithm,
 		FlowID: flowID, Src: src, Dst: dst, Size: size,
 		onComplete: onComplete,
 		rto:        cfg.MinRTO,
-		rtoLane:    s.NewLane(),
-		pacingLane: s.NewLane(),
 	}
-	sn.rtoFn = sn.onRTO
+	sn.rtoTimer.Init(s, sn.onRTO)
 	sn.pacingFn = func() { sn.trySend() }
 	sn.obsSink = cfg.Obs
 	sn.ctrRTOFired = cfg.Obs.Ctr(obs.CtrRTOFired)
@@ -196,7 +187,7 @@ func (sn *Sender) armPacing(at units.Time) {
 	if sn.pacingTimer.Scheduled() {
 		return
 	}
-	sn.pacingTimer = sn.sim.AtLane(sn.pacingLane, at, sn.pacingFn)
+	sn.pacingTimer = sn.sim.At(at, sn.pacingFn)
 }
 
 // emit builds and sends one segment. The packet comes from the
@@ -330,12 +321,11 @@ func (sn *Sender) retransmitHead() {
 }
 
 func (sn *Sender) armRTO() {
-	sn.rtoTimer.Cancel()
 	d := sn.rto << sn.rtoBackoff
 	if d > sn.cfg.MaxRTO {
 		d = sn.cfg.MaxRTO
 	}
-	sn.rtoTimer = sn.sim.AfterLane(sn.rtoLane, d, sn.rtoFn)
+	sn.rtoTimer.Arm(d)
 }
 
 func (sn *Sender) onRTO() {
@@ -408,15 +398,14 @@ func (sn *Sender) disturb(now units.Time) {
 }
 
 // Demote switches the sender into fluid mode: both timers are torn down
-// (the lanes are kept — the flow will need them again at promotion) and
-// every send path is gated off. The caller (internal/hybrid) takes over
+// and every send path is gated off. The caller (internal/hybrid) takes over
 // delivery accounting from sndNxt onward.
 func (sn *Sender) Demote() {
 	if sn.fluid || sn.finished {
 		return
 	}
 	sn.fluid = true
-	sn.rtoTimer.Cancel()
+	sn.rtoTimer.Stop()
 	sn.pacingTimer.Cancel()
 }
 
@@ -483,12 +472,8 @@ func (sn *Sender) RTO() units.Time { return sn.rto }
 func (sn *Sender) complete(now units.Time) {
 	sn.finished = true
 	sn.FinishedAt = now
-	sn.rtoTimer.Cancel()
+	sn.rtoTimer.Stop()
 	sn.pacingTimer.Cancel()
-	// Every entry point checks finished, so nothing schedules through
-	// these lanes again: recycle them for the next flow.
-	sn.sim.ReleaseLane(sn.rtoLane)
-	sn.sim.ReleaseLane(sn.pacingLane)
 	if sn.onComplete != nil {
 		sn.onComplete(now)
 	}
