@@ -51,12 +51,22 @@ func testSwitch(s *sim.Simulator, cfg SwitchConfig) (*Switch, *sink) {
 	return sw, dst
 }
 
+// drain runs the simulation to exhaustion and then checks every
+// switch's accounting: pools against queue bytes, and each port's
+// queued-packet count against its queues.
+func drain(s *sim.Simulator, sws ...*Switch) {
+	s.Run()
+	for _, sw := range sws {
+		sw.MMU().checkInvariants()
+	}
+}
+
 func TestForwardingTiming(t *testing.T) {
 	s := sim.New(1)
 	sw, dst := testSwitch(s, SwitchConfig{})
 	p := dataPkt(1, 1440) // 1500 on the wire: 1.2us at 10G
 	s.At(0, func() { sw.Receive(p) })
-	s.Run()
+	drain(s, sw)
 	if len(dst.pkts) != 1 {
 		t.Fatalf("delivered %d packets, want 1", len(dst.pkts))
 	}
@@ -73,7 +83,7 @@ func TestFIFOOrderWithinQueue(t *testing.T) {
 		p := dataPkt(uint64(i), 1440)
 		s.At(units.Time(i), func() { sw.Receive(p) })
 	}
-	s.Run()
+	drain(s, sw)
 	if len(dst.pkts) != 10 {
 		t.Fatalf("delivered %d, want 10", len(dst.pkts))
 	}
@@ -93,7 +103,7 @@ func TestBackToBackThroughput(t *testing.T) {
 			sw.Receive(dataPkt(uint64(i), 1440))
 		}
 	})
-	s.Run()
+	drain(s, sw)
 	if len(dst.pkts) != n {
 		t.Fatalf("delivered %d, want %d", len(dst.pkts), n)
 	}
@@ -171,7 +181,7 @@ func TestSharedBufferAcrossPorts(t *testing.T) {
 		t.Fatalf("pool %v != backlogs %v+%v", used, sw.Port(0).Backlog(), sw.Port(1).Backlog())
 	}
 	sw.MMU().checkInvariants()
-	s.Run()
+	drain(s, sw)
 	if len(d0.pkts)+len(d1.pkts)+int(sw.TotalDrops()) != 30 {
 		t.Fatalf("conservation: delivered %d+%d, dropped %d, want 30 total",
 			len(d0.pkts), len(d1.pkts), sw.TotalDrops())
@@ -193,7 +203,7 @@ func TestRoundRobinFairness(t *testing.T) {
 			sw.Receive(p)
 		}
 	})
-	s.Run()
+	drain(s, sw)
 	// Deliveries must alternate between priorities.
 	for i := 1; i < len(dst.pkts); i++ {
 		if dst.pkts[i].Prio == dst.pkts[i-1].Prio {
@@ -225,7 +235,7 @@ func TestStrictPriority(t *testing.T) {
 			sw.Receive(p)
 		}
 	})
-	s.Run()
+	drain(s, sw)
 	// The first packet was already in transmission; all subsequent
 	// prio-0 packets must precede remaining prio-1.
 	var order []uint8
@@ -291,7 +301,7 @@ func TestECNMarkingIntegration(t *testing.T) {
 			sw.Receive(p)
 		}
 	})
-	s.Run()
+	drain(s, sw)
 	marked := 0
 	for _, p := range dst.pkts {
 		if p.Is(packet.FlagCE) {
@@ -365,7 +375,7 @@ func TestINTAppending(t *testing.T) {
 	sw, dst := testSwitch(s, SwitchConfig{EnableINT: true})
 	p := dataPkt(1, 1440)
 	s.At(0, func() { sw.Receive(p) })
-	s.Run()
+	drain(s, sw)
 	if len(dst.pkts[0].Hops) != 1 {
 		t.Fatalf("INT hops = %d, want 1", len(dst.pkts[0].Hops))
 	}
@@ -379,7 +389,7 @@ func TestINTAppending(t *testing.T) {
 	// ACKs are not stamped.
 	ack := &packet.Packet{Flags: packet.FlagACK}
 	s.At(s.Now(), func() { sw.Receive(ack) })
-	s.Run()
+	drain(s, sw)
 	if len(ack.Hops) != 0 {
 		t.Fatal("ACKs must not accumulate INT")
 	}
@@ -400,7 +410,7 @@ func TestCodelDequeueDropsIntegration(t *testing.T) {
 			sw.Receive(dataPkt(1, 1440))
 		}
 	})
-	s.Run()
+	drain(s, sw)
 	drops := sw.Port(0).Queue(0).DropsAQM
 	if drops == 0 {
 		t.Fatal("codel should drop under sustained sojourn above target")
@@ -658,7 +668,7 @@ func TestQueueWatermark(t *testing.T) {
 	if peak < 9*1500 {
 		t.Fatalf("watermark %v, want >= 9 packets", peak)
 	}
-	s.Run()
+	drain(s, sw)
 	if q.Bytes() != 0 {
 		t.Fatal("queue should drain")
 	}
@@ -682,7 +692,7 @@ func TestINTMultiHop(t *testing.T) {
 	swB.ConnectPort(0, NewLink(s, units.Microsecond, dst))
 	p := dataPkt(1, 1440)
 	s.At(0, func() { swA.Receive(p) })
-	s.Run()
+	drain(s, swA, swB)
 	if len(dst.pkts) != 1 {
 		t.Fatal("packet lost")
 	}
@@ -692,5 +702,85 @@ func TestINTMultiHop(t *testing.T) {
 	}
 	if hops[0].TS >= hops[1].TS {
 		t.Fatalf("hop timestamps out of order: %v, %v", hops[0].TS, hops[1].TS)
+	}
+}
+
+// TestSetRateBetweenTransmissions is the link-degrade path
+// (topo.ApplyLinkEvent -> Port.SetRate): a rate change while a packet
+// serializes leaves that packet on the old rate and times the next one
+// at exactly newRate.TxTime(size) — including a rate whose per-byte
+// time is fractional, where the port's cached factor must give way to
+// the rounded-up division.
+func TestSetRateBetweenTransmissions(t *testing.T) {
+	const prop = 10 * units.Microsecond
+	for _, newRate := range []units.Rate{25 * units.GigabitPerSec, 3 * units.GigabitPerSec, units.GigabitPerSec} {
+		s := sim.New(1)
+		sw, dst := testSwitch(s, SwitchConfig{})
+		oldRate := sw.Port(0).Rate()
+		sizes := []units.ByteCount{1440, 777, 1}
+		s.At(0, func() {
+			for i, sz := range sizes {
+				sw.Receive(dataPkt(uint64(i), sz))
+			}
+		})
+		// Mid-way through the first serialization (1.2us at 10G).
+		s.At(500*units.Nanosecond, func() { sw.Port(0).SetRate(newRate) })
+		drain(s, sw)
+		if got := sw.Port(0).Rate(); got != newRate {
+			t.Fatalf("Rate() = %v after SetRate(%v)", got, newRate)
+		}
+		want := oldRate.TxTime(sizes[0] + packet.HeaderBytes)
+		for i, sz := range sizes {
+			if i > 0 {
+				want += newRate.TxTime(sz + packet.HeaderBytes)
+			}
+			if got := dst.arrived[i] - prop; got != want {
+				t.Fatalf("new rate %v: packet %d left at %v, want %v", newRate, i, got, want)
+			}
+		}
+	}
+}
+
+// refRoundRobin is RoundRobin.Next as it was written before the modulo
+// was removed: the reference the rotating index is checked against.
+func refRoundRobin(last *int, qs []Queue) *Queue {
+	n := len(qs)
+	for i := 1; i <= n; i++ {
+		idx := (*last + i) % n
+		if qs[idx].Len() > 0 {
+			*last = idx
+			return &qs[idx]
+		}
+	}
+	return nil
+}
+
+// TestRoundRobinMatchesModulo drives RoundRobin and the modulo
+// formulation side by side over random backlog patterns on 1-8 queues:
+// every pick, including nil on an empty port, must be the same queue.
+func TestRoundRobinMatchesModulo(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for n := 1; n <= 8; n++ {
+		qs := make([]Queue, n)
+		rr, last := &RoundRobin{}, 0
+		for step := 0; step < 5000; step++ {
+			// Random arrivals, biased so the port is sometimes empty and
+			// sometimes has every queue backlogged.
+			for i := range qs {
+				if rng.Intn(4) == 0 {
+					qs[i].push(dataPkt(uint64(step), 1), 0)
+				}
+			}
+			for serve := rng.Intn(n + 2); serve > 0; serve-- {
+				got, want := rr.Next(qs), refRoundRobin(&last, qs)
+				if got != want {
+					t.Fatalf("n=%d step %d: picked %v, modulo formulation picks %v", n, step, got, want)
+				}
+				if got == nil {
+					break
+				}
+				got.pop()
+			}
+		}
 	}
 }

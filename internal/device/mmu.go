@@ -82,6 +82,21 @@ type MMU struct {
 	cfg MMUConfig
 	sw  *Switch
 
+	// queues is the switch's contiguous queue array (index
+	// port*prios+prio), shared with the ports' views.
+	queues []Queue
+	prios  int
+
+	// What the admission path needs to know about the policy, resolved
+	// once at construction instead of per packet: the optional bm
+	// interfaces BM implements (nil when it does not) and alpha_p per
+	// priority.
+	dropper      bm.Dropper
+	flowAware    bm.FlowAware
+	headroomElig bm.HeadroomEligible
+	ticker       bm.Ticker
+	alphas       []float64
+
 	used         units.ByteCount // shared-pool occupancy
 	headroomUsed units.ByteCount
 
@@ -92,17 +107,15 @@ type MMU struct {
 	// whenever the hybrid engine is off.
 	fluid units.ByteCount
 
-	aqms [][]aqm.Policy // [port][prio]
-
 	// Cached statistics (periodic mode).
-	nCongested []int       // per priority
-	normDrain  [][]float64 // [port][prio]
+	nCongested []int     // per priority
+	normDrain  []float64 // indexed like queues
 
 	// Per-admission scratch space, reused so the hot path performs no
 	// allocation. Policies receive pointers to these for the duration
 	// of one call and must not retain them (bm.Policy contract).
 	bmCtx     bm.Ctx
-	aqmCtx    aqm.Ctx
+	aqmCtx    aqm.Ctx // untouched when the switch has no AQM
 	activeSet []int
 
 	rng *rand.Rand
@@ -142,7 +155,18 @@ func newMMU(cfg MMUConfig, sw *Switch, rng *rand.Rand, sink *obs.Sink) *MMU {
 	if cfg.AlphaUnscheduled <= 0 {
 		cfg.AlphaUnscheduled = 64
 	}
-	m := &MMU{cfg: cfg, sw: sw, rng: rng, obsSink: sink}
+	m := &MMU{cfg: cfg, sw: sw, queues: sw.queues, prios: sw.prios, rng: rng, obsSink: sink}
+	m.dropper, _ = cfg.BM.(bm.Dropper)
+	m.flowAware, _ = cfg.BM.(bm.FlowAware)
+	m.headroomElig, _ = cfg.BM.(bm.HeadroomEligible)
+	m.ticker, _ = cfg.BM.(bm.Ticker)
+	m.alphas = make([]float64, sw.prios)
+	for i := range m.alphas {
+		m.alphas[i] = 0.5
+		if i < len(cfg.Alphas) && cfg.Alphas[i] > 0 {
+			m.alphas[i] = cfg.Alphas[i]
+		}
+	}
 	m.ctrAdmittedPkts = sink.Ctr(obs.CtrAdmittedPkts)
 	m.ctrAdmittedBytes = sink.Ctr(obs.CtrAdmittedBytes)
 	m.ctrDropThreshold = sink.Ctr(obs.CtrDropThreshold)
@@ -153,44 +177,25 @@ func newMMU(cfg MMUConfig, sw *Switch, rng *rand.Rand, sink *obs.Sink) *MMU {
 	m.ctrMarked = sink.Ctr(obs.CtrECNMarked)
 	m.ctrTrimmed = sink.Ctr(obs.CtrTrimmed)
 	m.histHeadroom = sink.Hist(obs.HistAdmitHeadroom)
-	np, nq := len(sw.ports), sw.prios
-	m.aqms = make([][]aqm.Policy, np)
-	m.normDrain = make([][]float64, np)
-	for i := 0; i < np; i++ {
-		m.aqms[i] = make([]aqm.Policy, nq)
-		m.normDrain[i] = make([]float64, nq)
-		for j := 0; j < nq; j++ {
-			if cfg.AQMFactory != nil {
-				m.aqms[i][j] = cfg.AQMFactory()
-			} else {
-				m.aqms[i][j] = aqm.None{}
-			}
-			m.normDrain[i][j] = 1
+	m.normDrain = make([]float64, len(m.queues))
+	for i := range m.normDrain {
+		m.normDrain[i] = 1
+	}
+	if cfg.AQMFactory != nil {
+		for i := range m.queues {
+			q := &m.queues[i]
+			q.aqm = cfg.AQMFactory()
+			q.deqHook, _ = q.aqm.(aqm.DequeueHook)
 		}
 	}
-	m.nCongested = make([]int, nq)
+	m.nCongested = make([]int, sw.prios)
 	if b, ok := cfg.BM.(bm.Binder); ok {
 		b.Bind(m)
 	}
 	if ap, ok := cfg.BM.(*bm.Approx); ok {
-		ap.SetAlphas(m.allAlphas())
+		ap.SetAlphas(append([]float64(nil), m.alphas...))
 	}
 	return m
-}
-
-func (m *MMU) allAlphas() []float64 {
-	out := make([]float64, m.sw.prios)
-	for i := range out {
-		out[i] = m.alpha(i)
-	}
-	return out
-}
-
-func (m *MMU) alpha(prio int) float64 {
-	if prio < len(m.cfg.Alphas) && m.cfg.Alphas[prio] > 0 {
-		return m.cfg.Alphas[prio]
-	}
-	return 0.5
 }
 
 // Used returns the shared-pool occupancy (excluding headroom).
@@ -226,16 +231,16 @@ func (m *MMU) BufferUsed() units.ByteCount { return m.used + m.fluid }
 func (m *MMU) Ports() int { return len(m.sw.ports) }
 
 // Prios implements bm.Stats.
-func (m *MMU) Prios() int { return m.sw.prios }
+func (m *MMU) Prios() int { return m.prios }
 
 // PortRate implements bm.Stats. Mixed-rate switches (SwitchConfig.
 // PortRates) report port 0 — the host-facing side on leaf switches —
 // as the nominal b the stateful policies normalize against.
-func (m *MMU) PortRate() units.Rate { return m.sw.ports[0].rate }
+func (m *MMU) PortRate() units.Rate { return m.sw.ports[0].Rate() }
 
 // QueueLen implements bm.Stats.
 func (m *MMU) QueueLen(port, prio int) units.ByteCount {
-	return m.sw.ports[port].queues[prio].bytes
+	return m.queues[port*m.prios+prio].bytes
 }
 
 // NormDrain implements bm.Stats, returning the current estimate.
@@ -243,7 +248,7 @@ func (m *MMU) NormDrain(port, prio int) float64 {
 	if m.cfg.StatsInterval == 0 {
 		return m.instantNormDrain(port, prio)
 	}
-	return m.normDrain[port][prio]
+	return m.normDrain[port*m.prios+prio]
 }
 
 // CongestedSamePrio implements bm.Stats, returning n_p (at least 1).
@@ -266,10 +271,10 @@ func (m *MMU) CongestedSamePrio(prio int) int {
 // state. The active set is built in reused scratch space (NormShare
 // only reads it).
 func (m *MMU) instantNormDrain(port, prio int) float64 {
-	p := m.sw.ports[port]
+	p := &m.sw.ports[port]
 	active := m.activeSet[:0]
-	for i, q := range p.queues {
-		if q.bytes > 0 || i == prio {
+	for i := range p.queues {
+		if p.queues[i].bytes > 0 || i == prio {
 			active = append(active, i)
 		}
 	}
@@ -284,8 +289,8 @@ func (m *MMU) instantNormDrain(port, prio int) float64 {
 // int→float conversions or multiplies.
 func (m *MMU) countCongested(prio int) int {
 	n := 0
-	for _, p := range m.sw.ports {
-		q := p.queues[prio]
+	for i := prio; i < len(m.queues); i += m.prios {
+		q := &m.queues[i]
 		if q.bytes > 0 && q.lastThreshold > 0 && q.bytesF >= q.congestedAtF {
 			n++
 		}
@@ -305,40 +310,34 @@ func (m *MMU) setThreshold(q *Queue, thr units.ByteCount) {
 // StatsInterval in periodic mode.
 func (m *MMU) tick(now units.Time) {
 	// Refresh drain rates first: thresholds depend on them.
-	for pi, p := range m.sw.ports {
-		for qi, q := range p.queues {
-			switch m.cfg.DrainRate {
-			case DrainRateMeasured:
-				if q.dequeuedInTick > 0 {
-					rate := units.RateOf(q.dequeuedInTick, m.cfg.StatsInterval)
-					share := float64(rate) / float64(p.rate)
-					if share > 1 {
-						share = 1
-					}
-					m.normDrain[pi][qi] = share
-				} else {
-					m.normDrain[pi][qi] = m.instantNormDrain(pi, qi)
-				}
-			default:
-				m.normDrain[pi][qi] = m.instantNormDrain(pi, qi)
+	for i := range m.queues {
+		q := &m.queues[i]
+		var share float64
+		if m.cfg.DrainRate == DrainRateMeasured && q.dequeuedInTick > 0 {
+			rate := units.RateOf(q.dequeuedInTick, m.cfg.StatsInterval)
+			share = float64(rate) / float64(m.sw.ports[q.Port].Rate())
+			if share > 1 {
+				share = 1
 			}
-			q.dequeuedInTick = 0
+		} else {
+			share = m.instantNormDrain(q.Port, q.Prio)
 		}
+		m.normDrain[i] = share
+		q.dequeuedInTick = 0
 	}
 	// Recompute thresholds with the previous congested counts, then
 	// recount. Starting from the previous counts breaks the circular
 	// dependency the same way periodic hardware measurement does.
-	for _, p := range m.sw.ports {
-		for qi, q := range p.queues {
-			ctx := m.ctx(p.idx, qi, q, nil)
-			m.setThreshold(q, m.cfg.BM.Threshold(ctx))
-		}
+	for i := range m.queues {
+		q := &m.queues[i]
+		ctx := m.ctx(q.Port, q.Prio, q, nil)
+		m.setThreshold(q, m.cfg.BM.Threshold(ctx))
 	}
-	for prio := 0; prio < m.sw.prios; prio++ {
+	for prio := 0; prio < m.prios; prio++ {
 		m.nCongested[prio] = m.countCongested(prio)
 	}
-	if t, ok := m.cfg.BM.(bm.Ticker); ok {
-		t.Tick(now)
+	if m.ticker != nil {
+		m.ticker.Tick(now)
 	}
 }
 
@@ -355,7 +354,7 @@ func (m *MMU) ctx(port, prio int, q *Queue, pkt *packet.Packet) *bm.Ctx {
 	c.QueueLen = q.bytes
 	c.Port = port
 	c.Prio = prio
-	c.Alpha = m.alpha(prio)
+	c.Alpha = m.alphas[prio]
 	c.AlphaUnscheduled = m.cfg.AlphaUnscheduled
 	c.NormDrain = m.NormDrain(port, prio)
 	c.CongestedSamePrio = m.CongestedSamePrio(prio)
@@ -378,8 +377,8 @@ func (m *MMU) headroomEligible(ctx *bm.Ctx) bool {
 	if m.cfg.Headroom <= 0 {
 		return false
 	}
-	if he, ok := m.cfg.BM.(bm.HeadroomEligible); ok {
-		return he.UseHeadroom(ctx)
+	if m.headroomElig != nil {
+		return m.headroomElig.UseHeadroom(ctx)
 	}
 	return ctx.Unscheduled
 }
@@ -387,15 +386,15 @@ func (m *MMU) headroomEligible(ctx *bm.Ctx) bool {
 // Admit runs the full hierarchical admission check for pkt arriving at
 // (port, prio) and, on success, enqueues it.
 func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
-	q := m.sw.ports[port].queues[prio]
+	q := &m.queues[port*m.prios+prio]
 	ctx := m.ctx(port, prio, q, pkt)
 	traced := m.obsSink.Enabled(obs.KindAdmit)
 
 	// Stage 0: AFD-style early drop (IB).
-	if d, ok := m.cfg.BM.(bm.Dropper); ok && d.ShouldDrop(ctx, m.rng) {
+	if m.dropper != nil && m.dropper.ShouldDrop(ctx, m.rng) {
 		q.DropsAFD++
 		m.ctrDropAFD.Inc()
-		m.notifyDrop(ctx)
+		m.notifyDrop(q, ctx)
 		if traced {
 			// No threshold was computed on this path; trace the queue's
 			// last one.
@@ -425,7 +424,7 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 			if !fitsBuffer {
 				q.DropsNoBuffer++
 				m.ctrDropNoBuffer.Inc()
-				m.notifyDrop(ctx)
+				m.notifyDrop(q, ctx)
 				if traced {
 					m.emitAdmit(ctx, pkt, obs.VerdictDropNoBuffer, thr)
 				}
@@ -433,7 +432,7 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 			}
 			q.DropsThreshold++
 			m.ctrDropThreshold.Inc()
-			m.notifyDrop(ctx)
+			m.notifyDrop(q, ctx)
 			if traced {
 				m.emitAdmit(ctx, pkt, obs.VerdictDropThreshold, thr)
 			}
@@ -441,21 +440,25 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 		}
 	}
 
-	// Stage 2: AQM verdict (Φ).
-	m.aqmCtx = aqm.Ctx{
-		QueueLen:   q.bytes,
-		PacketSize: size,
-		DrainRate:  m.drainRateAbs(port, prio),
-		ECNCapable: pkt.Is(packet.FlagECT),
-		Now:        m.sw.sim.Now(),
+	// Stage 2: AQM verdict (Φ). A switch built without an AQM has no
+	// verdict to ask for: every packet past stage 1 is enqueued.
+	decision := aqm.Enqueue
+	if q.aqm != nil {
+		m.aqmCtx = aqm.Ctx{
+			QueueLen:   q.bytes,
+			PacketSize: size,
+			DrainRate:  m.drainRateAbs(port, prio),
+			ECNCapable: pkt.Is(packet.FlagECT),
+			Now:        m.sw.sim.Now(),
+		}
+		decision = q.aqm.OnArrival(&m.aqmCtx, m.rng)
 	}
-	decision := m.aqms[port][prio].OnArrival(&m.aqmCtx, m.rng)
 
 	switch decision {
 	case aqm.Drop:
 		q.DropsAQM++
 		m.ctrDropAQM.Inc()
-		m.notifyDrop(ctx)
+		m.notifyDrop(q, ctx)
 		if traced {
 			m.emitAdmit(ctx, pkt, obs.VerdictDropAQM, thr)
 		}
@@ -484,12 +487,13 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 		pkt.HeadroomCharged = false
 	}
 	q.push(pkt, m.sw.sim.Now())
+	m.sw.ports[port].queued++
 	m.AdmittedPkts++
 	m.AdmittedBytes += size
 	m.ctrAdmittedPkts.Inc()
 	m.ctrAdmittedBytes.Add(int64(size))
-	if fa, ok := m.cfg.BM.(bm.FlowAware); ok {
-		fa.OnAdmit(ctx)
+	if m.flowAware != nil {
+		m.flowAware.OnAdmit(ctx)
 	}
 	verdict := obs.VerdictAdmit
 	result := Admitted
@@ -545,13 +549,13 @@ func (m *MMU) emitQueueEvent(kind obs.Kind, ctx *bm.Ctx, pkt *packet.Packet, qle
 	})
 }
 
-func (m *MMU) notifyDrop(ctx *bm.Ctx) {
+func (m *MMU) notifyDrop(q *Queue, ctx *bm.Ctx) {
 	if ctx.Unscheduled {
-		m.sw.ports[ctx.Port].queues[ctx.Prio].DropsUnscheduled++
+		q.DropsUnscheduled++
 		m.ctrDropUnscheduled.Inc()
 	}
-	if fa, ok := m.cfg.BM.(bm.FlowAware); ok {
-		fa.OnDrop(ctx)
+	if m.flowAware != nil {
+		m.flowAware.OnDrop(ctx)
 	}
 }
 
@@ -574,25 +578,22 @@ func (m *MMU) release(pkt *packet.Packet) {
 // drainRateAbs converts the normalized estimate into an absolute rate
 // for the AQM context.
 func (m *MMU) drainRateAbs(port, prio int) units.Rate {
-	p := m.sw.ports[port]
-	return units.Rate(float64(p.rate) * m.NormDrain(port, prio))
-}
-
-// dequeueHook returns the queue's AQM dequeue hook, if any.
-func (m *MMU) dequeueHook(port, prio int) aqm.DequeueHook {
-	if h, ok := m.aqms[port][prio].(aqm.DequeueHook); ok {
-		return h
-	}
-	return nil
+	return units.Rate(float64(m.sw.ports[port].Rate()) * m.NormDrain(port, prio))
 }
 
 // checkInvariants panics if the MMU accounting disagrees with the sum of
 // queue occupancies. Called from tests.
 func (m *MMU) checkInvariants() {
 	var sum units.ByteCount
-	for _, p := range m.sw.ports {
-		for _, q := range p.queues {
-			sum += q.bytes
+	for i := range m.sw.ports {
+		p := &m.sw.ports[i]
+		pkts := 0
+		for j := range p.queues {
+			sum += p.queues[j].bytes
+			pkts += p.queues[j].Len()
+		}
+		if pkts != p.queued {
+			panic(fmt.Sprintf("device: port %d counts %d queued packets, its queues hold %d", i, p.queued, pkts))
 		}
 	}
 	if sum != m.used+m.headroomUsed {

@@ -6,6 +6,7 @@
 package device
 
 import (
+	"abm/internal/aqm"
 	"abm/internal/packet"
 	"abm/internal/units"
 )
@@ -19,11 +20,10 @@ type queued struct {
 
 // Queue is one priority queue at one egress port: a FIFO of packets plus
 // the bookkeeping the MMU needs (occupancy, last computed threshold,
-// dequeue counters for drain-rate measurement).
+// dequeue counters for drain-rate measurement). Queues live by value in
+// their switch's contiguous array (Switch.queues); the fields every
+// admission and dequeue touches come first so they share a cache line.
 type Queue struct {
-	Port int
-	Prio int
-
 	items []queued
 	head  int
 
@@ -34,9 +34,6 @@ type Queue struct {
 	// conversions on the admission hot path.
 	bytesF float64
 
-	// MaxBytes is the occupancy high-water mark since creation.
-	MaxBytes units.ByteCount
-
 	// lastThreshold is the most recent BM threshold computed for this
 	// queue; the MMU uses it for congestion detection (q >= 0.9*T).
 	lastThreshold units.ByteCount
@@ -44,6 +41,18 @@ type Queue struct {
 	// congestedAtF caches CongestedFactor*lastThreshold, refreshed
 	// whenever lastThreshold is, for the same reason as bytesF.
 	congestedAtF float64
+
+	// aqm is the queue's AQM policy and deqHook its dequeue hook, both
+	// resolved once by newMMU; nil when the switch has no AQM (or the
+	// policy no hook), which skips the stage outright.
+	aqm     aqm.Policy
+	deqHook aqm.DequeueHook
+
+	Port int
+	Prio int
+
+	// MaxBytes is the occupancy high-water mark since creation.
+	MaxBytes units.ByteCount
 
 	// dequeuedInTick counts bytes dequeued since the last stats tick,
 	// feeding the measured drain-rate estimator.

@@ -4,8 +4,9 @@ package device
 // must return nil only when every queue is empty.
 type Scheduler interface {
 	Name() string
-	// Next picks a non-empty queue among qs, or nil.
-	Next(qs []*Queue) *Queue
+	// Next picks a non-empty queue among qs — one port's view into the
+	// switch's contiguous queue array — or nil.
+	Next(qs []Queue) *Queue
 }
 
 // RoundRobin serves non-empty queues in rotating order, one packet per
@@ -19,13 +20,15 @@ type RoundRobin struct {
 func (r *RoundRobin) Name() string { return "rr" }
 
 // Next implements Scheduler.
-func (r *RoundRobin) Next(qs []*Queue) *Queue {
-	n := len(qs)
-	for i := 1; i <= n; i++ {
-		idx := (r.last + i) % n
+func (r *RoundRobin) Next(qs []Queue) *Queue {
+	idx := r.last
+	for range qs {
+		if idx++; idx >= len(qs) {
+			idx = 0
+		}
 		if qs[idx].Len() > 0 {
 			r.last = idx
-			return qs[idx]
+			return &qs[idx]
 		}
 	}
 	return nil
@@ -39,10 +42,10 @@ type StrictPriority struct{}
 func (StrictPriority) Name() string { return "strict" }
 
 // Next implements Scheduler.
-func (StrictPriority) Next(qs []*Queue) *Queue {
-	for _, q := range qs {
-		if q.Len() > 0 {
-			return q
+func (StrictPriority) Next(qs []Queue) *Queue {
+	for i := range qs {
+		if qs[i].Len() > 0 {
+			return &qs[i]
 		}
 	}
 	return nil
@@ -67,7 +70,7 @@ type DWRR struct {
 func (d *DWRR) Name() string { return "dwrr" }
 
 // Next implements Scheduler.
-func (d *DWRR) Next(qs []*Queue) *Queue {
+func (d *DWRR) Next(qs []Queue) *Queue {
 	n := len(qs)
 	if !d.inited {
 		d.deficits = make([]int64, n)
@@ -78,8 +81,8 @@ func (d *DWRR) Next(qs []*Queue) *Queue {
 		d.Quantum = 1500
 	}
 	anyBacklog := false
-	for _, q := range qs {
-		if q.Len() > 0 {
+	for i := range qs {
+		if qs[i].Len() > 0 {
 			anyBacklog = true
 			break
 		}
@@ -91,7 +94,7 @@ func (d *DWRR) Next(qs []*Queue) *Queue {
 	// backlogged queue, so the deficit eventually covers any head packet;
 	// 16 cycles cover heads up to 16*Quantum with weight 1.
 	for iter := 0; iter < 16*n; iter++ {
-		q := qs[d.cur]
+		q := &qs[d.cur]
 		if q.Len() == 0 {
 			d.deficits[d.cur] = 0
 			d.advance(n)
@@ -108,9 +111,9 @@ func (d *DWRR) Next(qs []*Queue) *Queue {
 		}
 		d.advance(n)
 	}
-	for _, q := range qs {
-		if q.Len() > 0 {
-			return q
+	for i := range qs {
+		if qs[i].Len() > 0 {
+			return &qs[i]
 		}
 	}
 	return nil

@@ -119,11 +119,17 @@ type SwitchConfig struct {
 type Switch struct {
 	sim   *sim.Simulator
 	id    packet.NodeID
-	ports []*Port
-	prios int
-	mmu   *MMU
-	route Router
-	cfg   SwitchConfig
+	ports []Port
+	// queues holds every queue of the switch contiguously, index
+	// port*prios+prio; each Port's queues field is a view into it and
+	// the MMU indexes it directly. Neither slice is ever reallocated, so
+	// *Port and *Queue handed out by Port(i) and Queue(prio) stay valid
+	// for the life of the switch.
+	queues []Queue
+	prios  int
+	mmu    *MMU
+	route  Router
+	cfg    SwitchConfig
 
 	statsTicker *sim.Ticker
 
@@ -148,13 +154,14 @@ func NewSwitch(s *sim.Simulator, cfg SwitchConfig) *Switch {
 		panic("device: switch port rate must be positive")
 	}
 	sw := &Switch{sim: s, id: cfg.ID, prios: cfg.QueuesPerPort, cfg: cfg}
-	sw.ports = make([]*Port, cfg.NumPorts)
+	sw.ports = make([]Port, cfg.NumPorts)
+	sw.queues = make([]Queue, cfg.NumPorts*sw.prios)
 	for i := range sw.ports {
 		rate := cfg.PortRate
 		if i < len(cfg.PortRates) && cfg.PortRates[i] > 0 {
 			rate = cfg.PortRates[i]
 		}
-		sw.ports[i] = newPort(sw, i, rate, cfg.QueuesPerPort, cfg.NewScheduler)
+		sw.ports[i].init(sw, i, rate, cfg.NewScheduler)
 	}
 	rng := cfg.RNG
 	if rng == nil {
@@ -177,7 +184,7 @@ func (sw *Switch) ID() packet.NodeID { return sw.id }
 func (sw *Switch) MMU() *MMU { return sw.mmu }
 
 // Port returns port i.
-func (sw *Switch) Port(i int) *Port { return sw.ports[i] }
+func (sw *Switch) Port(i int) *Port { return &sw.ports[i] }
 
 // NumPorts returns the port count.
 func (sw *Switch) NumPorts() int { return len(sw.ports) }
@@ -241,10 +248,8 @@ func (sw *Switch) Receive(pkt *packet.Packet) {
 // TotalDrops sums drops across all queues.
 func (sw *Switch) TotalDrops() int64 {
 	var n int64
-	for _, p := range sw.ports {
-		for _, q := range p.queues {
-			n += q.TotalDrops()
-		}
+	for i := range sw.queues {
+		n += sw.queues[i].TotalDrops()
 	}
 	return n
 }
@@ -254,43 +259,45 @@ func (sw *Switch) TotalDrops() int64 {
 type Port struct {
 	sw     *Switch
 	idx    int
-	rate   units.Rate
-	queues []*Queue
+	tx     units.TxClock // port bandwidth with its cached per-byte time
+	queues []Queue       // view into sw.queues
 	sched  Scheduler
 	link   *Link
 
+	// queued counts the packets held across the port's queues, so an
+	// idle port is recognized without asking the scheduler.
+	queued int
+
 	busy bool
 	// txPkt/txQ hold the single in-flight transmission (the port is
-	// busy while it serializes); txDone is the prebound completion
-	// callback so per-packet transmission allocates no closure.
-	txPkt  *packet.Packet
-	txQ    *Queue
-	txDone func()
+	// busy while it serializes).
+	txPkt *packet.Packet
+	txQ   *Queue
 
 	TxPkts  int64
 	TxBytes units.ByteCount
 }
 
-func newPort(sw *Switch, idx int, rate units.Rate, prios int, newSched func() Scheduler) *Port {
-	p := &Port{sw: sw, idx: idx, rate: rate}
-	p.queues = make([]*Queue, prios)
+// init sets up port idx of sw in place (ports live in sw.ports).
+func (p *Port) init(sw *Switch, idx int, rate units.Rate, newSched func() Scheduler) {
+	*p = Port{sw: sw, idx: idx, tx: units.NewTxClock(rate)}
+	p.queues = sw.queues[idx*sw.prios : (idx+1)*sw.prios : (idx+1)*sw.prios]
 	for i := range p.queues {
-		p.queues[i] = &Queue{Port: idx, Prio: i}
+		p.queues[i] = Queue{Port: idx, Prio: i}
 	}
 	if newSched != nil {
 		p.sched = newSched()
 	} else {
 		p.sched = &RoundRobin{}
 	}
-	p.txDone = p.finishTx
-	return p
 }
 
-// Queue returns the queue of the given priority.
-func (p *Port) Queue(prio int) *Queue { return p.queues[prio] }
+// Queue returns the queue of the given priority. The pointer stays
+// valid for the life of the switch.
+func (p *Port) Queue(prio int) *Queue { return &p.queues[prio] }
 
 // Rate returns the port bandwidth.
-func (p *Port) Rate() units.Rate { return p.rate }
+func (p *Port) Rate() units.Rate { return p.tx.Rate() }
 
 // SetRate changes the port bandwidth (link degradation/restoration).
 // The new rate applies from the next transmission start; a packet
@@ -300,14 +307,14 @@ func (p *Port) SetRate(r units.Rate) {
 	if r <= 0 {
 		panic("device: port rate must be positive")
 	}
-	p.rate = r
+	p.tx = units.NewTxClock(r)
 }
 
 // Backlog returns the total bytes queued at this port.
 func (p *Port) Backlog() units.ByteCount {
 	var sum units.ByteCount
-	for _, q := range p.queues {
-		sum += q.bytes
+	for i := range p.queues {
+		sum += p.queues[i].bytes
 	}
 	return sum
 }
@@ -318,7 +325,7 @@ func (p *Port) maybeTransmit() {
 	if p.busy {
 		return
 	}
-	for {
+	for p.queued > 0 {
 		q := p.sched.Next(p.queues)
 		if q == nil {
 			return
@@ -327,14 +334,15 @@ func (p *Port) maybeTransmit() {
 		if !ok {
 			return
 		}
+		p.queued--
 		p.sw.mmu.release(pkt)
 		if p.sw.histQDelay != nil {
 			p.sw.histQDelay.Record(int64(p.sw.sim.Now() - enqAt))
 		}
 		// Sojourn-based AQM (Codel) may discard at dequeue.
-		if hook := p.sw.mmu.dequeueHook(p.idx, q.Prio); hook != nil {
+		if q.deqHook != nil {
 			now := p.sw.sim.Now()
-			if hook.OnDequeue(now-enqAt, now) {
+			if q.deqHook.OnDequeue(now-enqAt, now) {
 				q.DropsAQM++
 				p.sw.ctrDropDequeue.Inc()
 				if p.sw.obsSink.Enabled(obs.KindDequeue) {
@@ -374,8 +382,13 @@ func (p *Port) emitDequeue(pkt *packet.Packet, q *Queue, enqAt units.Time, verdi
 func (p *Port) transmit(pkt *packet.Packet, q *Queue) {
 	p.busy = true
 	p.txPkt, p.txQ = pkt, q
-	p.sw.sim.After(p.rate.TxTime(pkt.Size()), p.txDone)
+	p.sw.sim.AfterArg(p.tx.TxTime(pkt.Size()), portTxDone, p)
 }
+
+// portTxDone is the transmit-completion event of every port: a
+// package-level func with the port as its argument, so scheduling it
+// allocates nothing and dispatching it needs no per-port closure.
+func portTxDone(a any) { a.(*Port).finishTx() }
 
 // finishTx completes the in-flight transmission: stamp INT, hand the
 // packet to the egress link, and restart the transmitter.
@@ -389,7 +402,7 @@ func (p *Port) finishTx() {
 			QLen:    q.bytes,
 			TxBytes: p.TxBytes,
 			TS:      p.sw.sim.Now(),
-			Rate:    p.rate,
+			Rate:    p.tx.Rate(),
 		})
 	}
 	if p.link == nil {

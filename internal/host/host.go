@@ -44,14 +44,12 @@ type Host struct {
 	TxBytes units.ByteCount
 	RxBytes units.ByteCount // payload bytes received (goodput)
 
-	// txPkt is the packet currently serializing onto the wire; txDone is
-	// its prebound completion callback, so per-packet transmission
-	// schedules without allocating a closure.
-	txPkt  *packet.Packet
-	txDone func()
+	// txPkt is the packet currently serializing onto the wire.
+	txPkt *packet.Packet
+	tx    units.TxClock // cfg.Rate with its cached per-byte time
 
-	senders   map[uint64]*transport.Sender
-	receivers map[uint64]*transport.Receiver
+	senders   flowTable[transport.Sender]
+	receivers flowTable[transport.Receiver]
 
 	// Telemetry handles (nil-safe when disabled). Output is the single
 	// counting point for emissions: sender data and receiver ACKs both
@@ -75,13 +73,7 @@ func New(s *sim.Simulator, cfg Config) *Host {
 	if cfg.UnscheduledBytes <= 0 {
 		cfg.UnscheduledBytes = cfg.Rate.BytesOver(cfg.BaseRTT)
 	}
-	h := &Host{
-		sim:       s,
-		cfg:       cfg,
-		senders:   make(map[uint64]*transport.Sender),
-		receivers: make(map[uint64]*transport.Receiver),
-	}
-	h.txDone = h.finishTx
+	h := &Host{sim: s, cfg: cfg, tx: units.NewTxClock(cfg.Rate)}
 	h.ctrDataSent = cfg.Obs.Ctr(obs.CtrDataSent)
 	h.ctrRetransSent = cfg.Obs.Ctr(obs.CtrRetransSent)
 	h.ctrAckSent = cfg.Obs.Ctr(obs.CtrAckSent)
@@ -107,7 +99,7 @@ func (h *Host) Receive(pkt *packet.Packet) {
 		panic(fmt.Sprintf("host %d received packet for %d", h.cfg.ID, pkt.Dst))
 	}
 	if pkt.Is(packet.FlagACK) {
-		if sn, ok := h.senders[pkt.FlowID]; ok {
+		if sn := h.senders.get(pkt.FlowID); sn != nil {
 			sn.OnAck(pkt)
 		}
 		h.ctrAckRetired.Inc()
@@ -116,12 +108,7 @@ func (h *Host) Receive(pkt *packet.Packet) {
 	}
 	h.ctrDataConsumed.Inc()
 	h.RxBytes += pkt.Payload
-	rc, ok := h.receivers[pkt.FlowID]
-	if !ok {
-		rc = transport.NewReceiver(h.sim, pkt.FlowID, h.cfg.ID, pkt.Src, h.Output)
-		h.receivers[pkt.FlowID] = rc
-	}
-	rc.OnData(pkt)
+	h.receiver(pkt.FlowID, pkt.Src).OnData(pkt)
 	h.sim.FreePacket(pkt)
 }
 
@@ -154,8 +141,12 @@ func (h *Host) maybeTransmit() {
 	}
 	h.busy = true
 	h.txPkt = pkt
-	h.sim.After(h.cfg.Rate.TxTime(pkt.Size()), h.txDone)
+	h.sim.AfterArg(h.tx.TxTime(pkt.Size()), hostTxDone, h)
 }
+
+// hostTxDone is every NIC's transmit-completion event: a package-level
+// func with the host as its argument (no per-host closure).
+func hostTxDone(a any) { a.(*Host).finishTx() }
 
 // finishTx completes the in-flight NIC transmission.
 func (h *Host) finishTx() {
@@ -187,7 +178,7 @@ func (h *Host) StartFlow(flowID uint64, dst packet.NodeID, size units.ByteCount,
 		Prio:             prio,
 		Obs:              h.cfg.Obs,
 	}, algo, flowID, h.cfg.ID, dst, size, h.Output, onComplete)
-	h.senders[flowID] = sn
+	h.senders.put(flowID, sn)
 	sn.Start()
 	return sn
 }
@@ -196,7 +187,18 @@ func (h *Host) StartFlow(flowID uint64, dst packet.NodeID, size units.ByteCount,
 func (h *Host) Backlog() int { return len(h.queue) - h.qhead }
 
 // Sender returns the sender for flowID, or nil.
-func (h *Host) Sender(flowID uint64) *transport.Sender { return h.senders[flowID] }
+func (h *Host) Sender(flowID uint64) *transport.Sender { return h.senders.get(flowID) }
+
+// receiver returns flowID's receiver, creating it on first use; peer
+// is the data sender its ACKs go to.
+func (h *Host) receiver(flowID uint64, peer packet.NodeID) *transport.Receiver {
+	rc := h.receivers.get(flowID)
+	if rc == nil {
+		rc = transport.NewReceiver(h.sim, flowID, h.cfg.ID, peer, h.Output)
+		h.receivers.put(flowID, rc)
+	}
+	return rc
+}
 
 // AdvanceReceiver moves flowID's receive point to stream offset to,
 // creating the receiver if no packet has arrived yet (a flow can be
@@ -205,30 +207,8 @@ func (h *Host) Sender(flowID uint64) *transport.Sender { return h.senders[flowID
 // trajectory; peer is the data sender. The credited payload also counts
 // toward the host's goodput.
 func (h *Host) AdvanceReceiver(flowID uint64, peer packet.NodeID, to int64) {
-	rc, ok := h.receivers[flowID]
-	if !ok {
-		rc = transport.NewReceiver(h.sim, flowID, h.cfg.ID, peer, h.Output)
-		h.receivers[flowID] = rc
-	}
+	rc := h.receiver(flowID, peer)
 	before := rc.BytesReceived
 	rc.AdvanceTo(to)
 	h.RxBytes += rc.BytesReceived - before
-}
-
-// EachSender visits every sender created on this host.
-func (h *Host) EachSender(f func(*transport.Sender)) {
-	for _, sn := range h.senders {
-		f(sn)
-	}
-}
-
-// ActiveSenders counts unfinished flows originating here.
-func (h *Host) ActiveSenders() int {
-	n := 0
-	for _, sn := range h.senders {
-		if !sn.Finished() {
-			n++
-		}
-	}
-	return n
 }

@@ -7,7 +7,6 @@ import (
 	"abm/internal/device"
 	"abm/internal/packet"
 	"abm/internal/sim"
-	"abm/internal/transport"
 	"abm/internal/units"
 )
 
@@ -34,8 +33,11 @@ func TestHostToHostFlow(t *testing.T) {
 	if b.RxBytes != 100*units.Kilobyte {
 		t.Fatalf("receiver goodput = %v", b.RxBytes)
 	}
-	if a.ActiveSenders() != 0 {
+	if sn := a.Sender(1); sn == nil || !sn.Finished() {
 		t.Fatal("sender still active after completion")
+	}
+	if a.Sender(2) != nil {
+		t.Fatal("Sender returned an endpoint for a flow that never started")
 	}
 }
 
@@ -72,13 +74,13 @@ func (c *captureEndpoint) Receive(*packet.Packet) { c.on() }
 func TestReceiverCreatedLazily(t *testing.T) {
 	s := sim.New(1)
 	a, b := loop(t, s)
-	if len(b.receivers) != 0 {
+	if b.receivers.n != 0 {
 		t.Fatal("receivers should not exist before data")
 	}
 	a.StartFlow(7, 2, 10*units.Kilobyte, 0, cc.NewReno(), nil)
 	s.RunUntil(10 * units.Millisecond)
-	if len(b.receivers) != 1 {
-		t.Fatalf("receivers = %d, want 1", len(b.receivers))
+	if b.receivers.n != 1 {
+		t.Fatalf("receivers = %d, want 1", b.receivers.n)
 	}
 }
 
@@ -134,17 +136,5 @@ func TestBacklogReporting(t *testing.T) {
 	s.Run()
 	if h.Backlog() != 0 {
 		t.Fatalf("backlog after drain = %d", h.Backlog())
-	}
-}
-
-func TestEachSender(t *testing.T) {
-	s := sim.New(1)
-	a, _ := loop(t, s)
-	a.StartFlow(1, 2, 10*units.Kilobyte, 0, cc.NewReno(), nil)
-	a.StartFlow(2, 2, 10*units.Kilobyte, 0, cc.NewReno(), nil)
-	count := 0
-	a.EachSender(func(*transport.Sender) { count++ })
-	if count != 2 {
-		t.Fatalf("visited %d senders, want 2", count)
 	}
 }

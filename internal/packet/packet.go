@@ -45,17 +45,29 @@ type HopINT struct {
 
 // Packet is a simulated segment. Packets are passed by pointer and owned
 // by exactly one component at a time; they are never shared.
+//
+// Layout: the scalar fields every hop reads or writes fill the first 64
+// bytes and the two INT slices start the second 64, so a switch that
+// forwards without INT touches one cache line per packet. The struct is
+// padded to 128 bytes, a Go allocation size class whose objects are
+// 64-byte aligned (packet_test pins both).
 type Packet struct {
 	FlowID uint64
 	Src    NodeID
 	Dst    NodeID
+	Flags  Flag
 	Prio   uint8 // switch queue (priority) index
+
+	// HeadroomCharged records that the MMU admitted this packet from the
+	// headroom pool, so dequeue releases the right accounting bucket.
+	HeadroomCharged bool
+
+	// pooled guards against double-release to a Pool.
+	pooled bool
 
 	Seq     int64 // first payload byte offset within the flow
 	Payload units.ByteCount
 	AckNo   int64 // cumulative ACK (valid when FlagACK)
-
-	Flags Flag
 
 	SentAt units.Time // stamped by the sender, echoed on ACKs
 	EchoTS units.Time // on ACKs: the SentAt of the segment being acked
@@ -65,12 +77,7 @@ type Packet struct {
 	Hops   []HopINT
 	AckINT []HopINT
 
-	// HeadroomCharged records that the MMU admitted this packet from the
-	// headroom pool, so dequeue releases the right accounting bucket.
-	HeadroomCharged bool
-
-	// pooled guards against double-release to a Pool.
-	pooled bool
+	_ [16]byte
 }
 
 // Size returns the wire size of the packet.

@@ -3,7 +3,24 @@ package packet
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestLayout pins the cache-line split the forwarding path relies on:
+// every per-hop scalar in the first 64 bytes, the INT slices starting
+// the second, 128 bytes in all (a 64-byte-aligned size class).
+func TestLayout(t *testing.T) {
+	var p Packet
+	if got := unsafe.Sizeof(p); got != 128 {
+		t.Fatalf("sizeof(Packet) = %d, want 128", got)
+	}
+	if got := unsafe.Offsetof(p.Hops); got != 64 {
+		t.Fatalf("Hops at offset %d, want 64", got)
+	}
+	if end := unsafe.Offsetof(p.EchoTS) + unsafe.Sizeof(p.EchoTS); end != 64 {
+		t.Fatalf("hot fields end at %d, want 64", end)
+	}
+}
 
 func TestSize(t *testing.T) {
 	p := &Packet{Payload: 1440}

@@ -6,14 +6,20 @@ import (
 
 // fwdTable is one switch's forwarding state, computed from the graph.
 // The per-packet router is pure array lookup — no allocation, no probe
-// walks — and ECMP picks within a destination group's next-hop port set
-// by flow hash, so the set degrades gracefully when failures prune it.
+// walks, no division — and ECMP picks within a destination group's
+// next-hop port set by flow hash, so the set degrades gracefully when
+// failures prune it. Each switch's router closure holds its *fwdTable
+// for the life of the fabric: recompute rewrites the next-hop sets in
+// place and never reallocates routeTables.tables.
 type fwdTable struct {
 	// ownGroup is the switch's edge group (-1 above the edge tier):
 	// packets to its own hosts exit on the host port directly.
 	ownGroup int32
 	// groupBase is the first host ID of ownGroup.
 	groupBase packet.NodeID
+	// groupOf maps a host ID to its edge group; one array shared by
+	// every table of the fabric.
+	groupOf []int32
 	// next[g] lists the candidate egress ports toward edge group g, in
 	// ascending port order. A singleton set forwards without hashing;
 	// an empty set means g is unreachable (the packet is dropped).
@@ -22,10 +28,10 @@ type fwdTable struct {
 
 // routeTables holds the fabric's forwarding and distance state. The
 // Network recomputes it in place whenever a link changes state; router
-// closures read it through the slice, so updates apply to the next
-// routed packet with no per-packet indirection cost.
+// closures point at their table, so updates apply to the next routed
+// packet with no per-packet indirection cost.
 type routeTables struct {
-	tables []fwdTable
+	tables []fwdTable // never reallocated: routers hold &tables[i]
 	// groupDist[a][b] is the switch-to-switch hop distance between edge
 	// groups a and b (0 on the diagonal; leaf-spine remote pairs are 2,
 	// fat-tree inter-pod pairs 4). Unreachable pairs keep their last
@@ -47,8 +53,13 @@ func newRouteTables(g *Graph) *routeTables {
 		queue:     make([]int32, 0, g.NumSwitches()),
 	}
 	groups := g.NumGroups()
+	groupOf := make([]int32, g.NumHosts())
+	for h := range groupOf {
+		groupOf[h] = int32(g.GroupOfHost(h))
+	}
 	for i := range rt.tables {
 		t := &rt.tables[i]
+		t.groupOf = groupOf
 		t.ownGroup = -1
 		if g.TierOf(i) == 0 {
 			t.ownGroup = int32(i)
@@ -177,14 +188,13 @@ func ecmpHash(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// routeFrom picks the egress port for pkt at switch index sw: the host
+// route picks the egress port for pkt at this table's switch: the host
 // port inside the switch's own edge group, otherwise an ECMP choice
 // from the destination group's next-hop set. Returns -1 when the
 // destination is unreachable (every next hop failed) — the device layer
 // drops such packets, the packet analogue of a routing black hole.
-func (rt *routeTables) routeFrom(sw int, hostsPerEdge int, pkt *packet.Packet) int {
-	t := &rt.tables[sw]
-	grp := int32(int(pkt.Dst) / hostsPerEdge)
+func (t *fwdTable) route(pkt *packet.Packet) int {
+	grp := t.groupOf[pkt.Dst]
 	if grp == t.ownGroup {
 		return int(pkt.Dst - t.groupBase)
 	}
@@ -195,5 +205,15 @@ func (rt *routeTables) routeFrom(sw int, hostsPerEdge int, pkt *packet.Packet) i
 	case 1:
 		return int(set[0])
 	}
-	return int(set[ecmpHash(pkt.FlowID)%uint64(len(set))])
+	return int(set[ecmpPick(ecmpHash(pkt.FlowID), uint64(len(set)))])
+}
+
+// ecmpPick reduces a flow hash to an index below n (n >= 1): h mod n,
+// computed with a mask instead of a division when n is a power of two —
+// the same value, so the choice never depends on which branch ran.
+func ecmpPick(h, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return h & (n - 1)
+	}
+	return h % n
 }

@@ -29,7 +29,7 @@ func walkTable(g *Graph, rt *routeTables, src, dst int, flowID uint64) ([]int, b
 	var path []int
 	for steps := 0; steps <= g.NumSwitches(); steps++ {
 		path = append(path, sw)
-		out := rt.routeFrom(sw, g.HostsPerEdge, pkt)
+		out := rt.tables[sw].route(pkt)
 		if out < 0 {
 			return path, false
 		}
@@ -302,5 +302,72 @@ func TestLinkRecoveryRestoresECMP(t *testing.T) {
 	n.ApplyLinkEvent(LinkEvent{Link: li, State: LinkUp})
 	if got := fmt.Sprint(n.rt.tables[0].next[1]); got != healthy {
 		t.Fatalf("recovery did not restore the healthy set: %s != %s", got, healthy)
+	}
+}
+
+// TestCapturedTableSeesLinkEvents pins the contract the per-switch
+// router relies on: the closure installed at build time holds its
+// switch's table, ApplyLinkEvent recomputes that table in place, and
+// so the very same closure routes over the pruned set after a failure
+// and over the full set again after recovery — no rebuild, no
+// SetRouter.
+func TestCapturedTableSeesLinkEvents(t *testing.T) {
+	s := sim.New(3)
+	n := NewNetwork(s, Config{NumSpines: 4, NumLeaves: 2, HostsPerLeaf: 2,
+		LinkRate: 10 * units.GigabitPerSec, LinkDelay: 10 * units.Microsecond})
+	defer n.Stop()
+	leaf0 := n.SwitchAt(0)
+	table0 := &n.rt.tables[0]
+	li, err := n.G.LinkIndex("leaf0-spine2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadPort := n.G.Links[li].LoPort
+
+	// portsUsed routes 10^4 flows toward the remote rack through the
+	// switch's installed router (Switch.RoutePort calls the closure).
+	portsUsed := func() map[int]int {
+		used := map[int]int{}
+		pkt := &packet.Packet{Dst: 2}
+		for f := uint64(1); f <= 10000; f++ {
+			pkt.FlowID = f
+			used[leaf0.RoutePort(pkt)]++
+		}
+		return used
+	}
+	if used := portsUsed(); len(used) != 4 || used[deadPort] == 0 {
+		t.Fatalf("healthy fabric: uplinks used %v, want all 4 including port %d", used, deadPort)
+	}
+	n.ApplyLinkEvent(LinkEvent{Link: li, State: LinkDown})
+	if &n.rt.tables[0] != table0 {
+		t.Fatal("link event reallocated the forwarding tables under the routers")
+	}
+	if used := portsUsed(); len(used) != 3 || used[deadPort] != 0 {
+		t.Fatalf("after failure: uplinks used %v, want 3 without port %d", used, deadPort)
+	}
+	n.ApplyLinkEvent(LinkEvent{Link: li, State: LinkUp})
+	if &n.rt.tables[0] != table0 {
+		t.Fatal("link event reallocated the forwarding tables under the routers")
+	}
+	if used := portsUsed(); len(used) != 4 || used[deadPort] == 0 {
+		t.Fatalf("after recovery: uplinks used %v, want all 4 including port %d", used, deadPort)
+	}
+	// Local delivery never consulted the sets.
+	if got := leaf0.RoutePort(&packet.Packet{Dst: 1, FlowID: 9}); got != 1 {
+		t.Fatalf("host 1 routed to port %d on its own leaf, want 1", got)
+	}
+}
+
+// TestECMPPickMatchesModulo: the power-of-two mask is an optimization
+// of h mod n, not a different hash — for every set size 1-8 and 10^4
+// flow IDs the pick equals the modulo formulation's.
+func TestECMPPickMatchesModulo(t *testing.T) {
+	for n := uint64(1); n <= 8; n++ {
+		for f := uint64(0); f < 10000; f++ {
+			h := ecmpHash(f)
+			if got, want := ecmpPick(h, n), h%n; got != want {
+				t.Fatalf("set size %d, flow %d: pick %d, h mod n = %d", n, f, got, want)
+			}
+		}
 	}
 }

@@ -317,6 +317,10 @@ func (n *Network) build(baseSeed int64) {
 	// zero or equal) take the single-rate path untouched.
 	mixed := cfg.UplinkRate > 0 && cfg.UplinkRate != cfg.LinkRate
 
+	// The tables exist (empty) before the switches so each router can
+	// capture its own; they are filled once the links are wired.
+	n.rt = newRouteTables(g)
+
 	n.switches = make([]*device.Switch, g.NumSwitches())
 	for i := range n.switches {
 		var portRates []units.Rate
@@ -368,7 +372,6 @@ func (n *Network) build(baseSeed int64) {
 	// Routing tables and hop counts come from the graph, not from probe
 	// walks: one BFS per destination edge group yields the ECMP next-hop
 	// sets and the pairwise group distances in one pass.
-	n.rt = newRouteTables(g)
 	n.rt.recompute(g, n.linkUp)
 	n.worstHops = 2 // host up to the edge switch and back down
 	if d := n.rt.worstGroupDist(); d > 0 {
@@ -397,14 +400,12 @@ func (n *Network) build(baseSeed int64) {
 }
 
 // tableRouter adapts switch i's forwarding table to the device router
-// interface. The closure reads the shared table state on every packet,
-// so a table recompute (link failure) applies to the next routed packet
-// with no per-packet allocation.
+// interface. The closure holds the table itself, which ApplyLinkEvent
+// recomputes in place, so a link failure applies to the next routed
+// packet with no rebuild and no per-packet indirection.
 func (n *Network) tableRouter(i int) device.Router {
-	hpe := n.G.HostsPerEdge
-	return func(_ *device.Switch, pkt *packet.Packet) int {
-		return n.rt.routeFrom(i, hpe, pkt)
-	}
+	t := &n.rt.tables[i]
+	return func(_ *device.Switch, pkt *packet.Packet) int { return t.route(pkt) }
 }
 
 // NumHosts returns the host count.
@@ -528,7 +529,7 @@ func (n *Network) PathQueues(flowID uint64, src, dst int, buf []PathHop) []PathH
 	probe.FlowID = flowID
 	cur := n.GroupOf(src)
 	for range n.switches {
-		port := n.rt.routeFrom(cur, n.G.HostsPerEdge, &probe)
+		port := n.rt.tables[cur].route(&probe)
 		if port < 0 {
 			panic(fmt.Sprintf("topo: no route from %d to %d (failed links partitioned the fabric)", src, dst))
 		}

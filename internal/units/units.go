@@ -148,6 +148,50 @@ func (r Rate) TxTime(n ByteCount) Time {
 	return Time(mulDivCeil(n.Bits(), int64(Second), int64(r)))
 }
 
+// PsPerByte returns the serialization time of one byte at rate r and
+// whether it is a whole number of picoseconds. When it is, n bytes take
+// exactly n times as long — TxTime's ceiling never rounds — which holds
+// for every standard Ethernet rate (1/10/25/40/50/100/200/400 Gb/s).
+func (r Rate) PsPerByte() (Time, bool) {
+	const psBitsPerSecond = 8 * int64(Second)
+	if r <= 0 || psBitsPerSecond%int64(r) != 0 {
+		return 0, false
+	}
+	return Time(psBitsPerSecond / int64(r)), true
+}
+
+// TxClock converts packet sizes into serialization times at one rate.
+// It is what a transmitter holds instead of a bare Rate: built once per
+// rate change, it answers per packet with a single multiply when the
+// rate's per-byte time is exact and falls back to Rate.TxTime's 128-bit
+// divide when it is not. Both paths return Rate.TxTime's value exactly.
+type TxClock struct {
+	rate      Rate
+	psPerByte Time // 0: not a whole number of ps, use rate.TxTime
+}
+
+// NewTxClock returns the clock for rate r.
+func NewTxClock(r Rate) TxClock {
+	ps, _ := r.PsPerByte()
+	if ps >= 1<<32 {
+		ps = 0 // below ~2 kb/s: keep TxTime's overflow check
+	}
+	return TxClock{rate: r, psPerByte: ps}
+}
+
+// Rate returns the rate the clock was built for.
+func (c TxClock) Rate() Rate { return c.rate }
+
+// TxTime returns c.Rate().TxTime(n).
+func (c TxClock) TxTime(n ByteCount) Time {
+	// One unsigned compare rejects negative n (TxTime panics on it) and
+	// bounds the product below 2^63 given psPerByte < 2^32.
+	if c.psPerByte != 0 && uint64(n) < 1<<31 {
+		return Time(n) * c.psPerByte
+	}
+	return c.rate.TxTime(n)
+}
+
 // BytesOver returns the number of whole bytes transmitted over duration d
 // at rate r.
 func (r Rate) BytesOver(d Time) ByteCount {

@@ -230,3 +230,68 @@ func TestRateOfRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPsPerByteExact is the exactness contract of the transmit path: at
+// every standard Ethernet rate one byte serializes in a whole number of
+// picoseconds, so size x PsPerByte equals Rate.TxTime(size) for every
+// frame size up to a 9216-byte jumbo, and TxClock returns that value.
+func TestPsPerByteExact(t *testing.T) {
+	for _, gbps := range []int64{1, 10, 25, 40, 50, 100, 200, 400} {
+		r := Rate(gbps) * GigabitPerSec
+		ps, exact := r.PsPerByte()
+		if !exact {
+			t.Fatalf("%v: per-byte time reported not exact", r)
+		}
+		clk := NewTxClock(r)
+		if clk.Rate() != r {
+			t.Fatalf("%v: clock reports rate %v", r, clk.Rate())
+		}
+		for n := ByteCount(0); n <= 9216; n++ {
+			want := r.TxTime(n)
+			if got := Time(n) * ps; got != want {
+				t.Fatalf("%v: %d B x %d ps = %v, TxTime = %v", r, n, ps, got, want)
+			}
+			if got := clk.TxTime(n); got != want {
+				t.Fatalf("%v: TxClock.TxTime(%d) = %v, want %v", r, n, got, want)
+			}
+		}
+	}
+}
+
+// TestPsPerByteFallback covers rates whose per-byte time is fractional
+// (8e12 ps·bit/s does not divide by 3 or 7 Gb/s): PsPerByte says so and
+// TxClock falls back to Rate.TxTime's rounded-up value.
+func TestPsPerByteFallback(t *testing.T) {
+	for _, gbps := range []int64{3, 7} {
+		r := Rate(gbps) * GigabitPerSec
+		if ps, exact := r.PsPerByte(); exact || ps != 0 {
+			t.Fatalf("%v: PsPerByte = (%v, %v), want (0, false)", r, ps, exact)
+		}
+		clk := NewTxClock(r)
+		rounded := false
+		for n := ByteCount(0); n <= 9216; n++ {
+			want := r.TxTime(n)
+			if got := clk.TxTime(n); got != want {
+				t.Fatalf("%v: TxClock.TxTime(%d) = %v, want %v", r, n, got, want)
+			}
+			if int64(want)*int64(r) != n.Bits()*int64(Second) {
+				rounded = true
+			}
+		}
+		if !rounded {
+			t.Fatalf("%v: no size needed rounding; the fallback was not exercised", r)
+		}
+	}
+	// A rate so slow the product could overflow keeps TxTime's checked
+	// arithmetic, and a negative size still panics through the clock.
+	slow := NewTxClock(1 * BitPerSecond)
+	if got, want := slow.TxTime(1000), (1 * BitPerSecond).TxTime(1000); got != want {
+		t.Fatalf("1 b/s: TxClock.TxTime = %v, want %v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative size did not panic through TxClock")
+		}
+	}()
+	NewTxClock(10 * GigabitPerSec).TxTime(-1)
+}
