@@ -22,6 +22,7 @@ type Endpoint interface {
 type Link struct {
 	sim     *sim.Simulator
 	delay   units.Time
+	line    sim.DelayLine // the simulator's FIFO for this delay; unused with a mailbox
 	dst     Endpoint
 	deliver func(any) // prebound: delivery schedules without allocating
 	box     *sim.Mailbox
@@ -30,8 +31,16 @@ type Link struct {
 	DeliveredBytes units.ByteCount
 }
 
-// NewLink returns a link delivering to dst after delay.
+// NewLink returns a link delivering to dst after delay. Deliveries ride
+// the simulator's delay line for that delay: every link with the same
+// delay shares it.
 func NewLink(s *sim.Simulator, delay units.Time, dst Endpoint) *Link {
+	l := newLink(s, delay, dst)
+	l.line = s.DelayLine(delay)
+	return l
+}
+
+func newLink(s *sim.Simulator, delay units.Time, dst Endpoint) *Link {
 	if dst == nil {
 		panic("device: link destination must not be nil")
 	}
@@ -48,9 +57,9 @@ func NewLink(s *sim.Simulator, delay units.Time, dst Endpoint) *Link {
 // fires on the destination's shard at the next window barrier. The
 // sharded topology builder uses it for every tier link so the delivery
 // merge order is the same at any shard count; sim here is the SENDER's
-// shard simulator (it stamps departure times).
+// shard simulator (it stamps departure times). It takes no delay line.
 func NewLinkVia(s *sim.Simulator, delay units.Time, dst Endpoint, box *sim.Mailbox) *Link {
-	l := NewLink(s, delay, dst)
+	l := newLink(s, delay, dst)
 	if box == nil {
 		panic("device: mailbox-routed link needs a mailbox")
 	}
@@ -74,7 +83,7 @@ func (l *Link) Send(pkt *packet.Packet) {
 		l.box.Post(l.sim.Now()+l.delay, l.deliver, pkt)
 		return
 	}
-	l.sim.AfterArg(l.delay, l.deliver, pkt)
+	l.sim.AfterLine(l.line, l.deliver, pkt)
 }
 
 // Router maps a packet to an egress port index on a given switch.

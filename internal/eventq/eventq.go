@@ -1,7 +1,8 @@
 // Package eventq implements the priority queue that drives the
 // discrete-event simulator: a bucketed calendar ordered by firing time
 // with insertion order as tie-break, so simultaneous events execute
-// deterministically in the order they were scheduled.
+// deterministically in the order they were scheduled, plus FIFO delay
+// lines for events that are always scheduled a fixed delay ahead.
 //
 // # Design
 //
@@ -22,30 +23,42 @@
 //     the wheel's horizon — retransmission timers, tickers, pre-planned
 //     flow arrivals. Its residents stay until they are popped.
 //
+// A delay line (Line, PushLine) bypasses all three: it is a ring of
+// {time, seq, fn, arg} entries for one fixed delay d, appended at the
+// tail and popped at the head, never in the arena. A link's deliveries
+// are its use: every push is at now+d with now nondecreasing and seq
+// increasing, so the ring is sorted by (time, seq) by construction. A
+// push that would land behind the tail (the caller's clock went
+// backwards) takes the calendar instead, under the same seq. Line
+// events return no handle and cannot be canceled; they count in Len.
+//
 // # Ordering
 //
-// Invariant: near holds every queued event whose bucket is <= cur,
-// except far residents; wheel slot b&wheelMask holds only absolute
-// bucket b with cur < b < cur+wheelSize; far holds events that were at
-// least wheelSize buckets ahead when pushed. Every wheel resident is
-// therefore later than every near resident, so whenever near is
-// non-empty the global minimum under (time, seq) is the smaller of the
-// near root and the far root; when near is empty, cur advances to the
-// next non-empty wheel bucket first. cur only moves forward: to the
-// next non-empty bucket, or — when near and wheel are both empty — to
-// the bucket of the far event being popped. A bounded pop or a peek
-// may advance cur past the caller's clock; that is harmless, since a
-// later push at or behind cur simply goes to near. The pop sequence is
-// exactly the sequence a single flat heap would produce; which
-// structure held an event is invisible.
+// Invariant: near holds every queued calendar event whose bucket is
+// <= cur, except far residents; wheel slot b&wheelMask holds only
+// absolute bucket b with cur < b < cur+wheelSize; far holds events that
+// were at least wheelSize buckets ahead when pushed; every line is
+// sorted by (time, seq). Every wheel resident is therefore later than
+// every near resident, so whenever near is non-empty the global minimum
+// under (time, seq) is the smallest of the near root, the far root and
+// the line heads; when near is empty, cur advances to the next
+// non-empty wheel bucket first (even when a line head is earlier). cur
+// only moves forward: to the next non-empty bucket, or — when near and
+// wheel are both empty — to the bucket of the far or line event being
+// popped. A bounded pop or a peek may advance cur past the caller's
+// clock; that is harmless, since a later push at or behind cur simply
+// goes to near. The pop sequence is exactly the sequence a single flat
+// heap would produce; which structure held an event is invisible.
 //
 // The constants are fixed from the traffic this repository simulates:
-// serialization takes 51 ns-1.2 us at 10 G, every committed scenario
-// uses a 10 us link delay, and timers are >= 80 us out, so with
-// 1024 ps buckets and a 33.5 us horizon per-packet events take the
-// wheel and only timers reach far. A scenario whose link delay exceeds
-// the horizon sends every delivery through far: it runs at flat-heap
-// cost, never in a different order (Stats makes that visible).
+// serialization takes 51 ns-1.2 us at 10 G and timers are >= 80 us
+// out, so with 1024 ps buckets and a 33.5 us horizon per-packet
+// serialization events take the wheel and only timers reach far. Link
+// deliveries take their line whatever the delay, so the horizon does
+// not bound them. The wheel stays 2^15 buckets wide because the
+// parallel engine injects window-barrier deliveries into the calendar
+// up to one lookahead (one link delay) ahead. Stats makes the split
+// visible.
 //
 // Fired and discarded slots go onto a LIFO free list and are reused by
 // later pushes; reuse is safe because every slot carries a generation
@@ -220,12 +233,44 @@ func (h *heap4) popMin() {
 	s[i] = e
 }
 
+// lineEntry is one queued delay-line event. It carries its own payload:
+// line events never touch the arena.
+type lineEntry struct {
+	time units.Time
+	seq  uint64
+	fn   func(any)
+	arg  any
+}
+
+// line is a FIFO delay line: a power-of-two ring holding events in
+// (time, seq) order, oldest at head.
+type line struct {
+	delay units.Time // the delay the line was registered for
+	ring  []lineEntry
+	head  int // ring index of the oldest entry
+	n     int // queued entries
+	tail  units.Time
+}
+
+// grow doubles the ring, unrolling it so the oldest entry is at 0.
+func (ln *line) grow() {
+	ring := make([]lineEntry, max(16, 2*len(ln.ring)))
+	k := copy(ring, ln.ring[ln.head:])
+	copy(ring[k:], ln.ring[:ln.head])
+	ln.ring, ln.head = ring, 0
+}
+
+// LineID names one of a queue's delay lines (see Line).
+type LineID int32
+
 // Stats counts calendar traffic since the queue was created: which
 // structure each push went to, and how many wheel buckets were poured
-// into near. Far close to the total means the workload's delays exceed
-// the wheel's horizon and the queue is running at flat-heap cost.
+// into near. Far close to the calendar's total (Line aside) means the
+// workload's calendar delays exceed the wheel's horizon and the queue
+// is running at flat-heap cost.
 type Stats struct {
 	Near, Wheel, Far uint64 // pushes by destination structure
+	Line             uint64 // pushes appended to a delay line
 	Drained          uint64 // wheel buckets poured into near
 }
 
@@ -243,6 +288,7 @@ type Queue struct {
 	heads  []int32  // wheel: list head per bucket, valid where bitmap is set
 	bitmap []uint64 // wheel: non-empty buckets
 	wheelN int      // non-empty wheel buckets
+	lines  []line   // delay lines, indexed by LineID
 	stats  Stats
 }
 
@@ -324,6 +370,45 @@ func (q *Queue) PushSeqArg(t units.Time, seq uint64, fn func(any), arg any) Even
 	return Event{q: q, slot: slot, gen: nd.gen}
 }
 
+// Line returns the delay line for the fixed delay d, creating it on
+// first use: every caller asking for the same delay shares one line.
+func (q *Queue) Line(d units.Time) LineID {
+	for i := range q.lines {
+		if q.lines[i].delay == d {
+			return LineID(i)
+		}
+	}
+	q.lines = append(q.lines, line{delay: d})
+	return LineID(len(q.lines) - 1)
+}
+
+// PushLine schedules fn(arg) on line id at now plus the line's delay.
+// It takes the next sequence number exactly as PushArg does, so the pop
+// order is the one PushArg(now+delay, fn, arg) would give. With now
+// nondecreasing the push lands at the line's tail; one behind the tail
+// (now went backwards) goes to the calendar instead, which keeps the
+// line sorted. There is no handle: a line event cannot be canceled.
+func (q *Queue) PushLine(id LineID, now units.Time, fn func(any), arg any) {
+	q.seq++
+	ln := &q.lines[id]
+	t := now + ln.delay
+	if ln.n > 0 && t < ln.tail {
+		q.PushSeqArg(t, q.seq, fn, arg)
+		return
+	}
+	if ln.n == len(ln.ring) {
+		ln.grow()
+	}
+	// Field by field: a composite literal is staged on the stack and
+	// copied, which costs a store-forwarding stall per push.
+	e := &ln.ring[(ln.head+ln.n)&(len(ln.ring)-1)]
+	e.time, e.seq, e.fn, e.arg = t, q.seq, fn, arg
+	ln.n++
+	ln.tail = t
+	q.live++
+	q.stats.Line++
+}
+
 // Item is one event of a PushBatch call: the arguments of a PushArg,
 // as a value so batches can be built, sorted, and injected without
 // touching the queue.
@@ -393,10 +478,18 @@ func (q *Queue) advance() {
 	}
 }
 
-// head discards canceled events at the structure heads, refills near
-// from the wheel when it is empty, and returns the heap whose root is
-// the earliest live event (nil for an empty queue).
-func (q *Queue) head() *heap4 {
+// Sources head reports besides a line index (>= 0).
+const (
+	srcNone = -3
+	srcNear = -2
+	srcFar  = -1
+)
+
+// head discards canceled events at the heap roots, refills near from
+// the wheel when it is empty, and returns where the earliest live event
+// is — srcNear, srcFar or a line index, srcNone for an empty queue —
+// together with its key (slot is meaningful for the heaps only).
+func (q *Queue) head() (src int, k entry) {
 	for {
 		if len(q.near) > 0 {
 			slot := q.near[0].slot
@@ -411,85 +504,105 @@ func (q *Queue) head() *heap4 {
 			q.advance()
 		}
 	}
+	src = srcNone
+	if len(q.near) > 0 {
+		src, k = srcNear, q.near[0]
+	}
 	for len(q.far) > 0 {
-		slot := q.far[0].slot
-		if !q.nodes[slot].canceled {
-			if len(q.near) == 0 || q.far[0].less(q.near[0]) {
-				return &q.far
+		f := q.far[0]
+		if !q.nodes[f.slot].canceled {
+			if src == srcNone || f.less(k) {
+				src, k = srcFar, f
 			}
 			break
 		}
-		q.release(slot)
+		q.release(f.slot)
 		q.far.popMin()
 	}
-	if len(q.near) == 0 {
-		return nil
+	for i := range q.lines {
+		ln := &q.lines[i]
+		if ln.n == 0 {
+			continue
+		}
+		e := &ln.ring[ln.head]
+		if src == srcNone || e.time < k.time || e.time == k.time && e.seq < k.seq {
+			src, k = i, entry{time: e.time, seq: e.seq}
+		}
 	}
-	return &q.near
+	return src, k
 }
 
-// take removes the root of h (as returned by head) and releases its
-// slot, so handles to the event stop reporting Scheduled even before
-// the callback is invoked.
-func (q *Queue) take(h *heap4) (fn func(any), arg any, t units.Time) {
-	e := (*h)[0]
-	h.popMin()
+// take removes the event head named (src, k) and returns its callback
+// pair. A heap event's slot is released first, so handles to it stop
+// reporting Scheduled even before the callback is invoked.
+func (q *Queue) take(src int, k entry) (fn func(any), arg any) {
+	if src >= 0 {
+		ln := &q.lines[src]
+		e := &ln.ring[ln.head]
+		fn, arg = e.fn, e.arg
+		ln.head = (ln.head + 1) & (len(ln.ring) - 1)
+		ln.n--
+		q.live--
+	} else {
+		if src == srcNear {
+			q.near.popMin()
+		} else {
+			q.far.popMin()
+		}
+		nd := &q.nodes[k.slot]
+		fn, arg = nd.fn, nd.arg
+		q.release(k.slot)
+	}
 	if len(q.near) == 0 && q.wheelN == 0 {
-		// Only far events remain (this was one): jump the wheel's window
-		// to the popped event so its successors land in the wheel.
-		if b := int64(e.time) >> bucketShift; b > q.cur {
+		// Only far and line events remain: jump the wheel's window to
+		// the popped event so its successors land in the wheel.
+		if b := int64(k.time) >> bucketShift; b > q.cur {
 			q.cur = b
 		}
 	}
-	nd := &q.nodes[e.slot]
-	fn, arg = nd.fn, nd.arg
-	q.release(e.slot)
-	return fn, arg, e.time
+	return fn, arg
 }
 
 // Pop removes the earliest non-canceled event and returns its callback
 // pair and firing time. ok is false if the queue holds no live events.
 func (q *Queue) Pop() (fn func(any), arg any, t units.Time, ok bool) {
-	h := q.head()
-	if h == nil {
+	src, k := q.head()
+	if src == srcNone {
 		return nil, nil, 0, false
 	}
-	fn, arg, t = q.take(h)
-	return fn, arg, t, true
+	fn, arg = q.take(src, k)
+	return fn, arg, k.time, true
 }
 
 // PopLE pops the earliest live event only if it fires at or before
 // limit; otherwise the event stays queued and ok is false. It fuses
 // the PeekTime+Pop pair of a bounded run loop into one head selection.
 func (q *Queue) PopLE(limit units.Time) (fn func(any), arg any, t units.Time, ok bool) {
-	h := q.head()
-	if h == nil || (*h)[0].time > limit {
+	src, k := q.head()
+	if src == srcNone || k.time > limit {
 		return nil, nil, 0, false
 	}
-	fn, arg, t = q.take(h)
-	return fn, arg, t, true
+	fn, arg = q.take(src, k)
+	return fn, arg, k.time, true
 }
 
 // PopLT is PopLE with a strict bound: only events firing strictly
 // before limit are popped.
 func (q *Queue) PopLT(limit units.Time) (fn func(any), arg any, t units.Time, ok bool) {
-	h := q.head()
-	if h == nil || (*h)[0].time >= limit {
+	src, k := q.head()
+	if src == srcNone || k.time >= limit {
 		return nil, nil, 0, false
 	}
-	fn, arg, t = q.take(h)
-	return fn, arg, t, true
+	fn, arg = q.take(src, k)
+	return fn, arg, k.time, true
 }
 
 // PeekTime returns the firing time of the earliest non-canceled event
-// without removing it. Canceled events at the structure heads are
+// without removing it. Canceled events at the heap roots are
 // discarded.
 func (q *Queue) PeekTime() (units.Time, bool) {
-	h := q.head()
-	if h == nil {
-		return 0, false
-	}
-	return (*h)[0].time, true
+	src, k := q.head()
+	return k.time, src != srcNone
 }
 
 // release returns a slot to the free list, invalidating all handles to
@@ -497,6 +610,7 @@ func (q *Queue) PeekTime() (units.Time, bool) {
 // them costs two write barriers per event, and the values they can
 // reference (prebound callbacks, pooled packets) are immortal in this
 // codebase, so a stale reference pins no memory the pools would not.
+// Popped line entries keep theirs for the same reason.
 func (q *Queue) release(slot int32) {
 	nd := &q.nodes[slot]
 	nd.gen++

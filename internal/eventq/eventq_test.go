@@ -259,6 +259,78 @@ func BenchmarkEventQueue(b *testing.B) {
 	}
 }
 
+// The calendar hold model at longflows-packet's mix: every packet-hop
+// is one serialization end 51 ns-1.2 us ahead (64-1500 B at 10 G,
+// wheel) and one delivery a 10 us link ahead (delay line); 1 push in
+// 303 (0.33 %, as engine/calendar_far reports) is a ticker-like event
+// beyond the horizon (far). The depth is the deliveries in flight:
+// 8.9 M over 25 ms is ~356 per us, ~3,600 per link delay.
+const (
+	holdDepth     = 3600
+	holdLinkDelay = 10 * units.Microsecond
+	holdFarDelay  = 100 * units.Microsecond
+	holdFarEvery  = 303
+)
+
+type hold struct {
+	q    Queue
+	line LineID
+	now  units.Time
+	i    int
+	ser  [1024]units.Time
+}
+
+func holdNop(any) {}
+
+func (h *hold) push() {
+	h.i++
+	switch {
+	case h.i%holdFarEvery == 0:
+		h.q.PushArg(h.now+holdFarDelay, holdNop, nil)
+	case h.i&1 == 0:
+		h.q.PushArg(h.now+h.ser[h.i&1023], holdNop, nil)
+	default:
+		h.q.PushLine(h.line, h.now, holdNop, nil)
+	}
+}
+
+// step is one calendar operation pair: pop the earliest event, push
+// its successor.
+func (h *hold) step() {
+	_, _, h.now, _ = h.q.Pop()
+	h.push()
+}
+
+// BenchmarkCalendarHold reports ns per push+pop in the hold model
+// above: the calendar's floor for the packet path. The headroom ratio
+// ns_per_pkt_hop ÷ (events per packet-hop × this figure) says how far
+// a workload's per-hop cost is from what the calendar alone needs.
+func BenchmarkCalendarHold(b *testing.B) {
+	h := new(hold)
+	h.line = h.q.Line(holdLinkDelay)
+	rng := rand.New(rand.NewSource(42))
+	for i := range h.ser {
+		h.ser[i] = 51*units.Nanosecond + units.Time(rng.Int63n(int64(1150*units.Nanosecond)))
+	}
+	for i := 0; i < holdDepth; i++ {
+		h.push()
+	}
+	// Warm up past the first full cycle so the mix of residents and
+	// the ring, arena and heaps have reached their steady sizes.
+	for i := 0; i < 50*holdDepth; i++ {
+		h.step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.step()
+	}
+	b.StopTimer()
+	if h.q.Len() != holdDepth {
+		b.Fatalf("hold depth drifted to %d", h.q.Len())
+	}
+}
+
 // The TestLane* tests date from the per-source lane calendar. The lane
 // entry points survive as shims onto the one calendar (see LaneID), so
 // these now pin that the shims keep the global (time, push order)

@@ -66,10 +66,16 @@ const (
 	horizon     = wheelSize * bucketWidth
 )
 
+// lineDelays are the fixed delays of the delay lines applyOps drives: a
+// few buckets, a quarter of the wheel's horizon (a 10 us link), and
+// beyond the horizon (a 40 us link).
+var lineDelays = [...]units.Time{3*bucketWidth + 1, horizon / 4, horizon + horizon/5}
+
 // applyOps drives the real queue and the reference model through one
-// interleaving of pushes, shim-lane pushes, reserved-seq pushes, pops,
-// bounded pops that may stop short, and cancels on live handles
-// wherever they reside — failing if the pop sequences ever diverge.
+// interleaving of pushes, shim-lane pushes, reserved-seq pushes,
+// delay-line pushes (in order, and behind a line's tail), pops, bounded
+// pops that may stop short, and cancels on live handles wherever they
+// reside — failing if the pop sequences ever diverge.
 // ops supplies one byte per step; times one byte per generated time.
 //
 // Firing times are drawn relative to the model clock (the last popped
@@ -91,6 +97,10 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 	}
 	var live []pair
 	var reserved []uint64
+	var lines [len(lineDelays)]LineID
+	for i, d := range lineDelays {
+		lines[i] = q.Line(d)
+	}
 	ti := 0
 	nextByte := func() int {
 		if len(times) == 0 {
@@ -155,7 +165,22 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 		return check(where, step, fn, arg, tm, ok, me, mok)
 	}
 	for step, op := range ops {
-		switch op % 12 {
+		switch op % 14 {
+		case 12: // a link delivery: the line's delay past the model clock
+			seq++
+			i := nextByte() % len(lines)
+			q.PushLine(lines[i], now, fire, seq)
+			model.push(now+lineDelays[i], seq)
+		case 13: // behind a line's tail: must fall back to the calendar
+			seq++
+			i := nextByte() % len(lines)
+			tm := now + lineDelays[i]
+			if ln := &q.lines[lines[i]]; ln.n > 0 {
+				tm = max(now, ln.tail-units.Time(nextByte()))
+			}
+			// The caller's clock went back far enough to land at tm.
+			q.PushLine(lines[i], tm-lineDelays[i], fire, seq)
+			model.push(tm, seq)
 		case 0, 1, 4: // push (weighted: keeps the queue populated)
 			seq++
 			tm := nextTime()
@@ -226,6 +251,11 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 	if q.wheelN != 0 || len(q.near) != 0 || len(q.far) != 0 {
 		t.Fatalf("drained queue still holds wheelN=%d near=%d far=%d", q.wheelN, len(q.near), len(q.far))
 	}
+	for i := range q.lines {
+		if q.lines[i].n != 0 {
+			t.Fatalf("drained queue still holds %d events in line %d", q.lines[i].n, i)
+		}
+	}
 	return q
 }
 
@@ -266,10 +296,64 @@ func TestModelWheelRevolutions(t *testing.T) {
 	}
 }
 
+// TestModelDelayLines is applyOps in the packet pipeline's shape: every
+// pop schedules a serialization end a few buckets ahead and a link
+// delivery on one of the lines, now and then one lands behind a line's
+// tail, and a cancel hits a calendar resident. In-order line pushes
+// must stay in their lines, so only a fallback can reach far, and the
+// pop order must still be the reference's.
+func TestModelDelayLines(t *testing.T) {
+	var ops, times []byte
+	rng := rand.New(rand.NewSource(11))
+	ser := func() byte { return byte(13 + 16*rng.Intn(4)) } // 1.9-5.6 buckets
+	for i := 0; i < 16; i++ {
+		ops, times = append(ops, 0, 12), append(times, ser(), byte(rng.Intn(3)))
+	}
+	fallbacks := uint64(0)
+	for i := 0; i < 3000; i++ {
+		ops, times = append(ops, 2, 0, 12), append(times, ser(), byte(rng.Intn(3)))
+		switch i % 97 {
+		case 0:
+			ops, times = append(ops, 13), append(times, byte(rng.Intn(3)), byte(1+rng.Intn(255)))
+			fallbacks++
+		case 50:
+			ops = append(ops, 3)
+		}
+	}
+	q := applyOps(t, ops, times)
+	st := q.Stats()
+	if st.Line != 3016 || st.Far > fallbacks || st.Near+st.Wheel+st.Far != 3016+fallbacks {
+		t.Fatalf("stats %+v: want all 3016 deliveries in lines and the %d fallbacks in the calendar", st, fallbacks)
+	}
+}
+
+// TestLineOnlyQueueMovesCur pins the cur jump for line pops: a queue
+// that holds only line events (here 40 us ones, beyond the horizon)
+// must still carry cur along with the clock, so a later short push
+// lands in the wheel and not in far.
+func TestLineOnlyQueueMovesCur(t *testing.T) {
+	var q Queue
+	const d = 40 * units.Microsecond
+	id := q.Line(d)
+	nop := func(any) {}
+	var now units.Time
+	for i := 0; i < 10; i++ {
+		q.PushLine(id, now, nop, nil)
+		_, _, now, _ = q.Pop()
+	}
+	if want := 10 * d; now != want {
+		t.Fatalf("clock %v after 10 line hops, want %v", now, want)
+	}
+	q.PushArg(now+units.Microsecond, nop, nil)
+	if st := q.Stats(); st.Wheel != 1 || st.Far != 0 || st.Line != 10 {
+		t.Fatalf("stats %+v: a 1 us push after line-only pops must take the wheel", st)
+	}
+}
+
 // TestBeyondHorizonMatchesReference is the graceful-degradation proof:
-// when every delay exceeds the wheel's horizon (a link delay above
-// 33.5 us), every push takes the far heap — flat-heap cost, and still
-// exactly the reference order.
+// when every calendar push lands beyond the wheel's horizon (timer or
+// serialization delays above 33.5 us), every push takes the far heap —
+// flat-heap cost, and still exactly the reference order.
 func TestBeyondHorizonMatchesReference(t *testing.T) {
 	var ops, times []byte
 	rng := rand.New(rand.NewSource(5))
@@ -309,6 +393,13 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{0, 0, 2, 0, 0, 2, 0, 2, 2, 2}, []byte{11, 27, 13, 9, 43, 13})
 	// Reserved seqs pushed late, tied in time with ordinary pushes.
 	f.Add([]byte{6, 0, 6, 0, 8, 8, 2, 2, 2, 2}, []byte{0, 0, 0, 0, 9, 9})
+	// Delay lines: deliveries on all three lines interleaved with
+	// serialization pushes and pops, ties with the clock.
+	f.Add([]byte{12, 0, 12, 12, 2, 0, 12, 2, 12, 2, 2, 2, 2}, []byte{0, 13, 1, 2, 29, 1, 0, 2})
+	// A push behind a line's tail falls back to the calendar, then a cancel there.
+	f.Add([]byte{12, 12, 13, 13, 3, 2, 12, 13, 2, 2, 2, 2}, []byte{1, 1, 1, 5, 1, 0, 0, 1, 0, 200})
+	// Only line events: bounded pops and peeks with near and wheel empty.
+	f.Add([]byte{12, 12, 12, 9, 10, 11, 2, 12, 0, 2, 2, 2}, []byte{2, 2, 1, 9, 25, 0, 45})
 	f.Fuzz(func(t *testing.T, ops, times []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]

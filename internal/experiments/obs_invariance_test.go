@@ -156,13 +156,14 @@ func TestPacketConservation(t *testing.T) {
 
 // TestEngineCalendarCounters checks the engine's self-observation: with
 // counters on, a run reports where its calendar pushes went, serial or
-// sharded. At the committed 10 us link delay both events of every
-// packet-hop (serialization, delivery) take the wheel and only tickers
-// and timers reach the far heap; a link delay beyond the wheel's
-// horizon shows up as one far push per delivery instead of as an
-// unexplained slowdown.
+// sharded. Every packet-hop is two events: the sender's serialization
+// end, which takes the wheel (or near), and the link delivery, which
+// takes the delay line on a serial run whatever the link delay — so a
+// 40 us link, beyond the wheel's horizon, leaves far at timer level.
+// On a sharded run the mailbox-routed tier links inject their
+// deliveries into the calendar at window barriers instead.
 func TestEngineCalendarCounters(t *testing.T) {
-	run := func(shards int, linkDelay units.Time) map[string]int64 {
+	run := func(shards int, linkDelay units.Time) (c map[string]int64, hops int64) {
 		cell := obsCell()
 		cell.Shards = shards
 		cell.Obs = obs.Options{Counters: true}
@@ -172,22 +173,41 @@ func TestEngineCalendarCounters(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shards=%d delay=%v: %v", shards, linkDelay, err)
 		}
-		if res.Counters["engine/calendar_drained"] == 0 {
+		c = res.Counters
+		if c["engine/calendar_drained"] == 0 {
 			t.Errorf("shards=%d delay=%v: no wheel bucket drained", shards, linkDelay)
 		}
-		return res.Counters
+		// Every packet crosses one link per NIC send and one per switch
+		// transmission (admitted minus discarded at dequeue).
+		hops = c["model/data_pkts_sent"] + c["model/ack_pkts_sent"] +
+			c["model/admitted_pkts"] - c["model/drops_dequeue"]
+		return c, hops
 	}
-	for _, shards := range []int{0, 2} {
-		c := run(shards, 10*units.Microsecond)
-		if wheel, hops := c["engine/calendar_wheel"], c["model/admitted_pkts"]; wheel < 2*hops {
-			t.Errorf("shards=%d: wheel=%d for %d packet-hops, want both events of every hop in the wheel", shards, wheel, hops)
+	for _, delay := range []units.Time{10 * units.Microsecond, 40 * units.Microsecond} {
+		c, hops := run(0, delay)
+		line, wheel, near, far := c["engine/calendar_line"], c["engine/calendar_wheel"], c["engine/calendar_near"], c["engine/calendar_far"]
+		if line != hops {
+			t.Errorf("serial %v: calendar_line=%d, want one per link delivery (%d)", delay, line, hops)
 		}
-		if c["engine/timer_stale_wakes"] == 0 {
-			t.Errorf("shards=%d: no engine/timer_stale_wakes in %v", shards, c)
+		if w := wheel + near; w < hops || w > hops+hops/4 {
+			t.Errorf("serial %v: wheel+near=%d, want about one push per packet-hop (%d)", delay, w, hops)
+		}
+		if far >= hops {
+			t.Errorf("serial %v: calendar_far=%d for %d packet-hops, want timers only", delay, far, hops)
+		}
+		if delay == 10*units.Microsecond && c["engine/timer_stale_wakes"] == 0 {
+			t.Errorf("serial: no engine/timer_stale_wakes in %v", c)
 		}
 	}
-	c := run(0, 40*units.Microsecond)
-	if wheel, far, hops := c["engine/calendar_wheel"], c["engine/calendar_far"], c["model/admitted_pkts"]; far < hops || wheel >= 2*hops {
-		t.Errorf("40us links: wheel=%d far=%d for %d packet-hops, want every delivery in far", wheel, far, hops)
+	c, hops := run(2, 10*units.Microsecond)
+	line, boxed := c["engine/calendar_line"], c["engine/mailbox_events"]
+	if line == 0 || line+boxed != hops {
+		t.Errorf("shards=2: calendar_line=%d + mailbox_events=%d, want host-link and tier-link deliveries summing to %d", line, boxed, hops)
+	}
+	if w := c["engine/calendar_wheel"] + c["engine/calendar_near"]; w < hops {
+		t.Errorf("shards=2: wheel+near=%d, want at least one push per packet-hop (%d)", w, hops)
+	}
+	if c["engine/timer_stale_wakes"] == 0 {
+		t.Errorf("shards=2: no engine/timer_stale_wakes in %v", c)
 	}
 }

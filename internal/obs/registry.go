@@ -54,7 +54,8 @@ const (
 	// shard has its own calendar, so the split depends on the partition.
 	CtrCalendarNear    // pushes into the current-bucket heap
 	CtrCalendarWheel   // pushes into the wheel (the O(1) path)
-	CtrCalendarFar     // pushes beyond the wheel's horizon; ~all means the scenario's delays exceed it
+	CtrCalendarFar     // pushes beyond the wheel's horizon; ~all means serialization or timer delays exceed it
+	CtrCalendarLine    // pushes appended to a delay line (link deliveries)
 	CtrCalendarDrained // wheel buckets poured into the near heap
 	CtrTimerStaleWakes // sim.Timer wake-ups that fired before their deadline and rescheduled
 
@@ -93,6 +94,7 @@ var ctrNames = [NumCtrs]string{
 	"engine/calendar_near",
 	"engine/calendar_wheel",
 	"engine/calendar_far",
+	"engine/calendar_line",
 	"engine/calendar_drained",
 	"engine/timer_stale_wakes",
 }

@@ -106,6 +106,27 @@ func (s *Simulator) AfterArg(d units.Time, fn func(any), arg any) Event {
 	return s.q.PushArg(s.now+d, fn, arg)
 }
 
+// DelayLine names one of the simulator's delay lines: a FIFO for events
+// always scheduled the same fixed delay ahead, such as a link's
+// deliveries (see eventq.Queue.Line).
+type DelayLine = eventq.LineID
+
+// DelayLine returns the simulator's line for delay d, creating it on
+// first use; every caller with the same delay shares it.
+func (s *Simulator) DelayLine(d units.Time) DelayLine {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", d))
+	}
+	return s.q.Line(d)
+}
+
+// AfterLine schedules fn(arg) one line delay from now. It pops exactly
+// where AfterArg(delay, fn, arg) would, but returns no handle: a line
+// event cannot be canceled.
+func (s *Simulator) AfterLine(l DelayLine, fn func(any), arg any) {
+	s.q.PushLine(l, s.now, fn, arg)
+}
+
 // LaneID, NewLane, AtLaneArg and AfterLaneArg are the source-
 // compatibility remains of the per-source lane calendar: benchmark/
 // still compiles against them. The lane is ignored and no model
@@ -144,20 +165,21 @@ func (s *Simulator) Run() {
 
 // RunUntil executes events with firing time <= deadline, then advances
 // the clock to the deadline. Events scheduled beyond the deadline stay
-// queued and fire on a later call.
+// queued and fire on a later call. After a Halt the clock stays at the
+// halting event, since earlier events than the deadline may remain.
 func (s *Simulator) RunUntil(deadline units.Time) {
 	s.halted = false
 	for !s.halted {
 		fn, arg, t, ok := s.q.PopLE(deadline)
 		if !ok {
-			break
+			if s.now < deadline {
+				s.now = deadline
+			}
+			return
 		}
 		s.now = t
 		s.nexec++
 		fn(arg)
-	}
-	if s.now < deadline {
-		s.now = deadline
 	}
 }
 
@@ -211,6 +233,7 @@ func (s *Simulator) ExportEngineStats(sk *obs.Sink) {
 	sk.Ctr(obs.CtrCalendarNear).Add(int64(st.Near))
 	sk.Ctr(obs.CtrCalendarWheel).Add(int64(st.Wheel))
 	sk.Ctr(obs.CtrCalendarFar).Add(int64(st.Far))
+	sk.Ctr(obs.CtrCalendarLine).Add(int64(st.Line))
 	sk.Ctr(obs.CtrCalendarDrained).Add(int64(st.Drained))
 	sk.Ctr(obs.CtrTimerStaleWakes).Add(int64(s.staleWakes))
 }

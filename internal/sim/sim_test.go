@@ -98,6 +98,59 @@ func TestHalt(t *testing.T) {
 	}
 }
 
+// TestHaltInRunUntil pins that a halted RunUntil leaves the clock at
+// the halting event: events before the deadline are still queued, and
+// the next call must run them with the clock moving forward.
+func TestHaltInRunUntil(t *testing.T) {
+	s := New(1)
+	var fired []units.Time
+	s.At(10, func() { fired = append(fired, s.Now()); s.Halt() })
+	s.At(20, func() { fired = append(fired, s.Now()) })
+	s.RunUntil(100)
+	if s.Now() != 10 || len(fired) != 1 {
+		t.Fatalf("after halt: clock %v, fired %v; want clock 10, fired [10]", s.Now(), fired)
+	}
+	s.RunUntil(100)
+	if len(fired) != 2 || fired[1] != 20 {
+		t.Fatalf("fired %v, want [10 20]", fired)
+	}
+	if s.Now() != 100 {
+		t.Fatalf("clock = %v, want the deadline 100 once the run is exhausted", s.Now())
+	}
+}
+
+// TestDelayLine checks that line events interleave with ordinary
+// events exactly as AfterArg events would: by time, then by scheduling
+// order.
+func TestDelayLine(t *testing.T) {
+	s := New(1)
+	ln := s.DelayLine(10)
+	if s.DelayLine(10) != ln {
+		t.Fatal("the same delay must share one line")
+	}
+	var got []int
+	rec := func(a any) { got = append(got, a.(int)) }
+	s.At(5, func() {
+		s.AfterLine(ln, rec, 0) // t=15
+		s.AfterArg(10, rec, 1)  // t=15, scheduled later
+		s.AfterArg(3, rec, 2)   // t=8
+		s.AfterLine(ln, rec, 3) // t=15, last of the ties
+	})
+	s.Run()
+	want := []int{2, 0, 1, 3}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+	if s.Now() != 15 || s.Pending() != 0 {
+		t.Fatalf("clock %v pending %d, want 15 and 0", s.Now(), s.Pending())
+	}
+}
+
 func TestCancelPreventsExecution(t *testing.T) {
 	s := New(1)
 	fired := false
