@@ -784,3 +784,119 @@ func TestRoundRobinMatchesModulo(t *testing.T) {
 		}
 	}
 }
+
+// refDWRR is DWRR as it was written before its backlog scan was folded
+// into one bitset per call and its modulo removed: the reference
+// TestDWRRMatchesReference checks the scheduler against.
+type refDWRR struct {
+	Weights []int
+	Quantum int64
+
+	deficits   []int64
+	cur        int
+	needCredit bool
+	inited     bool
+}
+
+func (d *refDWRR) Next(qs []Queue) *Queue {
+	n := len(qs)
+	if !d.inited {
+		d.deficits = make([]int64, n)
+		d.needCredit = true
+		d.inited = true
+	}
+	if d.Quantum <= 0 {
+		d.Quantum = 1500
+	}
+	anyBacklog := false
+	for i := range qs {
+		if qs[i].Len() > 0 {
+			anyBacklog = true
+			break
+		}
+	}
+	if !anyBacklog {
+		return nil
+	}
+	for iter := 0; iter < 16*n; iter++ {
+		q := &qs[d.cur]
+		if q.Len() == 0 {
+			d.deficits[d.cur] = 0
+			d.advance(n)
+			continue
+		}
+		if d.needCredit {
+			d.deficits[d.cur] += d.weight(d.cur) * d.Quantum
+			d.needCredit = false
+		}
+		head := int64(q.items[q.head].pkt.Size())
+		if d.deficits[d.cur] >= head {
+			d.deficits[d.cur] -= head
+			return q
+		}
+		d.advance(n)
+	}
+	for i := range qs {
+		if qs[i].Len() > 0 {
+			return &qs[i]
+		}
+	}
+	return nil
+}
+
+func (d *refDWRR) advance(n int) {
+	d.cur = (d.cur + 1) % n
+	d.needCredit = true
+}
+
+func (d *refDWRR) weight(i int) int64 {
+	if i < len(d.Weights) && d.Weights[i] > 0 {
+		return int64(d.Weights[i])
+	}
+	return 1
+}
+
+// TestDWRRMatchesReference drives DWRR and refDWRR side by side over
+// random backlog patterns, packet sizes, weights and quanta on 1-8
+// queues and on 67 (a backlog bitset of two words): every pick,
+// including nil on an empty port, must be the same queue, and the
+// deficits and the visit position must agree after it.
+func TestDWRRMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 67} {
+		// Some weights missing or non-positive (default 1), quantum
+		// sometimes unset (default MTU) or smaller than a packet.
+		weights := make([]int, rng.Intn(n+1))
+		for i := range weights {
+			weights[i] = rng.Intn(5) - 1
+		}
+		quantum := []int64{0, 300, 1500, 4000}[rng.Intn(4)]
+		qs := make([]Queue, n)
+		got, want := &DWRR{Weights: weights, Quantum: quantum}, &refDWRR{Weights: weights, Quantum: quantum}
+		for step := 0; step < 3000; step++ {
+			for i := range qs {
+				if rng.Intn(3*n) < 2 {
+					qs[i].push(dataPkt(uint64(step), units.ByteCount(1+rng.Intn(1440))), 0)
+				}
+			}
+			for serve := rng.Intn(n + 2); serve > 0; serve-- {
+				g, w := got.Next(qs), want.Next(qs)
+				if g != w {
+					t.Fatalf("n=%d step %d: picked %v, reference picks %v", n, step, g, w)
+				}
+				if got.cur != want.cur || got.needCredit != want.needCredit {
+					t.Fatalf("n=%d step %d: cur/needCredit %d/%v, reference %d/%v", n, step, got.cur, got.needCredit, want.cur, want.needCredit)
+				}
+				for i := range got.deficits {
+					if got.deficits[i] != want.deficits[i] {
+						t.Fatalf("n=%d step %d: deficit[%d]=%d, reference %d", n, step, i, got.deficits[i], want.deficits[i])
+					}
+				}
+				if g == nil {
+					break
+				}
+				g.pop()
+			}
+		}
+	}
+}

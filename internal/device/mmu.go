@@ -444,14 +444,15 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 	// verdict to ask for: every packet past stage 1 is enqueued.
 	decision := aqm.Enqueue
 	if q.aqm != nil {
-		m.aqmCtx = aqm.Ctx{
-			QueueLen:   q.bytes,
-			PacketSize: size,
-			DrainRate:  m.drainRateAbs(port, prio),
-			ECNCapable: pkt.Is(packet.FlagECT),
-			Now:        m.sw.sim.Now(),
-		}
-		decision = q.aqm.OnArrival(&m.aqmCtx, m.rng)
+		// Field by field, as ctx fills bmCtx: a composite literal is
+		// built in a temporary and block-copied into the scratch.
+		c := &m.aqmCtx
+		c.QueueLen = q.bytes
+		c.PacketSize = size
+		c.DrainRate = m.drainRateAbs(port, prio)
+		c.ECNCapable = pkt.Is(packet.FlagECT)
+		c.Now = m.sw.sim.Now()
+		decision = q.aqm.OnArrival(c, m.rng)
 	}
 
 	switch decision {

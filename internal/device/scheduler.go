@@ -1,5 +1,7 @@
 package device
 
+import "math/bits"
+
 // Scheduler selects the next queue a port should serve. Implementations
 // must return nil only when every queue is empty.
 type Scheduler interface {
@@ -61,6 +63,7 @@ type DWRR struct {
 	Quantum int64 // bytes of credit per weight unit per visit, default MTU
 
 	deficits   []int64
+	backlog    []uint64 // per call: bit i set when queue i holds packets
 	cur        int
 	needCredit bool
 	inited     bool
@@ -74,17 +77,21 @@ func (d *DWRR) Next(qs []Queue) *Queue {
 	n := len(qs)
 	if !d.inited {
 		d.deficits = make([]int64, n)
+		d.backlog = make([]uint64, (n+63)/64)
 		d.needCredit = true
 		d.inited = true
 	}
 	if d.Quantum <= 0 {
 		d.Quantum = 1500
 	}
-	anyBacklog := false
+	// One scan of the port's queues per call; the visits below test the
+	// bits instead of reading every queue again.
+	backlog, anyBacklog := d.backlog, false
+	clear(backlog)
 	for i := range qs {
 		if qs[i].Len() > 0 {
+			backlog[i>>6] |= 1 << (i & 63)
 			anyBacklog = true
-			break
 		}
 	}
 	if !anyBacklog {
@@ -94,8 +101,7 @@ func (d *DWRR) Next(qs []Queue) *Queue {
 	// backlogged queue, so the deficit eventually covers any head packet;
 	// 16 cycles cover heads up to 16*Quantum with weight 1.
 	for iter := 0; iter < 16*n; iter++ {
-		q := &qs[d.cur]
-		if q.Len() == 0 {
+		if backlog[d.cur>>6]&(1<<(d.cur&63)) == 0 {
 			d.deficits[d.cur] = 0
 			d.advance(n)
 			continue
@@ -104,6 +110,7 @@ func (d *DWRR) Next(qs []Queue) *Queue {
 			d.deficits[d.cur] += d.weight(d.cur) * d.Quantum
 			d.needCredit = false
 		}
+		q := &qs[d.cur]
 		head := int64(q.items[q.head].pkt.Size())
 		if d.deficits[d.cur] >= head {
 			d.deficits[d.cur] -= head
@@ -111,16 +118,18 @@ func (d *DWRR) Next(qs []Queue) *Queue {
 		}
 		d.advance(n)
 	}
-	for i := range qs {
-		if qs[i].Len() > 0 {
-			return &qs[i]
+	for w, word := range backlog {
+		if word != 0 {
+			return &qs[w<<6|bits.TrailingZeros64(word)]
 		}
 	}
 	return nil
 }
 
 func (d *DWRR) advance(n int) {
-	d.cur = (d.cur + 1) % n
+	if d.cur++; d.cur == n {
+		d.cur = 0
+	}
 	d.needCredit = true
 }
 

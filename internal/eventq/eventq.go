@@ -60,6 +60,19 @@
 // up to one lookahead (one link delay) ahead. Stats makes the split
 // visible.
 //
+// # One call per event
+//
+// Every calendar push runs one body, pushAt, which also checks the
+// caller's clock; Push, PushArg, PushAt, PushAfter and PushSeqArg are
+// one-line wrappers within the inliner's budget, so a simulator's
+// scheduling call compiles to a single call into the package. Every
+// pop runs one body, next: Pop, PopLE, PopLT and PeekTime are one-line
+// wrappers around it. next selects and removes in one pass — pour,
+// root comparison, line scan, removal and the cur jump — and calls
+// nothing except a heap sift, which a one-entry heap skips. The rare
+// paths (discarding canceled roots, allocating the wheel, growing a
+// line's ring) sit outside the hot bodies.
+//
 // Fired and discarded slots go onto a LIFO free list and are reused by
 // later pushes; reuse is safe because every slot carries a generation
 // counter and every Event handle captures the generation it was
@@ -86,6 +99,8 @@
 package eventq
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 
 	"abm/internal/units"
@@ -252,7 +267,10 @@ type line struct {
 	tail  units.Time
 }
 
-// grow doubles the ring, unrolling it so the oldest entry is at 0.
+// grow doubles the ring, unrolling it so the oldest entry is at 0. It
+// runs a handful of times per line, so it stays out of PushLine's body.
+//
+//go:noinline
 func (ln *line) grow() {
 	ring := make([]lineEntry, max(16, 2*len(ln.ring)))
 	k := copy(ring, ln.ring[ln.head:])
@@ -282,15 +300,19 @@ type Queue struct {
 	seq   uint64
 	live  int // queued events, including undiscarded canceled ones
 
-	cur    int64    // current absolute bucket
-	near   heap4    // events with bucket <= cur
-	far    heap4    // events pushed >= wheelSize buckets ahead
-	heads  []int32  // wheel: list head per bucket, valid where bitmap is set
-	bitmap []uint64 // wheel: non-empty buckets
-	wheelN int      // non-empty wheel buckets
-	lines  []line   // delay lines, indexed by LineID
+	cur    int64               // current absolute bucket
+	near   heap4               // events with bucket <= cur
+	far    heap4               // events pushed >= wheelSize buckets ahead
+	heads  *[wheelSize]int32   // wheel: list head per bucket, valid where bitmap is set
+	bitmap *[wheelWords]uint64 // wheel: non-empty buckets
+	wheelN int                 // non-empty wheel buckets
+	lines  []line              // delay lines, indexed by LineID
 	stats  Stats
 }
+
+// noClock is the now of a push whose caller keeps no clock: no time
+// is before it, so pushAt's past-time check never fires.
+const noClock = units.Time(math.MinInt64)
 
 // Len returns the number of events in the queue, including canceled
 // ones that have not yet been discarded.
@@ -299,22 +321,34 @@ func (q *Queue) Len() int { return q.live }
 // Stats returns the calendar's traffic counters.
 func (q *Queue) Stats() Stats { return q.stats }
 
-// callFunc adapts a no-argument callback to the node's fn/arg pair so
-// that Push needs no per-event closure: a func() value is
-// pointer-shaped and boxes into `any` without allocating.
-func callFunc(a any) { a.(func())() }
+// CallFunc adapts a no-argument callback to the fn/arg pair of a push:
+// PushArg(t, CallFunc, f) is Push(t, f). It needs no per-event
+// closure: a func() value is pointer-shaped and boxes into `any`
+// without allocating.
+func CallFunc(a any) { a.(func())() }
 
 // Push schedules fn at time t and returns the event handle.
 func (q *Queue) Push(t units.Time, fn func()) Event {
-	return q.PushArg(t, callFunc, fn)
+	return q.PushArg(t, CallFunc, fn)
 }
 
 // PushArg schedules fn(arg) at time t. Passing a long-lived fn and a
-// pointer-shaped arg makes scheduling allocation-free; this is the hot
-// path the simulator's packet pipeline uses.
+// pointer-shaped arg makes scheduling allocation-free.
 func (q *Queue) PushArg(t units.Time, fn func(any), arg any) Event {
-	q.seq++
-	return q.PushSeqArg(t, q.seq, fn, arg)
+	return q.pushAt(noClock, t, 0, fn, arg, false)
+}
+
+// PushAt is PushArg for a caller that keeps a clock: it panics if t is
+// before now, because running the event would reorder causality. This
+// is the hot path the simulator's packet pipeline uses.
+func (q *Queue) PushAt(now, t units.Time, fn func(any), arg any) Event {
+	return q.pushAt(now, t, 0, fn, arg, false)
+}
+
+// PushAfter is PushAt(now, now+d, fn, arg), except that its panic
+// names the negative delay.
+func (q *Queue) PushAfter(now, d units.Time, fn func(any), arg any) Event {
+	return q.pushAt(now, now+d, 0, fn, arg, true)
 }
 
 // ReserveSeq consumes and returns the next tie-break sequence number
@@ -331,6 +365,27 @@ func (q *Queue) ReserveSeq() uint64 {
 // once at a time, and (t, seq) must not precede an event already
 // popped.
 func (q *Queue) PushSeqArg(t units.Time, seq uint64, fn func(any), arg any) Event {
+	return q.pushAt(noClock, t, seq, fn, arg, false)
+}
+
+// pushAt is the one body of every calendar push: it checks t against
+// the caller's clock (delay says whether the caller asked for t as a
+// delay past now, which its panic then names), takes the next sequence
+// number when seq is 0 (a reserved one is never 0), takes an arena
+// slot and files the event in near, the wheel or far by its bucket.
+// The exported pushes are one-line wrappers the inliner folds into
+// their callers.
+func (q *Queue) pushAt(now, t units.Time, seq uint64, fn func(any), arg any, delay bool) Event {
+	if t < now {
+		if delay {
+			panic(fmt.Sprintf("eventq: negative delay %v", t-now))
+		}
+		panic(fmt.Sprintf("eventq: scheduling at %v before now %v", t, now))
+	}
+	if seq == 0 {
+		q.seq++
+		seq = q.seq
+	}
 	var slot int32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
@@ -351,8 +406,7 @@ func (q *Queue) PushSeqArg(t units.Time, seq uint64, fn func(any), arg any) Even
 	case d < wheelSize:
 		q.stats.Wheel++
 		if q.heads == nil {
-			q.heads = make([]int32, wheelSize)
-			q.bitmap = make([]uint64, wheelWords)
+			q.heads, q.bitmap = new([wheelSize]int32), new([wheelWords]uint64)
 		}
 		i := b & wheelMask
 		if w, bit := &q.bitmap[i>>6], uint64(1)<<(i&63); *w&bit == 0 {
@@ -393,7 +447,7 @@ func (q *Queue) PushLine(id LineID, now units.Time, fn func(any), arg any) {
 	ln := &q.lines[id]
 	t := now + ln.delay
 	if ln.n > 0 && t < ln.tail {
-		q.PushSeqArg(t, q.seq, fn, arg)
+		q.pushAt(noClock, t, q.seq, fn, arg, false)
 		return
 	}
 	if ln.n == len(ln.ring) {
@@ -449,75 +503,77 @@ func (q *Queue) PushLaneArg(_ LaneID, t units.Time, fn func(any), arg any) Event
 	return q.PushArg(t, fn, arg)
 }
 
-// advance moves cur to the next non-empty wheel bucket and pours its
-// list into near, dropping canceled nodes. The wheel must be non-empty.
-func (q *Queue) advance() {
-	start := (q.cur + 1) & wheelMask
-	w := start >> 6
-	word := q.bitmap[w] &^ (uint64(1)<<(start&63) - 1)
-	for word == 0 {
-		// Wrapping back to the starting word is fine: its low bits are
-		// the buckets just under cur+wheelSize, last in scan order.
-		w = (w + 1) & (wheelWords - 1)
-		word = q.bitmap[w]
-	}
-	i := w<<6 | int64(bits.TrailingZeros64(word))
-	q.bitmap[w] &^= uint64(1) << (i & 63)
-	q.wheelN--
-	q.cur += 1 + (i-start)&wheelMask
-	q.stats.Drained++
-	for slot := q.heads[i]; slot >= 0; {
-		nd := &q.nodes[slot]
-		next := nd.next
-		if nd.canceled {
-			q.release(slot)
-		} else {
-			q.near.push(entry{nd.time, nd.seq, slot})
-		}
-		slot = next
-	}
-}
-
-// Sources head reports besides a line index (>= 0).
+// Sources next selects from besides a line index (>= 0).
 const (
 	srcNone = -3
 	srcNear = -2
 	srcFar  = -1
 )
 
-// head discards canceled events at the heap roots, refills near from
-// the wheel when it is empty, and returns where the earliest live event
-// is — srcNear, srcFar or a line index, srcNone for an empty queue —
-// together with its key (slot is meaningful for the heaps only).
-func (q *Queue) head() (src int, k entry) {
+// What next does with the event it selects.
+const (
+	popLE = iota // remove it if it fires at or before limit
+	popLT        // remove it if it fires strictly before limit
+	peek         // leave it queued and report its time
+)
+
+// next is the one body behind Pop, PopLE, PopLT and PeekTime. It finds
+// the earliest live event: canceled events at the heap roots are
+// discarded, and while near is empty the next non-empty wheel bucket
+// is poured into it (cur moves to that bucket; canceled nodes are
+// dropped there). The event is the smallest of the near root, the far
+// root and the line heads. If the queue is empty or the event is past
+// limit, ok is false and nothing is removed. Otherwise a pop takes it
+// out — a heap event's slot is released before its callback runs, so
+// handles to it stop reporting Scheduled — and returns its callback
+// pair along with its time.
+func (q *Queue) next(limit units.Time, mode int) (fn func(any), arg any, t units.Time, ok bool) {
 	for {
 		if len(q.near) > 0 {
-			slot := q.near[0].slot
-			if !q.nodes[slot].canceled {
+			if !q.nodes[q.near[0].slot].canceled {
 				break
 			}
-			q.release(slot)
-			q.near.popMin()
-		} else if q.wheelN == 0 {
+			q.dropCanceled(&q.near)
+			continue
+		}
+		if q.wheelN == 0 {
 			break
-		} else {
-			q.advance()
+		}
+		start := (q.cur + 1) & wheelMask
+		w := start >> 6
+		word := q.bitmap[w] &^ (uint64(1)<<(start&63) - 1)
+		for word == 0 {
+			// Wrapping back to the starting word is fine: its low bits are
+			// the buckets just under cur+wheelSize, last in scan order.
+			w = (w + 1) & (wheelWords - 1)
+			word = q.bitmap[w]
+		}
+		i := w<<6 | int64(bits.TrailingZeros64(word))
+		q.bitmap[w] &^= uint64(1) << (i & 63)
+		q.wheelN--
+		q.cur += 1 + (i-start)&wheelMask
+		q.stats.Drained++
+		for slot := q.heads[i]; slot >= 0; {
+			nd := &q.nodes[slot]
+			next := nd.next
+			if nd.canceled {
+				q.release(slot)
+			} else {
+				q.near.push(entry{nd.time, nd.seq, slot})
+			}
+			slot = next
 		}
 	}
-	src = srcNone
+	if len(q.far) > 0 && q.nodes[q.far[0].slot].canceled {
+		q.dropCanceled(&q.far)
+	}
+
+	src, k := srcNone, entry{}
 	if len(q.near) > 0 {
 		src, k = srcNear, q.near[0]
 	}
-	for len(q.far) > 0 {
-		f := q.far[0]
-		if !q.nodes[f.slot].canceled {
-			if src == srcNone || f.less(k) {
-				src, k = srcFar, f
-			}
-			break
-		}
-		q.release(f.slot)
-		q.far.popMin()
+	if len(q.far) > 0 && (src == srcNone || q.far[0].less(k)) {
+		src, k = srcFar, q.far[0]
 	}
 	for i := range q.lines {
 		ln := &q.lines[i]
@@ -529,13 +585,13 @@ func (q *Queue) head() (src int, k entry) {
 			src, k = i, entry{time: e.time, seq: e.seq}
 		}
 	}
-	return src, k
-}
+	if src == srcNone || k.time > limit || k.time == limit && mode == popLT {
+		return nil, nil, 0, false
+	}
+	if mode == peek {
+		return nil, nil, k.time, true
+	}
 
-// take removes the event head named (src, k) and returns its callback
-// pair. A heap event's slot is released first, so handles to it stop
-// reporting Scheduled even before the callback is invoked.
-func (q *Queue) take(src int, k entry) (fn func(any), arg any) {
 	if src >= 0 {
 		ln := &q.lines[src]
 		e := &ln.ring[ln.head]
@@ -544,10 +600,14 @@ func (q *Queue) take(src int, k entry) (fn func(any), arg any) {
 		ln.n--
 		q.live--
 	} else {
-		if src == srcNear {
-			q.near.popMin()
+		h := &q.near
+		if src == srcFar {
+			h = &q.far
+		}
+		if len(*h) == 1 {
+			*h = (*h)[:0]
 		} else {
-			q.far.popMin()
+			h.popMin()
 		}
 		nd := &q.nodes[k.slot]
 		fn, arg = nd.fn, nd.arg
@@ -560,49 +620,43 @@ func (q *Queue) take(src int, k entry) (fn func(any), arg any) {
 			q.cur = b
 		}
 	}
-	return fn, arg
+	return fn, arg, k.time, true
+}
+
+// dropCanceled discards canceled events at h's root until the root is
+// live or h is empty: the rare path of next, kept out of its body.
+func (q *Queue) dropCanceled(h *heap4) {
+	for len(*h) > 0 && q.nodes[(*h)[0].slot].canceled {
+		q.release((*h)[0].slot)
+		h.popMin()
+	}
 }
 
 // Pop removes the earliest non-canceled event and returns its callback
 // pair and firing time. ok is false if the queue holds no live events.
 func (q *Queue) Pop() (fn func(any), arg any, t units.Time, ok bool) {
-	src, k := q.head()
-	if src == srcNone {
-		return nil, nil, 0, false
-	}
-	fn, arg = q.take(src, k)
-	return fn, arg, k.time, true
+	return q.next(math.MaxInt64, popLE)
 }
 
 // PopLE pops the earliest live event only if it fires at or before
 // limit; otherwise the event stays queued and ok is false. It fuses
-// the PeekTime+Pop pair of a bounded run loop into one head selection.
+// the PeekTime+Pop pair of a bounded run loop into one selection.
 func (q *Queue) PopLE(limit units.Time) (fn func(any), arg any, t units.Time, ok bool) {
-	src, k := q.head()
-	if src == srcNone || k.time > limit {
-		return nil, nil, 0, false
-	}
-	fn, arg = q.take(src, k)
-	return fn, arg, k.time, true
+	return q.next(limit, popLE)
 }
 
 // PopLT is PopLE with a strict bound: only events firing strictly
 // before limit are popped.
 func (q *Queue) PopLT(limit units.Time) (fn func(any), arg any, t units.Time, ok bool) {
-	src, k := q.head()
-	if src == srcNone || k.time >= limit {
-		return nil, nil, 0, false
-	}
-	fn, arg = q.take(src, k)
-	return fn, arg, k.time, true
+	return q.next(limit, popLT)
 }
 
 // PeekTime returns the firing time of the earliest non-canceled event
 // without removing it. Canceled events at the heap roots are
 // discarded.
 func (q *Queue) PeekTime() (units.Time, bool) {
-	src, k := q.head()
-	return k.time, src != srcNone
+	_, _, t, ok := q.next(math.MaxInt64, peek)
+	return t, ok
 }
 
 // release returns a slot to the free list, invalidating all handles to

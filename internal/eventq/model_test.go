@@ -40,16 +40,25 @@ func (m *refModel) push(t units.Time, seq uint64) *modelEvent {
 	return e
 }
 
-// popBefore removes the earliest live event if it fires before limit
-// (at or before it when inclusive is set).
-func (m *refModel) popBefore(limit units.Time, inclusive bool) (*modelEvent, bool) {
+// head drops canceled events from the front and returns the earliest
+// live one, or nil.
+func (m *refModel) head() *modelEvent {
 	for len(m.events) > 0 && m.events[0].canceled {
 		m.events = m.events[1:]
 	}
 	if len(m.events) == 0 {
+		return nil
+	}
+	return m.events[0]
+}
+
+// popBefore removes the earliest live event if it fires before limit
+// (at or before it when inclusive is set).
+func (m *refModel) popBefore(limit units.Time, inclusive bool) (*modelEvent, bool) {
+	e := m.head()
+	if e == nil {
 		return nil, false
 	}
-	e := m.events[0]
 	if e.time > limit || (e.time == limit && !inclusive) {
 		return nil, false
 	}
@@ -77,6 +86,8 @@ var lineDelays = [...]units.Time{3*bucketWidth + 1, horizon / 4, horizon + horiz
 // pops that may stop short, and cancels on live handles wherever they
 // reside — failing if the pop sequences ever diverge.
 // ops supplies one byte per step; times one byte per generated time.
+// An op byte's value mod 14 picks the operation; for a bounded pop, the
+// rest (op/14) picks the kind of bound (see nextLimit).
 //
 // Firing times are drawn relative to the model clock (the last popped
 // time) and to the queue's own cur, so they hit the places where the
@@ -136,6 +147,31 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 			return now + horizon - 1 - k
 		default: // a serialization time: a few buckets
 			return now + units.Time(b)*bucketWidth/7
+		}
+	}
+
+	// nextLimit draws the bound of a PopLE or PopLT. Kind 0 is a time
+	// from nextTime, as for a push; the others are the extremes of the
+	// time range (nothing fires before MinInt64, everything at or
+	// before MaxInt64), the exact time of the earliest live event (where
+	// PopLE and PopLT part ways), and the edges of cur's bucket.
+	nextLimit := func(kind byte) units.Time {
+		switch kind {
+		case 1:
+			return math.MinInt64
+		case 2:
+			return math.MaxInt64
+		case 3:
+			if e := model.head(); e != nil {
+				return e.time
+			}
+			return now
+		case 4: // last picosecond of cur's bucket
+			return (units.Time(q.cur)+1)*bucketWidth - 1
+		case 5: // first picosecond of the bucket after cur
+			return (units.Time(q.cur) + 1) * bucketWidth
+		default:
+			return nextTime()
 		}
 	}
 
@@ -212,21 +248,18 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 		case 2, 7: // pop
 			popBoth("step", step)
 		case 9: // bounded pops: often stop short and leave cur ahead of the clock
-			limit := nextTime()
+			limit := nextLimit(op / 14)
 			fn, arg, tm, ok := q.PopLE(limit)
 			me, mok := model.popBefore(limit, true)
 			check("PopLE step", step, fn, arg, tm, ok, me, mok)
 		case 10:
-			limit := nextTime()
+			limit := nextLimit(op / 14)
 			fn, arg, tm, ok := q.PopLT(limit)
 			me, mok := model.popBefore(limit, false)
 			check("PopLT step", step, fn, arg, tm, ok, me, mok)
 		case 11: // peek: may advance cur, must not change the order
 			tm, ok := q.PeekTime()
-			for len(model.events) > 0 && model.events[0].canceled {
-				model.events = model.events[1:]
-			}
-			if ok != (len(model.events) > 0) || (ok && tm != model.events[0].time) {
+			if me := model.head(); ok != (me != nil) || (ok && tm != me.time) {
 				t.Fatalf("step %d: PeekTime=(%v,%v), model has %d events", step, tm, ok, len(model.events))
 			}
 		case 3: // cancel a pseudo-random live handle (near, wheel or far resident)
@@ -400,6 +433,17 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{12, 12, 13, 13, 3, 2, 12, 13, 2, 2, 2, 2}, []byte{1, 1, 1, 5, 1, 0, 0, 1, 0, 200})
 	// Only line events: bounded pops and peeks with near and wheel empty.
 	f.Add([]byte{12, 12, 12, 9, 10, 11, 2, 12, 0, 2, 2, 2}, []byte{2, 2, 1, 9, 25, 0, 45})
+	// Bounded-pop limits (op/14 picks the bound): 23/24 PopLE/PopLT at
+	// MinInt64, 37/38 at MaxInt64, 51/52 at the head event's own time,
+	// 65/66 and 79/80 at the edges of cur's bucket.
+	// A far-only queue: every bound against far residents alone.
+	f.Add([]byte{0, 0, 0, 0, 24, 23, 52, 51, 11, 38, 66, 0, 80, 37, 2, 2}, []byte{11, 27, 6, 43, 7})
+	// A line-only queue: the same bounds against line heads alone.
+	f.Add([]byte{12, 12, 12, 24, 23, 52, 51, 11, 65, 79, 38, 12, 37, 2, 2}, []byte{0, 1, 2, 2})
+	// Canceled roots on both heaps: near events at t=0 and t=1, far ones
+	// two and three horizons out; op 17 cancels the far root, op 31 the
+	// near root, then a peek and PopLT(MinInt64) must discard both.
+	f.Add([]byte{0, 0, 0, 0, 17, 31, 24, 11, 2, 2, 2}, []byte{0, 11, 16, 27})
 	f.Fuzz(func(t *testing.T, ops, times []byte) {
 		if len(ops) > 4096 {
 			ops = ops[:4096]

@@ -74,36 +74,24 @@ func (s *Simulator) PacketPool() *packet.Pool { return &s.pool }
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it would silently reorder causality.
 func (s *Simulator) At(t units.Time, fn func()) Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
-	}
-	return s.q.Push(t, fn)
+	return s.q.PushAt(s.now, t, eventq.CallFunc, fn)
 }
 
-// After schedules fn to run d from now.
+// After schedules fn to run d from now. A negative delay panics.
 func (s *Simulator) After(d units.Time, fn func()) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return s.q.Push(s.now+d, fn)
+	return s.q.PushAfter(s.now, d, eventq.CallFunc, fn)
 }
 
 // AtArg schedules fn(arg) at absolute time t. With a long-lived fn and
 // a pointer-shaped arg this performs no allocation; it is the
 // scheduling primitive of the packet hot path.
 func (s *Simulator) AtArg(t units.Time, fn func(any), arg any) Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
-	}
-	return s.q.PushArg(t, fn, arg)
+	return s.q.PushAt(s.now, t, fn, arg)
 }
 
 // AfterArg schedules fn(arg) to run d from now; see AtArg.
 func (s *Simulator) AfterArg(d units.Time, fn func(any), arg any) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return s.q.PushArg(s.now+d, fn, arg)
+	return s.q.PushAfter(s.now, d, fn, arg)
 }
 
 // DelayLine names one of the simulator's delay lines: a FIFO for events

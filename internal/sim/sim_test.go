@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"abm/internal/units"
@@ -36,27 +38,40 @@ func TestAfterUsesCurrentTime(t *testing.T) {
 	}
 }
 
+// mustPanic runs f and fails unless it panics with a message containing
+// want: the absolute and the relative scheduling calls share one
+// checking body, and each must still say which mistake the caller made.
+func mustPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic, want one saying %q", want)
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one saying %q", msg, want)
+		}
+	}()
+	f()
+}
+
 func TestSchedulingInPastPanics(t *testing.T) {
 	s := New(1)
+	nop := func(any) {}
 	s.At(100, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic when scheduling in the past")
-			}
-		}()
-		s.At(50, func() {})
+		mustPanic(t, "scheduling at 50ps before now 100ps", func() { s.At(50, func() {}) })
+		mustPanic(t, "scheduling at 99ps before now 100ps", func() { s.AtArg(99, nop, nil) })
 	})
 	s.Run()
 }
 
 func TestNegativeAfterPanics(t *testing.T) {
 	s := New(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative delay")
-		}
-	}()
-	s.After(-1, func() {})
+	nop := func(any) {}
+	mustPanic(t, "negative delay -1ps", func() { s.After(-1, func() {}) })
+	mustPanic(t, "negative delay -2ps", func() { s.AfterArg(-2, nop, nil) })
+	mustPanic(t, "negative delay -3ps", func() { s.DelayLine(-3) })
 }
 
 func TestRunUntil(t *testing.T) {
