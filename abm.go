@@ -9,11 +9,11 @@
 //
 // The package exposes three levels of API:
 //
-//   - Experiment: run one evaluation cell (fabric + workloads +
-//     buffer-management scheme) and obtain the paper's metrics. This is
-//     what the figures and benchmarks use.
-//   - Simulation: build a leaf-spine fabric and drive flows manually for
-//     custom scenarios.
+//   - Scenario: describe one run declaratively (fabric + buffer +
+//     buffer-management scheme + workloads), run it and obtain the
+//     paper's metrics. The figures, sweeps and CLIs build the same
+//     value.
+//   - Simulation: build a scenario's fabric and drive flows manually.
 //   - Analysis: closed-form burst tolerance and isolation bounds
 //     (Theorems 1-3, Eqs. 6-11) without running any simulation.
 package abm
@@ -24,7 +24,6 @@ import (
 	"abm/internal/analytic"
 	"abm/internal/bm"
 	"abm/internal/cc"
-	"abm/internal/experiments"
 	"abm/internal/metrics"
 	"abm/internal/scenario"
 	"abm/internal/sim"
@@ -64,48 +63,14 @@ func BMSchemes() []string { return bm.Names() }
 // CCAlgorithms lists the available congestion-control algorithms.
 func CCAlgorithms() []string { return cc.Names() }
 
-// Experiment is one evaluation cell: a buffer-management scheme facing
-// the paper's workloads on a leaf-spine fabric.
-type Experiment = experiments.Cell
-
-// ExperimentResult is the outcome of an experiment.
-type ExperimentResult = experiments.Result
-
-// CCAssignment binds a congestion-control algorithm to a priority for
-// mixed-protocol experiments (Fig. 8).
-type CCAssignment = experiments.CCAssignment
-
 // Summary carries the paper's headline metrics for one run.
 type Summary = metrics.Summary
-
-// Scale selects the fabric size for experiments.
-type Scale = experiments.Scale
-
-// Fabric scales.
-const (
-	ScaleSmall  = experiments.ScaleSmall
-	ScaleMedium = experiments.ScaleMedium
-	ScalePaper  = experiments.ScalePaper
-)
-
-// ParseScale resolves "small", "medium" or "paper".
-func ParseScale(name string) (Scale, error) { return experiments.ParseScale(name) }
-
-// RunExperiment executes one evaluation cell.
-func RunExperiment(e Experiment) (ExperimentResult, error) { return experiments.Run(e) }
-
-// RunExperimentDetailed executes one cell and additionally returns the
-// metrics collector with every flow record, for tracing and custom
-// analysis.
-func RunExperimentDetailed(e Experiment) (ExperimentResult, *metrics.Collector, error) {
-	return experiments.RunDetailed(e)
-}
 
 // Scenario is the declarative description of one run: fabric shape
 // (including oversubscription and asymmetric link rates), buffer model,
 // buffer-management and scheduler policy, workload mix, shard count,
-// telemetry, duration and seed. Every entry point — experiments, the
-// CLIs, the Simulation API — compiles down to one of these.
+// telemetry, duration and seed. It is the only run spec: the figures,
+// the CLIs and the Simulation API all build one directly.
 type Scenario = scenario.Scenario
 
 // ScenarioResult is the outcome of a scenario run, embedding the
@@ -115,10 +80,6 @@ type ScenarioResult = scenario.Result
 // LoadScenario reads a scenario spec from a JSON file. The result is
 // unresolved; overrides may be applied before running.
 func LoadScenario(path string) (Scenario, error) { return scenario.Load(path) }
-
-// ParseScenario decodes a scenario spec from JSON, rejecting unknown
-// fields.
-func ParseScenario(data []byte) (Scenario, error) { return scenario.Parse(data) }
 
 // RunScenario resolves and executes one scenario on the engine its
 // Shards field selects.
@@ -142,14 +103,6 @@ func SetScenarioField(s *Scenario, path, value string) error {
 
 // WriteFlowTrace dumps flow records as a TSV table.
 func WriteFlowTrace(w io.Writer, flows []FlowRecord) error { return trace.WriteFlows(w, flows) }
-
-// FigureIDs lists the reproducible paper figures.
-func FigureIDs() []string { return experiments.FigureIDs }
-
-// RunFigure regenerates one of the paper's figures as a TSV table.
-func RunFigure(id string, scale Scale, seed int64, w io.Writer) error {
-	return experiments.RunFigure(id, scale, seed, w)
-}
 
 // BurstScenario is the analytic Figure 5 setting: a steady-state buffer
 // plus an arriving burst. Its methods evaluate DT's and ABM's burst
@@ -187,100 +140,6 @@ type Simulation struct {
 	sim *sim.Simulator
 	net *topo.Network
 	col *metrics.Collector
-}
-
-// SimulationConfig parameterizes a custom fabric.
-type SimulationConfig struct {
-	Seed int64
-
-	// Fabric dimensions; zero values select the paper's 8x8x32 at 10G.
-	Spines       int
-	Leaves       int
-	HostsPerLeaf int
-	LinkRate     Rate
-	LinkDelay    Time
-
-	QueuesPerPort int
-
-	// BM names the buffer-management scheme (see BMSchemes). Empty
-	// selects DT. UpdateInterval applies to ABM-approx.
-	BM             string
-	UpdateInterval Time
-
-	// BufferKBPerPortPerGbps sizes the switch buffer (§4.3); zero selects
-	// the Trident2 value of 9.6.
-	BufferKBPerPortPerGbps float64
-
-	// Headroom reserves this fraction of the buffer for first-RTT
-	// packets; negative disables, zero selects 1/8 for ABM/IB and 0
-	// otherwise.
-	Headroom float64
-
-	// Alphas are the per-priority DT/ABM parameters; empty selects 0.5
-	// everywhere. AlphaUnscheduled defaults to 64 (§3.3).
-	Alphas           []float64
-	AlphaUnscheduled float64
-
-	// EnableINT stamps per-hop telemetry (required by PowerTCP).
-	EnableINT bool
-}
-
-// Scenario converts the config to the declarative spec the scenario
-// layer builds fabrics from.
-func (cfg SimulationConfig) Scenario() Scenario {
-	sc := Scenario{
-		Seed: cfg.Seed,
-		Fabric: scenario.Fabric{
-			Spines:       cfg.Spines,
-			Leaves:       cfg.Leaves,
-			HostsPerLeaf: cfg.HostsPerLeaf,
-			LinkGbps:     float64(cfg.LinkRate) / float64(units.GigabitPerSec),
-			LinkDelay:    scenario.Duration(cfg.LinkDelay),
-		},
-		Buffer: scenario.Buffer{
-			KBPerPortPerGbps: cfg.BufferKBPerPortPerGbps,
-			QueuesPerPort:    cfg.QueuesPerPort,
-			AlphaUnscheduled: cfg.AlphaUnscheduled,
-		},
-		Switch: scenario.Switch{
-			BM:             cfg.BM,
-			UpdateInterval: scenario.Duration(cfg.UpdateInterval),
-			EnableINT:      cfg.EnableINT,
-		},
-	}
-	// The sentinel float maps to the spec's explicit pointer: positive
-	// pins the fraction, negative disables, zero keeps the scheme default.
-	switch {
-	case cfg.Headroom > 0:
-		v := cfg.Headroom
-		sc.Buffer.HeadroomFrac = &v
-	case cfg.Headroom < 0:
-		v := 0.0
-		sc.Buffer.HeadroomFrac = &v
-	}
-	// This config's alpha vector pads missing entries with 0.5 rather
-	// than replicating a single entry; expand here so the spec's
-	// single-entry shorthand doesn't reinterpret it.
-	if len(cfg.Alphas) > 0 {
-		qpp := cfg.QueuesPerPort
-		if qpp <= 0 {
-			qpp = 1
-		}
-		alphas := make([]float64, qpp)
-		for i := range alphas {
-			alphas[i] = 0.5
-			if i < len(cfg.Alphas) && cfg.Alphas[i] > 0 {
-				alphas[i] = cfg.Alphas[i]
-			}
-		}
-		sc.Buffer.Alphas = alphas
-	}
-	return sc
-}
-
-// NewSimulation builds a fabric.
-func NewSimulation(cfg SimulationConfig) (*Simulation, error) {
-	return NewSimulationFromScenario(cfg.Scenario())
 }
 
 // NewSimulationFromScenario builds a fabric from a declarative scenario

@@ -4,7 +4,18 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"abm/internal/scenario"
 )
+
+// fabric is a leaf–spine scenario of the given shape and scheme.
+func fabric(seed int64, spines, leaves, hostsPerLeaf int, bmName string) Scenario {
+	return Scenario{
+		Seed:   seed,
+		Fabric: scenario.Fabric{Spines: spines, Leaves: leaves, HostsPerLeaf: hostsPerLeaf},
+		Switch: scenario.Switch{BM: bmName},
+	}
+}
 
 func TestRegistriesExposed(t *testing.T) {
 	if len(BMSchemes()) < 6 {
@@ -12,9 +23,6 @@ func TestRegistriesExposed(t *testing.T) {
 	}
 	if len(CCAlgorithms()) < 6 {
 		t.Fatalf("CC algorithms: %v", CCAlgorithms())
-	}
-	if len(FigureIDs()) != 13 {
-		t.Fatalf("figures: %v", FigureIDs())
 	}
 }
 
@@ -45,9 +53,7 @@ func TestAnalyticFacade(t *testing.T) {
 }
 
 func TestSimulationLifecycle(t *testing.T) {
-	simn, err := NewSimulation(SimulationConfig{
-		Seed: 1, Spines: 2, Leaves: 2, HostsPerLeaf: 4, BM: "ABM",
-	})
+	simn, err := NewSimulationFromScenario(fabric(1, 2, 2, 4, "ABM"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +82,7 @@ func TestSimulationLifecycle(t *testing.T) {
 }
 
 func TestSimulationWithWorkloads(t *testing.T) {
-	simn, err := NewSimulation(SimulationConfig{
-		Seed: 2, Spines: 2, Leaves: 2, HostsPerLeaf: 4, BM: "DT",
-	})
+	simn, err := NewSimulationFromScenario(fabric(2, 2, 2, 4, "DT"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,43 +106,15 @@ func TestSimulationWithWorkloads(t *testing.T) {
 }
 
 func TestSimulationRejectsBadNames(t *testing.T) {
-	if _, err := NewSimulation(SimulationConfig{BM: "bogus", Spines: 1, Leaves: 1, HostsPerLeaf: 2}); err == nil {
+	if _, err := NewSimulationFromScenario(fabric(0, 1, 1, 2, "bogus")); err == nil {
 		t.Fatal("expected BM error")
 	}
-	simn, err := NewSimulation(SimulationConfig{Spines: 1, Leaves: 2, HostsPerLeaf: 2})
+	simn, err := NewSimulationFromScenario(fabric(0, 1, 2, 2, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := simn.StartFlow(0, 1, 1000, 0, "bogus", nil); err == nil {
 		t.Fatal("expected cc error")
-	}
-}
-
-func TestRunFigureFacade(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunFigure("fig4", ScaleSmall, 1, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Figure 4") {
-		t.Fatal("fig4 output missing header")
-	}
-	if err := RunFigure("nope", ScaleSmall, 1, &buf); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-func TestRunExperimentFacade(t *testing.T) {
-	res, err := RunExperiment(Experiment{
-		Scale: ScaleSmall, Seed: 5,
-		BM: "ABM", Load: 0.2, WSCC: "dctcp",
-		RequestFrac: 0.2,
-		Duration:    5 * Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.Flows == 0 {
-		t.Fatal("no flows")
 	}
 }
 
@@ -148,12 +124,14 @@ func TestPercentileFacade(t *testing.T) {
 	}
 }
 
-func TestRunExperimentDetailedAndTrace(t *testing.T) {
-	res, col, err := RunExperimentDetailed(Experiment{
-		Scale: ScaleSmall, Seed: 7,
-		BM: "DT", Load: 0.2, WSCC: "reno",
-		Duration: 5 * Millisecond,
-	})
+// TestRunScenarioDetailedAndTrace runs a scenario through the facade
+// and dumps its flow records with the trace writer.
+func TestRunScenarioDetailedAndTrace(t *testing.T) {
+	sc := fabric(7, 2, 2, 8, "DT")
+	sc.Duration = scenario.Duration(5 * Millisecond)
+	sc.Workload.Load = 0.2
+	sc.Workload.CC = "reno"
+	res, col, err := RunScenarioDetailed(sc)
 	if err != nil {
 		t.Fatal(err)
 	}

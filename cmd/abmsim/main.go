@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -22,6 +21,7 @@ import (
 	"abm"
 	"abm/internal/obs"
 	"abm/internal/prof"
+	"abm/internal/scenario"
 )
 
 func main() {
@@ -53,8 +53,6 @@ func run(args []string, stdout io.Writer) error {
 		flows   = fs.String("flows", "", "write a per-flow TSV trace to this file")
 		sched   = fs.String("sched", "rr", "per-port scheduler: rr, dwrr, strict")
 		wl      = fs.String("workload", "websearch", "background workload: websearch, datamining")
-		cfgIn   = fs.String("config", "", "load the experiment cell from this JSON file (overrides other flags)")
-		cfgOut  = fs.String("save-config", "", "write the resolved experiment cell as JSON and exit")
 		scnIn   = fs.String("scenario", "", "load the run from this scenario JSON file; explicitly-set flags override its fields")
 		scnOut  = fs.String("save-scenario", "", "write the fully-resolved scenario as JSON and exit")
 		dur     = fs.Duration("duration", 0, "traffic duration override (e.g. 2ms; 0 = the scale's default)")
@@ -69,79 +67,56 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cfgIn != "" && *scnIn != "" {
-		return fmt.Errorf("-config and -scenario are mutually exclusive (a cell and a scenario both describe the whole run)")
-	}
-
 	obsOpts, err := of.Validate()
 	if err != nil {
 		return err
 	}
 
-	scaleVal, err := abm.ParseScale(*scale)
+	// Every flag compiles straight into one scenario: explicitly-set
+	// flags overlay a -scenario file; without one, every flag (defaults
+	// included) overlays the -scale preset.
+	preset, err := scenario.Preset(*scale)
 	if err != nil {
 		return err
 	}
-	cell := abm.Experiment{
-		Scale: scaleVal, Seed: *seed,
-		BM: *bmName, Load: *load, WSCC: *ccName,
-		RequestFrac:         *request,
-		Fanout:              *fanout,
-		QueuesPerPort:       *qpp,
-		BufferKBPerPortGbps: *kb,
-		UpdateInterval:      abm.Time(update.Nanoseconds()) * abm.Nanosecond,
-		Scheduler:           *sched,
-		Workload:            *wl,
-		Shards:              *shards,
-	}
-	if *cfgIn != "" {
-		data, err := os.ReadFile(*cfgIn)
-		if err != nil {
-			return err
-		}
-		cell = abm.Experiment{}
-		if err := json.Unmarshal(data, &cell); err != nil {
-			return fmt.Errorf("parsing %s: %w", *cfgIn, err)
-		}
-	}
-	// Telemetry and duration flags apply on top of a loaded config, so a
-	// saved cell can be re-traced without editing its JSON.
-	if obsOpts.Active() {
-		cell.Obs = obsOpts
-	}
-	if *dur > 0 {
-		cell.Duration = abm.Time(dur.Nanoseconds()) * abm.Nanosecond
-	}
-	if *cfgOut != "" {
-		data, err := json.MarshalIndent(cell, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*cfgOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "experiment cell written to %s\n", *cfgOut)
-		return nil
-	}
-
-	// Every run path compiles down to one declarative scenario.
-	sc := cell.Scenario()
+	sc := preset
 	if *scnIn != "" {
-		sc, err = abm.LoadScenario(*scnIn)
-		if err != nil {
+		if sc, err = abm.LoadScenario(*scnIn); err != nil {
 			return err
 		}
-		applyFlagOverrides(&sc, fs, cell)
-		if obsOpts.Active() {
-			sc.Obs = obsOpts
+	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for name, apply := range map[string]func(){
+		"scale": func() {
+			f := &sc.Fabric
+			f.Spines, f.Leaves, f.HostsPerLeaf = preset.Fabric.Spines, preset.Fabric.Leaves, preset.Fabric.HostsPerLeaf
+			sc.Duration = preset.Duration
+		},
+		"bm":       func() { sc.Switch.BM = *bmName },
+		"cc":       func() { sc.Workload.CC = *ccName },
+		"load":     func() { sc.Workload.Load = *load },
+		"request":  func() { sc.Workload.Incast.RequestFrac = *request },
+		"fanout":   func() { sc.Workload.Incast.Fanout = *fanout },
+		"queues":   func() { sc.Buffer.QueuesPerPort = *qpp },
+		"buffer":   func() { sc.Buffer.KBPerPortPerGbps = *kb },
+		"seed":     func() { sc.Seed = *seed },
+		"shards":   func() { sc.Shards = *shards },
+		"update":   func() { sc.Switch.UpdateInterval = simTime(*update) },
+		"sched":    func() { sc.Switch.Scheduler = *sched },
+		"workload": func() { sc.Workload.Background = *wl },
+		"hybrid":   func() { sc.Hybrid.Enabled = *hybrid },
+	} {
+		if set[name] || *scnIn == "" {
+			apply()
 		}
 	}
-	// -hybrid composes with -scenario in both directions: explicitly
-	// setting it (true or false) overrides the file's hybrid block.
-	hybridSet := false
-	fs.Visit(func(f *flag.Flag) { hybridSet = hybridSet || f.Name == "hybrid" })
-	if hybridSet {
-		sc.Hybrid.Enabled = *hybrid
+	// -duration applies after -scale, whose preset carries a duration.
+	if *dur > 0 {
+		sc.Duration = simTime(*dur)
+	}
+	if obsOpts.Active() {
+		sc.Obs = obsOpts
 	}
 	// Topology flags apply last: a fat tree is sized by k alone, so they
 	// clear whatever leaf–spine dimensions -scale or the file set.
@@ -195,41 +170,9 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// applyFlagOverrides overlays the flags the user explicitly set onto a
-// loaded scenario, so "-scenario base.json -bm DT -shards 4" composes.
-// The cell carries the already-parsed flag values; -scale overlays the
-// fabric dimensions and duration first so an explicit -duration still
-// wins.
-func applyFlagOverrides(sc *abm.Scenario, fs *flag.FlagSet, cell abm.Experiment) {
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	fromFlags := cell.Scenario()
-
-	if set["scale"] {
-		sc.Fabric.Spines = fromFlags.Fabric.Spines
-		sc.Fabric.Leaves = fromFlags.Fabric.Leaves
-		sc.Fabric.HostsPerLeaf = fromFlags.Fabric.HostsPerLeaf
-		sc.Duration = fromFlags.Duration
-	}
-	for name, apply := range map[string]func(){
-		"bm":       func() { sc.Switch.BM = fromFlags.Switch.BM },
-		"cc":       func() { sc.Workload.CC = fromFlags.Workload.CC },
-		"load":     func() { sc.Workload.Load = fromFlags.Workload.Load },
-		"request":  func() { sc.Workload.Incast.RequestFrac = fromFlags.Workload.Incast.RequestFrac },
-		"fanout":   func() { sc.Workload.Incast.Fanout = fromFlags.Workload.Incast.Fanout },
-		"queues":   func() { sc.Buffer.QueuesPerPort = fromFlags.Buffer.QueuesPerPort },
-		"buffer":   func() { sc.Buffer.KBPerPortPerGbps = fromFlags.Buffer.KBPerPortPerGbps },
-		"seed":     func() { sc.Seed = fromFlags.Seed },
-		"shards":   func() { sc.Shards = fromFlags.Shards },
-		"update":   func() { sc.Switch.UpdateInterval = fromFlags.Switch.UpdateInterval },
-		"sched":    func() { sc.Switch.Scheduler = fromFlags.Switch.Scheduler },
-		"workload": func() { sc.Workload.Background = fromFlags.Workload.Background },
-		"duration": func() { sc.Duration = fromFlags.Duration },
-	} {
-		if set[name] {
-			apply()
-		}
-	}
+// simTime converts a flag's wall-clock duration to simulated time.
+func simTime(d time.Duration) scenario.Duration {
+	return scenario.Duration(d.Nanoseconds()) * scenario.Duration(abm.Nanosecond)
 }
 
 // printResult renders the headline metrics from the run's resolved

@@ -80,14 +80,6 @@ func TestScenarioFlagEquivalence(t *testing.T) {
 	}
 }
 
-// TestScenarioConfigExclusive: the two whole-run inputs cannot be mixed.
-func TestScenarioConfigExclusive(t *testing.T) {
-	err := run([]string{"-config", "a.json", "-scenario", "b.json"}, io.Discard)
-	if err == nil {
-		t.Fatal("expected -config/-scenario conflict error")
-	}
-}
-
 // TestSaveScenarioIsResolved: the spec -save-scenario writes is fully
 // explicit and survives a reload unchanged.
 func TestSaveScenarioIsResolved(t *testing.T) {

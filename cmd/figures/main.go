@@ -65,20 +65,21 @@ func run() int {
 	}
 	defer stopProf()
 
-	sc, err := experiments.ParseScale(*scale)
+	// Every simulated figure builds its cells from this base: the scale
+	// preset at the figure seed, on the -scenario file's fabric if given.
+	base, err := scenario.Preset(*scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-
-	var fabric *scenario.Fabric
+	base.Seed = *seed
 	if *scn != "" {
 		s, err := scenario.Load(*scn)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 2
 		}
-		fabric = &s.Fabric
+		base.Fabric = s.Fabric
 	}
 
 	ids := []string{*fig}
@@ -91,8 +92,8 @@ func run() int {
 		// interleave otherwise); each figure's cells still run in
 		// parallel on the pool.
 		for _, id := range ids {
-			opts := &experiments.RunOptions{Shards: *shards, Obs: obsOpts, Fabric: fabric}
-			if err := experiments.RunFigureOpts(opts, id, sc, *seed, os.Stdout); err != nil {
+			opts := &experiments.RunOptions{Shards: *shards, Obs: obsOpts}
+			if err := experiments.RunFigure(opts, id, base, os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}
@@ -118,12 +119,12 @@ func run() int {
 			Experiment: id,
 			Seed:       *seed,
 			Run: func(_ context.Context, _ int64) (runner.Result, error) {
-				opts := &experiments.RunOptions{Workers: 1, Shards: *shards, Store: store, Obs: obsOpts, Fabric: fabric}
+				opts := &experiments.RunOptions{Workers: 1, Shards: *shards, Store: store, Obs: obsOpts}
 				f, err := os.Create(filepath.Join(*out, id+".tsv"))
 				if err != nil {
 					return runner.Result{}, err
 				}
-				err = experiments.RunFigureOpts(opts, id, sc, *seed, f)
+				err = experiments.RunFigure(opts, id, base, f)
 				if cerr := f.Close(); err == nil {
 					err = cerr
 				}

@@ -1,8 +1,7 @@
-// Command sweep runs multi-seed experiment grids: the cross product of
-// buffer-management schemes, congestion controls, loads, request sizes
-// and alphas (or, in scenario mode, any scenario field by dotted path),
-// replicated across derived seeds and aggregated into mean/p95/p99 with
-// bootstrap confidence intervals.
+// Command sweep runs multi-seed experiment grids: a base scenario file
+// and the cross product of -vary axes over any scenario field by dotted
+// path, replicated across derived seeds and aggregated into mean/p95/p99
+// with bootstrap confidence intervals.
 //
 //	sweep run    [grid flags] -out dir                 run the grid on this machine's worker pool
 //	sweep serve  [grid flags] -addr host:port -out dir coordinate the grid for remote workers
@@ -20,7 +19,7 @@
 //
 // Examples:
 //
-//	sweep run -bms DT,ABM -ccs cubic -loads 0.2,0.4,0.6,0.8 -reps 3 -out results/sweep
+//	sweep run -scenario examples/incast/scenario.json -vary switch.bm=DT,ABM -vary workload.load=0.2,0.4,0.6,0.8 -reps 3 -out results/sweep
 //	sweep run -plan plan.json -out results/sweep -resume
 //	sweep run -scenario scenarios/oversub-2to1.json -vary switch.bm=DT,ABM -reps 3
 //	sweep serve -scenario scenarios/oversub-2to1.json -vary switch.bm=DT,ABM -workers 0 -out results/serve
@@ -32,6 +31,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -43,7 +43,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -108,38 +107,14 @@ type sweepFlags struct {
 func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
 	f := &sweepFlags{}
 	g := &f.grid
-	fs.StringVar(&f.plan, "plan", "", "JSON plan file (see internal/experiments.Grid); replaces the grid flags (telemetry flags still apply)")
+	fs.StringVar(&f.plan, "plan", "", "JSON plan file (internal/experiments.Grid; unknown keys are errors); replaces the grid flags (telemetry flags still apply)")
 	fs.StringVar(&g.Name, "name", "sweep", "sweep name (prefixes job IDs)")
-	fs.StringVar(&g.Scale, "scale", "small", "fabric scale: small, medium, paper")
 	fs.Int64Var(&g.Seed, "seed", 1, "plan seed; per-job seeds derive from it")
 	fs.IntVar(&g.Reps, "reps", 1, "seed replications per configuration")
-	fs.Func("bms", "comma-separated buffer-management schemes (default ABM)", func(s string) error {
-		g.BMs = splitCSV(s)
-		return nil
-	})
-	fs.Func("ccs", "comma-separated congestion-control algorithms (default cubic)", func(s string) error {
-		g.CCs = splitCSV(s)
-		return nil
-	})
-	fs.Func("loads", "comma-separated web-search loads (default 0.4)", func(s string) (err error) {
-		g.Loads, err = floatsCSV(s)
-		return err
-	})
-	fs.Func("requests", "comma-separated incast request fractions of the buffer (default 0.3)", func(s string) (err error) {
-		g.RequestFracs, err = floatsCSV(s)
-		return err
-	})
-	fs.Func("alphas", "comma-separated alphas (default: the scheme's)", func(s string) (err error) {
-		g.Alphas, err = floatsCSV(s)
-		return err
-	})
-	fs.IntVar(&g.QueuesPerPort, "queues", 0, "queues per port (0 = default)")
-	fs.StringVar(&g.Workload, "workload", "", "background workload: websearch (default), datamining")
-	fs.Float64Var(&g.DurationMS, "duration-ms", 0, "traffic duration override in milliseconds (0 = scale default)")
-	fs.IntVar(&g.Shards, "shards", 0, "simulation shards per job (0 = serial loop; >=1 runs the parallel engine; workers are capped so shards x workers <= GOMAXPROCS)")
+	fs.IntVar(&g.Shards, "shards", 0, "simulation shards per job (0 = the base scenario's; >=1 runs the parallel engine; workers are capped so shards x workers <= GOMAXPROCS)")
 	fs.DurationVar(&f.timeout, "timeout", 0, "per-job wall-clock timeout (0 = none)")
-	fs.StringVar(&g.Scenario, "scenario", "", "base scenario JSON file: jobs start from it and -vary axes mutate it (the cell axes above are ignored)")
-	fs.Func("vary", "scenario-mode sweep axis as \"field.path=v1,v2,...\" (repeatable; crossed in flag order)", func(s string) error {
+	fs.StringVar(&g.Scenario, "scenario", "", "base scenario JSON file (required unless -plan names one): jobs start from it and -vary axes mutate it")
+	fs.Func("vary", "sweep axis as \"field.path=v1,v2,...\" (repeatable; crossed in flag order)", func(s string) error {
 		path, vals, ok := strings.Cut(s, "=")
 		if !ok || path == "" {
 			return fmt.Errorf("want field.path=v1,v2,..., got %q", s)
@@ -161,33 +136,37 @@ func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
 }
 
 // resolve returns the grid the flags describe, or the -plan file's grid
-// when one is named.
+// when one is named. Either way the grid must name a base scenario.
 func (f *sweepFlags) resolve() (experiments.Grid, error) {
 	obsOpts, err := f.obs.Validate()
 	if err != nil {
 		return experiments.Grid{}, err
 	}
-	if len(f.grid.Vary) > 0 && f.grid.Scenario == "" {
-		return experiments.Grid{}, fmt.Errorf("-vary requires -scenario (axes are scenario field paths)")
-	}
 	grid := f.grid
 	grid.TimeoutSec = f.timeout.Seconds()
 	grid.Obs = obsOpts
-	if f.plan == "" {
-		return grid, nil
+	if f.plan != "" {
+		data, err := os.ReadFile(f.plan)
+		if err != nil {
+			return experiments.Grid{}, err
+		}
+		// A key the grid does not know is a typo or a retired plan format;
+		// ignoring it would silently run a different grid.
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		grid = experiments.Grid{}
+		if err := dec.Decode(&grid); err != nil {
+			return experiments.Grid{}, fmt.Errorf("%s: %w", f.plan, err)
+		}
+		// Telemetry flags apply on top of a plan file, so stored plans can
+		// be re-traced.
+		if obsOpts.Active() {
+			grid.Obs = obsOpts
+		}
 	}
-	data, err := os.ReadFile(f.plan)
-	if err != nil {
-		return experiments.Grid{}, err
-	}
-	grid = experiments.Grid{}
-	if err := json.Unmarshal(data, &grid); err != nil {
-		return experiments.Grid{}, fmt.Errorf("%s: %w", f.plan, err)
-	}
-	// Telemetry flags apply on top of a plan file, so stored plans can
-	// be re-traced.
-	if obsOpts.Active() {
-		grid.Obs = obsOpts
+	if grid.Scenario == "" {
+		return experiments.Grid{}, fmt.Errorf("a sweep needs a base scenario: pass -scenario (or \"scenario\" in the -plan file); " +
+			"abmsim's flags write one with `abmsim -bm ABM -load 0.4 ... -save-scenario base.json`")
 	}
 	return grid, nil
 }
@@ -563,18 +542,6 @@ func splitCSV(s string) []string {
 		}
 	}
 	return out
-}
-
-func floatsCSV(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range splitCSV(s) {
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad number %q: %w", f, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func firstLine(s string) string {

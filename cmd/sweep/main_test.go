@@ -19,15 +19,13 @@ func sweep(t *testing.T, args ...string) (int, string, string) {
 }
 
 // TestDryRunMatchesParent pins grid expansion — job IDs and derived
-// seeds — to the job lists the pre-merge cmd/sweep printed for the same
-// flags (testdata/*.golden were captured from that binary).
+// seeds — to the job list the pre-merge cmd/sweep printed for the same
+// flags (testdata/dryrun-scenario.golden was captured from that binary).
 func TestDryRunMatchesParent(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
 		args   []string
 	}{
-		{"dryrun-flags.golden", []string{"-name", "g", "-bms", "DT,ABM", "-ccs", "cubic,dctcp",
-			"-loads", "0.2,0.4", "-requests", "0.25", "-alphas", "0.5,1", "-reps", "2", "-seed", "7"}},
 		{"dryrun-scenario.golden", []string{"-scenario", "../../scenarios/mixed-rate-10g25g.json",
 			"-vary", "switch.bm=DT,ABM", "-vary", "workload.load=0.4,0.8", "-reps", "2", "-seed", "42"}},
 	} {
@@ -53,7 +51,8 @@ func TestRunResumeStatus(t *testing.T) {
 		t.Skip("runs real simulations")
 	}
 	out := filepath.Join(t.TempDir(), "out")
-	args := []string{"run", "-bms", "DT,ABM", "-reps", "2", "-duration-ms", "0.25",
+	args := []string{"run", "-scenario", "../../examples/incast/scenario.json",
+		"-vary", "switch.bm=DT,ABM", "-vary", "duration=250us", "-reps", "2",
 		"-workers", "2", "-out", out}
 	aggregate := func() []byte {
 		data, err := os.ReadFile(filepath.Join(out, "aggregate.json"))
@@ -88,8 +87,8 @@ func TestRunResumeStatus(t *testing.T) {
 	}
 	for _, want := range []string{
 		fmt.Sprintf("sweep %q: 4 jobs — 0 pending, 0 leased, 4 done (0 failed)  [finished]", out),
-		"sweep/bm=ABM,cc=cubic,load=0.4,req=0.3,alpha=0",
-		"sweep/bm=DT,cc=cubic,load=0.4,req=0.3,alpha=0",
+		"sweep/switch.bm=ABM,duration=250us",
+		"sweep/switch.bm=DT,duration=250us",
 		"2/2 ok, settled",
 	} {
 		if !strings.Contains(status, want) {
@@ -121,6 +120,52 @@ func TestStatusOnFiguresDir(t *testing.T) {
 	for _, fig := range []string{"fig5sim/", "fig6/", "extracc/"} {
 		if !strings.Contains(status, "\n  "+fig) {
 			t.Errorf("status lacks %s groups:\n%s", fig, status)
+		}
+	}
+}
+
+// TestGridInputErrors: run and serve share one grid resolution, which
+// needs a base scenario and rejects plan keys the grid does not know —
+// a retired cell-mode plan or a typo fails naming the key instead of
+// silently running a different grid.
+func TestGridInputErrors(t *testing.T) {
+	dir := t.TempDir()
+	plan := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := "../../examples/incast/scenario.json"
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // substring of stderr; "" means the grid resolves
+	}{
+		{"no scenario", nil, "-save-scenario base.json"},
+		{"vary without scenario", []string{"-vary", "switch.bm=DT,ABM"}, "-save-scenario base.json"},
+		{"cell-mode plan", []string{"-plan", plan("cells.json", `{"bms":["DT"],"loads":[0.4]}`)}, `unknown field "bms"`},
+		{"typo", []string{"-plan", plan("typo.json", `{"scenario":"`+base+`","vray":[]}`)}, `unknown field "vray"`},
+		{"plan without scenario", []string{"-plan", plan("bare.json", `{"name":"x"}`)}, "-save-scenario base.json"},
+		{"good plan", []string{"-plan", plan("good.json",
+			`{"scenario":"`+base+`","vary":[{"path":"switch.bm","values":["DT","ABM"]}]}`)}, ""},
+		{"good flags", []string{"-scenario", base, "-vary", "switch.bm=DT,ABM"}, ""},
+	} {
+		for _, sub := range []string{"run", "serve"} {
+			args := append([]string{sub}, tc.args...)
+			if sub == "run" {
+				args = append(args, "-dry-run")
+			} else if tc.want == "" {
+				continue // a resolvable serve grid would start serving
+			}
+			code, _, stderr := sweep(t, args...)
+			switch {
+			case tc.want == "" && code != 0:
+				t.Errorf("%s %s: exit %d: %s", sub, tc.name, code, stderr)
+			case tc.want != "" && (code != 2 || !strings.Contains(stderr, tc.want)):
+				t.Errorf("%s %s: exit %d, want 2 naming %q: %s", sub, tc.name, code, tc.want, stderr)
+			}
 		}
 	}
 }

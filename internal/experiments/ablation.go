@@ -4,8 +4,17 @@ import (
 	"fmt"
 	"io"
 
+	"abm/internal/runner"
+	"abm/internal/scenario"
 	"abm/internal/units"
 )
+
+// ablationBlock is one titled axis of the ablation figure: labeled
+// variants of the base cell.
+type ablationBlock struct {
+	title string
+	jobs  []job
+}
 
 // Ablations probe the design choices DESIGN.md calls out, each on the
 // Figure-6 style cell (web-search 40% + incast 30%, cubic) with ABM:
@@ -13,92 +22,74 @@ import (
 //   - the drain-rate estimator (scheduler share vs measured bytes),
 //   - the congestion-detection factor (the paper's 0.9),
 //   - the headroom reservation,
-//   - the unscheduled alpha (the paper's 64).
+//   - the unscheduled alpha (the paper's 64),
+//   - the n_p / mu refresh period (the paper's one RTT).
 //
-// RunAblation writes one TSV block per axis.
-func RunAblation(scale Scale, seed int64, w io.Writer) error {
-	return runAblation(nil, scale, seed, w)
+// The whole grid runs as one parallel plan, then renders one TSV block
+// per axis.
+func ablationBlocks(base scenario.Scenario) []ablationBlock {
+	abm := cell(base, "ABM", 0.4, "cubic", 0.3)
+	variant := func(label string, set func(*scenario.Scenario)) job {
+		sc := abm.Clone()
+		set(&sc)
+		return job{label, sc}
+	}
+
+	measured := variant("measured", func(sc *scenario.Scenario) { sc.Switch.DrainRateMeasured = true })
+	blocks := []ablationBlock{{"drain-rate estimator (ABM's mu/b source)",
+		[]job{{"scheduler-share", abm}, measured}}}
+
+	var factors []job
+	for _, f := range []float64{0.5, 0.7, 0.9, 0.99} {
+		factors = append(factors, variant(fmt.Sprintf("f=%.2f", f),
+			func(sc *scenario.Scenario) { sc.Switch.CongestedFactor = f }))
+	}
+	blocks = append(blocks, ablationBlock{"congestion detection factor (queue congested above f*threshold)", factors})
+
+	var headrooms []job
+	for _, hr := range []float64{0, 1.0 / 16, 1.0 / 8, 1.0 / 4} {
+		headrooms = append(headrooms, variant(fmt.Sprintf("headroom=%.3f", hr),
+			func(sc *scenario.Scenario) { v := hr; sc.Buffer.HeadroomFrac = &v }))
+	}
+	headrooms[0].label = "headroom=0"
+	blocks = append(blocks, ablationBlock{"headroom reservation (fraction of the chip buffer)", headrooms})
+
+	var alphaUs []job
+	for _, au := range []float64{0.5, 8, 64, 512} {
+		alphaUs = append(alphaUs, variant(fmt.Sprintf("alphaU=%g", au),
+			func(sc *scenario.Scenario) { sc.Buffer.AlphaUnscheduled = au }))
+	}
+	blocks = append(blocks, ablationBlock{"unscheduled alpha (the paper uses 64)", alphaUs})
+
+	var intervals []job
+	for _, mult := range []int{1, 4, 16} {
+		intervals = append(intervals, variant(fmt.Sprintf("interval=%dxRTT", mult),
+			func(sc *scenario.Scenario) {
+				sc.Switch.StatsInterval = scenario.Duration(units.Time(mult) * 80 * units.Microsecond)
+			}))
+	}
+	return append(blocks, ablationBlock{"stats update interval (n_p and mu refresh; the paper uses 1 RTT)", intervals})
 }
 
-func runAblation(o *RunOptions, scale Scale, seed int64, w io.Writer) error {
-	base := Cell{
-		Scale: scale, Seed: seed,
-		BM: "ABM", Load: 0.4, WSCC: "cubic",
-		RequestFrac: 0.3,
-	}
-
-	// Each block is a titled group of labeled variants; the whole grid
-	// runs as one parallel plan, then renders block by block.
-	type block struct {
-		title string
-		jobs  []cellJob
-	}
-	var blocks []block
-	add := func(title string, jobs ...cellJob) {
-		blocks = append(blocks, block{title: title, jobs: jobs})
-	}
-
-	measured := base
-	measured.DrainRateMeasured = true
-	add("drain-rate estimator (ABM's mu/b source)",
-		cellJob{label: "scheduler-share", cell: base},
-		cellJob{label: "measured", cell: measured})
-
-	var factors []cellJob
-	for _, f := range []float64{0.5, 0.7, 0.9, 0.99} {
-		c := base
-		c.CongestedFactor = f
-		factors = append(factors, cellJob{label: fmt.Sprintf("f=%.2f", f), cell: c})
-	}
-	add("congestion detection factor (queue congested above f*threshold)", factors...)
-
-	var headrooms []cellJob
-	for _, hr := range []float64{-1, 1.0 / 16, 1.0 / 8, 1.0 / 4} {
-		c := base
-		c.HeadroomFrac = hr
-		label := fmt.Sprintf("headroom=%.3f", hr)
-		if hr < 0 {
-			label = "headroom=0"
-		}
-		headrooms = append(headrooms, cellJob{label: label, cell: c})
-	}
-	add("headroom reservation (fraction of the chip buffer)", headrooms...)
-
-	var alphaUs []cellJob
-	for _, au := range []float64{0.5, 8, 64, 512} {
-		c := base
-		c.AlphaUnscheduled = au
-		alphaUs = append(alphaUs, cellJob{label: fmt.Sprintf("alphaU=%g", au), cell: c})
-	}
-	add("unscheduled alpha (the paper uses 64)", alphaUs...)
-
-	var intervals []cellJob
-	for _, mult := range []int{1, 4, 16} {
-		c := base
-		c.StatsIntervalOverride = units.Time(mult) * 80 * units.Microsecond
-		intervals = append(intervals, cellJob{label: fmt.Sprintf("interval=%dxRTT", mult), cell: c})
-	}
-	add("stats update interval (n_p and mu refresh; the paper uses 1 RTT)", intervals...)
-
-	var jobs []cellJob
-	for _, b := range blocks {
+func ablationJobs(base scenario.Scenario) []job {
+	var jobs []job
+	for _, b := range ablationBlocks(base) {
 		jobs = append(jobs, b.jobs...)
 	}
-	results, err := runCells(o, "ablation", jobs)
-	if err != nil {
-		return err
-	}
+	return jobs
+}
+
+func ablationRender(w io.Writer, res []runner.Result) {
 	i := 0
-	for _, b := range blocks {
+	for _, b := range ablationBlocks(scenario.Scenario{}) {
 		fmt.Fprintf(w, "# Ablation: %s\n", b.title)
 		fmt.Fprintln(w, "variant\tp99_incast\tp99_short\tp99_buffer_pct\tavg_tput_pct")
-		for _, job := range b.jobs {
-			s := results[i].Summary
+		for _, j := range b.jobs {
+			s := res[i].Summary
 			i++
 			fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%.1f\t%.1f\n",
-				job.label, s.P99IncastSlowdown, s.P99ShortSlowdown,
+				j.label, s.P99IncastSlowdown, s.P99ShortSlowdown,
 				100*s.P99BufferFrac, 100*s.AvgThroughputFrac)
 		}
 	}
-	return nil
 }

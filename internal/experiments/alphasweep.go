@@ -3,6 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+
+	"abm/internal/runner"
+	"abm/internal/scenario"
 )
 
 // alphaPresets are the vendor DT alpha defaults §2.3 cites.
@@ -16,47 +19,36 @@ var alphaPresets = []struct {
 	{"14 (Cisco)", 14},
 }
 
-// RunAlphaSweep probes the §2.3 operator question: vendors ship very
-// different DT alphas (Arista 1, Yahoo 8, Cisco 14) — how sensitive is
-// each scheme to the choice? DT's behaviour swings wildly with alpha
-// (high alpha ≈ complete sharing, low alpha ≈ partitioning) while ABM's
-// bounds (Theorems 1-2) keep it stable; this is the "ABM teaches
-// essential lessons on how to configure alpha" argument (§3.4) made
-// measurable.
-func RunAlphaSweep(scale Scale, seed int64, w io.Writer) error {
-	return runAlphaSweep(nil, scale, seed, w)
-}
-
-func runAlphaSweep(o *RunOptions, scale Scale, seed int64, w io.Writer) error {
-	var jobs []cellJob
+// The alphasweep figure probes the §2.3 operator question: vendors ship
+// very different DT alphas (Arista 1, Yahoo 8, Cisco 14) — how
+// sensitive is each scheme to the choice? DT's behaviour swings wildly
+// with alpha (high alpha ≈ complete sharing, low alpha ≈ partitioning)
+// while ABM's bounds (Theorems 1-2) keep it stable; this is the "ABM
+// teaches essential lessons on how to configure alpha" argument (§3.4)
+// made measurable.
+func alphaSweepJobs(base scenario.Scenario) []job {
+	var jobs []job
 	for _, p := range alphaPresets {
 		for _, bmName := range []string{"DT", "ABM"} {
-			jobs = append(jobs, cellJob{
-				label: fmt.Sprintf("alpha=%g,bm=%s", p.alpha, bmName),
-				cell: Cell{
-					Scale: scale, Seed: seed,
-					BM: bmName, Load: 0.4, WSCC: "cubic",
-					RequestFrac: 0.3,
-					Alpha:       p.alpha,
-				},
-			})
+			sc := cell(base, bmName, 0.4, "cubic", 0.3)
+			sc.Buffer.Alphas = []float64{p.alpha} // one alpha for every queue
+			jobs = append(jobs, job{fmt.Sprintf("alpha=%g,bm=%s", p.alpha, bmName), sc})
 		}
 	}
-	results, err := runCells(o, "alphasweep", jobs)
-	if err != nil {
-		return err
-	}
+	return jobs
+}
+
+func alphaSweepRender(w io.Writer, res []runner.Result) {
 	fmt.Fprintln(w, "# Alpha sensitivity: DT vs ABM across vendor alpha presets (load 40%, incast 30%)")
 	fmt.Fprintln(w, "alpha\tbm\tp99_incast\tp99_short\tp99_buffer_pct\tavg_tput_pct")
 	i := 0
 	for _, p := range alphaPresets {
 		for _, bmName := range []string{"DT", "ABM"} {
-			s := results[i].Summary
+			s := res[i].Summary
 			i++
 			fmt.Fprintf(w, "%s\t%s\t%.1f\t%.1f\t%.1f\t%.1f\n",
 				p.label, bmName, s.P99IncastSlowdown, s.P99ShortSlowdown,
 				100*s.P99BufferFrac, 100*s.AvgThroughputFrac)
 		}
 	}
-	return nil
 }

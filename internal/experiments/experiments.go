@@ -1,277 +1,150 @@
-// Package experiments defines one runnable configuration per figure of
-// the paper's evaluation (§4). A Cell is a point on one figure's axes;
-// it compiles to a declarative scenario.Scenario (Cell.Scenario) and the
-// scenario layer builds the fabric, attaches workloads, runs to the
-// deadline, drains and summarizes. The cmd/figures binary and the
-// repository's benchmarks are thin wrappers over this package.
+// Package experiments regenerates the paper's evaluation (§4): each
+// simulated figure is a list of labeled scenario.Scenario values built
+// from one scale preset (scenario.Preset) plus a renderer that turns
+// their runner results into the figure's TSV table. Grid is the
+// cross-product form of the same thing for cmd/sweep: a base scenario
+// file and dotted-path axes. Both run on internal/runner's pool, one job
+// record per scenario.
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"io"
+	"time"
 
-	"abm/internal/metrics"
 	"abm/internal/obs"
-	"abm/internal/obs/hist"
+	"abm/internal/runner"
 	"abm/internal/scenario"
-	"abm/internal/units"
 )
 
-// Scale selects the fabric size. The paper runs 8 spines x 8 leaves x 32
-// hosts; smaller scales preserve the 4:1 oversubscription and the
-// qualitative results at a fraction of the event count.
-type Scale int
-
-// Scales.
-const (
-	// ScaleSmall: 2x2x8 = 16 hosts, ~25ms of traffic. Used by benches.
-	ScaleSmall Scale = iota
-	// ScaleMedium: 4x4x16 = 64 hosts, ~50ms.
-	ScaleMedium
-	// ScalePaper: the full 8x8x32 = 256 hosts, 200ms. Slow; CLI only.
-	ScalePaper
-)
-
-// String names the scale.
-func (s Scale) String() string {
-	switch s {
-	case ScaleSmall:
-		return "small"
-	case ScaleMedium:
-		return "medium"
-	case ScalePaper:
-		return "paper"
-	default:
-		return "unknown"
-	}
-}
-
-// ParseScale resolves a scale name.
-func ParseScale(name string) (Scale, error) {
-	switch name {
-	case "small":
-		return ScaleSmall, nil
-	case "medium":
-		return ScaleMedium, nil
-	case "paper":
-		return ScalePaper, nil
-	default:
-		return 0, fmt.Errorf("experiments: unknown scale %q", name)
-	}
-}
-
-// fabric returns the topology dimensions and run durations for a scale.
-func (s Scale) fabric() (spines, leaves, hostsPerLeaf int, duration units.Time) {
-	switch s {
-	case ScaleMedium:
-		return 4, 4, 16, 50 * units.Millisecond
-	case ScalePaper:
-		return 8, 8, 32, 200 * units.Millisecond
-	default:
-		return 2, 2, 8, 25 * units.Millisecond
-	}
-}
-
-// Cell is one experiment configuration: a point on one figure's axes.
-type Cell struct {
-	Scale Scale
-	Seed  int64
-
-	// Shards selects the run mode: 0 (default) is the legacy serial
-	// loop; N >= 1 runs the topology-sharded parallel engine with
-	// min(N, NumLeaves) shards. Engine output is identical at every
-	// shard count (the canonical barrier merge is partition-invariant);
-	// it can differ from the legacy loop only in the execution order of
-	// events sharing an exact picosecond timestamp.
+// RunOptions configures how a figure's cells are executed on the
+// runner pool. The zero value (or a nil pointer) runs cells in parallel
+// across all CPUs with no timeout, no retries and no persistence.
+type RunOptions struct {
+	// Workers is the cell-level parallelism; <=0 means NumCPU.
+	Workers int
+	// Shards, when >=1, runs every cell on the topology-sharded
+	// parallel engine with that many shards (scenario.Scenario.Shards);
+	// 0 keeps each cell's own setting. The pool caps Workers so that
+	// shards x workers stays within GOMAXPROCS.
 	Shards int
-
-	// Fabric overrides the Scale-derived fabric shape (dimensions, link
-	// rates, delay) with an explicit spec — how a figure sweep runs on a
-	// fabric loaded from a scenario file. Scale still picks the duration.
-	Fabric *scenario.Fabric
-
-	BM             string     // bm policy name (bm.Names)
-	UpdateInterval units.Time // for ABM-approx, in absolute time
-
-	// Web-search workload.
-	Load   float64
-	WSCC   string // cc.NewFactory name
-	WSPrio uint8
-
-	// Incast workload; RequestFrac <= 0 disables it.
-	RequestFrac float64 // request size as a fraction of the buffer (§4.1)
-	IncastCC    string  // defaults to WSCC
-	IncastPrio  uint8
-	IncastLoad  float64 // fraction of aggregate bandwidth offered as incast, default 0.04
-	Fanout      int     // default 8
-
-	QueuesPerPort int  // default 1
-	RandomPrio    bool // spread flows across queues uniformly (fig10/fig12)
-
-	// Scheduler selects the per-port scheduler: "rr" (default), "dwrr",
-	// or "strict".
-	Scheduler string
-
-	// Workload selects the background flow-size distribution:
-	// "websearch" (default) or "datamining".
-	Workload string
-
-	// Trimming enables the cut-payload AQM (Figure 1's trimming-based
-	// family): above the trim threshold, payloads are removed and
-	// headers still delivered, converting timeout losses into immediate
-	// duplicate-ACK signals. Incompatible with DCTCP cells.
-	Trimming bool
-
-	// BufferKBPerPortGbps overrides the Trident2 default of 9.6 (§4.3).
-	BufferKBPerPortGbps float64
-
-	// MixedCC assigns web-search flows alternately to the given
-	// algorithm/priority pairs (fig8); overrides WSCC.
-	MixedCC []CCAssignment
-
-	// Duration overrides the scale's default traffic duration.
-	Duration units.Time
-
-	// Ablation knobs (DESIGN.md §8). Zero values select the defaults the
-	// figures use.
-	Alpha                 float64    // per-priority alpha, default 0.5
-	DrainRateMeasured     bool       // measured estimator instead of scheduler share
-	CongestedFactor       float64    // congestion detection factor, default 0.9
-	HeadroomFrac          float64    // headroom fraction; <0 disables, 0 selects scheme default
-	AlphaUnscheduled      float64    // default 64
-	StatsIntervalOverride units.Time // n_p / mu refresh period, default one base RTT
-
-	// Obs selects the run's telemetry (DESIGN.md §4e); the zero value
-	// disables it entirely.
+	// Timeout bounds each cell's wall-clock time; 0 means none.
+	Timeout time.Duration
+	// Retries re-runs cells that fail with an error.
+	Retries int
+	// Store, when non-nil, appends every cell's record to its log and
+	// lets completed cells be skipped when the same figure re-runs.
+	Store *runner.Store
+	// Progress, when non-nil, receives live progress/ETA lines.
+	Progress io.Writer
+	// Obs enables telemetry on every cell. With PerJob set (the flag
+	// surface's default for figures), the path fields are directories
+	// and each job writes its own files, named by its sanitized ID.
 	Obs obs.Options
 }
 
-// CCAssignment binds a congestion-control algorithm to a priority.
-type CCAssignment struct {
-	CC   string
-	Prio uint8
+// pool builds the runner pool an options value describes.
+func (o *RunOptions) pool() *runner.Pool {
+	if o == nil {
+		o = &RunOptions{}
+	}
+	p := &runner.Pool{
+		Workers:   o.Workers,
+		JobShards: o.Shards,
+		Timeout:   o.Timeout,
+		Retries:   o.Retries,
+		Progress:  o.Progress,
+	}
+	// Pool.Store is an interface: assigning a nil *runner.Store would
+	// make it non-nil and turn persistence on with no store behind it.
+	if o.Store != nil {
+		p.Store = o.Store
+	}
+	return p
 }
 
-// Scenario compiles the cell to the declarative spec the scenario layer
-// executes. The result is unresolved: Cell zero values map to Scenario
-// zero values and scenario.Resolve supplies the shared defaults.
-func (c Cell) Scenario() scenario.Scenario {
-	spines, leaves, hostsPerLeaf, duration := c.Scale.fabric()
-	if c.Duration > 0 {
-		duration = c.Duration
-	}
-	sc := scenario.Scenario{
-		Seed:     c.Seed,
-		Shards:   c.Shards,
-		Duration: scenario.Duration(duration),
-		Fabric: scenario.Fabric{
-			Spines:       spines,
-			Leaves:       leaves,
-			HostsPerLeaf: hostsPerLeaf,
-		},
-		Buffer: scenario.Buffer{
-			KBPerPortPerGbps: c.BufferKBPerPortGbps,
-			QueuesPerPort:    c.QueuesPerPort,
-			AlphaUnscheduled: c.AlphaUnscheduled,
-		},
-		Switch: scenario.Switch{
-			BM:                c.BM,
-			UpdateInterval:    scenario.Duration(c.UpdateInterval),
-			CongestedFactor:   c.CongestedFactor,
-			DrainRateMeasured: c.DrainRateMeasured,
-			StatsInterval:     scenario.Duration(c.StatsIntervalOverride),
-			Scheduler:         c.Scheduler,
-			Trimming:          c.Trimming,
-		},
-		Workload: scenario.Workload{
-			Load:       c.Load,
-			Background: c.Workload,
-			CC:         c.WSCC,
-			Prio:       c.WSPrio,
-			RandomPrio: c.RandomPrio,
-			Incast: scenario.Incast{
-				RequestFrac: c.RequestFrac,
-				Fanout:      c.Fanout,
-				Load:        c.IncastLoad,
-				CC:          c.IncastCC,
-				Prio:        c.IncastPrio,
-			},
-		},
-		Obs: c.Obs,
-	}
-	if c.Fabric != nil {
-		sc.Fabric = *c.Fabric
-	}
-	// The Alpha knob replicates one value across every queue; scenario
-	// specs carry the explicit per-queue vector.
-	if c.Alpha > 0 {
-		sc.Buffer.Alphas = []float64{c.Alpha}
-	}
-	// Cell headroom is a sentinel float (0 scheme default, <0 disabled);
-	// the spec distinguishes "unset" from "explicitly zero" instead.
-	switch {
-	case c.HeadroomFrac > 0:
-		v := c.HeadroomFrac
-		sc.Buffer.HeadroomFrac = &v
-	case c.HeadroomFrac < 0:
-		v := 0.0
-		sc.Buffer.HeadroomFrac = &v
-	}
-	for _, a := range c.MixedCC {
-		sc.Workload.MixedCC = append(sc.Workload.MixedCC,
-			scenario.CCAssignment{CC: a.CC, Prio: a.Prio})
-	}
-	return sc
+// job is one labeled cell of a figure's grid.
+type job struct {
+	label string
+	sc    scenario.Scenario
 }
 
-// Result is a finished cell.
-type Result struct {
-	Cell    Cell
-	Summary metrics.Summary
-	// PerPrioP99Short holds the per-priority p99 short-flow slowdown for
-	// mixed-protocol cells (fig8).
-	PerPrioP99Short map[uint8]float64
-
-	Drops            int64
-	UnscheduledDrops int64
-	Events           uint64
-
-	// Counters holds the telemetry counter totals by export name when
-	// the cell enabled telemetry (Cell.Obs); nil otherwise. The model/
-	// keys are shard-count-invariant.
-	Counters map[string]int64
-
-	// Hists holds the merged histogram snapshots by export name when
-	// the cell enabled histogram recording; nil otherwise. Shard-count-
-	// invariant like Counters.
-	Hists map[string]hist.Snapshot
-
-	// Resolved is the fully-explicit scenario the cell executed — the
-	// re-runnable record sweep job results embed.
-	Resolved scenario.Scenario
+// jobID names a figure's i-th cell in records and telemetry files.
+func jobID(experiment string, i int, label string) string {
+	return fmt.Sprintf("%s/%03d-%s", experiment, i, label)
 }
 
-// Run executes one cell and returns its result.
-func Run(cell Cell) (Result, error) {
-	res, _, err := RunDetailed(cell)
-	return res, err
-}
-
-// RunDetailed is Run, additionally returning the metrics collector with
-// every flow record for tracing and custom analysis.
-func RunDetailed(cell Cell) (Result, *metrics.Collector, error) {
-	sres, col, err := scenario.Run(cell.Scenario())
+// runCells executes a figure's cells on the runner pool and returns
+// their results in input order. Cells keep their explicit seeds (a
+// figure's TSV is a pure function of the figure seed), run in parallel,
+// and each lands as one record in the options' store when set. A
+// cell that fails — including one that panics — fails the figure with
+// its job ID attached, after the remaining cells finish.
+func runCells(o *RunOptions, experiment string, jobs []job) ([]runner.Result, error) {
+	plan := &runner.Plan{Name: experiment}
+	for i, j := range jobs {
+		sc := j.sc
+		if o != nil && o.Shards >= 1 {
+			sc.Shards = o.Shards
+		}
+		id := jobID(experiment, i, j.label)
+		if o != nil && o.Obs.Active() {
+			sc.Obs = o.Obs.ForJob(id)
+		}
+		plan.Add(runner.Spec{
+			ID:         id,
+			Experiment: experiment,
+			Group:      j.label,
+			Seed:       sc.Seed,
+			Config:     sc,
+			Run:        runScenario(sc),
+		})
+	}
+	records, err := o.pool().Run(context.Background(), plan)
 	if err != nil {
-		return Result{}, nil, err
+		return nil, err
 	}
-	return Result{
-		Cell:             cell,
-		Summary:          sres.Summary,
-		PerPrioP99Short:  sres.PerPrioP99Short,
-		Drops:            sres.Drops,
-		UnscheduledDrops: sres.UnscheduledDrops,
-		Events:           sres.Events,
-		Counters:         sres.Counters,
-		Hists:            sres.Hists,
-		Resolved:         sres.Scenario,
-	}, col, nil
+	results := make([]runner.Result, len(records))
+	for i, rec := range records {
+		if !rec.OK() {
+			return nil, fmt.Errorf("experiments: %s: %s (%s)", rec.ID, rec.Error, rec.Status)
+		}
+		results[i] = *rec.Result
+	}
+	return results, nil
 }
+
+// runScenario is the job body figures and grids share: run the
+// scenario at the job's seed and convert the result into the runner's
+// record payload, the resolved spec embedded.
+func runScenario(sc scenario.Scenario) func(context.Context, int64) (runner.Result, error) {
+	return func(_ context.Context, seed int64) (runner.Result, error) {
+		c := sc.Clone()
+		c.Seed = seed
+		res, _, err := scenario.Run(c)
+		if err != nil {
+			return runner.Result{}, err
+		}
+		out := runner.Result{
+			Summary:          res.Summary,
+			Events:           res.Events,
+			Drops:            res.Drops,
+			UnscheduledDrops: res.UnscheduledDrops,
+			Counters:         res.Counters,
+			Hists:            res.Hists,
+			Scenario:         res.Scenario,
+		}
+		if len(res.PerPrioP99Short) > 0 {
+			out.Extra = make(map[string]float64, len(res.PerPrioP99Short))
+			for prio, v := range res.PerPrioP99Short {
+				out.Extra[perPrioKey(prio)] = v
+			}
+		}
+		return out, nil
+	}
+}
+
+// perPrioKey names a per-priority p99 short-flow metric in a record's
+// Extra map.
+func perPrioKey(prio uint8) string { return fmt.Sprintf("p99_short_prio%d", prio) }

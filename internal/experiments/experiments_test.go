@@ -1,38 +1,115 @@
 package experiments
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"abm/internal/scenario"
 	"abm/internal/units"
 )
 
-func TestScaleParsing(t *testing.T) {
-	for _, name := range []string{"small", "medium", "paper"} {
-		sc, err := ParseScale(name)
-		if err != nil {
-			t.Fatalf("ParseScale(%q): %v", name, err)
-		}
-		if sc.String() != name {
-			t.Fatalf("round trip %q -> %q", name, sc.String())
+// preset is scenario.Preset at a seed, with the traffic duration cut to
+// d when d > 0.
+func preset(t testing.TB, scale string, seed int64, d units.Time) scenario.Scenario {
+	t.Helper()
+	sc, err := scenario.Preset(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Seed = seed
+	if d > 0 {
+		sc.Duration = scenario.Duration(d)
+	}
+	return sc
+}
+
+// run executes one scenario, failing the test on error.
+func run(t testing.TB, sc scenario.Scenario) scenario.Result {
+	t.Helper()
+	res, _, err := scenario.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestFigureScenariosGolden pins how every simulated figure compiles its
+// cells at every scale: the ordered (job ID, seed, SHA-256 of the
+// resolved scenario JSON) list must match testdata/figure-scenarios.golden,
+// captured from the figures as they were built before scenarios became
+// the only run spec (testdata/capture-parent.sh). Nothing runs.
+func TestFigureScenariosGolden(t *testing.T) {
+	f, err := os.Open(filepath.Join("testdata", "figure-scenarios.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var want []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if line := sc.Text(); !strings.HasPrefix(line, "#") {
+			want = append(want, line)
 		}
 	}
-	if _, err := ParseScale("huge"); err == nil {
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+
+	var got []string
+	for _, scale := range []string{"small", "medium", "paper"} {
+		base := preset(t, scale, 42, 0)
+		for _, id := range FigureIDs {
+			fig, ok := figures[id]
+			if !ok {
+				continue // analytic or burst-lab figures: no scenarios
+			}
+			for i, j := range fig.jobs(base) {
+				resolved, err := j.sc.Resolve()
+				if err != nil {
+					t.Fatalf("%s %s: %v", scale, jobID(id, i, j.label), err)
+				}
+				data, err := resolved.Marshal()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, fmt.Sprintf("%s\t%s\t%d\t%x",
+					scale, jobID(id, i, j.label), j.sc.Seed, sha256.Sum256(data)))
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d figure cells, golden has %d", len(got), len(want))
+	}
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			t.Errorf("cell %d differs:\ngot  %s\nwant %s", i, got[i], want[i])
+		}
+	}
+}
+
+func TestScaleParsing(t *testing.T) {
+	for scale, hosts := range map[string]int{"small": 16, "medium": 64, "paper": 256} {
+		sc, err := scenario.Preset(scale)
+		if err != nil {
+			t.Fatalf("Preset(%q): %v", scale, err)
+		}
+		if n := sc.Fabric.Leaves * sc.Fabric.HostsPerLeaf; n != hosts {
+			t.Fatalf("%s: %d hosts, want %d", scale, n, hosts)
+		}
+	}
+	if _, err := scenario.Preset("huge"); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestRunBasicCell(t *testing.T) {
-	res, err := Run(Cell{
-		Scale: ScaleSmall, Seed: 1,
-		BM: "DT", Load: 0.3, WSCC: "cubic",
-		RequestFrac: 0.3,
-		Duration:    10 * units.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cell(preset(t, "small", 1, 10*units.Millisecond), "DT", 0.3, "cubic", 0.3))
 	s := res.Summary
 	if s.Flows == 0 {
 		t.Fatal("no flows generated")
@@ -52,23 +129,15 @@ func TestRunBasicCell(t *testing.T) {
 }
 
 func TestRunABMWithHeadroom(t *testing.T) {
-	res, err := Run(Cell{
-		Scale: ScaleSmall, Seed: 2,
-		BM: "ABM", Load: 0.3, WSCC: "dctcp",
-		RequestFrac: 0.3,
-		Duration:    10 * units.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cell(preset(t, "small", 2, 10*units.Millisecond), "ABM", 0.3, "dctcp", 0.3))
 	if res.Summary.Flows-res.Summary.Unfinished == 0 {
 		t.Fatal("no flows finished under ABM")
 	}
 }
 
 func TestRunRejectsUnknownNames(t *testing.T) {
-	if _, err := Run(Cell{Scale: ScaleSmall, BM: "DT", Load: 0.1, WSCC: "bogus",
-		Duration: units.Millisecond}); err == nil {
+	sc := cell(preset(t, "small", 0, units.Millisecond), "DT", 0.1, "bogus", 0)
+	if _, _, err := scenario.Run(sc); err == nil {
 		t.Fatal("expected cc error")
 	}
 }
@@ -76,29 +145,25 @@ func TestRunRejectsUnknownNames(t *testing.T) {
 func TestRunRejectsUnknownBM(t *testing.T) {
 	// Unknown policies used to panic out of the per-switch factory; name
 	// validation now happens once, during scenario resolution.
-	if _, err := Run(Cell{Scale: ScaleSmall, BM: "bogus", Load: 0.1, WSCC: "cubic",
-		Duration: units.Millisecond}); err == nil {
+	sc := cell(preset(t, "small", 0, units.Millisecond), "bogus", 0.1, "cubic", 0)
+	if _, _, err := scenario.Run(sc); err == nil {
 		t.Fatal("expected bm error")
 	}
 }
 
+// mixedCell is Figure 8's mixed-protocol cell: Cubic and DCTCP
+// background in priorities 0 and 1, θ-PowerTCP incast in priority 2.
+func mixedCell(base scenario.Scenario) scenario.Scenario {
+	sc := cell(base, "ABM", 0.4, "", 0.2)
+	sc.Buffer.QueuesPerPort = 3
+	sc.Workload.MixedCC = []scenario.CCAssignment{{CC: "cubic", Prio: 0}, {CC: "dctcp", Prio: 1}}
+	sc.Workload.Incast.CC = "theta-powertcp"
+	sc.Workload.Incast.Prio = 2
+	return sc
+}
+
 func TestMixedCCPerPrioResults(t *testing.T) {
-	res, err := Run(Cell{
-		Scale: ScaleSmall, Seed: 3,
-		BM: "ABM", Load: 0.4,
-		QueuesPerPort: 3,
-		MixedCC: []CCAssignment{
-			{CC: "cubic", Prio: 0},
-			{CC: "dctcp", Prio: 1},
-		},
-		RequestFrac: 0.2,
-		IncastCC:    "theta-powertcp",
-		IncastPrio:  2,
-		Duration:    10 * units.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, mixedCell(preset(t, "small", 3, 10*units.Millisecond)))
 	if len(res.PerPrioP99Short) != 3 {
 		t.Fatalf("per-prio results = %v", res.PerPrioP99Short)
 	}
@@ -106,7 +171,7 @@ func TestMixedCCPerPrioResults(t *testing.T) {
 
 func TestFig4Output(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Fig4(&buf); err != nil {
+	if err := fig4(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -117,7 +182,7 @@ func TestFig4Output(t *testing.T) {
 
 func TestFig5Output(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Fig5(&buf); err != nil {
+	if err := fig5(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Count(buf.String(), "\n") < 70 {
@@ -126,21 +191,20 @@ func TestFig5Output(t *testing.T) {
 }
 
 func TestRunFigureUnknown(t *testing.T) {
-	if err := RunFigure("fig99", ScaleSmall, 1, &bytes.Buffer{}); err == nil {
+	if err := RunFigure(nil, "fig99", preset(t, "small", 1, 0), &bytes.Buffer{}); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
-// TestFigureRunnersSmoke runs the light analytic figures and one tiny
-// simulated cell from each family to keep CI fast; full figures run via
-// the benchmarks and cmd/figures.
+// TestFigureRunnersSmoke runs the light analytic figures through the
+// figure entry point; full figures run via cmd/figures.
 func TestFigureRunnersSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation smoke tests skipped in -short")
 	}
 	for _, id := range []string{"fig4", "fig5"} {
 		var buf bytes.Buffer
-		if err := RunFigure(id, ScaleSmall, 1, &buf); err != nil {
+		if err := RunFigure(nil, id, preset(t, "small", 1, 0), &buf); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
 		if buf.Len() == 0 {
@@ -156,7 +220,7 @@ func TestFig8Runner(t *testing.T) {
 		t.Skip("simulation test")
 	}
 	var buf bytes.Buffer
-	if err := Fig8(ScaleSmall, 1, &buf); err != nil {
+	if err := RunFigure(nil, "fig8", preset(t, "small", 1, 0), &buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

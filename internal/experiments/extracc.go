@@ -3,6 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+
+	"abm/internal/runner"
+	"abm/internal/scenario"
 )
 
 // extraCCs are the related-work transports, extraFracs their request
@@ -12,46 +15,17 @@ var (
 	extraFracs = []float64{0.25, 0.5, 0.75}
 )
 
-// RunExtraCC extends Figure 9 beyond the paper: the related-work
-// transports the paper cites but does not evaluate (HPCC, DCQCN, Swift)
-// under the same incast sweep, with DT vs ABM. The expectation carries
-// over — the stronger the transport's own congestion signal, the less
-// ABM adds, until the burst exceeds what any end-host control can do
-// about the first RTT.
-func RunExtraCC(scale Scale, seed int64, w io.Writer) error {
-	return runExtraCC(nil, scale, seed, w)
+// The extracc figure extends Figure 9 beyond the paper: the
+// related-work transports the paper cites but does not evaluate (HPCC,
+// DCQCN, Swift) under the same incast sweep, with DT vs ABM. The
+// expectation carries over — the stronger the transport's own
+// congestion signal, the less ABM adds, until the burst exceeds what
+// any end-host control can do about the first RTT.
+func extraCCJobs(base scenario.Scenario) []job {
+	return ccByRequestJobs(base, extraCCs, extraFracs)
 }
 
-func runExtraCC(o *RunOptions, scale Scale, seed int64, w io.Writer) error {
-	var jobs []cellJob
-	for _, ccName := range extraCCs {
-		for _, frac := range extraFracs {
-			for _, bmName := range []string{"DT", "ABM"} {
-				jobs = append(jobs, cellJob{
-					label: fmt.Sprintf("cc=%s,req=%g,bm=%s", ccName, frac, bmName),
-					cell: Cell{
-						Scale: scale, Seed: seed,
-						BM: bmName, Load: 0.4, WSCC: ccName,
-						RequestFrac: frac,
-					},
-				})
-			}
-		}
-	}
-	results, err := runCells(o, "extracc", jobs)
-	if err != nil {
-		return err
-	}
+func extraCCRender(w io.Writer, res []runner.Result) {
 	fmt.Fprintln(w, "# Extension: related-work transports (HPCC, DCQCN, Swift) x request size, DT vs ABM")
-	fmt.Fprintln(w, "cc\treq_frac_pct\tp99_incast_DT\tp99_incast_ABM")
-	i := 0
-	for _, ccName := range extraCCs {
-		for _, frac := range extraFracs {
-			dt := results[i].Summary.P99IncastSlowdown
-			abm := results[i+1].Summary.P99IncastSlowdown
-			i += 2
-			fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%.1f\n", ccName, frac*100, dt, abm)
-		}
-	}
-	return nil
+	ccByRequestRender(w, res, extraCCs, extraFracs)
 }

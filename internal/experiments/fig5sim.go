@@ -38,14 +38,12 @@ func measureBurst(p fig5simProbe) units.ByteCount {
 	return burstlab.Measure(cfg).Tolerance
 }
 
-// Fig5Sim regenerates Figure 5's burst-tolerance surfaces by measuring
+// fig5sim regenerates Figure 5's burst-tolerance surfaces by measuring
 // them on the packet simulator (package burstlab) instead of the fluid
 // model — a cross-check that the analytic shapes of Fig5 survive
 // packetization, scheduling, and periodic statistics updates. The
-// probes run as generic jobs on the runner pool: the burst lab is not
-// an evaluation Cell, so this is the subsystem's non-Cell client.
-func Fig5Sim(w io.Writer) error { return fig5sim(nil, w) }
-
+// probes run as generic jobs on the runner pool: the burst lab builds
+// no fabric, so its probes are not scenarios.
 func fig5sim(o *RunOptions, w io.Writer) error {
 	var probes []fig5simProbe
 	for _, r := range []int{10, 15, 20} {

@@ -5,6 +5,8 @@ import (
 	"io"
 
 	"abm/internal/analytic"
+	"abm/internal/runner"
+	"abm/internal/scenario"
 	"abm/internal/units"
 )
 
@@ -12,53 +14,71 @@ import (
 // the simulated (packet-level) cross-check of the analytic Figure 5.
 var FigureIDs = []string{"fig4", "fig5", "fig5sim", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "ablation", "alphasweep", "extracc"}
 
-// RunFigure dispatches a figure by id, writing a TSV table to w. Cells
-// run in parallel on the runner pool with default options; the output
-// is identical at any worker count.
-func RunFigure(id string, scale Scale, seed int64, w io.Writer) error {
-	return RunFigureOpts(nil, id, scale, seed, w)
+// figure is one simulated figure: jobs lists its cells, each built from
+// a base scenario (a scale preset carrying the figure seed), and render
+// writes its TSV table from their results, in job order. The two stay
+// apart so a figure's cells can be listed without running them.
+type figure struct {
+	jobs   func(base scenario.Scenario) []job
+	render func(w io.Writer, res []runner.Result)
 }
 
-// RunFigureOpts is RunFigure with explicit execution options: worker
-// count, per-cell timeout and retries, an optional record store,
-// and progress reporting.
-func RunFigureOpts(o *RunOptions, id string, scale Scale, seed int64, w io.Writer) error {
+// figures holds every figure whose cells are scenarios.
+var figures = map[string]figure{
+	"fig6":       {fig6Jobs, fig6Render},
+	"fig7":       {fig7Jobs, fig7Render},
+	"fig8":       {fig8Jobs, fig8Render},
+	"fig9":       {fig9Jobs, fig9Render},
+	"fig10":      {fig10Jobs, fig10Render},
+	"fig11":      {fig11Jobs, fig11Render},
+	"fig12":      {fig12Jobs, fig12Render},
+	"ablation":   {ablationJobs, ablationRender},
+	"alphasweep": {alphaSweepJobs, alphaSweepRender},
+	"extracc":    {extraCCJobs, extraCCRender},
+}
+
+// RunFigure regenerates one figure by id, writing its TSV table to w.
+// Simulated figures build their cells from base — scenario.Preset of a
+// scale with the figure seed set, optionally on another fabric — and
+// run them on the pool o describes (nil: every CPU, no store); the
+// output is identical at any worker count.
+func RunFigure(o *RunOptions, id string, base scenario.Scenario, w io.Writer) error {
 	switch id {
 	case "fig4":
-		return Fig4(w)
+		return fig4(w)
 	case "fig5":
-		return Fig5(w)
+		return fig5(w)
 	case "fig5sim":
 		return fig5sim(o, w)
-	case "fig6":
-		return fig6(o, scale, seed, w)
-	case "fig7":
-		return fig7(o, scale, seed, w)
-	case "fig8":
-		return fig8(o, scale, seed, w)
-	case "fig9":
-		return fig9(o, scale, seed, w)
-	case "fig10":
-		return fig10(o, scale, seed, w)
-	case "fig11":
-		return fig11(o, scale, seed, w)
-	case "fig12":
-		return fig12(o, scale, seed, w)
-	case "ablation":
-		return runAblation(o, scale, seed, w)
-	case "alphasweep":
-		return runAlphaSweep(o, scale, seed, w)
-	case "extracc":
-		return runExtraCC(o, scale, seed, w)
-	default:
+	}
+	fig, ok := figures[id]
+	if !ok {
 		return fmt.Errorf("experiments: unknown figure %q (known: %v)", id, FigureIDs)
 	}
+	res, err := runCells(o, id, fig.jobs(base))
+	if err != nil {
+		return err
+	}
+	fig.render(w, res)
+	return nil
 }
 
-// Fig4 regenerates Figure 4 (analytic): DT's unbounded allocation as
+// cell derives one figure cell from the base: the scheme, the
+// background load and its congestion control, and the incast request
+// size as a fraction of the buffer.
+func cell(base scenario.Scenario, bmName string, load float64, ccName string, request float64) scenario.Scenario {
+	sc := base.Clone()
+	sc.Switch.BM = bmName
+	sc.Workload.Load = load
+	sc.Workload.CC = ccName
+	sc.Workload.Incast.RequestFrac = request
+	return sc
+}
+
+// fig4 regenerates Figure 4 (analytic): DT's unbounded allocation as
 // congested queues multiply (top) and the priority inversion between a
 // high-alpha and a low-alpha priority (bottom).
-func Fig4(w io.Writer) error {
+func fig4(w io.Writer) error {
 	fmt.Fprintln(w, "# Figure 4 (top): DT occupied buffer % vs congested queues (alpha=0.5)")
 	fmt.Fprintln(w, "queues\toccupied_pct")
 	b := units.ByteCount(5 * units.Megabyte)
@@ -79,9 +99,9 @@ func Fig4(w io.Writer) error {
 	return nil
 }
 
-// Fig5 regenerates Figure 5 (analytic): burst tolerance surfaces for DT
+// fig5 regenerates Figure 5 (analytic): burst tolerance surfaces for DT
 // (a: vs congested ports, b: vs congested queues) and ABM (c, d).
-func Fig5(w io.Writer) error {
+func fig5(w io.Writer) error {
 	base := analytic.BurstScenario{
 		B:          5 * units.Megabyte,
 		PortRate:   10 * units.GigabitPerSec,
@@ -117,230 +137,196 @@ func Fig5(w io.Writer) error {
 
 func mb(b units.ByteCount) float64 { return float64(b) / float64(units.Megabyte) }
 
-// Fig6BMs are the buffer-management baselines of Figures 6-7.
-var Fig6BMs = []string{"DT", "FAB", "CS", "IB", "ABM"}
+// fig6BMs are the buffer-management baselines of Figures 6-7.
+var fig6BMs = []string{"DT", "FAB", "CS", "IB", "ABM"}
 
 // fig6Loads are Figure 6's web-search load points.
 var fig6Loads = []float64{0.2, 0.4, 0.6, 0.8}
 
-// Fig6 regenerates Figure 6: BM schemes under web-search load 20-80%
-// plus incast at 30% of the buffer, all flows Cubic.
-func Fig6(scale Scale, seed int64, w io.Writer) error { return fig6(nil, scale, seed, w) }
-
-func fig6(o *RunOptions, scale Scale, seed int64, w io.Writer) error {
-	var jobs []cellJob
-	for _, bmName := range Fig6BMs {
+// Figure 6: BM schemes under web-search load 20-80% plus incast at 30%
+// of the buffer, all flows Cubic.
+func fig6Jobs(base scenario.Scenario) []job {
+	var jobs []job
+	for _, bmName := range fig6BMs {
 		for _, load := range fig6Loads {
-			jobs = append(jobs, cellJob{
-				label: fmt.Sprintf("bm=%s,load=%g", bmName, load),
-				cell: Cell{
-					Scale: scale, Seed: seed,
-					BM: bmName, Load: load, WSCC: "cubic",
-					RequestFrac: 0.3,
-				},
-			})
+			jobs = append(jobs, job{fmt.Sprintf("bm=%s,load=%g", bmName, load),
+				cell(base, bmName, load, "cubic", 0.3)})
 		}
 	}
-	results, err := runCells(o, "fig6", jobs)
-	if err != nil {
-		return err
-	}
+	return jobs
+}
+
+func fig6Render(w io.Writer, res []runner.Result) {
 	fmt.Fprintln(w, "# Figure 6: BM under load (incast 30% of buffer, cubic)")
 	fmt.Fprintln(w, "bm\tload\tp99_incast_slowdown\tp99_short_slowdown\tp99_buffer_pct\tavg_tput_pct\tflows\tunfinished")
 	i := 0
-	for _, bmName := range Fig6BMs {
+	for _, bmName := range fig6BMs {
 		for _, load := range fig6Loads {
-			s := results[i].Summary
+			s := res[i].Summary
 			i++
 			fmt.Fprintf(w, "%s\t%.0f\t%.1f\t%.1f\t%.1f\t%.1f\t%d\t%d\n",
 				bmName, load*100, s.P99IncastSlowdown, s.P99ShortSlowdown,
 				100*s.P99BufferFrac, 100*s.AvgThroughputFrac, s.Flows, s.Unfinished)
 		}
 	}
-	return nil
 }
 
 // fig7Fracs are Figure 7's incast request sizes (fractions of the
 // buffer).
 var fig7Fracs = []float64{0.1, 0.25, 0.5, 0.75}
 
-// Fig7 regenerates Figure 7: BM schemes across incast request sizes at
-// 40% web-search load.
-func Fig7(scale Scale, seed int64, w io.Writer) error { return fig7(nil, scale, seed, w) }
-
-func fig7(o *RunOptions, scale Scale, seed int64, w io.Writer) error {
-	var jobs []cellJob
-	for _, bmName := range Fig6BMs {
+// Figure 7: BM schemes across incast request sizes at 40% web-search
+// load.
+func fig7Jobs(base scenario.Scenario) []job {
+	var jobs []job
+	for _, bmName := range fig6BMs {
 		for _, frac := range fig7Fracs {
-			jobs = append(jobs, cellJob{
-				label: fmt.Sprintf("bm=%s,req=%g", bmName, frac),
-				cell: Cell{
-					Scale: scale, Seed: seed,
-					BM: bmName, Load: 0.4, WSCC: "cubic",
-					RequestFrac: frac,
-				},
-			})
+			jobs = append(jobs, job{fmt.Sprintf("bm=%s,req=%g", bmName, frac),
+				cell(base, bmName, 0.4, "cubic", frac)})
 		}
 	}
-	results, err := runCells(o, "fig7", jobs)
-	if err != nil {
-		return err
-	}
+	return jobs
+}
+
+func fig7Render(w io.Writer, res []runner.Result) {
 	fmt.Fprintln(w, "# Figure 7: BM under request sizes (load 40%, cubic)")
 	fmt.Fprintln(w, "bm\treq_frac_pct\tp99_incast_slowdown\tp99_short_slowdown\tp99_buffer_pct\tavg_tput_pct\tflows\tunfinished")
 	i := 0
-	for _, bmName := range Fig6BMs {
+	for _, bmName := range fig6BMs {
 		for _, frac := range fig7Fracs {
-			s := results[i].Summary
+			s := res[i].Summary
 			i++
 			fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%d\t%d\n",
 				bmName, frac*100, s.P99IncastSlowdown, s.P99ShortSlowdown,
 				100*s.P99BufferFrac, 100*s.AvgThroughputFrac, s.Flows, s.Unfinished)
 		}
 	}
-	return nil
 }
 
 // fig8Loads are Figure 8's Cubic load points.
 var fig8Loads = []float64{0.2, 0.4, 0.6}
 
-// Fig8 regenerates Figure 8: three priorities carrying Cubic, DCTCP and
-// θ-PowerTCP; the Cubic load grows while the others stay fixed; DT vs
-// ABM. Reports per-priority p99 short-flow slowdowns.
-func Fig8(scale Scale, seed int64, w io.Writer) error { return fig8(nil, scale, seed, w) }
-
-func fig8(o *RunOptions, scale Scale, seed int64, w io.Writer) error {
-	var jobs []cellJob
+// Figure 8: three priorities carrying Cubic, DCTCP and θ-PowerTCP; the
+// Cubic load grows while the others stay fixed; DT vs ABM. Reports
+// per-priority p99 short-flow slowdowns.
+func fig8Jobs(base scenario.Scenario) []job {
+	var jobs []job
 	for _, bmName := range []string{"DT", "ABM"} {
 		for _, load := range fig8Loads {
-			jobs = append(jobs, cellJob{
-				label: fmt.Sprintf("bm=%s,load=%g", bmName, load),
-				cell: Cell{
-					Scale: scale, Seed: seed,
-					BM:            bmName,
-					Load:          load + 0.2, // cubic at `load` + dctcp fixed at 0.2, interleaved
-					QueuesPerPort: 3,
-					MixedCC: []CCAssignment{
-						{CC: "cubic", Prio: 0},
-						{CC: "dctcp", Prio: 1},
-					},
-					RequestFrac: 0.25,
-					IncastCC:    "theta-powertcp",
-					IncastPrio:  2,
-				},
-			})
+			// Cubic at `load` + DCTCP fixed at 0.2, interleaved.
+			sc := cell(base, bmName, load+0.2, "", 0.25)
+			sc.Buffer.QueuesPerPort = 3
+			sc.Workload.MixedCC = []scenario.CCAssignment{
+				{CC: "cubic", Prio: 0},
+				{CC: "dctcp", Prio: 1},
+			}
+			sc.Workload.Incast.CC = "theta-powertcp"
+			sc.Workload.Incast.Prio = 2
+			jobs = append(jobs, job{fmt.Sprintf("bm=%s,load=%g", bmName, load), sc})
 		}
 	}
-	results, err := runCells(o, "fig8", jobs)
-	if err != nil {
-		return err
-	}
+	return jobs
+}
+
+func fig8Render(w io.Writer, res []runner.Result) {
 	fmt.Fprintln(w, "# Figure 8: isolation across priorities (cubic prio0, dctcp prio1, theta-powertcp incast prio2)")
 	fmt.Fprintln(w, "bm\tcubic_load\tp99_cubic\tp99_dctcp\tp99_theta\tp99_buffer_pct")
 	i := 0
 	for _, bmName := range []string{"DT", "ABM"} {
 		for _, load := range fig8Loads {
-			res := results[i]
+			r := res[i]
 			i++
 			fmt.Fprintf(w, "%s\t%.0f\t%.1f\t%.1f\t%.1f\t%.1f\n",
 				bmName, load*100,
-				res.PerPrioP99Short[0], res.PerPrioP99Short[1], res.PerPrioP99Short[2],
-				100*res.Summary.P99BufferFrac)
+				r.Extra[perPrioKey(0)], r.Extra[perPrioKey(1)], r.Extra[perPrioKey(2)],
+				100*r.Summary.P99BufferFrac)
 		}
 	}
-	return nil
 }
 
 // fig9CCs are Figure 9's congestion-control algorithms.
 var fig9CCs = []string{"cubic", "dctcp", "timely", "powertcp"}
 
-// Fig9 regenerates Figure 9: advanced congestion control with default
-// buffer management (DT) vs with ABM, across incast request sizes.
-func Fig9(scale Scale, seed int64, w io.Writer) error { return fig9(nil, scale, seed, w) }
+// Figure 9: advanced congestion control with default buffer management
+// (DT) vs with ABM, across incast request sizes.
+func fig9Jobs(base scenario.Scenario) []job {
+	return ccByRequestJobs(base, fig9CCs, fig7Fracs)
+}
 
-func fig9(o *RunOptions, scale Scale, seed int64, w io.Writer) error {
-	var jobs []cellJob
-	for _, ccName := range fig9CCs {
-		for _, frac := range fig7Fracs {
+func fig9Render(w io.Writer, res []runner.Result) {
+	fmt.Fprintln(w, "# Figure 9: advanced CC x request size, DT (default) vs ABM")
+	ccByRequestRender(w, res, fig9CCs, fig7Fracs)
+}
+
+// ccByRequestJobs crosses congestion controls with incast request
+// sizes at 40% load, each point a DT cell followed by an ABM cell
+// (Figure 9 and its related-work extension).
+func ccByRequestJobs(base scenario.Scenario, ccs []string, fracs []float64) []job {
+	var jobs []job
+	for _, ccName := range ccs {
+		for _, frac := range fracs {
 			for _, bmName := range []string{"DT", "ABM"} {
-				jobs = append(jobs, cellJob{
-					label: fmt.Sprintf("cc=%s,req=%g,bm=%s", ccName, frac, bmName),
-					cell: Cell{
-						Scale: scale, Seed: seed,
-						BM: bmName, Load: 0.4, WSCC: ccName,
-						RequestFrac: frac,
-					},
-				})
+				jobs = append(jobs, job{fmt.Sprintf("cc=%s,req=%g,bm=%s", ccName, frac, bmName),
+					cell(base, bmName, 0.4, ccName, frac)})
 			}
 		}
 	}
-	results, err := runCells(o, "fig9", jobs)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "# Figure 9: advanced CC x request size, DT (default) vs ABM")
+	return jobs
+}
+
+func ccByRequestRender(w io.Writer, res []runner.Result, ccs []string, fracs []float64) {
 	fmt.Fprintln(w, "cc\treq_frac_pct\tp99_incast_DT\tp99_incast_ABM")
 	i := 0
-	for _, ccName := range fig9CCs {
-		for _, frac := range fig7Fracs {
-			dt := results[i].Summary.P99IncastSlowdown
-			abm := results[i+1].Summary.P99IncastSlowdown
+	for _, ccName := range ccs {
+		for _, frac := range fracs {
+			dt := res[i].Summary.P99IncastSlowdown
+			abm := res[i+1].Summary.P99IncastSlowdown
 			i += 2
 			fmt.Fprintf(w, "%s\t%.1f\t%.1f\t%.1f\n", ccName, frac*100, dt, abm)
 		}
 	}
-	return nil
 }
 
 // fig10QPPs are Figure 10's queues-per-port points.
 var fig10QPPs = []int{2, 4, 6, 8}
 
-// Fig10 regenerates Figure 10: the queues-per-port sweep under stable
-// load, Cubic and DCTCP, DT vs ABM.
-func Fig10(scale Scale, seed int64, w io.Writer) error { return fig10(nil, scale, seed, w) }
-
-func fig10(o *RunOptions, scale Scale, seed int64, w io.Writer) error {
-	var jobs []cellJob
+// Figure 10: the queues-per-port sweep under stable load, Cubic and
+// DCTCP, DT vs ABM.
+func fig10Jobs(base scenario.Scenario) []job {
+	var jobs []job
 	for _, ccName := range []string{"cubic", "dctcp"} {
 		for _, bmName := range []string{"DT", "ABM"} {
 			for _, qpp := range fig10QPPs {
-				jobs = append(jobs, cellJob{
-					label: fmt.Sprintf("cc=%s,bm=%s,qpp=%d", ccName, bmName, qpp),
-					cell: Cell{
-						Scale: scale, Seed: seed,
-						BM: bmName, Load: 0.4, WSCC: ccName,
-						RequestFrac:   0.25,
-						QueuesPerPort: qpp,
-						RandomPrio:    true,
-					},
-				})
+				sc := cell(base, bmName, 0.4, ccName, 0.25)
+				sc.Buffer.QueuesPerPort = qpp
+				sc.Workload.RandomPrio = true
+				jobs = append(jobs, job{fmt.Sprintf("cc=%s,bm=%s,qpp=%d", ccName, bmName, qpp), sc})
 			}
 		}
 	}
-	results, err := runCells(o, "fig10", jobs)
-	if err != nil {
-		return err
-	}
+	return jobs
+}
+
+func fig10Render(w io.Writer, res []runner.Result) {
 	fmt.Fprintln(w, "# Figure 10: queues per port (load 40%, incast 25%)")
 	fmt.Fprintln(w, "cc\tbm\tqueues_per_port\tp99_slowdown\tp99_buffer_pct")
 	i := 0
 	for _, ccName := range []string{"cubic", "dctcp"} {
 		for _, bmName := range []string{"DT", "ABM"} {
 			for _, qpp := range fig10QPPs {
-				s := results[i].Summary
+				s := res[i].Summary
 				i++
 				fmt.Fprintf(w, "%s\t%s\t%d\t%.1f\t%.1f\n",
 					ccName, bmName, qpp, s.P99ShortSlowdown, 100*s.P99BufferFrac)
 			}
 		}
 	}
-	return nil
 }
 
-// ShallowBuffers maps §4.3's device generations to KB/port/Gbps.
-var ShallowBuffers = []struct {
-	Name string
-	KB   float64
+// shallowBuffers maps §4.3's device generations to KB/port/Gbps.
+var shallowBuffers = []struct {
+	name string
+	kb   float64
 }{
 	{"Trident2", 9.6},
 	{"8KB", 8},
@@ -353,91 +339,73 @@ var ShallowBuffers = []struct {
 // fig11BMs are Figure 11's schemes, in column order.
 var fig11BMs = []string{"DT", "IB", "ABM"}
 
-// Fig11 regenerates Figure 11: shallow buffers across device
-// generations, DCTCP and PowerTCP, DT vs IB vs ABM.
-func Fig11(scale Scale, seed int64, w io.Writer) error { return fig11(nil, scale, seed, w) }
-
-func fig11(o *RunOptions, scale Scale, seed int64, w io.Writer) error {
-	var jobs []cellJob
+// Figure 11: shallow buffers across device generations, DCTCP and
+// PowerTCP, DT vs IB vs ABM.
+func fig11Jobs(base scenario.Scenario) []job {
+	var jobs []job
 	for _, ccName := range []string{"dctcp", "powertcp"} {
-		for _, dev := range ShallowBuffers {
+		for _, dev := range shallowBuffers {
 			for _, bmName := range fig11BMs {
-				jobs = append(jobs, cellJob{
-					label: fmt.Sprintf("cc=%s,dev=%s,bm=%s", ccName, dev.Name, bmName),
-					cell: Cell{
-						Scale: scale, Seed: seed,
-						BM: bmName, Load: 0.4, WSCC: ccName,
-						// Request sized against the Trident2 buffer so the burst
-						// is constant while the buffer shrinks (§4.3).
-						RequestFrac:         0.25 * 9.6 / dev.KB,
-						BufferKBPerPortGbps: dev.KB,
-					},
-				})
+				// Request sized against the Trident2 buffer so the burst is
+				// constant while the buffer shrinks (§4.3).
+				sc := cell(base, bmName, 0.4, ccName, 0.25*9.6/dev.kb)
+				sc.Buffer.KBPerPortPerGbps = dev.kb
+				jobs = append(jobs, job{fmt.Sprintf("cc=%s,dev=%s,bm=%s", ccName, dev.name, bmName), sc})
 			}
 		}
 	}
-	results, err := runCells(o, "fig11", jobs)
-	if err != nil {
-		return err
-	}
+	return jobs
+}
+
+func fig11Render(w io.Writer, res []runner.Result) {
 	fmt.Fprintln(w, "# Figure 11: shallow buffers (load 40%, incast 25% of Trident2 buffer)")
 	fmt.Fprintln(w, "cc\tdevice\tkb_per_port_gbps\tp99_DT\tp99_IB\tp99_ABM")
 	i := 0
 	for _, ccName := range []string{"dctcp", "powertcp"} {
-		for _, dev := range ShallowBuffers {
+		for _, dev := range shallowBuffers {
 			var vals [3]float64
 			for j := range fig11BMs {
-				vals[j] = results[i].Summary.P99IncastSlowdown
+				vals[j] = res[i].Summary.P99IncastSlowdown
 				i++
 			}
 			fmt.Fprintf(w, "%s\t%s\t%.2f\t%.1f\t%.1f\t%.1f\n",
-				ccName, dev.Name, dev.KB, vals[0], vals[1], vals[2])
+				ccName, dev.name, dev.kb, vals[0], vals[1], vals[2])
 		}
 	}
-	return nil
 }
 
 // fig12Intervals are Figure 12's update intervals in base RTTs.
 var fig12Intervals = []int{1, 10, 100, 1000}
 
-// Fig12 regenerates Figure 12: approximating ABM on DT with periodic
-// alpha reconfiguration; the update interval sweeps 1x to 1000x RTT,
-// with plain DT as the limit.
-func Fig12(scale Scale, seed int64, w io.Writer) error { return fig12(nil, scale, seed, w) }
-
-func fig12(o *RunOptions, scale Scale, seed int64, w io.Writer) error {
+// Figure 12: approximating ABM on DT with periodic alpha
+// reconfiguration; the update interval sweeps 1x to 1000x RTT, with
+// plain DT as the limit (the extra last cell).
+func fig12Jobs(base scenario.Scenario) []job {
 	baseRTT := 80 * units.Microsecond
-	base := Cell{
-		Scale: scale, Seed: seed,
-		Load: 0.4, WSCC: "cubic",
-		RequestFrac:   0.75,
-		Fanout:        16, // responses sized within the first RTT (§3.3 traffic)
-		QueuesPerPort: 8,
-		RandomPrio:    true,
+	at := func(bmName string) scenario.Scenario {
+		sc := cell(base, bmName, 0.4, "cubic", 0.75)
+		sc.Workload.Incast.Fanout = 16 // responses sized within the first RTT (§3.3 traffic)
+		sc.Buffer.QueuesPerPort = 8
+		sc.Workload.RandomPrio = true
+		return sc
 	}
-	var jobs []cellJob
+	var jobs []job
 	for _, rtts := range fig12Intervals {
-		cell := base
-		cell.BM = "ABM-approx"
-		cell.UpdateInterval = units.Time(rtts) * baseRTT
-		jobs = append(jobs, cellJob{label: fmt.Sprintf("update=%drtt", rtts), cell: cell})
+		sc := at("ABM-approx")
+		sc.Switch.UpdateInterval = scenario.Duration(units.Time(rtts) * baseRTT)
+		jobs = append(jobs, job{fmt.Sprintf("update=%drtt", rtts), sc})
 	}
-	dtCell := base
-	dtCell.BM = "DT"
-	jobs = append(jobs, cellJob{label: "bm=DT", cell: dtCell})
+	return append(jobs, job{"bm=DT", at("DT")})
+}
 
-	results, err := runCells(o, "fig12", jobs)
-	if err != nil {
-		return err
-	}
+func fig12Render(w io.Writer, res []runner.Result) {
 	fmt.Fprintln(w, "# Figure 12: ABM-approx update interval (load 40%, incast 75%, 8 queues/port)")
 	fmt.Fprintln(w, "update_rtts\tp999_short_slowdown\tmedian_long_slowdown")
 	for i, rtts := range fig12Intervals {
-		s := results[i].Summary
+		s := res[i].Summary
 		fmt.Fprintf(w, "%d\t%.1f\t%.2f\n", rtts,
 			s.P999AllShortSlowdown, s.MedianLongSlowdown)
 	}
-	s := results[len(results)-1].Summary
+	s := res[len(res)-1].Summary
 	fmt.Fprintf(w, "DT\t%.1f\t%.2f\n", s.P999AllShortSlowdown, s.MedianLongSlowdown)
-	return nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,24 +13,38 @@ import (
 	"abm/internal/units"
 )
 
+// baseFile saves a small-preset scenario (2ms, load 0.3, incast 25%,
+// cubic) for grids to start from and returns its path.
+func baseFile(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := cell(preset(t, "small", 0, 2*units.Millisecond), "", 0.3, "cubic", 0.25).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func TestGridExpansion(t *testing.T) {
 	g := Grid{
-		Name: "t", BMs: []string{"DT", "ABM"}, CCs: []string{"cubic", "dctcp"},
-		Loads: []float64{0.2, 0.4}, RequestFracs: []float64{0.3},
-		Reps: 3, TimeoutSec: 7,
-	}
-	if got := g.Jobs(); got != 2*2*2*1*1*3 {
-		t.Fatalf("Jobs() = %d", got)
+		Name: "t", Scenario: baseFile(t), Reps: 3, TimeoutSec: 7,
+		Vary: []PathAxis{
+			{Path: "switch.bm", Values: []string{"DT", "ABM"}},
+			{Path: "workload.cc", Values: []string{"cubic", "dctcp"}},
+			{Path: "workload.load", Values: []string{"0.2", "0.4"}},
+		},
 	}
 	plan, err := g.Plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan.Specs) != g.Jobs() {
-		t.Fatalf("expanded %d, want %d", len(plan.Specs), g.Jobs())
+	if len(plan.Specs) != 2*2*2*3 {
+		t.Fatalf("expanded %d jobs, want 24", len(plan.Specs))
 	}
 	if err := plan.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if first := plan.Specs[0].ID; first != "t/0000-switch.bm=DT,workload.cc=cubic,workload.load=0.2,rep=0" {
+		t.Fatalf("first job ID %q", first)
 	}
 	groups := map[string]int{}
 	for i, s := range plan.Specs {
@@ -49,23 +64,28 @@ func TestGridExpansion(t *testing.T) {
 			t.Fatalf("group %s has %d reps, want 3", gname, n)
 		}
 	}
-	// Defaults fill empty axes; unknown scales are rejected.
-	if n := (Grid{}).Jobs(); n != 1 {
-		t.Fatalf("default grid jobs = %d", n)
+	// No axes is one job per rep; a grid without a base scenario, an
+	// unknown field path and an empty axis are rejected.
+	if plan, err := (Grid{Scenario: g.Scenario}).Plan(); err != nil || len(plan.Specs) != 1 {
+		t.Fatalf("axis-free grid: %v", err)
 	}
-	if _, err := (Grid{Scale: "galactic"}).Plan(); err == nil {
-		t.Fatal("bad scale accepted")
+	for _, bad := range []Grid{
+		{},
+		{Scenario: g.Scenario, Vary: []PathAxis{{Path: "switch.bogus", Values: []string{"1"}}}},
+		{Scenario: g.Scenario, Vary: []PathAxis{{Path: "switch.bm"}}},
+	} {
+		if _, err := bad.Plan(); err == nil {
+			t.Errorf("grid %+v accepted", bad)
+		}
 	}
 }
 
 // tinyGrid is a real-simulation grid small enough for tests: 2 schemes
 // x 2 replications of a 2ms small-fabric cell.
-func tinyGrid() Grid {
+func tinyGrid(t *testing.T) Grid {
 	return Grid{
-		Name: "tiny", Scale: "small", Seed: 11, Reps: 2,
-		BMs: []string{"DT", "ABM"}, CCs: []string{"cubic"},
-		Loads: []float64{0.3}, RequestFracs: []float64{0.25},
-		DurationMS: 2,
+		Name: "tiny", Seed: 11, Reps: 2, Scenario: baseFile(t),
+		Vary: []PathAxis{{Path: "switch.bm", Values: []string{"DT", "ABM"}}},
 	}
 }
 
@@ -78,9 +98,10 @@ func TestGridDeterminismAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
+	grid := tinyGrid(t)
 	var golden []byte
 	for _, workers := range []int{1, 4} {
-		plan, err := tinyGrid().Plan()
+		plan, err := grid.Plan()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,39 +147,27 @@ func TestRunCellsStoreRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	jobs := []cellJob{{
-		label: "mixed",
-		cell: Cell{
-			Scale: ScaleSmall, Seed: 3,
-			BM: "ABM", Load: 0.4, QueuesPerPort: 3,
-			MixedCC: []CCAssignment{
-				{CC: "cubic", Prio: 0},
-				{CC: "dctcp", Prio: 1},
-			},
-			RequestFrac: 0.2, IncastCC: "theta-powertcp", IncastPrio: 2,
-			Duration: 2 * units.Millisecond,
-		},
-	}}
+	jobs := []job{{"mixed", mixedCell(preset(t, "small", 3, 2*units.Millisecond))}}
 	dir := t.TempDir()
-	run := func() []Result {
+	var got [2]runner.Result
+	for i := range got {
 		st, err := runner.OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
 		res, err := runCells(&RunOptions{Store: st}, "roundtrip", jobs)
+		st.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		got[i] = res[0]
 	}
-	fresh := run()
-	cached := run()
-	if len(fresh[0].PerPrioP99Short) != 3 {
-		t.Fatalf("per-prio metrics missing: %+v", fresh[0].PerPrioP99Short)
+	fresh, cached := got[0], got[1]
+	if len(fresh.Extra) != 3 {
+		t.Fatalf("per-prio metrics missing: %+v", fresh.Extra)
 	}
-	if !reflect.DeepEqual(fresh, cached) {
-		t.Fatalf("cached render differs:\nfresh:  %+v\ncached: %+v", fresh[0], cached[0])
+	if fresh.Summary != cached.Summary || !reflect.DeepEqual(fresh.Extra, cached.Extra) {
+		t.Fatalf("cached result differs:\nfresh:  %+v\ncached: %+v", fresh, cached)
 	}
 }
 
@@ -170,15 +179,35 @@ func TestRunCellsPropagatesFailure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	_, err := runCells(nil, "boom", []cellJob{{
-		label: "bad",
-		cell: Cell{Scale: ScaleSmall, BM: "nonsense", Load: 0.1, WSCC: "cubic",
-			Duration: units.Millisecond},
-	}})
+	_, err := runCells(nil, "boom", []job{{"bad",
+		cell(preset(t, "small", 0, units.Millisecond), "nonsense", 0.1, "cubic", 0)}})
 	if err == nil {
 		t.Fatal("expected error")
 	}
 	if !strings.Contains(err.Error(), "boom/000-bad") || !strings.Contains(err.Error(), "unknown policy") {
 		t.Fatalf("error lacks job identity: %v", err)
+	}
+}
+
+// TestExpandMatchesPlan: Plan is exactly "load the file, then Expand".
+func TestExpandMatchesPlan(t *testing.T) {
+	grid := tinyGrid(t)
+	fromFile, err := grid.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := cell(preset(t, "small", 0, 2*units.Millisecond), "", 0.3, "cubic", 0.25)
+	inMemory, err := grid.Expand(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fromFile.Specs) != len(inMemory.Specs) {
+		t.Fatalf("%d vs %d jobs", len(fromFile.Specs), len(inMemory.Specs))
+	}
+	for i := range fromFile.Specs {
+		a, b := fromFile.Specs[i], inMemory.Specs[i]
+		if a.ID != b.ID || !reflect.DeepEqual(a.Config, b.Config) {
+			t.Fatalf("job %d: %s %+v vs %s %+v", i, a.ID, a.Config, b.ID, b.Config)
+		}
 	}
 }

@@ -24,14 +24,8 @@ func TestHistShardInvariance(t *testing.T) {
 	var refSeries []byte
 	var refHists map[string]interface{}
 	for _, shards := range []int{1, 2, 4} {
-		cell := obsCell()
-		cell.Shards = shards
 		path := filepath.Join(dir, "snapshots.ndjson")
-		cell.Obs = obs.Options{Hists: true, HistFile: path}
-		res, err := Run(cell)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
+		res := run(t, obsCell(t, shards, obs.Options{Hists: true, HistFile: path}))
 		series, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)

@@ -15,10 +15,12 @@ import (
 
 // obsCell is a medium-scale cell (4 leaves, so shards=4 is a genuine
 // 4-way split) short enough for CI but busy enough to exercise drops,
-// marks, retransmits and timeouts.
-func obsCell() Cell {
-	return Cell{Scale: ScaleMedium, Seed: 42, Duration: 2 * units.Millisecond,
-		Load: 0.6, WSCC: "dctcp", RequestFrac: 0.5, BM: "ABM"}
+// marks, retransmits and timeouts, on the given engine and telemetry.
+func obsCell(t *testing.T, shards int, o obs.Options) scenario.Scenario {
+	sc := cell(preset(t, "medium", 42, 2*units.Millisecond), "ABM", 0.6, "dctcp", 0.5)
+	sc.Shards = shards
+	sc.Obs = o
+	return sc
 }
 
 // TestObsShardInvariance is the telemetry determinism golden test: the
@@ -32,14 +34,8 @@ func TestObsShardInvariance(t *testing.T) {
 	var refNDJSON []byte
 	var refTotals map[string]int64
 	for _, shards := range []int{1, 2, 4} {
-		cell := obsCell()
-		cell.Shards = shards
 		path := filepath.Join(dir, "events.ndjson")
-		cell.Obs = obs.Options{EventsFile: path, Filter: "model"}
-		res, err := Run(cell)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
+		res := run(t, obsCell(t, shards, obs.Options{EventsFile: path, Filter: "model"}))
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -78,13 +74,8 @@ func TestObsSamplingSubset(t *testing.T) {
 	}
 	dir := t.TempDir()
 	run := func(shards int, sample float64) map[string]bool {
-		cell := obsCell()
-		cell.Shards = shards
 		path := filepath.Join(dir, "s.ndjson")
-		cell.Obs = obs.Options{EventsFile: path, Filter: "model", Sample: sample}
-		if _, err := Run(cell); err != nil {
-			t.Fatalf("shards=%d sample=%g: %v", shards, sample, err)
-		}
+		run(t, obsCell(t, shards, obs.Options{EventsFile: path, Filter: "model", Sample: sample}))
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -116,13 +107,7 @@ func TestObsSamplingSubset(t *testing.T) {
 // no packet is created or destroyed anywhere else.
 func TestPacketConservation(t *testing.T) {
 	for _, shards := range []int{0, 4} {
-		cell := obsCell()
-		cell.Shards = shards
-		cell.Obs = obs.Options{Counters: true}
-		res, err := Run(cell)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
+		res := run(t, obsCell(t, shards, obs.Options{Counters: true}))
 		c := res.Counters
 		sent := c["model/data_pkts_sent"] + c["model/ack_pkts_sent"]
 		accounted := c["model/drops_threshold"] + c["model/drops_nobuffer"] +
@@ -164,10 +149,7 @@ func TestPacketConservation(t *testing.T) {
 // deliveries into the calendar at window barriers instead.
 func TestEngineCalendarCounters(t *testing.T) {
 	run := func(shards int, linkDelay units.Time) (c map[string]int64, hops int64) {
-		cell := obsCell()
-		cell.Shards = shards
-		cell.Obs = obs.Options{Counters: true}
-		sc := cell.Scenario()
+		sc := obsCell(t, shards, obs.Options{Counters: true})
 		sc.Fabric.LinkDelay = scenario.Duration(linkDelay)
 		res, _, err := scenario.Run(sc)
 		if err != nil {

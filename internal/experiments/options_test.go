@@ -6,19 +6,17 @@ import (
 	"testing"
 
 	"abm/internal/metrics"
+	"abm/internal/scenario"
 	"abm/internal/units"
 )
 
 func TestSchedulerSelection(t *testing.T) {
 	for _, sched := range []string{"rr", "dwrr", "strict", ""} {
-		cell := Cell{
-			Scale: ScaleSmall, Seed: 1,
-			BM: "DT", Load: 0.2, WSCC: "cubic",
-			QueuesPerPort: 2, RandomPrio: true,
-			Scheduler: sched,
-			Duration:  5 * units.Millisecond,
-		}
-		res, err := Run(cell)
+		sc := cell(preset(t, "small", 1, 5*units.Millisecond), "DT", 0.2, "cubic", 0)
+		sc.Buffer.QueuesPerPort = 2
+		sc.Workload.RandomPrio = true
+		sc.Switch.Scheduler = sched
+		res, _, err := scenario.Run(sc)
 		if err != nil {
 			t.Fatalf("scheduler %q: %v", sched, err)
 		}
@@ -26,20 +24,18 @@ func TestSchedulerSelection(t *testing.T) {
 			t.Fatalf("scheduler %q: no flows", sched)
 		}
 	}
-	if _, err := Run(Cell{Scale: ScaleSmall, BM: "DT", Load: 0.2, WSCC: "cubic",
-		Scheduler: "fifo", Duration: units.Millisecond}); err == nil {
+	sc := cell(preset(t, "small", 0, units.Millisecond), "DT", 0.2, "cubic", 0)
+	sc.Switch.Scheduler = "fifo"
+	if _, _, err := scenario.Run(sc); err == nil {
 		t.Fatal("unknown scheduler must error")
 	}
 }
 
 func TestWorkloadSelection(t *testing.T) {
 	medianSize := func(wl string) units.ByteCount {
-		_, col, err := RunDetailed(Cell{
-			Scale: ScaleSmall, Seed: 1,
-			BM: "DT", Load: 0.3, WSCC: "cubic",
-			Workload: wl,
-			Duration: 10 * units.Millisecond,
-		})
+		sc := cell(preset(t, "small", 1, 10*units.Millisecond), "DT", 0.3, "cubic", 0)
+		sc.Workload.Background = wl
+		_, col, err := scenario.Run(sc)
 		if err != nil {
 			t.Fatalf("workload %q: %v", wl, err)
 		}
@@ -50,7 +46,7 @@ func TestWorkloadSelection(t *testing.T) {
 		for i, f := range col.Flows {
 			sizes[i] = float64(f.Size)
 		}
-		return units.ByteCount(metricsPercentile(sizes, 50))
+		return units.ByteCount(metrics.Percentile(sizes, 50))
 	}
 	ws := medianSize("websearch")
 	dm := medianSize("datamining")
@@ -59,8 +55,9 @@ func TestWorkloadSelection(t *testing.T) {
 	if dm >= ws {
 		t.Fatalf("datamining median %v should be far below websearch %v", dm, ws)
 	}
-	if _, err := Run(Cell{Scale: ScaleSmall, BM: "DT", Load: 0.2, WSCC: "cubic",
-		Workload: "bogus", Duration: units.Millisecond}); err == nil {
+	sc := cell(preset(t, "small", 0, units.Millisecond), "DT", 0.2, "cubic", 0)
+	sc.Workload.Background = "bogus"
+	if _, _, err := scenario.Run(sc); err == nil {
 		t.Fatal("unknown workload must error")
 	}
 }
@@ -70,8 +67,7 @@ func TestAblationOutput(t *testing.T) {
 		t.Skip("simulation test")
 	}
 	var buf bytes.Buffer
-	// Tiny ablation at reduced duration via the figure entry point.
-	if err := RunFigure("ablation", ScaleSmall, 1, &buf); err != nil {
+	if err := RunFigure(nil, "ablation", preset(t, "small", 1, 0), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -84,43 +80,18 @@ func TestAblationOutput(t *testing.T) {
 }
 
 func TestStatsIntervalOverride(t *testing.T) {
-	res, err := Run(Cell{
-		Scale: ScaleSmall, Seed: 1,
-		BM: "ABM", Load: 0.2, WSCC: "cubic",
-		RequestFrac:           0.2,
-		StatsIntervalOverride: 320 * units.Microsecond,
-		Duration:              5 * units.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Summary.Flows == 0 {
+	sc := cell(preset(t, "small", 1, 5*units.Millisecond), "ABM", 0.2, "cubic", 0.2)
+	sc.Switch.StatsInterval = scenario.Duration(320 * units.Microsecond)
+	if res := run(t, sc); res.Summary.Flows == 0 {
 		t.Fatal("no flows")
 	}
-}
-
-// metricsPercentile avoids an import cycle concern in tests by
-// delegating to the metrics package.
-func metricsPercentile(vals []float64, p float64) float64 {
-	return metrics.Percentile(vals, p)
 }
 
 // Two identical cells must produce byte-identical summaries: the whole
 // stack is deterministic.
 func TestExperimentDeterminism(t *testing.T) {
-	run := func() Result {
-		res, err := Run(Cell{
-			Scale: ScaleSmall, Seed: 123,
-			BM: "ABM", Load: 0.3, WSCC: "cubic",
-			RequestFrac: 0.25,
-			Duration:    8 * units.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
+	sc := cell(preset(t, "small", 123, 8*units.Millisecond), "ABM", 0.3, "cubic", 0.25)
+	a, b := run(t, sc), run(t, sc)
 	if a.Summary != b.Summary {
 		t.Fatalf("summaries diverged:\n%+v\n%+v", a.Summary, b.Summary)
 	}

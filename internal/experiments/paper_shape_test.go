@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"abm/internal/scenario"
 	"abm/internal/units"
 )
 
@@ -11,17 +12,9 @@ import (
 // reduced scale. Absolute magnitudes are checked loosely; EXPERIMENTS.md
 // records the medium-scale numbers.
 
-func runShape(t *testing.T, bmName string, load float64) Result {
+func runShape(t *testing.T, bmName string, load float64) scenario.Result {
 	t.Helper()
-	res, err := Run(Cell{
-		Scale: ScaleSmall, Seed: 42,
-		BM: bmName, Load: load, WSCC: "cubic",
-		RequestFrac: 0.3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return run(t, cell(preset(t, "small", 42, 0), bmName, load, "cubic", 0.3))
 }
 
 // TestABMBeatsDTOnIncastTail is the paper's headline (Fig. 6a): ABM
@@ -83,7 +76,7 @@ func TestNoUnscheduledDropsUnderABM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	countUnsched := func(res Result) int64 { return res.UnscheduledDrops }
+	countUnsched := func(res scenario.Result) int64 { return res.UnscheduledDrops }
 	dt := runShape(t, "DT", 0.6)
 	abm := runShape(t, "ABM", 0.6)
 	if countUnsched(abm) > countUnsched(dt)/10 {
@@ -100,16 +93,9 @@ func TestShallowBufferShape(t *testing.T) {
 		t.Skip("simulation test")
 	}
 	run := func(bmName string, kb float64) float64 {
-		res, err := Run(Cell{
-			Scale: ScaleSmall, Seed: 42,
-			BM: bmName, Load: 0.4, WSCC: "dctcp",
-			RequestFrac:         0.25 * 9.6 / kb,
-			BufferKBPerPortGbps: kb,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Summary.P99IncastSlowdown
+		sc := cell(preset(t, "small", 42, 0), bmName, 0.4, "dctcp", 0.25*9.6/kb)
+		sc.Buffer.KBPerPortPerGbps = kb
+		return run(t, sc).Summary.P99IncastSlowdown
 	}
 	dtShallow := run("DT", 3.44)
 	abmShallow := run("ABM", 3.44)
@@ -126,18 +112,11 @@ func TestApproxInterpolatesBetweenABMAndDT(t *testing.T) {
 	}
 	baseRTT := 80 * units.Microsecond
 	run := func(bmName string, interval units.Time) float64 {
-		res, err := Run(Cell{
-			Scale: ScaleSmall, Seed: 42,
-			BM: bmName, UpdateInterval: interval,
-			Load: 0.4, WSCC: "cubic",
-			RequestFrac:   0.5,
-			QueuesPerPort: 4,
-			RandomPrio:    true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Summary.P99IncastSlowdown
+		sc := cell(preset(t, "small", 42, 0), bmName, 0.4, "cubic", 0.5)
+		sc.Switch.UpdateInterval = scenario.Duration(interval)
+		sc.Buffer.QueuesPerPort = 4
+		sc.Workload.RandomPrio = true
+		return run(t, sc).Summary.P99IncastSlowdown
 	}
 	fast := run("ABM-approx", baseRTT)
 	dt := run("DT", 0)

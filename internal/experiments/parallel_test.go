@@ -8,45 +8,47 @@ import (
 	"abm/internal/units"
 )
 
+// namedCell is one shard-invariance cell and its subtest name.
+type namedCell struct {
+	name string
+	sc   scenario.Scenario
+}
+
 // shortCells is a Fig6-class slice of the figure grid, cut to a short
 // duration so the shard sweep stays CI-sized. IB exercises the
 // per-switch RNG stream, RandomPrio the shared workload RNG, MixedCC
 // the per-flow CC assignment path.
-func shortCells() []Cell {
-	base := Cell{Scale: ScaleSmall, Seed: 42, Duration: 8 * units.Millisecond,
-		Load: 0.6, WSCC: "dctcp", RequestFrac: 0.5}
-	dt := base
-	dt.BM = "DT"
-	ib := base
-	ib.BM = "IB"
-	abm := base
-	abm.BM = "ABM"
-	rp := base
-	rp.BM = "ABM"
-	rp.QueuesPerPort = 2
-	rp.RandomPrio = true
-	mixed := Cell{Scale: ScaleSmall, Seed: 42, Duration: 8 * units.Millisecond,
-		Load: 0.6, BM: "ABM", QueuesPerPort: 2,
-		MixedCC: []CCAssignment{{CC: "dctcp", Prio: 0}, {CC: "timely", Prio: 1}}}
-	// Medium scale has 4 leaves, so shards=4 is a genuine 4-way split
-	// (small clamps at its 2 leaves).
-	med := Cell{Scale: ScaleMedium, Seed: 42, Duration: 3 * units.Millisecond,
-		Load: 0.6, WSCC: "dctcp", RequestFrac: 0.5, BM: "ABM"}
+func shortCells(t *testing.T) []namedCell {
+	base := preset(t, "small", 42, 8*units.Millisecond)
+	rp := cell(base, "ABM", 0.6, "dctcp", 0.5)
+	rp.Buffer.QueuesPerPort = 2
+	rp.Workload.RandomPrio = true
+	mixed := cell(base, "ABM", 0.6, "", 0)
+	mixed.Buffer.QueuesPerPort = 2
+	mixed.Workload.MixedCC = []scenario.CCAssignment{{CC: "dctcp", Prio: 0}, {CC: "timely", Prio: 1}}
 	// Fat tree k=4: 16 hosts over 3 tiers and 8 edge groups, so every
 	// shard count in the sweep is a genuine split of a multi-tier graph.
-	ft := Cell{Seed: 42, Duration: 3 * units.Millisecond,
-		Load: 0.6, WSCC: "dctcp", RequestFrac: 0.5, BM: "ABM",
-		Fabric: &scenario.Fabric{Topology: "fattree", K: 4}}
+	ft := cell(preset(t, "small", 42, 3*units.Millisecond), "ABM", 0.6, "dctcp", 0.5)
+	ft.Fabric = scenario.Fabric{Topology: "fattree", K: 4}
 	// Mid-run uplink failure + recovery: the barrier-scheduled routing
 	// recompute must be shard-count-invariant too.
-	fail := Cell{Seed: 42, Duration: 8 * units.Millisecond,
-		Load: 0.6, WSCC: "dctcp", RequestFrac: 0.5, BM: "ABM",
-		Fabric: &scenario.Fabric{Spines: 2, Leaves: 2, HostsPerLeaf: 8,
-			LinkFaults: []scenario.LinkFault{
-				{Link: "leaf0-spine1", At: scenario.Duration(2 * units.Millisecond),
-					RecoverAt: scenario.Duration(5 * units.Millisecond)},
-			}}}
-	return []Cell{dt, ib, abm, rp, mixed, med, ft, fail}
+	fail := cell(base, "ABM", 0.6, "dctcp", 0.5)
+	fail.Fabric.LinkFaults = []scenario.LinkFault{
+		{Link: "leaf0-spine1", At: scenario.Duration(2 * units.Millisecond),
+			RecoverAt: scenario.Duration(5 * units.Millisecond)},
+	}
+	return []namedCell{
+		{"DT", cell(base, "DT", 0.6, "dctcp", 0.5)},
+		{"IB", cell(base, "IB", 0.6, "dctcp", 0.5)},
+		{"ABM", cell(base, "ABM", 0.6, "dctcp", 0.5)},
+		{"ABM-randprio", rp},
+		{"ABM-mixed", mixed},
+		// Medium scale has 4 leaves, so shards=4 is a genuine 4-way split
+		// (small clamps at its 2 leaves).
+		{"ABM-medium", cell(preset(t, "medium", 42, 3*units.Millisecond), "ABM", 0.6, "dctcp", 0.5)},
+		{"ABM-fattree", ft},
+		{"ABM-linkfail", fail},
+	}
 }
 
 // TestShardCountInvariance is the cross-shard determinism golden test:
@@ -58,39 +60,20 @@ func TestShardCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run shard sweep")
 	}
-	for _, cell := range shortCells() {
-		name := cell.BM
-		if cell.Scale != ScaleSmall {
-			name += "-" + cell.Scale.String()
-		}
-		if cell.RandomPrio {
-			name += "-randprio"
-		}
-		if len(cell.MixedCC) > 0 {
-			name += "-mixed"
-		}
-		if cell.Fabric != nil {
-			if cell.Fabric.Topology == "fattree" {
-				name += "-fattree"
-			}
-			if len(cell.Fabric.LinkFaults) > 0 {
-				name += "-linkfail"
-			}
-		}
-		t.Run(name, func(t *testing.T) {
-			var refRes Result
+	for _, nc := range shortCells(t) {
+		t.Run(nc.name, func(t *testing.T) {
+			var refRes scenario.Result
 			var refFlows, refSamples any
 			for _, shards := range []int{1, 2, 4, 8} {
-				c := cell
-				c.Shards = shards
-				res, col, err := RunDetailed(c)
+				sc := nc.sc.Clone()
+				sc.Shards = shards
+				res, col, err := scenario.Run(sc)
 				if err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
 				}
-				// Cell and the resolved scenario differ by construction
-				// (Shards); the invariance claim is about the outputs.
-				res.Cell = Cell{}
-				res.Resolved = scenario.Scenario{}
+				// The resolved scenarios differ by construction (Shards);
+				// the invariance claim is about the outputs.
+				res.Scenario = scenario.Scenario{}
 				if shards == 1 {
 					refRes, refFlows, refSamples = res, col.Flows, col.BufferSamples
 					if res.Summary.Flows < 25 {

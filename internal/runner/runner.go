@@ -9,7 +9,7 @@
 // intervals (Aggregate).
 //
 // The runner is generic: a Spec carries an opaque Run function, so any
-// simulation entry point — evaluation cells, burst-lab measurements,
+// simulation entry point — scenario runs, burst-lab measurements,
 // whole figures — can be driven by the same pool. Determinism holds by
 // construction: each job's seed is derived from the plan seed and the
 // job's index with SplitMix64, and results are collected by job index,

@@ -10,9 +10,9 @@ import (
 )
 
 // Paper defaults: the 8x8x32 Trident2 fabric of §4.1 and the scheme
-// parameters of §3. Every other layer (experiment cells, the
-// Simulation API, CLI flags) used to re-implement these; Resolve is now
-// the only place they live.
+// parameters of §3. Resolve is the only place they live: the figures,
+// the Simulation API and the CLI flags build sparse scenarios and leave
+// every unset field to it.
 const (
 	defaultSpines       = 8
 	defaultLeaves       = 8
@@ -303,7 +303,7 @@ func (s Scenario) MustResolve() Scenario {
 
 // expandAlphas produces the explicit per-queue alpha vector: a single
 // entry replicates across every queue (the "one alpha" knob of the
-// evaluation cells), missing or non-positive entries take the paper's
+// alphasweep figure), missing or non-positive entries take the paper's
 // 0.5.
 func expandAlphas(in []float64, queues int) []float64 {
 	out := make([]float64, queues)
@@ -328,7 +328,7 @@ func validCC(name string) error {
 }
 
 // ccNames lists every algorithm the scenario configures, enabled or
-// not, mirroring how the evaluation cells derived INT and AQM needs.
+// not: INT and AQM needs derive from all of them.
 func (s Scenario) ccNames() []string {
 	names := []string{s.Workload.CC, s.Workload.Incast.CC}
 	if s.Workload.LongFlows.CC != "" {

@@ -2,11 +2,11 @@
 // validated, JSON-serializable Scenario value describes everything a
 // run needs — fabric shape (including oversubscription and asymmetric
 // link rates), buffer model, buffer-management and scheduler policy,
-// workload mix, shard count, telemetry, duration and seed. Every entry
-// point (the abm root API, internal/experiments cells, the abmsim/
-// figures/sweep CLIs and the examples) compiles down to a Scenario, and
-// one builder constructs the fabric and workloads for both the serial
-// and the topology-sharded engines.
+// workload mix, shard count, telemetry, duration and seed. It is the
+// only run spec: the abm root API, the figures in internal/experiments,
+// the abmsim/figures/sweep CLIs and the examples all build a Scenario
+// directly, and one builder constructs the fabric and workloads for
+// both the serial and the topology-sharded engines.
 //
 // A Scenario has exactly one defaults-resolution pass: Resolve returns
 // a fully-explicit spec (goldens pin it) and is idempotent, so a
@@ -364,6 +364,31 @@ func Load(path string) (Scenario, error) {
 		return Scenario{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
+}
+
+// Preset returns the base scenario of a fabric scale: the leaf–spine
+// dimensions and traffic duration the figures and `abmsim -scale` start
+// from, every other field unset. The paper runs 8 spines x 8 leaves x
+// 32 hosts for 200ms ("paper"); "medium" (4x4x16, 50ms) and "small"
+// (2x2x8, 25ms) keep its 4:1 oversubscription and qualitative results
+// at a fraction of the event count.
+func Preset(scale string) (Scenario, error) {
+	var spines, leaves, hostsPerLeaf int
+	var duration units.Time
+	switch scale {
+	case "small":
+		spines, leaves, hostsPerLeaf, duration = 2, 2, 8, 25*units.Millisecond
+	case "medium":
+		spines, leaves, hostsPerLeaf, duration = 4, 4, 16, 50*units.Millisecond
+	case "paper":
+		spines, leaves, hostsPerLeaf, duration = 8, 8, 32, 200*units.Millisecond
+	default:
+		return Scenario{}, fmt.Errorf("scenario: unknown scale %q (known: small, medium, paper)", scale)
+	}
+	return Scenario{
+		Duration: Duration(duration),
+		Fabric:   Fabric{Spines: spines, Leaves: leaves, HostsPerLeaf: hostsPerLeaf},
+	}, nil
 }
 
 // Marshal renders the scenario as indented JSON with a trailing

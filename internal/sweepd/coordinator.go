@@ -28,7 +28,18 @@ import (
 	"abm/internal/experiments"
 	"abm/internal/randutil"
 	"abm/internal/runner"
+	"abm/internal/scenario"
 )
+
+// expand parses a grid's base scenario bytes and expands the grid over
+// them — the one expansion the coordinator and every worker share.
+func expand(grid experiments.Grid, baseJSON []byte) (*runner.Plan, error) {
+	base, err := scenario.Parse(baseJSON)
+	if err != nil {
+		return nil, err
+	}
+	return grid.Expand(base)
+}
 
 // Config configures a Coordinator.
 type Config struct {
@@ -119,7 +130,7 @@ type groupInfo struct {
 type Coordinator struct {
 	cfg      Config
 	plan     *runner.Plan
-	scenario []byte // raw scenario file bytes for PlanInfo
+	baseJSON []byte // the grid's base scenario file, for PlanInfo
 	planJobs int    // len(plan.Specs) at construction
 
 	mu      sync.Mutex
@@ -139,26 +150,30 @@ type Coordinator struct {
 // NewCoordinator builds the job table and, when a store is configured,
 // marks already-completed jobs done (resume).
 func NewCoordinator(cfg Config) (*Coordinator, error) {
+	// The grid's base scenario is read once: the bytes are parsed for
+	// the expansion here and shipped verbatim to remote workers.
 	plan := cfg.Plan
-	var scenarioJSON []byte
-	if plan == nil {
-		if cfg.Grid == nil {
-			return nil, fmt.Errorf("sweepd: config needs a Grid or a Plan")
+	var baseJSON []byte
+	switch {
+	case cfg.Grid != nil:
+		if cfg.Grid.Scenario == "" {
+			return nil, fmt.Errorf("sweepd: grid needs a base scenario file")
 		}
-		var err error
-		if plan, err = cfg.Grid.Plan(); err != nil {
-			return nil, err
-		}
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Grid != nil && cfg.Grid.Scenario != "" {
 		data, err := os.ReadFile(cfg.Grid.Scenario)
 		if err != nil {
 			return nil, fmt.Errorf("sweepd: scenario file: %w", err)
 		}
-		scenarioJSON = data
+		baseJSON = data
+		if plan == nil {
+			if plan, err = expand(*cfg.Grid, data); err != nil {
+				return nil, fmt.Errorf("sweepd: %s: %w", cfg.Grid.Scenario, err)
+			}
+		}
+	case plan == nil:
+		return nil, fmt.Errorf("sweepd: config needs a Grid or a Plan")
+	}
+	if err := plan.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 30 * time.Second
@@ -173,7 +188,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:      cfg,
 		plan:     plan,
-		scenario: scenarioJSON,
+		baseJSON: baseJSON,
 		planJobs: len(plan.Specs),
 		byID:     make(map[string]*job),
 		groups:   make(map[string]*groupInfo),
@@ -276,7 +291,7 @@ func (c *Coordinator) PlanInfo() (*PlanInfo, error) {
 		Name:           c.plan.Name,
 		Jobs:           c.planJobs,
 		Grid:           c.cfg.Grid,
-		Scenario:       c.scenario,
+		Scenario:       c.baseJSON,
 		LeaseTTLMillis: c.cfg.LeaseTTL.Milliseconds(),
 	}, nil
 }

@@ -18,13 +18,15 @@ import (
 // aggregates to the classic pool.
 func equivGrid() experiments.Grid {
 	return experiments.Grid{
-		Name:       "equiv",
-		Scale:      "small",
-		Seed:       42,
-		Reps:       2,
-		BMs:        []string{"DT", "ABM"},
-		Loads:      []float64{0.4},
-		DurationMS: 0.25,
+		Name:     "equiv",
+		Seed:     42,
+		Reps:     2,
+		Scenario: filepath.Join("..", "..", "examples", "incast", "scenario.json"),
+		Vary: []experiments.PathAxis{
+			{Path: "switch.bm", Values: []string{"DT", "ABM"}},
+			{Path: "workload.load", Values: []string{"0.4"}},
+			{Path: "duration", Values: []string{"250us"}},
+		},
 	}
 }
 

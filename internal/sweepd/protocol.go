@@ -22,15 +22,15 @@ import (
 // PlanInfo is what a worker needs to rebuild the coordinator's plan
 // locally: the grid (whose deterministic expansion defines spec
 // indexes, job IDs and derived seeds) plus the contents of the grid's
-// scenario file, if any, so remote workers need no shared filesystem.
+// base scenario file, so remote workers need no shared filesystem.
 type PlanInfo struct {
 	Name string `json:"name"`
 	// Jobs is the base plan's job count — a cheap skew check: a worker
 	// whose local expansion disagrees must not run anything.
 	Jobs int               `json:"jobs"`
 	Grid *experiments.Grid `json:"grid"`
-	// Scenario is the raw bytes of Grid.Scenario when the grid is in
-	// scenario mode; the worker materializes them to a local temp file.
+	// Scenario is the raw bytes of Grid.Scenario; the worker parses them
+	// and expands the grid over them in memory.
 	Scenario json.RawMessage `json:"scenario,omitempty"`
 	// LeaseTTLMillis is the lease duration; workers must heartbeat
 	// comfortably within it (TTL/3 is the convention).

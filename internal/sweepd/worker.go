@@ -291,39 +291,17 @@ type fetchedPlan struct {
 	leaseTTL time.Duration
 }
 
-// fetchPlan pulls PlanInfo and rebuilds the plan locally, materializing
-// the scenario bytes to a temp file when the grid is in scenario mode.
+// fetchPlan pulls PlanInfo and rebuilds the plan locally from the grid
+// and the base scenario bytes it carries.
 func (w *Worker) fetchPlan() (*fetchedPlan, error) {
 	info, err := w.Dispatcher.PlanInfo()
 	if err != nil {
 		return nil, err
 	}
-	if info.Grid == nil {
-		return nil, fmt.Errorf("sweepd: coordinator sent no grid")
+	if info.Grid == nil || len(info.Scenario) == 0 {
+		return nil, fmt.Errorf("sweepd: coordinator sent no grid or no base scenario")
 	}
-	grid := *info.Grid
-	if grid.Scenario != "" {
-		if len(info.Scenario) == 0 {
-			return nil, fmt.Errorf("sweepd: grid names scenario %q but plan info carries no scenario bytes", grid.Scenario)
-		}
-		tmp, err := os.CreateTemp("", "sweepd-scenario-*.json")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := tmp.Write(info.Scenario); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return nil, err
-		}
-		if err := tmp.Close(); err != nil {
-			os.Remove(tmp.Name())
-			return nil, err
-		}
-		// The temp spec only needs to exist while Plan() loads it.
-		defer os.Remove(tmp.Name())
-		grid.Scenario = tmp.Name()
-	}
-	plan, err := grid.Plan()
+	plan, err := expand(*info.Grid, info.Scenario)
 	if err != nil {
 		return nil, err
 	}

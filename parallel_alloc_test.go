@@ -3,17 +3,17 @@ package abm
 import (
 	"testing"
 
-	"abm/internal/experiments"
+	"abm/internal/scenario"
 	"abm/internal/units"
 )
 
 // allocsForCell runs the cell a few times and returns the mean
 // allocations per run (setup + simulation; the cell is small enough
 // that both matter).
-func allocsForCell(t *testing.T, cell experiments.Cell) float64 {
+func allocsForCell(t *testing.T, cell scenario.Scenario) float64 {
 	t.Helper()
 	return testing.AllocsPerRun(3, func() {
-		if _, err := experiments.Run(cell); err != nil {
+		if _, _, err := scenario.Run(cell); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -28,11 +28,8 @@ func allocsForCell(t *testing.T, cell experiments.Cell) float64 {
 // windows allocate nothing, so the two engines stay within construction
 // distance of each other.
 func TestParallelAllocParity(t *testing.T) {
-	cell := experiments.Cell{
-		Scale: experiments.ScaleMedium, Seed: 42,
-		BM: "ABM", Load: 0.4, WSCC: "cubic", RequestFrac: 0.3,
-		Duration: 2 * units.Millisecond,
-	}
+	cell := figureCell(t, "medium", "ABM", 0.4, "cubic", 0.3)
+	cell.Duration = scenario.Duration(2 * units.Millisecond)
 	serial := allocsForCell(t, cell)
 	sharded := cell
 	sharded.Shards = 1
