@@ -30,7 +30,6 @@ import (
 	"abm/internal/topo"
 	"abm/internal/trace"
 	"abm/internal/units"
-	"abm/internal/workload"
 )
 
 // Re-exported quantity types. These are stable aliases of the internal
@@ -134,8 +133,8 @@ func ABMDrainTimeBound(b ByteCount, alphaP float64, bandwidth Rate) Time {
 }
 
 // Simulation wraps a live fabric for custom scenarios: start flows by
-// hand or attach the paper's workload generators, then run the virtual
-// clock.
+// hand, then run the virtual clock. The paper's workloads run through
+// Scenario.
 type Simulation struct {
 	sim *sim.Simulator
 	net *topo.Network
@@ -190,33 +189,6 @@ func (s *Simulation) StartFlow(src, dst int, size ByteCount, prio uint8,
 	})
 	s.col.Flows[idx].ID = id
 	return nil
-}
-
-// AttachWebSearch starts the paper's Poisson web-search workload at the
-// given bisection load.
-func (s *Simulation) AttachWebSearch(load float64, ccName string, prio uint8) (*workload.WebSearch, error) {
-	factory, err := cc.NewFactory(ccName)
-	if err != nil {
-		return nil, err
-	}
-	ws := &workload.WebSearch{Net: s.net, Load: load, CC: factory, Prio: prio, Collect: s.col}
-	ws.Start()
-	return ws, nil
-}
-
-// AttachIncast starts the paper's query/response incast workload.
-func (s *Simulation) AttachIncast(requestSize ByteCount, fanout int, qps float64,
-	ccName string, prio uint8) (*workload.Incast, error) {
-	factory, err := cc.NewFactory(ccName)
-	if err != nil {
-		return nil, err
-	}
-	ic := &workload.Incast{
-		Net: s.net, RequestSize: requestSize, Fanout: fanout,
-		QueryRate: qps, CC: factory, Prio: prio, Collect: s.col,
-	}
-	ic.Start()
-	return ic, nil
 }
 
 // Run advances the virtual clock to the given absolute time.

@@ -81,30 +81,6 @@ func TestSimulationLifecycle(t *testing.T) {
 	}
 }
 
-func TestSimulationWithWorkloads(t *testing.T) {
-	simn, err := NewSimulationFromScenario(fabric(2, 2, 2, 4, "DT"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := simn.AttachWebSearch(0.3, "cubic", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ic, err := simn.AttachIncast(200*Kilobyte, 4, 500, "cubic", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	simn.Run(20 * Millisecond)
-	ws.Stop()
-	ic.Stop()
-	simn.Run(simn.Now() + 500*Millisecond)
-	simn.Drain()
-	sum := simn.Summarize()
-	if sum.Flows == 0 {
-		t.Fatal("workloads generated nothing")
-	}
-}
-
 func TestSimulationRejectsBadNames(t *testing.T) {
 	if _, err := NewSimulationFromScenario(fabric(0, 1, 1, 2, "bogus")); err == nil {
 		t.Fatal("expected BM error")

@@ -49,9 +49,18 @@ type Result struct {
 	Hybrid *hybrid.Stats
 }
 
-// samplerInterval is the buffer-occupancy sampling period in both run
-// modes.
+// samplerInterval is the period of the run's one periodic tick (see
+// sample) in both run modes.
 const samplerInterval = 100 * units.Microsecond
+
+// sample is the run's periodic tick: the fabric's worst-switch buffer
+// occupancy, then the histogram recorder's tick. It reads every switch,
+// so the sharded engine runs it at window barriers, where the whole
+// fabric is quiescent at the same cut a serial ticker observes.
+func sample(n *topo.Network, col *metrics.Collector, rec *histRecorder, now units.Time) {
+	col.SampleBuffer(n.WorstBufferFrac())
+	rec.tick(now)
+}
 
 // rateOf converts a Gbps knob to the simulator's integer bits/s rate.
 func rateOf(gbps float64) units.Rate {
@@ -173,7 +182,7 @@ func Run(s Scenario) (Result, *metrics.Collector, error) {
 		eng.At(ev.At, func() { n.ApplyLinkEvent(ev) })
 	}
 
-	ws, ic, lf, sampler, err := buildWorkloads(n, r, col, totalBuffer)
+	traffic, err := buildWorkloads(n, r, col, totalBuffer, duration)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -182,8 +191,7 @@ func Run(s Scenario) (Result, *metrics.Collector, error) {
 		return Result{}, nil, err
 	}
 	// The hybrid controller installs the flow-start hook and its epoch
-	// ticker before any flow launches; LongFlows schedules first so its
-	// flow IDs stay in host order on every engine.
+	// ticker before any flow launches.
 	var ctl *hybrid.Controller
 	if r.Hybrid.Enabled {
 		ctl = hybrid.New(eng, n, hybrid.Config{
@@ -194,31 +202,15 @@ func Run(s Scenario) (Result, *metrics.Collector, error) {
 		})
 		ctl.Start()
 	}
-	if lf != nil {
-		lf.Schedule()
-	}
-	if ws != nil {
-		ws.Start()
-	}
-	if ic != nil {
-		ic.Start()
-	}
-	sampler.Start(samplerInterval)
-	rec.start(eng, samplerInterval)
+	traffic.Schedule()
+	ticker := eng.NewTicker(samplerInterval, func() { sample(n, col, rec, eng.Now()) })
 
 	eng.RunUntil(duration)
-	if ws != nil {
-		ws.Stop()
-	}
-	if ic != nil {
-		ic.Stop()
-	}
 	// Drain: let in-flight flows finish (bounded so pathological runs
 	// still terminate).
 	drainEnd := duration + 500*units.Millisecond
 	eng.RunUntil(drainEnd)
-	sampler.Stop()
-	rec.stop()
+	ticker.Stop()
 	if ctl != nil {
 		// Promote every remaining fluid flow so the final flush below
 		// completes flows in packet mode, like a pure-packet run.
@@ -243,9 +235,9 @@ func Run(s Scenario) (Result, *metrics.Collector, error) {
 }
 
 // runSharded executes a scenario on the parallel engine: the fabric is
-// partitioned across shards, workloads are pre-generated to the traffic
-// horizon (reproducing the live generators' RNG streams draw-for-draw),
-// and the buffer sampler runs at window barriers.
+// partitioned across shards, the workload stream is planned to the
+// traffic horizon up front (see workload.Stream.Schedule), and the
+// periodic sample runs at window barriers.
 func runSharded(r Scenario, cfg topo.Config, totalBuffer units.ByteCount,
 	duration units.Time, rate units.Rate) (Result, *metrics.Collector, error) {
 
@@ -269,7 +261,7 @@ func runSharded(r Scenario, cfg topo.Config, totalBuffer units.ByteCount,
 		p.AtBarrier(ev.At, func(units.Time) { n.ApplyLinkEvent(ev) })
 	}
 
-	ws, ic, lf, sampler, err := buildWorkloads(n, r, col, totalBuffer)
+	traffic, err := buildWorkloads(n, r, col, totalBuffer, duration)
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -277,18 +269,13 @@ func runSharded(r Scenario, cfg topo.Config, totalBuffer units.ByteCount,
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if lf != nil {
-		lf.Schedule()
-	}
-	workload.SchedulePregen(ws, ic, duration)
-	sampler.StartBarrier(samplerInterval)
-	rec.startBarrier(p, samplerInterval)
+	traffic.Schedule()
+	ticker := p.NewBarrierTicker(samplerInterval, func(now units.Time) { sample(n, col, rec, now) })
 
 	p.RunUntil(duration)
 	drainEnd := duration + 500*units.Millisecond
 	p.RunUntil(drainEnd)
-	sampler.Stop()
-	rec.stop()
+	ticker.Stop()
 	n.Stop()
 	p.Drain() // run remaining retransmission chains to exhaustion
 	rec.finish(drainEnd)
@@ -340,11 +327,12 @@ func expandFaults(g *topo.Graph, faults []LinkFault) []topo.LinkEvent {
 	return evs
 }
 
-// buildWorkloads builds the scenario's generators and the buffer sampler
-// without starting any of them: the serial path Starts the generators
-// live, the sharded path pre-generates their schedules instead.
+// buildWorkloads builds the scenario's workload stream without
+// scheduling anything; both engines then call its Schedule. A workload
+// Resolve accepts but the fabric cannot realize (say, an incast request
+// that rounds to zero bytes) is an error here.
 func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
-	chip units.ByteCount) (*workload.WebSearch, *workload.Incast, *workload.LongFlows, *workload.BufferSampler, error) {
+	chip units.ByteCount, horizon units.Time) (*workload.Stream, error) {
 
 	// Workload randomness is isolated from simulation randomness so every
 	// scheme at the same seed sees identical arrivals.
@@ -354,7 +342,7 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 
 	var ws *workload.WebSearch
 	if w.Load > 0 {
-		ws = &workload.WebSearch{Net: n, Load: w.Load, Collect: col, Seed: r.Seed + 1}
+		ws = &workload.WebSearch{Load: w.Load, Seed: r.Seed + 1}
 		if w.Background == "datamining" {
 			ws.Sizes = randutil.DataMining
 		}
@@ -364,7 +352,7 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 			for i, a := range w.MixedCC {
 				f, err := cc.NewFactory(a.CC)
 				if err != nil {
-					return nil, nil, nil, nil, err
+					return nil, err
 				}
 				factories[i] = f
 			}
@@ -376,7 +364,7 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 		case w.RandomPrio:
 			f, err := cc.NewFactory(w.CC)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, err
 			}
 			ws.PickCC = func(int) (cc.Factory, uint8) {
 				return f, uint8(rng.Intn(qpp))
@@ -384,7 +372,7 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 		default:
 			f, err := cc.NewFactory(w.CC)
 			if err != nil {
-				return nil, nil, nil, nil, err
+				return nil, err
 			}
 			ws.CC = f
 			ws.Prio = w.Prio
@@ -395,19 +383,17 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 	if w.Incast.RequestFrac > 0 {
 		f, err := cc.NewFactory(w.Incast.CC)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, err
 		}
 		reqSize := units.ByteCount(w.Incast.RequestFrac * float64(chip))
 		bisection := float64(n.BisectionBits())
 		qps := w.Incast.Load * bisection / float64(reqSize.Bits())
 		ic = &workload.Incast{
-			Net:         n,
 			RequestSize: reqSize,
 			Fanout:      w.Incast.Fanout,
 			QueryRate:   qps,
 			Prio:        w.Incast.Prio,
 			CC:          f,
-			Collect:     col,
 			Seed:        r.Seed + 2,
 		}
 		if w.RandomPrio {
@@ -419,22 +405,19 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 	if w.LongFlows.FlowKB > 0 {
 		f, err := cc.NewFactory(w.LongFlows.CC)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, err
 		}
 		lf = &workload.LongFlows{
-			Net:     n,
 			Size:    units.ByteCount(w.LongFlows.FlowKB * float64(units.Kilobyte)),
 			Stride:  w.LongFlows.Stride,
 			Count:   w.LongFlows.Count,
 			Stagger: w.LongFlows.Stagger.Time(),
 			Prio:    w.LongFlows.Prio,
 			CC:      f,
-			Collect: col,
 		}
 	}
 
-	sampler := &workload.BufferSampler{Net: n, Collect: col}
-	return ws, ic, lf, sampler, nil
+	return workload.NewStream(n, col, horizon, lf, ws, ic)
 }
 
 // collectResult assembles the result from a finished network.

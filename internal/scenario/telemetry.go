@@ -10,7 +10,6 @@ import (
 	"abm/internal/obs"
 	"abm/internal/obs/hist"
 	"abm/internal/obs/prom"
-	"abm/internal/sim"
 	"abm/internal/topo"
 	"abm/internal/units"
 )
@@ -23,13 +22,13 @@ import (
 // from the device and hybrid layers; this recorder only adds what needs
 // a global view.
 //
-// Determinism: ticks run at fixed sim times — on the serial engine via
-// a plain ticker, on the parallel engine at window barriers, which
-// observe the same cut (every event before the tick time executed,
-// none after). A finished flow is recorded the first tick strictly
-// after its end time, so the recording tick is a pure function of the
-// flow record and the snapshot series is byte-identical at any shard
-// count.
+// Determinism: ticks run at fixed sim times as part of the run's one
+// periodic sample — on the serial engine via a plain ticker, on the
+// parallel engine at window barriers, which observe the same cut
+// (every event before the tick time executed, none after). A finished
+// flow is recorded the first tick strictly after its end time, so the
+// recording tick is a pure function of the flow record and the
+// snapshot series is byte-identical at any shard count.
 type histRecorder struct {
 	sess *obs.Session
 	col  *metrics.Collector
@@ -41,9 +40,7 @@ type histRecorder struct {
 	done   []bool // col.Flows[i] already recorded
 	series []byte // NDJSON snapshot lines (HistFile)
 
-	ticker  *sim.Ticker
-	barrier *sim.BarrierTicker
-	live    *liveServer
+	live *liveServer
 }
 
 // newHistRecorder returns nil when the scenario records no histograms.
@@ -79,39 +76,13 @@ func newHistRecorder(r Scenario, sess *obs.Session, col *metrics.Collector,
 	return rec, nil
 }
 
-// start begins ticking on the serial engine.
-func (r *histRecorder) start(eng *sim.Simulator, interval units.Time) {
-	if r == nil {
-		return
-	}
-	r.ticker = eng.NewTicker(interval, func() { r.tick(eng.Now()) })
-}
-
-// startBarrier begins ticking at the parallel engine's window barriers
-// — the same sim-time cut the serial ticker observes.
-func (r *histRecorder) startBarrier(p *sim.Parallel, interval units.Time) {
-	if r == nil {
-		return
-	}
-	r.barrier = p.NewBarrierTicker(interval, func(now units.Time) { r.tick(now) })
-}
-
-// stop halts ticking (called before the fabric is torn down).
-func (r *histRecorder) stop() {
-	if r == nil {
-		return
-	}
-	if r.ticker != nil {
-		r.ticker.Stop()
-	}
-	if r.barrier != nil {
-		r.barrier.Stop()
-	}
-}
-
 // tick records flows that finished strictly before now plus one
-// occupancy sample per fabric queue, then emits a snapshot.
+// occupancy sample per fabric queue, then emits a snapshot. The run's
+// periodic sample calls it; a nil recorder (hists off) does nothing.
 func (r *histRecorder) tick(now units.Time) {
+	if r == nil {
+		return
+	}
 	flows := r.col.Flows
 	for len(r.done) < len(flows) {
 		r.done = append(r.done, false)

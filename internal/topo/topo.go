@@ -486,9 +486,10 @@ func (n *Network) StartFlow(src, dst int, size units.ByteCount, prio uint8,
 	return id
 }
 
-// AllocFlowID reserves the next flow ID. The pre-generated workload
-// path allocates IDs at planning time (on the coordinator, in arrival
-// order) and launches the flows later on their source hosts' shards.
+// AllocFlowID reserves the next flow ID. The workload stream allocates
+// IDs in launch order; on the sharded engine it does so at planning time
+// (on the coordinator) and launches the flows later on their source
+// hosts' shards.
 func (n *Network) AllocFlowID() uint64 {
 	n.nextFlow++
 	return n.nextFlow

@@ -1,8 +1,7 @@
-// Package trace records simulation time series and flow logs in TSV
-// form: per-flow completion records and per-switch buffer/queue
-// occupancy samples. The cmd/abmsim binary exposes both as flags; they
-// are how a user inspects what happened inside an experiment beyond the
-// headline percentiles.
+// Package trace renders a finished run in TSV form: per-flow completion
+// records and per-queue lifetime counters. The cmd/abmsim binary
+// exposes both as flags; they are how a user inspects what happened
+// inside an experiment beyond the headline percentiles.
 package trace
 
 import (
@@ -11,9 +10,7 @@ import (
 	"sort"
 
 	"abm/internal/metrics"
-	"abm/internal/sim"
 	"abm/internal/topo"
-	"abm/internal/units"
 )
 
 // WriteFlows dumps one TSV row per recorded flow, sorted by start time.
@@ -34,64 +31,6 @@ func WriteFlows(w io.Writer, flows []metrics.FlowRecord) error {
 			f.Start.Microseconds(), fct, f.Ideal.Microseconds(), slow, f.Finished); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// OccupancySample is one instant of fabric-wide buffer state.
-type OccupancySample struct {
-	At units.Time
-	// PerSwitch is the occupancy fraction of each switch (leaves first,
-	// in topo.Switches order).
-	PerSwitch []float64
-}
-
-// Recorder samples the fabric's buffer occupancy on a fixed interval.
-type Recorder struct {
-	Net      *topo.Network
-	Interval units.Time
-
-	Samples []OccupancySample
-	ticker  *sim.Ticker
-}
-
-// Start begins sampling; interval must be positive.
-func (r *Recorder) Start() {
-	if r.Interval <= 0 {
-		panic("trace: recorder interval must be positive")
-	}
-	r.ticker = r.Net.Sim.NewTicker(r.Interval, func() {
-		switches := r.Net.Switches()
-		s := OccupancySample{At: r.Net.Sim.Now(), PerSwitch: make([]float64, len(switches))}
-		for i, sw := range switches {
-			s.PerSwitch[i] = float64(sw.MMU().TotalUsed()) / float64(r.Net.Cfg.BufferSize)
-		}
-		r.Samples = append(r.Samples, s)
-	})
-}
-
-// Stop halts sampling.
-func (r *Recorder) Stop() {
-	if r.ticker != nil {
-		r.ticker.Stop()
-	}
-}
-
-// Write dumps the samples as TSV: time plus one column per switch.
-func (r *Recorder) Write(w io.Writer) error {
-	if _, err := fmt.Fprint(w, "time_us"); err != nil {
-		return err
-	}
-	for _, sw := range r.Net.Switches() {
-		fmt.Fprintf(w, "\t%s", r.Net.NodeName(sw.ID()))
-	}
-	fmt.Fprintln(w)
-	for _, s := range r.Samples {
-		fmt.Fprintf(w, "%.3f", s.At.Microseconds())
-		for _, v := range s.PerSwitch {
-			fmt.Fprintf(w, "\t%.4f", v)
-		}
-		fmt.Fprintln(w)
 	}
 	return nil
 }
@@ -127,17 +66,4 @@ func WriteQueueCounters(w io.Writer, n *topo.Network) error {
 		}
 	}
 	return nil
-}
-
-// MaxOccupancy returns the largest per-switch fraction observed.
-func (r *Recorder) MaxOccupancy() float64 {
-	max := 0.0
-	for _, s := range r.Samples {
-		for _, v := range s.PerSwitch {
-			if v > max {
-				max = v
-			}
-		}
-	}
-	return max
 }

@@ -5,10 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"abm/internal/cc"
 	"abm/internal/metrics"
-	"abm/internal/sim"
-	"abm/internal/topo"
 	"abm/internal/units"
 )
 
@@ -37,48 +34,4 @@ func TestWriteFlows(t *testing.T) {
 	if !strings.Contains(lines[1], "\tfalse") {
 		t.Fatalf("unfinished flag missing: %q", lines[1])
 	}
-}
-
-func TestRecorder(t *testing.T) {
-	s := sim.New(1)
-	n := topo.NewNetwork(s, topo.Config{
-		NumSpines: 2, NumLeaves: 2, HostsPerLeaf: 4,
-		LinkRate: 10 * units.GigabitPerSec, LinkDelay: 10 * units.Microsecond,
-	})
-	rec := &Recorder{Net: n, Interval: 50 * units.Microsecond}
-	rec.Start()
-	s.At(0, func() {
-		for i := 1; i < 8; i++ {
-			n.StartFlow(i, 0, 100*units.Kilobyte, 0, cc.NewCubic(), nil)
-		}
-	})
-	s.RunUntil(20 * units.Millisecond)
-	rec.Stop()
-	n.Stop()
-	if len(rec.Samples) < 100 {
-		t.Fatalf("samples = %d, want ~20", len(rec.Samples))
-	}
-	if got := len(rec.Samples[0].PerSwitch); got != 4 {
-		t.Fatalf("columns = %d, want 4 switches", got)
-	}
-	if rec.MaxOccupancy() <= 0 {
-		t.Fatal("no occupancy observed during an incast")
-	}
-	var buf bytes.Buffer
-	if err := rec.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	head := strings.SplitN(buf.String(), "\n", 2)[0]
-	if head != "time_us\tleaf0\tleaf1\tspine0\tspine1" {
-		t.Fatalf("header = %q", head)
-	}
-}
-
-func TestRecorderValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	(&Recorder{}).Start()
 }

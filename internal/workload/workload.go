@@ -2,33 +2,38 @@
 // a Poisson web-search workload whose flow sizes follow the DCTCP
 // measurement CDF, at a configurable fraction of the fabric's access
 // bandwidth, and a synthetic incast workload modeling distributed
-// file-system query/response fan-in.
+// file-system query/response fan-in — plus the deterministic long-flow
+// permutation the hybrid engine is exercised with.
+//
+// Each random workload has one arrival process, and one merge orders
+// the two into a single stream. Both engines consume that stream (see
+// Stream.Schedule), so they launch the same flows at the same times
+// with the same IDs.
 package workload
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"abm/internal/cc"
 	"abm/internal/metrics"
 	"abm/internal/randutil"
-	"abm/internal/sim"
 	"abm/internal/topo"
 	"abm/internal/units"
 )
 
-// WebSearch drives the background workload: flows arrive as a global
-// Poisson process with rate chosen so the expected inter-rack offered
-// load equals Load times the fabric's bisection capacity; sizes follow
-// the web-search CDF; sources and destinations are distinct uniform
-// hosts.
+// WebSearch configures the background workload: flows arrive as a
+// global Poisson process with rate chosen so the expected inter-rack
+// offered load equals Load times the fabric's bisection capacity; sizes
+// follow the web-search CDF; sources and destinations are distinct
+// uniform hosts.
 type WebSearch struct {
-	Net     *topo.Network
-	Load    float64 // fraction of bisection (uplink) capacity, e.g. 0.4
-	Prio    uint8
-	CC      cc.Factory
-	Sizes   *randutil.EmpiricalCDF
-	Collect *metrics.Collector
+	Load  float64 // fraction of bisection (uplink) capacity, e.g. 0.4
+	Prio  uint8
+	CC    cc.Factory
+	Sizes *randutil.EmpiricalCDF // nil = randutil.WebSearch
 
 	// PickCC optionally overrides CC per flow (used by the mixed-protocol
 	// isolation experiment); it receives the flow index.
@@ -38,171 +43,19 @@ type WebSearch struct {
 	// simulation, so two runs that differ only in switch configuration
 	// see identical arrival patterns. Zero derives a fixed default.
 	Seed int64
-
-	rng     *rand.Rand
-	started int
-	stopped bool
 }
 
-// Start begins generating flows until Stop. It panics on a non-positive
-// load.
-func (w *WebSearch) Start() {
-	if w.Load <= 0 || w.Load > 1 {
-		panic(fmt.Sprintf("workload: load %v out of (0,1]", w.Load))
-	}
-	if w.Sizes == nil {
-		w.Sizes = randutil.WebSearch
-	}
-	if w.CC == nil && w.PickCC == nil {
-		panic("workload: WebSearch needs a cc factory")
-	}
-	seed := w.Seed
-	if seed == 0 {
-		seed = 0x5eed_ab1e
-	}
-	w.rng = rand.New(rand.NewSource(seed))
-	w.scheduleNext()
-}
-
-// interArrival returns the mean gap between flow arrivals for the target
-// load. Load is defined against the fabric's bisection (leaf-spine
-// uplink) capacity: with the paper's 4:1 oversubscription, defining it
-// against host bandwidth would saturate the uplinks at 25% already.
-// Uniform source/destination selection sends an interRack fraction of
-// the bytes across the bisection, so the arrival rate is scaled to make
-// that fraction equal Load * bisection capacity.
-func (w *WebSearch) interArrival() units.Time {
-	bisection := float64(w.Net.BisectionBits()) // bits/s: edge uplink aggregate
-	n := float64(w.Net.NumHosts())
-	interRackFrac := (n - float64(w.Net.HostsPerGroup())) / (n - 1)
-	flowsPerSec := w.Load * bisection / (w.Sizes.Mean() * 8 * interRackFrac)
-	return units.Time(float64(units.Second) / flowsPerSec)
-}
-
-func (w *WebSearch) scheduleNext() {
-	if w.stopped {
-		return
-	}
-	gap := randutil.Exponential(w.rng, w.interArrival())
-	w.Net.Sim.After(gap, func() {
-		if w.stopped {
-			return
-		}
-		w.launch()
-		w.scheduleNext()
-	})
-}
-
-func (w *WebSearch) launch() {
-	rng := w.rng
-	n := w.Net.NumHosts()
-	src := rng.Intn(n)
-	dst := rng.Intn(n - 1)
-	if dst >= src {
-		dst++
-	}
-	size := w.Sizes.SampleBytes(rng)
-	factory, prio := w.CC, w.Prio
-	if w.PickCC != nil {
-		factory, prio = w.PickCC(w.started)
-	}
-	w.started++
-	w.record(src, dst, size, prio, factory(), metrics.ClassWebSearch)
-}
-
-func (w *WebSearch) record(src, dst int, size units.ByteCount, prio uint8,
-	algo cc.Algorithm, class metrics.FlowClass) {
-	start := w.Net.Sim.Now()
-	rec := metrics.FlowRecord{
-		Class: class,
-		Prio:  prio,
-		Size:  size,
-		Start: start,
-		Ideal: w.Net.IdealFCT(src, dst, size),
-	}
-	idx := -1
-	if w.Collect != nil {
-		w.Collect.AddFlow(rec)
-		idx = len(w.Collect.Flows) - 1
-	}
-	id := w.Net.StartFlow(src, dst, size, prio, algo, func(now units.Time) {
-		if idx >= 0 {
-			w.Collect.Flows[idx].End = now
-			w.Collect.Flows[idx].Finished = true
-		}
-	})
-	if idx >= 0 {
-		w.Collect.Flows[idx].ID = id
-	}
-}
-
-// Started returns the number of flows launched so far.
-func (w *WebSearch) Started() int { return w.started }
-
-// genWS is one pre-generated web-search arrival (PickCC not yet
-// resolved: the shared experiment RNG must be drawn in merged arrival
-// order, see SchedulePregen).
-type genWS struct {
-	t        units.Time
-	src, dst int
-	size     units.ByteCount
-	idx      int // flow index passed to PickCC
-}
-
-// generate replays Start/scheduleNext/launch draw-for-draw against the
-// workload's private RNG, producing every arrival with time <= horizon
-// (the same inclusive bound RunUntil(duration) gives the live
-// generator) without touching any simulator.
-func (w *WebSearch) generate(horizon units.Time) []genWS {
-	if w.Load <= 0 || w.Load > 1 {
-		panic(fmt.Sprintf("workload: load %v out of (0,1]", w.Load))
-	}
-	if w.Sizes == nil {
-		w.Sizes = randutil.WebSearch
-	}
-	if w.CC == nil && w.PickCC == nil {
-		panic("workload: WebSearch needs a cc factory")
-	}
-	seed := w.Seed
-	if seed == 0 {
-		seed = 0x5eed_ab1e
-	}
-	rng := rand.New(rand.NewSource(seed))
-	mean := w.interArrival()
-	n := w.Net.NumHosts()
-	var out []genWS
-	t := units.Time(0)
-	for {
-		t += randutil.Exponential(rng, mean)
-		if t > horizon {
-			return out
-		}
-		src := rng.Intn(n)
-		dst := rng.Intn(n - 1)
-		if dst >= src {
-			dst++
-		}
-		size := w.Sizes.SampleBytes(rng)
-		out = append(out, genWS{t: t, src: src, dst: dst, size: size, idx: len(out)})
-	}
-}
-
-// Stop halts flow generation (flows in flight keep running).
-func (w *WebSearch) Stop() { w.stopped = true }
-
-// Incast drives the query/response workload: queries arrive as a Poisson
-// process; each query picks a requester and Fanout responders uniformly
-// from a different rack, and every responder sends RequestSize/Fanout
-// bytes back simultaneously — the paper's distributed file-system
-// behaviour (§4.1).
+// Incast configures the query/response workload: queries arrive as a
+// Poisson process; each query picks a requester and Fanout responders
+// uniformly from a different rack, and every responder sends
+// RequestSize/Fanout bytes back simultaneously — the paper's
+// distributed file-system behaviour (§4.1).
 type Incast struct {
-	Net         *topo.Network
 	RequestSize units.ByteCount // total bytes fanned in per query
 	Fanout      int             // responding servers per query
 	QueryRate   float64         // queries per second across the fabric
 	Prio        uint8
 	CC          cc.Factory
-	Collect     *metrics.Collector
 
 	// PickPrio optionally overrides Prio per response flow (used when the
 	// load is spread across queues, §4.4).
@@ -210,345 +63,312 @@ type Incast struct {
 
 	// Seed isolates the workload's randomness; zero derives a default.
 	Seed int64
-
-	rng     *rand.Rand
-	queries int
-	stopped bool
 }
 
-// Start begins generating queries until Stop.
-func (ic *Incast) Start() {
-	if ic.Fanout <= 0 {
-		ic.Fanout = 8
-	}
-	if ic.RequestSize <= 0 {
-		panic("workload: incast needs a request size")
-	}
-	if ic.QueryRate <= 0 {
-		panic("workload: incast needs a query rate")
-	}
-	if ic.CC == nil {
-		panic("workload: incast needs a cc factory")
-	}
-	seed := ic.Seed
-	if seed == 0 {
-		seed = 0x1ca57
-	}
-	ic.rng = rand.New(rand.NewSource(seed))
-	ic.scheduleNext()
-}
-
-func (ic *Incast) scheduleNext() {
-	if ic.stopped {
-		return
-	}
-	mean := units.Time(float64(units.Second) / ic.QueryRate)
-	gap := randutil.Exponential(ic.rng, mean)
-	ic.Net.Sim.After(gap, func() {
-		if ic.stopped {
-			return
-		}
-		ic.launchQuery()
-		ic.scheduleNext()
-	})
-}
-
-func (ic *Incast) launchQuery() {
-	rng := ic.rng
-	n := ic.Net.NumHosts()
-	requester := rng.Intn(n)
-	reqGroup := ic.Net.GroupOf(requester)
-
-	// Responders come from racks other than the requester's.
-	var candidates []int
-	for h := 0; h < n; h++ {
-		if ic.Net.GroupOf(h) != reqGroup {
-			candidates = append(candidates, h)
-		}
-	}
-	fanout := ic.Fanout
-	if fanout > len(candidates) {
-		fanout = len(candidates)
-	}
-	rng.Shuffle(len(candidates), func(i, j int) {
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-	})
-	per := ic.RequestSize / units.ByteCount(fanout)
-	if per < 1 {
-		per = 1
-	}
-	ic.queries++
-	for _, responder := range candidates[:fanout] {
-		ic.recordFlow(responder, requester, per)
-	}
-}
-
-func (ic *Incast) recordFlow(src, dst int, size units.ByteCount) {
-	start := ic.Net.Sim.Now()
-	prio := ic.Prio
-	if ic.PickPrio != nil {
-		prio = ic.PickPrio()
-	}
-	rec := metrics.FlowRecord{
-		Class: metrics.ClassIncast,
-		Prio:  prio,
-		Size:  size,
-		Start: start,
-		Ideal: ic.Net.IdealFCT(src, dst, size),
-	}
-	idx := -1
-	if ic.Collect != nil {
-		ic.Collect.AddFlow(rec)
-		idx = len(ic.Collect.Flows) - 1
-	}
-	id := ic.Net.StartFlow(src, dst, size, prio, ic.CC(), func(now units.Time) {
-		if idx >= 0 {
-			ic.Collect.Flows[idx].End = now
-			ic.Collect.Flows[idx].Finished = true
-		}
-	})
-	if idx >= 0 {
-		ic.Collect.Flows[idx].ID = id
-	}
-}
-
-// Queries returns the number of queries issued.
-func (ic *Incast) Queries() int { return ic.queries }
-
-// genQuery is one pre-generated incast query: all of its response
-// flows share the arrival time (PickPrio resolved later, in merged
-// order).
-type genQuery struct {
-	t     units.Time
-	flows []genFlow
-}
-
-type genFlow struct {
-	src, dst int
-	size     units.ByteCount
-}
-
-// generate replays the live incast generator draw-for-draw up to the
-// horizon (inclusive); see WebSearch.generate.
-func (ic *Incast) generate(horizon units.Time) []genQuery {
-	if ic.Fanout <= 0 {
-		ic.Fanout = 8
-	}
-	if ic.RequestSize <= 0 {
-		panic("workload: incast needs a request size")
-	}
-	if ic.QueryRate <= 0 {
-		panic("workload: incast needs a query rate")
-	}
-	if ic.CC == nil {
-		panic("workload: incast needs a cc factory")
-	}
-	seed := ic.Seed
-	if seed == 0 {
-		seed = 0x1ca57
-	}
-	rng := rand.New(rand.NewSource(seed))
-	mean := units.Time(float64(units.Second) / ic.QueryRate)
-	n := ic.Net.NumHosts()
-	var out []genQuery
-	t := units.Time(0)
-	for {
-		t += randutil.Exponential(rng, mean)
-		if t > horizon {
-			return out
-		}
-		requester := rng.Intn(n)
-		reqGroup := ic.Net.GroupOf(requester)
-		var candidates []int
-		for h := 0; h < n; h++ {
-			if ic.Net.GroupOf(h) != reqGroup {
-				candidates = append(candidates, h)
-			}
-		}
-		fanout := ic.Fanout
-		if fanout > len(candidates) {
-			fanout = len(candidates)
-		}
-		rng.Shuffle(len(candidates), func(i, j int) {
-			candidates[i], candidates[j] = candidates[j], candidates[i]
-		})
-		per := ic.RequestSize / units.ByteCount(fanout)
-		if per < 1 {
-			per = 1
-		}
-		q := genQuery{t: t}
-		for _, responder := range candidates[:fanout] {
-			q.flows = append(q.flows, genFlow{src: responder, dst: requester, size: per})
-		}
-		out = append(out, q)
-	}
-}
-
-// pregenLaunch records one pre-generated flow and schedules its launch
-// on the source host's shard. It mirrors the live record path exactly:
-// the collector row is appended (and the flow ID allocated) at planning
-// time in arrival order, so collector layout and flow IDs match a
-// serial live run; only the End/Finished fields are written during the
-// run, each by the flow's own completion callback into its private row
-// — safe under shard concurrency.
-func pregenLaunch(net *topo.Network, col *metrics.Collector, t units.Time,
-	src, dst int, size units.ByteCount, prio uint8, algo cc.Algorithm, class metrics.FlowClass) {
-	rec := metrics.FlowRecord{
-		Class: class,
-		Prio:  prio,
-		Size:  size,
-		Start: t,
-		Ideal: net.IdealFCT(src, dst, size),
-	}
-	idx := -1
-	if col != nil {
-		col.AddFlow(rec)
-		idx = len(col.Flows) - 1
-	}
-	id := net.AllocFlowID()
-	if idx >= 0 {
-		col.Flows[idx].ID = id
-	}
-	onComplete := func(now units.Time) {
-		if idx >= 0 {
-			col.Flows[idx].End = now
-			col.Flows[idx].Finished = true
-		}
-	}
-	net.SimOfHost(src).At(t, func() {
-		net.StartFlowWithID(id, src, dst, size, prio, algo, onComplete)
-	})
-}
-
-// SchedulePregen pre-generates both workloads up to the horizon and
-// schedules every flow launch on its source host's simulator. It is the
-// sharded-run replacement for Start/Stop: generators draw from their
-// private streams exactly as the live path does, and the shared
-// experiment RNG behind PickCC/PickPrio is drawn in merged arrival
-// order (web-search first on exact ties), reproducing the serial
-// interleaving. Either workload may be nil.
-func SchedulePregen(ws *WebSearch, ic *Incast, horizon units.Time) {
-	var wsArr []genWS
-	var icArr []genQuery
-	if ws != nil {
-		wsArr = ws.generate(horizon)
-	}
-	if ic != nil {
-		icArr = ic.generate(horizon)
-	}
-	i, j := 0, 0
-	for i < len(wsArr) || j < len(icArr) {
-		if i < len(wsArr) && (j >= len(icArr) || wsArr[i].t <= icArr[j].t) {
-			a := wsArr[i]
-			i++
-			factory, prio := ws.CC, ws.Prio
-			if ws.PickCC != nil {
-				factory, prio = ws.PickCC(a.idx)
-			}
-			ws.started++
-			pregenLaunch(ws.Net, ws.Collect, a.t, a.src, a.dst, a.size, prio, factory(), metrics.ClassWebSearch)
-		} else {
-			q := icArr[j]
-			j++
-			ic.queries++
-			for _, f := range q.flows {
-				prio := ic.Prio
-				if ic.PickPrio != nil {
-					prio = ic.PickPrio()
-				}
-				pregenLaunch(ic.Net, ic.Collect, q.t, f.src, f.dst, f.size, prio, ic.CC(), metrics.ClassIncast)
-			}
-		}
-	}
-}
-
-// Stop halts query generation.
-func (ic *Incast) Stop() { ic.stopped = true }
-
-// LongFlows drives the steady long-flow workload: host i opens one flow
-// of Size bytes to host (i+Stride) mod N at time i*Stagger — a full
-// permutation pattern whose flows all converge to steady state (the
-// hybrid engine's demotion showcase). The pattern is deterministic (no
-// RNG), so one Schedule path serves both the serial and the sharded
-// engines: launches are planned up front on each source host's
-// simulator, with flow IDs allocated in host order.
+// LongFlows configures the steady long-flow workload: host i opens one
+// flow of Size bytes to host (i+Stride) mod N at time i*Stagger — a
+// full permutation pattern whose flows all converge to steady state
+// (the hybrid engine's demotion showcase). The pattern draws no
+// randomness.
 type LongFlows struct {
-	Net     *topo.Network
 	Size    units.ByteCount
 	Stride  int // source-to-destination offset of the permutation
 	Count   int // source hosts that open a flow (0 = all)
 	Stagger units.Time
 	Prio    uint8
 	CC      cc.Factory
-	Collect *metrics.Collector
-
-	started int
 }
 
-// Schedule plans every flow launch. Call before the run starts.
-func (lf *LongFlows) Schedule() {
-	if lf.Size <= 0 {
-		panic("workload: long flows need a size")
-	}
-	if lf.CC == nil {
-		panic("workload: long flows need a cc factory")
-	}
-	n := lf.Net.NumHosts()
-	srcs := n
-	if lf.Count > 0 && lf.Count < n {
-		srcs = lf.Count
-	}
-	for src := 0; src < srcs; src++ {
-		dst := (src + lf.Stride) % n
-		if dst < 0 {
-			dst += n
+// never marks an arrival process that has passed the horizon (or is
+// absent): it sorts after every real arrival.
+const never = units.Time(math.MaxInt64)
+
+// flow is one planned launch.
+type flow struct {
+	src, dst int
+	size     units.ByteCount
+	prio     uint8
+	cc       cc.Factory
+	class    metrics.FlowClass
+}
+
+// Stream is a run's traffic: the long-flow permutation plus the
+// web-search and incast arrival processes, merged into one time-ordered
+// sequence of launches. It is pulled one arrival at a time, so the
+// pending arrivals never sit in memory all at once on the serial
+// engine.
+type Stream struct {
+	net     *topo.Network
+	col     *metrics.Collector
+	horizon units.Time
+
+	long *LongFlows
+
+	ws     *WebSearch
+	wsRNG  *rand.Rand
+	wsMean units.Time
+	wsAt   units.Time // pending web-search arrival; never once exhausted
+	wsFlow flow
+	wsN    int // web-search arrivals taken so far (PickCC's index)
+
+	ic      *Incast
+	icRNG   *rand.Rand
+	icMean  units.Time
+	icAt    units.Time // pending query; never once exhausted
+	icFlows []flow     // the pending query's responses
+	hosts   []int      // responder candidates, reused per query
+
+	at  units.Time // the taken arrival the serial chain launches next
+	out []flow     // its flows, priority and CC resolved
+}
+
+// NewStream validates the workloads (any may be nil) against the fabric
+// and returns their stream, generating arrivals with time <= horizon —
+// the same inclusive bound RunUntil(horizon) gives. Every launch is
+// recorded in col.
+func NewStream(n *topo.Network, col *metrics.Collector, horizon units.Time,
+	lf *LongFlows, ws *WebSearch, ic *Incast) (*Stream, error) {
+
+	s := &Stream{net: n, col: col, horizon: horizon, long: lf, ws: ws, ic: ic, wsAt: never, icAt: never}
+	if lf != nil {
+		if lf.Size <= 0 {
+			return nil, errors.New("workload: long flows need a size of at least one byte")
 		}
-		if dst == src {
-			continue
+		if lf.CC == nil {
+			return nil, errors.New("workload: long flows need a cc factory")
 		}
-		t := units.Time(src) * lf.Stagger
-		pregenLaunch(lf.Net, lf.Collect, t, src, dst, lf.Size, lf.Prio, lf.CC(), metrics.ClassLong)
-		lf.started++
 	}
+	if ws != nil {
+		if !(ws.Load > 0 && ws.Load <= 1) {
+			return nil, fmt.Errorf("workload: load %v out of (0,1]", ws.Load)
+		}
+		if ws.CC == nil && ws.PickCC == nil {
+			return nil, errors.New("workload: web search needs a cc factory")
+		}
+		if ws.Sizes == nil {
+			ws.Sizes = randutil.WebSearch
+		}
+		mean, err := meanGap(ws.flowsPerSec(n))
+		if err != nil {
+			return nil, fmt.Errorf("workload: web-search load %v: %w", ws.Load, err)
+		}
+		s.wsMean = mean
+		s.wsRNG = rand.New(rand.NewSource(seedOr(ws.Seed, 0x5eed_ab1e)))
+		s.wsAt = 0
+		s.drawWebSearch()
+	}
+	if ic != nil {
+		if ic.RequestSize <= 0 {
+			return nil, errors.New("workload: incast needs a request size of at least one byte")
+		}
+		if ic.Fanout <= 0 {
+			return nil, errors.New("workload: incast needs a fanout")
+		}
+		if ic.CC == nil {
+			return nil, errors.New("workload: incast needs a cc factory")
+		}
+		mean, err := meanGap(ic.QueryRate)
+		if err != nil {
+			return nil, fmt.Errorf("workload: incast query rate %g/s: %w", ic.QueryRate, err)
+		}
+		s.icMean = mean
+		s.icRNG = rand.New(rand.NewSource(seedOr(ic.Seed, 0x1ca57)))
+		s.icAt = 0
+		s.drawQuery()
+	}
+	return s, nil
 }
 
-// Started returns the number of flows scheduled.
-func (lf *LongFlows) Started() int { return lf.started }
-
-// BufferSampler periodically records the fabric's worst-switch occupancy
-// fraction into the collector. It reads every switch, so in sharded
-// mode it must run at window barriers (StartBarrier), where the whole
-// fabric is quiescent.
-type BufferSampler struct {
-	Net     *topo.Network
-	Collect *metrics.Collector
-	ticker  *sim.Ticker
-	barrier *sim.BarrierTicker
+func seedOr(seed, def int64) int64 {
+	if seed == 0 {
+		return def
+	}
+	return seed
 }
 
-// Start samples every interval on the serial simulator until Stop.
-func (b *BufferSampler) Start(interval units.Time) {
-	b.ticker = b.Net.Sim.NewTicker(interval, func() {
-		b.Collect.SampleBuffer(b.Net.WorstBufferFrac())
+// meanGap returns the mean gap of a Poisson process with the given
+// rate per second, rejecting rates whose gap the picosecond clock
+// cannot hold (it would round to zero or overflow).
+func meanGap(perSec float64) (units.Time, error) {
+	gap := float64(units.Second) / perSec
+	if !(gap >= 1 && gap < math.MaxInt64) {
+		return 0, fmt.Errorf("mean arrival gap %.3g ps is outside the clock's range", gap)
+	}
+	return units.Time(gap), nil
+}
+
+// flowsPerSec returns the arrival rate for the target load. Load is
+// defined against the fabric's bisection (leaf-spine uplink) capacity:
+// with the paper's 4:1 oversubscription, defining it against host
+// bandwidth would saturate the uplinks at 25% already. Uniform
+// source/destination selection sends an interRack fraction of the
+// bytes across the bisection, so the arrival rate is scaled to make
+// that fraction equal Load * bisection capacity.
+func (w *WebSearch) flowsPerSec(n *topo.Network) float64 {
+	bisection := float64(n.BisectionBits()) // bits/s: edge uplink aggregate
+	hosts := float64(n.NumHosts())
+	interRackFrac := (hosts - float64(n.HostsPerGroup())) / (hosts - 1)
+	return w.Load * bisection / (w.Sizes.Mean() * 8 * interRackFrac)
+}
+
+// drawWebSearch takes every web-search draw for the next arrival: the
+// gap, then (within the horizon) source, destination and size.
+func (s *Stream) drawWebSearch() {
+	rng := s.wsRNG
+	s.wsAt += randutil.Exponential(rng, s.wsMean)
+	if s.wsAt > s.horizon {
+		s.wsAt = never
+		return
+	}
+	n := s.net.NumHosts()
+	src := rng.Intn(n)
+	dst := rng.Intn(n - 1)
+	if dst >= src {
+		dst++
+	}
+	s.wsFlow = flow{src: src, dst: dst, size: s.ws.Sizes.SampleBytes(rng), class: metrics.ClassWebSearch}
+}
+
+// drawQuery takes every incast draw for the next query: the gap, then
+// (within the horizon) the requester and the shuffle that picks its
+// responders from the other racks.
+func (s *Stream) drawQuery() {
+	rng := s.icRNG
+	s.icAt += randutil.Exponential(rng, s.icMean)
+	if s.icAt > s.horizon {
+		s.icAt = never
+		return
+	}
+	n := s.net.NumHosts()
+	requester := rng.Intn(n)
+	reqGroup := s.net.GroupOf(requester)
+	s.hosts = s.hosts[:0]
+	for h := 0; h < n; h++ {
+		if s.net.GroupOf(h) != reqGroup {
+			s.hosts = append(s.hosts, h)
+		}
+	}
+	fanout := min(s.ic.Fanout, len(s.hosts))
+	rng.Shuffle(len(s.hosts), func(i, j int) {
+		s.hosts[i], s.hosts[j] = s.hosts[j], s.hosts[i]
 	})
+	per := max(s.ic.RequestSize/units.ByteCount(fanout), 1)
+	s.icFlows = s.icFlows[:0]
+	for _, responder := range s.hosts[:fanout] {
+		s.icFlows = append(s.icFlows, flow{src: responder, dst: requester, size: per, class: metrics.ClassIncast})
+	}
 }
 
-// StartBarrier samples every interval of simulated time at the parallel
-// engine's window barriers: each sample sees every event before its due
-// time executed on every shard and none after — the same cut a serial
-// ticker observes.
-func (b *BufferSampler) StartBarrier(interval units.Time) {
-	b.barrier = b.Net.Par.NewBarrierTicker(interval, func(units.Time) {
-		b.Collect.SampleBuffer(b.Net.WorstBufferFrac())
+// next takes the earliest pending arrival — web search first on exact
+// ties — into s.at/s.out, resolving PickCC/PickPrio in arrival order so
+// a shared RNG behind them is drawn the same way on every engine. It
+// reports false once both processes have passed the horizon.
+func (s *Stream) next() bool {
+	switch {
+	case s.wsAt != never && s.wsAt <= s.icAt:
+		f := s.wsFlow
+		f.cc, f.prio = s.ws.CC, s.ws.Prio
+		if s.ws.PickCC != nil {
+			f.cc, f.prio = s.ws.PickCC(s.wsN)
+		}
+		s.wsN++
+		s.at, s.out = s.wsAt, append(s.out[:0], f)
+		s.drawWebSearch()
+	case s.icAt != never:
+		s.at, s.out = s.icAt, append(s.out[:0], s.icFlows...)
+		for i := range s.out {
+			s.out[i].cc, s.out[i].prio = s.ic.CC, s.ic.Prio
+			if s.ic.PickPrio != nil {
+				s.out[i].prio = s.ic.PickPrio()
+			}
+		}
+		s.drawQuery()
+	default:
+		return false
+	}
+	return true
+}
+
+// Schedule plans the run's traffic; call it once, before the run. Long
+// flows are planned first, so their IDs stay in host order. The arrival
+// stream then has one consumer per engine:
+//
+//   - serial: one self-rescheduling event launches an arrival (all of a
+//     query's flows together) and plants the next, so only one arrival
+//     is ever pending;
+//   - sharded (n.Par != nil): the stream is pulled to the horizon up
+//     front and every flow is planted on its source host's shard, since
+//     no shard may draw from the shared streams during the run.
+func (s *Stream) Schedule() {
+	if lf := s.long; lf != nil {
+		n := s.net.NumHosts()
+		srcs := n
+		if lf.Count > 0 && lf.Count < n {
+			srcs = lf.Count
+		}
+		for src := 0; src < srcs; src++ {
+			dst := ((src+lf.Stride)%n + n) % n
+			if dst == src {
+				continue
+			}
+			f := flow{src: src, dst: dst, size: lf.Size, prio: lf.Prio, cc: lf.CC, class: metrics.ClassLong}
+			s.launch(units.Time(src)*lf.Stagger, f, false)
+		}
+	}
+	if s.net.Par != nil {
+		for s.next() {
+			for _, f := range s.out {
+				s.launch(s.at, f, false)
+			}
+		}
+		return
+	}
+	if s.next() {
+		s.net.Sim.AtArg(s.at, fireArrival, s)
+	}
+}
+
+// fireArrival is the serial chain's event: launch the taken arrival,
+// then take and plant the next one.
+func fireArrival(arg any) {
+	s := arg.(*Stream)
+	for _, f := range s.out {
+		s.launch(s.at, f, true)
+	}
+	if s.next() {
+		s.net.Sim.AtArg(s.at, fireArrival, s)
+	}
+}
+
+// launch appends f's collector row and allocates its flow ID — both in
+// launch order, so the collector layout and the IDs are the same on
+// every engine — and starts the flow at t: directly when the caller is
+// the serial chain already running at t (now), else from an event on
+// the source host's simulator. Afterwards only the flow's own
+// completion callback writes its row, which is safe under shard
+// concurrency.
+func (s *Stream) launch(t units.Time, f flow, now bool) {
+	net, col := s.net, s.col
+	col.AddFlow(metrics.FlowRecord{
+		Class: f.class,
+		Prio:  f.prio,
+		Size:  f.size,
+		Start: t,
+		Ideal: net.IdealFCT(f.src, f.dst, f.size),
 	})
-}
-
-// Stop halts sampling.
-func (b *BufferSampler) Stop() {
-	if b.ticker != nil {
-		b.ticker.Stop()
+	idx := len(col.Flows) - 1
+	id := net.AllocFlowID()
+	col.Flows[idx].ID = id
+	algo := f.cc()
+	done := func(end units.Time) {
+		col.Flows[idx].End = end
+		col.Flows[idx].Finished = true
 	}
-	if b.barrier != nil {
-		b.barrier.Stop()
+	if now {
+		net.StartFlowWithID(id, f.src, f.dst, f.size, f.prio, algo, done)
+		return
 	}
+	net.SimOfHost(f.src).At(t, func() {
+		net.StartFlowWithID(id, f.src, f.dst, f.size, f.prio, algo, done)
+	})
 }
