@@ -6,6 +6,7 @@ import (
 
 	"abm/internal/aqm"
 	"abm/internal/bm"
+	"abm/internal/obs"
 	"abm/internal/packet"
 	"abm/internal/sim"
 	"abm/internal/units"
@@ -313,8 +314,8 @@ func TestECNMarkingIntegration(t *testing.T) {
 	if marked != 7 {
 		t.Fatalf("marked %d, want 7", marked)
 	}
-	if sw.MMU().MarkedPkts != 7 {
-		t.Fatalf("counter = %d, want 7", sw.MMU().MarkedPkts)
+	if got := sw.Port(0).Queue(0).MarkedPkts; got != 7 {
+		t.Fatalf("queue mark counter = %d, want 7", got)
 	}
 }
 
@@ -520,7 +521,13 @@ func TestMeasuredDrainRate(t *testing.T) {
 
 func TestTrimIntegration(t *testing.T) {
 	s := sim.New(1)
+	sess, err := obs.NewSession(obs.Options{Counters: true}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrs := sess.ShardSink(0)
 	sw, dst := testSwitch(s, SwitchConfig{
+		Obs: ctrs,
 		MMU: MMUConfig{
 			BufferSize: units.Megabyte,
 			BM:         bm.CS{},
@@ -542,8 +549,8 @@ func TestTrimIntegration(t *testing.T) {
 	if trimmed != 7 {
 		t.Fatalf("trimmed %d, want 7", trimmed)
 	}
-	if sw.MMU().TrimmedPkts != 7 {
-		t.Fatalf("trim counter = %d", sw.MMU().TrimmedPkts)
+	if got := ctrs.Ctr(obs.CtrTrimmed).Get(); got != 7 {
+		t.Fatalf("trim counter = %d, want 7", got)
 	}
 	sw.MMU().checkInvariants()
 }

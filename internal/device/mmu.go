@@ -134,12 +134,6 @@ type MMU struct {
 	ctrMarked          *obs.Counter
 	ctrTrimmed         *obs.Counter
 	histHeadroom       *hist.Histogram
-
-	// Counters.
-	AdmittedPkts  int64
-	AdmittedBytes units.ByteCount
-	MarkedPkts    int64
-	TrimmedPkts   int64
 }
 
 func newMMU(cfg MMUConfig, sw *Switch, rng *rand.Rand, sink *obs.Sink) *MMU {
@@ -467,11 +461,9 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 	case aqm.Trim:
 		pkt.Trim()
 		size = pkt.Size()
-		m.TrimmedPkts++
 		m.ctrTrimmed.Inc()
 	case aqm.Mark:
 		pkt.Set(packet.FlagCE)
-		m.MarkedPkts++
 		q.MarkedPkts++
 		m.ctrMarked.Inc()
 		if m.obsSink.Enabled(obs.KindMark) {
@@ -489,8 +481,6 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 	}
 	q.push(pkt, m.sw.sim.Now())
 	m.sw.ports[port].queued++
-	m.AdmittedPkts++
-	m.AdmittedBytes += size
 	m.ctrAdmittedPkts.Inc()
 	m.ctrAdmittedBytes.Add(int64(size))
 	if m.flowAware != nil {

@@ -128,7 +128,6 @@ func BenchmarkPushBatchSmallIntoBusy(b *testing.B) { benchBatch(b, 4096, 16, tru
 func BenchmarkPushLoopSmallIntoBusy(b *testing.B)  { benchBatch(b, 4096, 16, false) }
 
 // ...and a large merge into a mostly-drained calendar. PushBatch is a
-// push loop now; both names are kept so the committed BENCH_*.json
-// baselines still gate them.
+// push loop now, so each pair should read the same.
 func BenchmarkPushBatchLargeIntoIdle(b *testing.B) { benchBatch(b, 64, 512, true) }
 func BenchmarkPushLoopLargeIntoIdle(b *testing.B)  { benchBatch(b, 64, 512, false) }

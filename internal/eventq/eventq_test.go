@@ -331,6 +331,81 @@ func BenchmarkCalendarHold(b *testing.B) {
 	}
 }
 
+// TestWarmQueueZeroAlloc asserts that every push path, paired with the
+// pops that keep the queue at a standing depth, allocates nothing once
+// the arena, free list, heaps, wheel and line ring have grown to that
+// depth. Each step pushes a fixed number of events 0-2 us ahead (near
+// and wheel; every 64th 100 us ahead, beyond the wheel into far) or
+// onto a 10 us delay line, then pops as many.
+func TestWarmQueueZeroAlloc(t *testing.T) {
+	const depth = 2048
+	nop := func(any) {}
+	rng := rand.New(rand.NewSource(42))
+	var gaps [1024]units.Time
+	for i := range gaps {
+		gaps[i] = units.Time(rng.Int63n(int64(2 * units.Microsecond)))
+		if i%64 == 63 {
+			gaps[i] = 100 * units.Microsecond
+		}
+	}
+	batch := make([]Item, 16)
+	type state struct {
+		q    Queue
+		line LineID
+		now  units.Time
+		i    int
+	}
+	pop := func(s *state) { _, _, s.now, _ = s.q.Pop() }
+	cases := []struct {
+		name string
+		step func(s *state)
+	}{
+		{"PushArg+Pop", func(s *state) {
+			s.q.PushArg(s.now+gaps[s.i&1023], nop, nil)
+			pop(s)
+		}},
+		{"PushLaneArg+PopLE", func(s *state) {
+			s.q.PushLaneArg(0, s.now+gaps[s.i&1023], nop, nil)
+			_, _, s.now, _ = s.q.PopLE(s.now + 200*units.Microsecond)
+		}},
+		{"PushBatch", func(s *state) {
+			for j := range batch {
+				batch[j] = Item{Time: s.now + gaps[(s.i+j)&1023], Fn: nop}
+			}
+			s.q.PushBatch(batch)
+			for range batch {
+				pop(s)
+			}
+		}},
+		{"PushLine", func(s *state) {
+			s.q.PushLine(s.line, s.now, nop, nil)
+			pop(s)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := new(state)
+			s.line = s.q.Line(10 * units.Microsecond)
+			for s.i = 0; s.i < depth; s.i++ {
+				s.q.PushArg(gaps[s.i&1023], nop, nil)
+			}
+			run := func(n int) {
+				for k := 0; k < n; k++ {
+					tc.step(s)
+					s.i++
+				}
+			}
+			run(50 * depth)
+			if allocs := testing.AllocsPerRun(20, func() { run(depth) }); allocs != 0 {
+				t.Fatalf("%.1f allocations per %d steps on a warm queue, want 0", allocs, depth)
+			}
+			if s.q.Len() != depth {
+				t.Fatalf("queue depth drifted to %d, want %d", s.q.Len(), depth)
+			}
+		})
+	}
+}
+
 // The TestLane* tests date from the per-source lane calendar. The lane
 // entry points survive as shims onto the one calendar (see LaneID), so
 // these now pin that the shims keep the global (time, push order)
@@ -469,8 +544,7 @@ func TestLaneRecycle(t *testing.T) {
 }
 
 // BenchmarkLanePushPop measures one in-order push and one pop per
-// iteration against a populated queue, through the lane shim. The name
-// is kept so the committed BENCH_*.json baselines still gate it.
+// iteration against a populated queue, through the lane shim.
 func BenchmarkLanePushPop(b *testing.B) {
 	var q Queue
 	const lanes = 64

@@ -87,20 +87,29 @@ func TestArrivalsGolden(t *testing.T) {
 // workloads round to nothing on the built fabric are errors from Run,
 // not panics.
 func TestRunRejectsUnrealizableWorkloads(t *testing.T) {
-	for name, tc := range map[string]struct{ spec, want string }{
-		"request rounds to 0 bytes": {
+	twoGroups := Fabric{Spines: 1, Leaves: 2, HostsPerLeaf: 2}
+	oneGroup := Fabric{Spines: 1, Leaves: 1, HostsPerLeaf: 4}
+	for name, tc := range map[string]struct {
+		fabric     Fabric
+		spec, want string
+	}{
+		"request rounds to 0 bytes": {twoGroups,
 			`{"workload":{"incast":{"request_frac":1e-9}}}`, "request size"},
-		"query gap rounds to 0 ps": {
+		"query gap rounds to 0 ps": {twoGroups,
 			`{"workload":{"incast":{"request_frac":0.1,"load":1e9}}}`, "query rate"},
-		"long flow rounds to 0 bytes": {
+		"long flow rounds to 0 bytes": {twoGroups,
 			`{"workload":{"long_flows":{"flow_kb":1e-9}}}`, "long flows need a size"},
+		"incast on one edge group": {oneGroup,
+			`{"workload":{"incast":{"request_frac":0.3}}}`, "incast needs at least two edge groups"},
+		"web search on one edge group": {oneGroup,
+			`{"workload":{"load":0.3}}`, "web search needs at least two edge groups"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			s, err := Parse([]byte(tc.spec))
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Fabric = Fabric{Spines: 1, Leaves: 2, HostsPerLeaf: 2}
+			s.Fabric = tc.fabric
 			s.Duration = Duration(units.Millisecond)
 			if _, err := s.Resolve(); err != nil {
 				t.Fatalf("Resolve rejects the spec (%v); the case needs one it accepts", err)

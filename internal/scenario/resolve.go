@@ -79,6 +79,9 @@ func (s Scenario) Resolve() (Scenario, error) {
 	if f.LinkDelay <= 0 {
 		f.LinkDelay = defaultLinkDelay
 	}
+	if err := f.checkSize(); err != nil {
+		return Scenario{}, err
+	}
 	g := f.graph()
 	for i, lf := range f.LinkFaults {
 		if _, err := g.LinkIndex(lf.Link); err != nil {
@@ -137,6 +140,9 @@ func (s Scenario) Resolve() (Scenario, error) {
 	}
 	if b.QueuesPerPort <= 0 {
 		b.QueuesPerPort = 1
+	}
+	if b.QueuesPerPort > maxQueuesPerPort {
+		return Scenario{}, fmt.Errorf("scenario: queues_per_port %d exceeds %d priorities", b.QueuesPerPort, maxQueuesPerPort)
 	}
 	b.Alphas = expandAlphas(b.Alphas, b.QueuesPerPort)
 	if b.AlphaUnscheduled <= 0 {

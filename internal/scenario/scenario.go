@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -164,6 +165,57 @@ func (f Fabric) graph() *topo.Graph {
 		hpl = defaultHostsPerLeaf
 	}
 	return topo.LeafSpine(sp, lv, hpl)
+}
+
+// Fabric size limits. checkSize applies them to the dimensions alone,
+// before the graph is built, so a hostile spec is an error instead of
+// an allocation that exhausts memory.
+const (
+	// maxLinks caps switch-to-switch links: each is two switch ports
+	// with their queues.
+	maxLinks = 1 << 16
+	// maxRouteSize caps the route tables: every switch keeps a next-hop
+	// set per edge group, each a subset of its ports, so they hold at
+	// most (switches + ports) x groups words. Resolve builds them once
+	// to find the fabric's worst hop count.
+	maxRouteSize = 1 << 24
+	// maxRadix caps ports per switch: obs.Event.Port is an int16.
+	maxRadix = math.MaxInt16
+	// maxQueuesPerPort caps priorities: packet.Prio is a uint8.
+	maxQueuesPerPort = math.MaxUint8 + 1
+)
+
+// checkSize rejects a defaulted fabric whose graph would exceed one of
+// the limits above or topo.MaxHosts. The tests run in an order that
+// keeps every product from overflowing: the radix test bounds each
+// dimension, and the host and link tests bound the route-table one.
+func (f Fabric) checkSize() error {
+	var hosts, links, switches, groups int
+	if f.Topology == "fattree" {
+		k := f.K
+		if k > maxRadix {
+			return fmt.Errorf("scenario: fat-tree k %d exceeds the %d-port switch limit", k, maxRadix)
+		}
+		hosts, links, switches, groups = k*k*k/4, k*k*k/2, 5*k*k/4, k*k/2
+	} else {
+		// Leaves have hosts_per_leaf + spines ports, spines one per leaf.
+		if f.Spines > maxRadix-f.HostsPerLeaf || f.Leaves > maxRadix {
+			return fmt.Errorf("scenario: leaf–spine %dx%dx%d needs switches over the %d-port limit",
+				f.Spines, f.Leaves, f.HostsPerLeaf, maxRadix)
+		}
+		hosts, links = f.Leaves*f.HostsPerLeaf, f.Spines*f.Leaves
+		switches, groups = f.Spines+f.Leaves, f.Leaves
+	}
+	switch {
+	case hosts > topo.MaxHosts:
+		return fmt.Errorf("scenario: fabric has %d hosts; at most %d can be numbered", hosts, topo.MaxHosts)
+	case links > maxLinks:
+		return fmt.Errorf("scenario: fabric has %d switch-to-switch links; at most %d", links, maxLinks)
+	case (switches+hosts+2*links)*groups > maxRouteSize:
+		return fmt.Errorf("scenario: fabric's route tables would need %d words ((switches + ports) x %d edge groups); at most %d",
+			(switches+hosts+2*links)*groups, groups, maxRouteSize)
+	}
+	return nil
 }
 
 // radix returns the switch port count the buffer model is sized

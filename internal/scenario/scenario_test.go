@@ -249,6 +249,58 @@ func TestResolveRejects(t *testing.T) {
 	}
 }
 
+// TestResolveSizeLimits: Resolve refuses fabrics and queue counts past
+// what the simulator can number from the spec's arithmetic alone, so a
+// hostile spec is an error instead of a graph build that exhausts
+// memory, and accepts the largest spec within each limit. want "" means
+// the spec resolves.
+func TestResolveSizeLimits(t *testing.T) {
+	for name, tc := range map[string]struct{ spec, want string }{
+		"too many hosts": {
+			`{"fabric":{"leaves":20000,"hosts_per_leaf":1000}}`, "hosts"},
+		"hosts at the limit": {
+			`{"fabric":{"spines":1,"leaves":100,"hosts_per_leaf":100}}`, ""},
+		"too many links": {
+			`{"fabric":{"spines":7000,"leaves":10,"hosts_per_leaf":1}}`, "links"},
+		"leaf radix": {
+			`{"fabric":{"spines":30000,"leaves":2,"hosts_per_leaf":3000}}`, "port limit"},
+		"spine radix": {
+			`{"fabric":{"spines":1,"leaves":40000,"hosts_per_leaf":1}}`, "port limit"},
+		"dimension product overflows": {
+			`{"fabric":{"spines":1,"leaves":4611686018427387904,"hosts_per_leaf":4}}`, "port limit"},
+		"hosts_per_leaf at int max": {
+			`{"fabric":{"hosts_per_leaf":9223372036854775807}}`, "port limit"},
+		"fat-tree k over radix": {
+			`{"fabric":{"topology":"fattree","k":4611686018427387904}}`, "port switch limit"},
+		"fat-tree too many hosts": {
+			`{"fabric":{"topology":"fattree","k":36}}`, "hosts"},
+		"fat-tree route tables": {
+			`{"fabric":{"topology":"fattree","k":32}}`, "route tables"},
+		"largest fat tree": {
+			`{"fabric":{"topology":"fattree","k":30}}`, ""},
+		"leaf–spine route tables": {
+			`{"fabric":{"spines":1,"leaves":2048,"hosts_per_leaf":1}}`, "route tables"},
+		"too many queues": {
+			`{"buffer":{"queues_per_port":257}}`, "queues_per_port"},
+		"queues at the limit": {
+			`{"buffer":{"queues_per_port":256}}`, ""},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := Parse([]byte(tc.spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.Resolve()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("Resolve rejects a spec within the limits: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // A disabled hybrid block must stay all-zero through Resolve (so it is
 // omitted from resolved specs), while an enabled one gets the defaults.
 func TestResolveHybrid(t *testing.T) {

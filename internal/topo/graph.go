@@ -71,6 +71,10 @@ const (
 	tierIDStep  = 10000
 )
 
+// MaxHosts is the most hosts a graph can number: host IDs 0..N-1 must
+// stay below the first switch ID.
+const MaxHosts = leafIDBase
+
 // NumSwitches returns the total switch count.
 func (g *Graph) NumSwitches() int { return len(g.tier) }
 

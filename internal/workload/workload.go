@@ -145,6 +145,9 @@ func NewStream(n *topo.Network, col *metrics.Collector, horizon units.Time,
 		if ws.CC == nil && ws.PickCC == nil {
 			return nil, errors.New("workload: web search needs a cc factory")
 		}
+		if n.G.NumGroups() < 2 {
+			return nil, errors.New("workload: web search needs at least two edge groups: its load is set against the bisection between them")
+		}
 		if ws.Sizes == nil {
 			ws.Sizes = randutil.WebSearch
 		}
@@ -166,6 +169,9 @@ func NewStream(n *topo.Network, col *metrics.Collector, horizon units.Time,
 		}
 		if ic.CC == nil {
 			return nil, errors.New("workload: incast needs a cc factory")
+		}
+		if n.G.NumGroups() < 2 {
+			return nil, errors.New("workload: incast needs at least two edge groups: responders come from outside the requester's group")
 		}
 		mean, err := meanGap(ic.QueryRate)
 		if err != nil {
