@@ -1,9 +1,12 @@
 // Command sweep runs multi-seed experiment grids: a base scenario file
 // and the cross product of -vary axes over any scenario field by dotted
 // path, replicated across derived seeds and aggregated into mean/p95/p99
-// with bootstrap confidence intervals.
+// with bootstrap confidence intervals. `sweep run -fig` runs the paper's
+// figures the same way: every cell of the named figures as one plan,
+// each figure's table rendered to <out>/<id>.tsv from the records.
 //
 //	sweep run    [grid flags] -out dir                 run the grid on this machine's worker pool
+//	sweep run    -fig id,...|all [-scale s] -out dir   regenerate figure tables the same way
 //	sweep serve  [grid flags] -addr host:port -out dir coordinate the grid for remote workers
 //	sweep work   -connect host:port                    execute a coordinator's leased jobs
 //	sweep status -connect host:port | -out dir         live or offline progress per group
@@ -22,6 +25,7 @@
 //	sweep run -scenario examples/incast/scenario.json -vary switch.bm=DT,ABM -vary workload.load=0.2,0.4,0.6,0.8 -reps 3 -out results/sweep
 //	sweep run -plan plan.json -out results/sweep -resume
 //	sweep run -scenario scenarios/oversub-2to1.json -vary switch.bm=DT,ABM -reps 3
+//	sweep run -fig all -scale small -seed 42 -out results
 //	sweep serve -scenario scenarios/oversub-2to1.json -vary switch.bm=DT,ABM -workers 0 -out results/serve
 //	sweep work -connect 127.0.0.1:7077 -slots 4
 //	sweep status -out results/serve
@@ -52,6 +56,7 @@ import (
 	"abm/internal/obs/prom"
 	"abm/internal/prof"
 	"abm/internal/runner"
+	"abm/internal/scenario"
 	"abm/internal/sweepd"
 )
 
@@ -59,10 +64,11 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 const usage = `usage:
   sweep run    [grid flags] -out dir                  run the grid on this machine's worker pool
+  sweep run    -fig id,...|all [-scale s] -out dir    regenerate paper figures into <out>/<id>.tsv
   sweep serve  [grid flags] -addr host:port -out dir  run the coordinator (plus -workers in-process workers)
   sweep work   -connect host:port [-slots n]          work a remote coordinator's sweep
   sweep status -connect host:port                     print a coordinator's live status
-  sweep status -out dir                               replay a sweep's (or figures') record log offline
+  sweep status -out dir                               replay a sweep's record log offline
 `
 
 // run dispatches one subcommand and returns the process exit status, so
@@ -218,11 +224,61 @@ func (f *sweepFlags) report(stdout, stderr io.Writer, records []runner.Record, s
 	return 0
 }
 
-// runCmd runs the grid on an in-process runner.Pool.
+// runPlan builds the plan `sweep run` executes: the grid's, or with
+// -fig the named figures' cells, returned too so their tables can be
+// rendered from the records. Flags of the other mode are rejected
+// rather than silently ignored.
+func (f *sweepFlags) runPlan(fs *flag.FlagSet, fig, scale string) (*runner.Plan, *experiments.Figures, error) {
+	set := map[string]bool{}
+	fs.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	if fig == "" {
+		if set["scale"] {
+			return nil, nil, fmt.Errorf("-scale picks the figure preset; it applies only with -fig")
+		}
+		grid, err := f.resolve()
+		if err != nil {
+			return nil, nil, err
+		}
+		f.grid = grid // a -plan file's shard count caps the pool's workers too
+		plan, err := grid.Plan()
+		return plan, nil, err
+	}
+	for _, name := range []string{"plan", "name", "reps", "vary"} {
+		if set[name] {
+			return nil, nil, fmt.Errorf("-%s applies to grids; -fig runs the figures' own cells", name)
+		}
+	}
+	obsOpts, err := f.obs.Validate()
+	if err != nil {
+		return nil, nil, err
+	}
+	base, err := scenario.Preset(scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	base.Seed = f.grid.Seed
+	if f.grid.Scenario != "" {
+		s, err := scenario.Load(f.grid.Scenario)
+		if err != nil {
+			return nil, nil, err
+		}
+		base.Fabric = s.Fabric
+	}
+	figs := &experiments.Figures{IDs: splitCSV(fig), Base: base, Shards: f.grid.Shards, Obs: obsOpts}
+	plan, err := figs.Plan()
+	return plan, figs, err
+}
+
+// runCmd runs the grid, or the -fig figures, on an in-process
+// runner.Pool.
 func runCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	f := addSweepFlags(fs)
+	fig := fs.String("fig", "", "regenerate paper figures instead of a grid: comma-separated IDs ("+
+		strings.Join(experiments.FigureIDs, ", ")+") or \"all\"; each table is written to <out>/<id>.tsv, "+
+		"-seed is the figure seed and -scenario overlays its fabric on the preset")
+	scale := fs.String("scale", "small", "with -fig: the preset the figure cells derive from (small, medium, paper)")
 	dryRun := fs.Bool("dry-run", false, "print the expanded job list and exit")
 	injectPanic := fs.String("inject-panic", "", "make jobs whose ID contains this substring panic (fault-injection testing)")
 	var pf prof.Flags
@@ -230,7 +286,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	grid, err := f.resolve()
+	plan, figs, err := f.runPlan(fs, *fig, *scale)
 	if err != nil {
 		return die(stderr, err)
 	}
@@ -240,10 +296,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stopProf()
 
-	plan, err := grid.Plan()
-	if err != nil {
-		return die(stderr, err)
-	}
 	if *injectPanic != "" {
 		for i := range plan.Specs {
 			if strings.Contains(plan.Specs[i].ID, *injectPanic) {
@@ -256,7 +308,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	if *dryRun {
 		for i, s := range plan.Specs {
-			fmt.Fprintf(stdout, "%s\tseed=%d\n", s.ID, plan.SeedFor(i))
+			fmt.Fprintf(stdout, "%s\tseed=%d\n", s.ID, plan.SeedOf(i))
 		}
 		return 0
 	}
@@ -268,10 +320,8 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	defer store.Close()
 	fmt.Fprintf(stderr, "sweep %q: %d jobs on %d workers -> %s\n", plan.Name, len(plan.Specs), f.workers, f.out)
 	start := time.Now()
-	// grid.Shards (not the flag) so a -plan file's shard setting also
-	// caps the worker count against oversubscription.
 	pool := &runner.Pool{
-		Workers: f.workers, JobShards: grid.Shards,
+		Workers: f.workers, JobShards: f.grid.Shards,
 		Timeout: f.timeout, Retries: f.retries,
 		Progress: stderr, Store: store,
 	}
@@ -279,7 +329,16 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return die(stderr, err)
 	}
-	return f.report(stdout, stderr, records, start, "")
+	code := f.report(stdout, stderr, records, start, "")
+	if figs != nil {
+		// Every table is rendered from the records, so a resumed run
+		// rewrites them without simulating.
+		if err := figs.WriteTSVs(f.out, records); err != nil {
+			fmt.Fprintln(stderr, err)
+			code = 1
+		}
+	}
+	return code
 }
 
 // serveCmd runs the coordinator: the grid flags of run, plus the
@@ -478,7 +537,7 @@ func printStatus(w io.Writer, st *sweepd.Status) {
 }
 
 // offlineStatus rebuilds a status snapshot from a record log — that of a
-// finished or interrupted `sweep run`/`serve`, or of `figures -out`.
+// finished or interrupted `sweep run` (grid or -fig) or `sweep serve`.
 // Jobs resolve latest-entry-wins like resume does, and groups are keyed
 // "experiment/group" like aggregate.json's rows.
 func offlineStatus(dir string) (*sweepd.Status, error) {

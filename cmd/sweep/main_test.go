@@ -97,8 +97,9 @@ func TestRunResumeStatus(t *testing.T) {
 	}
 }
 
-// TestStatusOnFiguresDir reads the committed `figures -out results` log:
-// offline status works for every writer of the one record format.
+// TestStatusOnFiguresDir reads the committed log of `sweep run -fig all
+// -scale small -seed 42 -out results`: offline status works for figure
+// runs as for grids.
 func TestStatusOnFiguresDir(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "results", "records.log"))
 	if err != nil {
@@ -124,10 +125,51 @@ func TestStatusOnFiguresDir(t *testing.T) {
 	}
 }
 
+// TestFigureResumeReseeds runs fig12 at seed 1, then at seed 2 with
+// -resume into the same directory: the changed seed must re-run every
+// cell instead of serving the seed-1 records, so the table matches a
+// fresh seed-2 run. A third run resumes with nothing to simulate and
+// re-renders the same table.
+func TestFigureResumeReseeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	dir := t.TempDir()
+	figure := func(out string, args ...string) []byte {
+		t.Helper()
+		args = append([]string{"run", "-fig", "fig12", "-workers", "2", "-out", filepath.Join(dir, out)}, args...)
+		if code, _, stderr := sweep(t, args...); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, out, "fig12.tsv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	seed1 := figure("reused", "-seed", "1")
+	resumed := figure("reused", "-seed", "2", "-resume")
+	fresh := figure("fresh", "-seed", "2")
+	if !bytes.Equal(resumed, fresh) {
+		t.Fatalf("-seed 2 -resume over a seed-1 log:\n%s\nfresh seed-2 run:\n%s", resumed, fresh)
+	}
+	if bytes.Equal(seed1, fresh) {
+		t.Fatal("seed 1 and seed 2 tables are identical; the test cannot tell them apart")
+	}
+	code, _, stderr := sweep(t, "run", "-fig", "fig12", "-seed", "2", "-resume", "-out", filepath.Join(dir, "fresh"))
+	if code != 0 || !strings.Contains(stderr, "5 ok (5 from log)") {
+		t.Fatalf("second resume: exit %d, want every cell from the log: %s", code, stderr)
+	}
+	if again, _ := os.ReadFile(filepath.Join(dir, "fresh", "fig12.tsv")); !bytes.Equal(again, fresh) {
+		t.Fatal("table re-rendered from the log differs")
+	}
+}
+
 // TestGridInputErrors: run and serve share one grid resolution, which
 // needs a base scenario and rejects plan keys the grid does not know —
 // a retired cell-mode plan or a typo fails naming the key instead of
-// silently running a different grid.
+// silently running a different grid. `run -fig` rejects grid flags,
+// and -scale without -fig, instead of ignoring them.
 func TestGridInputErrors(t *testing.T) {
 	dir := t.TempDir()
 	plan := func(name, body string) string {
@@ -151,13 +193,18 @@ func TestGridInputErrors(t *testing.T) {
 		{"good plan", []string{"-plan", plan("good.json",
 			`{"scenario":"`+base+`","vary":[{"path":"switch.bm","values":["DT","ABM"]}]}`)}, ""},
 		{"good flags", []string{"-scenario", base, "-vary", "switch.bm=DT,ABM"}, ""},
+		{"fig with vary", []string{"-fig", "fig6", "-vary", "switch.bm=DT"}, "-vary applies to grids"},
+		{"fig with reps", []string{"-fig", "fig6", "-reps", "3"}, "-reps applies to grids"},
+		{"scale without fig", []string{"-scenario", base, "-scale", "medium"}, "only with -fig"},
+		{"unknown fig", []string{"-fig", "fig99"}, `unknown figure "fig99"`},
+		{"good fig", []string{"-fig", "fig6,fig12", "-scale", "medium", "-scenario", base}, ""},
 	} {
 		for _, sub := range []string{"run", "serve"} {
 			args := append([]string{sub}, tc.args...)
 			if sub == "run" {
 				args = append(args, "-dry-run")
-			} else if tc.want == "" {
-				continue // a resolvable serve grid would start serving
+			} else if tc.want == "" || strings.Contains(tc.name, "fig") {
+				continue // a resolvable serve grid would start serving; serve has no -fig or -scale
 			}
 			code, _, stderr := sweep(t, args...)
 			switch {

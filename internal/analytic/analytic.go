@@ -23,7 +23,7 @@ type PriorityLoad struct {
 func DTSteadyThreshold(b units.ByteCount, alphaP float64, prios []PriorityLoad) units.ByteCount {
 	denom := 1.0
 	for _, p := range prios {
-		denom += float64(p.Congested) * p.Alpha
+		denom += float64(float64(p.Congested) * p.Alpha)
 	}
 	return units.ByteCount(alphaP * float64(b) / denom)
 }
@@ -110,7 +110,7 @@ func (s BurstScenario) muBurst() float64 {
 // aggregateDrain returns mu, the buffer's aggregate drain rate from the
 // pre-existing congested ports.
 func (s BurstScenario) aggregateDrain() float64 {
-	return float64(s.CongestedPorts) * float64(s.PortRate)
+	return float64(float64(s.CongestedPorts) * float64(s.PortRate))
 }
 
 // DTBurstTolerance evaluates DT's burst tolerance. When the burst grows
@@ -126,7 +126,7 @@ func (s BurstScenario) DTBurstTolerance() units.ByteCount {
 	// All pre-existing congested queues plus the burst's port-mates share
 	// the buffer: n = ports + extra queues on the burst port.
 	n := s.CongestedPorts + (s.QueuesPerPort - 1)
-	sumNAlpha := float64(n) * s.Alpha
+	sumNAlpha := float64(float64(n) * s.Alpha)
 
 	steady := s.Alpha * float64(s.B) / (1 + sumNAlpha + s.Alpha)
 	growth := r - muIP

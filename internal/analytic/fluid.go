@@ -90,8 +90,8 @@ func (m *FluidModel) applyEuler(src, dst, drops, thrOut []float64, sec float64) 
 		if thrOut != nil {
 			thrOut[i] = thr
 		}
-		in := float64(fq.Arrival) / 8 * sec
-		out := float64(fq.Drain) / 8 * sec
+		in := float64(float64(fq.Arrival) / 8 * sec)
+		out := float64(float64(fq.Drain) / 8 * sec)
 		l := src[i]
 		if out > l+in {
 			out = l + in
@@ -171,7 +171,7 @@ func (m *FluidModel) Step(dt units.Time) {
 		m.applyEuler(m.y1, m.y2, m.d2, nil, h)   // endpoint slope
 		errMax := 0.0
 		for i := range m.y2 {
-			corr := 0.5 * (m.y0[i] + m.y2[i]) // y0 + avg of the two increments
+			corr := float64(0.5 * (m.y0[i] + m.y2[i])) // y0 + avg of the two increments
 			if e := corr - m.y1[i]; e > errMax {
 				errMax = e
 			} else if -e > errMax {
@@ -184,7 +184,7 @@ func (m *FluidModel) Step(dt units.Time) {
 			continue
 		}
 		for i, fq := range m.Queues {
-			fq.DroppedBytes += 0.5 * (m.d1[i] + m.d2[i])
+			fq.DroppedBytes += float64(0.5 * (m.d1[i] + m.d2[i]))
 			fq.Threshold = m.thr[i]
 			fq.Len = m.y2[i]
 			m.y0[i] = m.y2[i]

@@ -78,14 +78,14 @@ func (s TransientScenario) ZeroDropTime() units.Time {
 
 	if s.ArrivalRate <= s.CaseBoundary() {
 		// Theorem 4, Eq. 34: t1 = omega*B / ((r-γ)·(1 + Σ_old ω + ω·|S_new|)).
-		denom := growth * (1 + sumOld + omegaNew*float64(len(s.NewOmegas)))
+		denom := growth * (1 + sumOld + float64(omegaNew*float64(len(s.NewOmegas))))
 		return secondsToTime(omegaNew * bBits / denom)
 	}
 	// Theorem 5, Eq. 39: t1 = ω·B / (X2·Y2) with X2 = 1 + Σ_old ω and
 	// Y2 = (r−γ) + ω·(Σ_{S_old}(−γ) + Σ_{S_new}(r−γ))
 	//    = (r−γ) + ω·((r−γ)·|S_new| − oldDrain).
 	x2 := 1 + sumOld
-	y2 := growth + omegaNew*(growth*float64(len(s.NewOmegas))-float64(s.OldDrain))
+	y2 := growth + float64(omegaNew*(float64(growth*float64(len(s.NewOmegas)))-float64(s.OldDrain)))
 	if y2 <= 0 {
 		// The aggregate drain outruns the burst: thresholds rise, the new
 		// queue never hits its threshold.

@@ -73,8 +73,8 @@ func (p *PIE) maybeUpdate(delay units.Time, now units.Time) {
 		return
 	}
 	p.lastUpdate = now
-	dp := p.AlphaGain*(delay-p.DelayTarget).Seconds() +
-		p.BetaGain*(delay-p.prevDelay).Seconds()
+	dp := float64(p.AlphaGain*(delay-p.DelayTarget).Seconds()) +
+		float64(p.BetaGain*(delay-p.prevDelay).Seconds())
 	// Scale the adjustment down while the probability is small, as the
 	// RFC 8033 auto-tuning does, to avoid overshoot.
 	switch {

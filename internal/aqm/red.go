@@ -45,7 +45,7 @@ func (r *RED) OnArrival(ctx *Ctx, rng *rand.Rand) Decision {
 		r.avg = float64(ctx.QueueLen)
 		r.started = true
 	} else {
-		r.avg = (1-r.Wq)*r.avg + r.Wq*float64(ctx.QueueLen)
+		r.avg = float64((1-r.Wq)*r.avg) + float64(r.Wq*float64(ctx.QueueLen))
 	}
 	switch {
 	case r.avg < float64(r.MinTh):
@@ -58,7 +58,7 @@ func (r *RED) OnArrival(ctx *Ctx, rng *rand.Rand) Decision {
 		frac := (r.avg - float64(r.MinTh)) / float64(r.MaxTh-r.MinTh)
 		pb := r.MaxP * frac
 		// Uniformize mark spacing as in the original paper.
-		pa := pb / (1 - float64(r.count)*pb)
+		pa := pb / (1 - float64(float64(r.count)*pb))
 		r.count++
 		if pa < 0 || pa >= 1 || rng.Float64() < pa {
 			r.count = 0

@@ -193,7 +193,7 @@ func (ib *IB) Tick(now units.Time) {
 		if err < -1 {
 			err = -1
 		}
-		ib.fairBytes *= 1 + ib.Gain*err
+		ib.fairBytes *= 1 + float64(ib.Gain*err)
 		// Anchor the fair share to the per-window port capacity: an
 		// elephant alone on a port deserves close to the full rate, and
 		// the share never drops below a small fraction of it.

@@ -62,7 +62,7 @@ func (cu *Cubic) OnAck(ev AckEvent) {
 		cu.rttEst = ev.RTT
 	}
 	t := (ev.Now - cu.epochStart).Seconds()
-	target := cu.c*math.Pow(t-cu.k, 3) + cu.wMax // in MSS
+	target := float64(cu.c*math.Pow(t-cu.k, 3)) + cu.wMax // in MSS
 
 	// TCP-friendly region (RFC 8312 §4.2): at datacenter RTTs the Reno
 	// estimate dominates the cubic curve; without it Cubic would take
@@ -72,7 +72,7 @@ func (cu *Cubic) OnAck(ev AckEvent) {
 		rtt = cu.cfg.BaseRTT
 	}
 	if rtt > 0 {
-		wEst := cu.wMax*cu.beta + 3*(1-cu.beta)/(1+cu.beta)*(t/rtt.Seconds())
+		wEst := float64(cu.wMax*cu.beta) + float64(3*(1-cu.beta)/(1+cu.beta)*(t/rtt.Seconds()))
 		if wEst > target {
 			target = wEst
 		}

@@ -65,11 +65,11 @@ func (d *DCQCN) OnAck(ev AckEvent) {
 	if ev.ECNMarked {
 		// CNP: cut the rate, raise alpha, restart recovery.
 		d.targetRate = d.currentRate
-		d.currentRate = units.Rate(float64(d.currentRate) * (1 - d.alpha/2))
+		d.currentRate = units.Rate(float64(d.currentRate) * (1 - float64(d.alpha/2)))
 		if d.currentRate < 10*units.MegabitPerSec {
 			d.currentRate = 10 * units.MegabitPerSec
 		}
-		d.alpha = (1-d.G)*d.alpha + d.G
+		d.alpha = float64((1-d.G)*d.alpha) + d.G
 		d.rounds = 0
 		d.lastIncrease = ev.Now
 		return

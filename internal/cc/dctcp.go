@@ -51,7 +51,7 @@ func (d *DCTCP) OnAck(ev AckEvent) {
 		// React once per window: cut by alpha/2 at the first mark.
 		if !d.cutDone {
 			d.cutDone = true
-			d.cwnd = units.ByteCount(float64(d.cwnd) * (1 - d.alpha/2))
+			d.cwnd = units.ByteCount(float64(d.cwnd) * (1 - float64(d.alpha/2)))
 			d.cwnd = clampWindow(d.cwnd, d.cfg.MSS, d.cfg.MaxCwnd)
 			d.ssthresh = d.cwnd
 		}
@@ -61,7 +61,7 @@ func (d *DCTCP) OnAck(ev AckEvent) {
 	// of ACKs. (Snapshotting avoids chasing a growing cwnd in slow start.)
 	if d.ackedBytes >= d.windowTarget {
 		f := float64(d.markedBytes) / float64(d.ackedBytes)
-		d.alpha = (1-d.g)*d.alpha + d.g*f
+		d.alpha = float64((1-d.g)*d.alpha) + float64(d.g*f)
 		d.ackedBytes, d.markedBytes = 0, 0
 		d.cutDone = false
 		d.windowTarget = d.cwnd

@@ -92,7 +92,7 @@ func (h *HPCC) OnAck(ev AckEvent) {
 		return
 	}
 	// EWMA over roughly one RTT of ACKs.
-	h.maxU = 0.9*h.maxU + 0.1*maxU
+	h.maxU = float64(0.9*h.maxU) + float64(0.1*maxU)
 
 	w := float64(h.refCwnd)/(h.maxU/h.Eta) + float64(h.AIBytes)
 	h.cwnd = clampWindow(units.ByteCount(w), h.cfg.MSS, h.maxCwnd())

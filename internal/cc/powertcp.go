@@ -106,7 +106,7 @@ func (p *PowerTCP) normPower(ev AckEvent) float64 {
 	if dtUsed > tau {
 		dtUsed = tau
 	}
-	p.smoothed = (p.smoothed*float64(tau-dtUsed) + maxNorm*float64(dtUsed)) / float64(tau)
+	p.smoothed = (float64(p.smoothed*float64(tau-dtUsed)) + float64(maxNorm*float64(dtUsed))) / float64(tau)
 	p.havePower = true
 	return p.smoothed
 }
@@ -116,7 +116,7 @@ func (p *PowerTCP) updateWindow(norm float64, now units.Time) {
 	if norm < 0.05 {
 		norm = 0.05 // avoid explosion on near-idle paths
 	}
-	newCwnd := p.gamma*(float64(p.prevCwnd)/norm+float64(p.beta)) + (1-p.gamma)*float64(p.cwnd)
+	newCwnd := float64(p.gamma*(float64(p.prevCwnd)/norm+float64(p.beta))) + float64((1-p.gamma)*float64(p.cwnd))
 	p.cwnd = clampWindow(units.ByteCount(newCwnd), p.cfg.MSS, p.maxCwnd())
 	// Snapshot the window once per base RTT as "cwnd_old".
 	if now-p.lastSnap >= p.cfg.BaseRTT {

@@ -60,7 +60,7 @@ func (sw *Swift) OnAck(ev AckEvent) {
 		// Multiplicative decrease proportional to overshoot, at most
 		// once per RTT.
 		over := float64(ev.RTT-sw.TargetDelay) / float64(ev.RTT)
-		factor := 1 - sw.Beta*over
+		factor := 1 - float64(sw.Beta*over)
 		if factor < 1-sw.MaxMDF {
 			factor = 1 - sw.MaxMDF
 		}

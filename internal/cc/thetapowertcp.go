@@ -85,9 +85,9 @@ func (p *ThetaPowerTCP) OnAck(ev AckEvent) {
 	if dt > tau {
 		dt = tau
 	}
-	p.smoothed = (p.smoothed*float64(tau-dt) + norm*float64(dt)) / float64(tau)
+	p.smoothed = (float64(p.smoothed*float64(tau-dt)) + float64(norm*float64(dt))) / float64(tau)
 
-	newCwnd := p.gamma*(float64(p.prevCwnd)/p.smoothed+float64(p.beta)) + (1-p.gamma)*float64(p.cwnd)
+	newCwnd := float64(p.gamma*(float64(p.prevCwnd)/p.smoothed+float64(p.beta))) + float64((1-p.gamma)*float64(p.cwnd))
 	p.cwnd = clampWindow(units.ByteCount(newCwnd), p.cfg.MSS, p.maxCwnd())
 	if ev.Now-p.lastSnap >= p.cfg.BaseRTT {
 		p.prevCwnd = p.cwnd

@@ -65,7 +65,7 @@ func (t *Timely) OnAck(ev AckEvent) {
 	}
 	newDiff := float64(ev.RTT - t.prevRTT)
 	t.prevRTT = ev.RTT
-	t.rttDiff = (1-t.EWMAAlpha)*t.rttDiff + t.EWMAAlpha*newDiff
+	t.rttDiff = float64((1-t.EWMAAlpha)*t.rttDiff) + float64(t.EWMAAlpha*newDiff)
 	gradient := t.rttDiff / float64(t.cfg.BaseRTT)
 
 	switch {
@@ -74,7 +74,7 @@ func (t *Timely) OnAck(ev AckEvent) {
 		t.setRate(t.rate + t.AddStep)
 	case ev.RTT > t.THigh:
 		t.negStreak = 0
-		factor := 1 - t.Beta*(1-float64(t.THigh)/float64(ev.RTT))
+		factor := 1 - float64(t.Beta*(1-float64(t.THigh)/float64(ev.RTT)))
 		t.setRate(units.Rate(float64(t.rate) * factor))
 	case gradient <= 0:
 		t.negStreak++
@@ -85,7 +85,7 @@ func (t *Timely) OnAck(ev AckEvent) {
 		t.setRate(t.rate + n*t.AddStep)
 	default:
 		t.negStreak = 0
-		factor := 1 - t.Beta*gradient
+		factor := 1 - float64(t.Beta*gradient)
 		if factor < 0.1 {
 			factor = 0.1
 		}

@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
-	"abm/internal/runner"
 	"abm/internal/scenario"
 )
 
@@ -32,23 +30,10 @@ func alphaSweepJobs(base scenario.Scenario) []job {
 		for _, bmName := range []string{"DT", "ABM"} {
 			sc := cell(base, bmName, 0.4, "cubic", 0.3)
 			sc.Buffer.Alphas = []float64{p.alpha} // one alpha for every queue
-			jobs = append(jobs, job{fmt.Sprintf("alpha=%g,bm=%s", p.alpha, bmName), sc})
+			jobs = append(jobs, job{label: fmt.Sprintf("alpha=%g,bm=%s", p.alpha, bmName),
+				row: p.label + "\t" + bmName, sc: sc})
 		}
 	}
-	return jobs
-}
-
-func alphaSweepRender(w io.Writer, res []runner.Result) {
-	fmt.Fprintln(w, "# Alpha sensitivity: DT vs ABM across vendor alpha presets (load 40%, incast 30%)")
-	fmt.Fprintln(w, "alpha\tbm\tp99_incast\tp99_short\tp99_buffer_pct\tavg_tput_pct")
-	i := 0
-	for _, p := range alphaPresets {
-		for _, bmName := range []string{"DT", "ABM"} {
-			s := res[i].Summary
-			i++
-			fmt.Fprintf(w, "%s\t%s\t%.1f\t%.1f\t%.1f\t%.1f\n",
-				p.label, bmName, s.P99IncastSlowdown, s.P99ShortSlowdown,
-				100*s.P99BufferFrac, 100*s.AvgThroughputFrac)
-		}
-	}
+	return titled("# Alpha sensitivity: DT vs ABM across vendor alpha presets (load 40%, incast 30%)\n"+
+		"alpha\tbm\tp99_incast\tp99_short\tp99_buffer_pct\tavg_tput_pct\n", jobs)
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"abm/internal/runner"
 	"abm/internal/scenario"
 	"abm/internal/units"
 )
@@ -41,7 +43,8 @@ func run(t testing.TB, sc scenario.Scenario) scenario.Result {
 
 // TestFigureScenariosGolden pins how every simulated figure compiles its
 // cells at every scale: the ordered (job ID, seed, SHA-256 of the
-// resolved scenario JSON) list must match testdata/figure-scenarios.golden,
+// resolved scenario JSON) list of the figures' plan must match
+// testdata/figure-scenarios.golden,
 // captured from the figures as they were built before scenarios became
 // the only run spec (testdata/capture-parent.sh). Nothing runs.
 func TestFigureScenariosGolden(t *testing.T) {
@@ -63,24 +66,24 @@ func TestFigureScenariosGolden(t *testing.T) {
 
 	var got []string
 	for _, scale := range []string{"small", "medium", "paper"} {
-		base := preset(t, scale, 42, 0)
-		for _, id := range FigureIDs {
-			fig, ok := figures[id]
+		plan, err := Figures{IDs: []string{"all"}, Base: preset(t, scale, 42, 0)}.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range plan.Specs {
+			sc, ok := s.Config.(scenario.Scenario)
 			if !ok {
-				continue // analytic or burst-lab figures: no scenarios
+				continue // fig5sim's burst-lab probes are not scenarios
 			}
-			for i, j := range fig.jobs(base) {
-				resolved, err := j.sc.Resolve()
-				if err != nil {
-					t.Fatalf("%s %s: %v", scale, jobID(id, i, j.label), err)
-				}
-				data, err := resolved.Marshal()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, fmt.Sprintf("%s\t%s\t%d\t%x",
-					scale, jobID(id, i, j.label), j.sc.Seed, sha256.Sum256(data)))
+			resolved, err := sc.Resolve()
+			if err != nil {
+				t.Fatalf("%s %s: %v", scale, s.ID, err)
 			}
+			data, err := resolved.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, fmt.Sprintf("%s\t%s\t%d\t%x", scale, s.ID, s.Seed, sha256.Sum256(data)))
 		}
 	}
 	if len(got) != len(want) {
@@ -169,11 +172,32 @@ func TestMixedCCPerPrioResults(t *testing.T) {
 	}
 }
 
-func TestFig4Output(t *testing.T) {
-	var buf bytes.Buffer
-	if err := fig4(&buf); err != nil {
+// renderFigure runs one figure's plan on a pool and returns its TSV.
+func renderFigure(t *testing.T, id string, base scenario.Scenario) string {
+	t.Helper()
+	figs := Figures{IDs: []string{id}, Base: base}
+	plan, err := figs.Plan()
+	if err != nil {
 		t.Fatal(err)
 	}
+	recs, err := (&runner.Pool{}).Run(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := figs.WriteTSVs(dir, recs); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, id+".tsv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+func TestFig4Output(t *testing.T) {
+	var buf bytes.Buffer
+	fig4(&buf)
 	out := buf.String()
 	if !strings.Contains(out, "Figure 4") || strings.Count(out, "\n") < 40 {
 		t.Fatalf("fig4 output too short:\n%s", out)
@@ -182,32 +206,36 @@ func TestFig4Output(t *testing.T) {
 
 func TestFig5Output(t *testing.T) {
 	var buf bytes.Buffer
-	if err := fig5(&buf); err != nil {
-		t.Fatal(err)
-	}
+	fig5(&buf)
 	if strings.Count(buf.String(), "\n") < 70 {
 		t.Fatal("fig5 output too short")
 	}
 }
 
-func TestRunFigureUnknown(t *testing.T) {
-	if err := RunFigure(nil, "fig99", preset(t, "small", 1, 0), &bytes.Buffer{}); err == nil {
-		t.Fatal("expected error")
+// TestFiguresUnknown: an unknown figure, no figure at all and an
+// unpinned (zero) figure seed are rejected before anything runs.
+func TestFiguresUnknown(t *testing.T) {
+	base := preset(t, "small", 1, 0)
+	for _, figs := range []Figures{
+		{IDs: []string{"fig99"}, Base: base},
+		{Base: base},
+		{IDs: []string{"fig6"}, Base: preset(t, "small", 0, 0)},
+	} {
+		if _, err := figs.Plan(); err == nil {
+			t.Errorf("%v at seed %d: expected error", figs.IDs, figs.Base.Seed)
+		}
 	}
 }
 
-// TestFigureRunnersSmoke runs the light analytic figures through the
-// figure entry point; full figures run via cmd/figures.
+// TestFigureRunnersSmoke renders the analytic figures through the
+// figure plan: they have no cells and still write their tables.
 func TestFigureRunnersSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation smoke tests skipped in -short")
-	}
 	for _, id := range []string{"fig4", "fig5"} {
-		var buf bytes.Buffer
-		if err := RunFigure(nil, id, preset(t, "small", 1, 0), &buf); err != nil {
-			t.Fatalf("%s: %v", id, err)
+		plan, err := Figures{IDs: []string{id}, Base: preset(t, "small", 1, 0)}.Plan()
+		if err != nil || len(plan.Specs) != 0 {
+			t.Fatalf("%s: %d cells, %v", id, len(plan.Specs), err)
 		}
-		if buf.Len() == 0 {
+		if renderFigure(t, id, preset(t, "small", 1, 0)) == "" {
 			t.Fatalf("%s produced no output", id)
 		}
 	}
@@ -219,14 +247,11 @@ func TestFig8Runner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	var buf bytes.Buffer
-	if err := RunFigure(nil, "fig8", preset(t, "small", 1, 0), &buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	out := renderFigure(t, "fig8", preset(t, "small", 1, 0))
+	lines := strings.Split(strings.TrimSpace(out), "\n")
 	// Header comment + column header + 2 BMs x 3 loads.
 	if len(lines) != 8 {
-		t.Fatalf("fig8 rows = %d, want 8:\n%s", len(lines), buf.String())
+		t.Fatalf("fig8 rows = %d, want 8:\n%s", len(lines), out)
 	}
 	for _, line := range lines[2:] {
 		if !strings.HasPrefix(line, "DT\t") && !strings.HasPrefix(line, "ABM\t") {

@@ -1,19 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"io"
-
-	"abm/internal/runner"
-	"abm/internal/scenario"
-)
-
-// extraCCs are the related-work transports, extraFracs their request
-// sizes.
-var (
-	extraCCs   = []string{"hpcc", "dcqcn", "swift"}
-	extraFracs = []float64{0.25, 0.5, 0.75}
-)
+import "abm/internal/scenario"
 
 // The extracc figure extends Figure 9 beyond the paper: the
 // related-work transports the paper cites but does not evaluate (HPCC,
@@ -22,10 +9,6 @@ var (
 // congestion signal, the less ABM adds, until the burst exceeds what
 // any end-host control can do about the first RTT.
 func extraCCJobs(base scenario.Scenario) []job {
-	return ccByRequestJobs(base, extraCCs, extraFracs)
-}
-
-func extraCCRender(w io.Writer, res []runner.Result) {
-	fmt.Fprintln(w, "# Extension: related-work transports (HPCC, DCQCN, Swift) x request size, DT vs ABM")
-	ccByRequestRender(w, res, extraCCs, extraFracs)
+	return ccByRequestJobs(base, "# Extension: related-work transports (HPCC, DCQCN, Swift) x request size, DT vs ABM\n",
+		[]string{"hpcc", "dcqcn", "swift"}, []float64{0.25, 0.5, 0.75})
 }

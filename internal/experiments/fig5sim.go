@@ -1,33 +1,35 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"io"
+	"strings"
 
 	"abm/internal/bm"
 	"abm/internal/burstlab"
 	"abm/internal/runner"
+	"abm/internal/scenario"
 	"abm/internal/units"
 )
 
-// fig5simProbe is one burst-tolerance measurement point.
-type fig5simProbe struct {
-	scheme  string
-	ports   int
-	queues  int
-	rateX10 int
+// burstProbe is one fig5sim burst-tolerance measurement point; it is
+// also the job's config echo in its record.
+type burstProbe struct {
+	Scheme  string `json:"scheme"`
+	Ports   int    `json:"ports"`
+	Queues  int    `json:"queues"`
+	RateX10 int    `json:"rate_x10g"`
 }
 
-// measureBurst runs one burst-lab measurement for a probe.
-func measureBurst(p fig5simProbe) units.ByteCount {
+// measure runs the probe's burst-lab measurement; the tolerance rides
+// in the record as Extra["tolerance_mb"].
+func (p burstProbe) measure() runner.Result {
 	cfg := burstlab.Config{
 		Seed:           1,
-		CongestedPorts: p.ports,
-		QueuesPerPort:  p.queues,
-		BurstRate:      units.Rate(p.rateX10) * 10 * units.GigabitPerSec,
+		CongestedPorts: p.Ports,
+		QueuesPerPort:  p.Queues,
+		BurstRate:      units.Rate(p.RateX10) * 10 * units.GigabitPerSec,
 	}
-	if p.scheme == "ABM" {
+	if p.Scheme == "ABM" {
 		cfg.BM = func() bm.Policy { return bm.ABM{} }
 		cfg.Unscheduled = true
 		cfg.Headroom = 512 * units.Kilobyte
@@ -35,79 +37,47 @@ func measureBurst(p fig5simProbe) units.ByteCount {
 	} else {
 		cfg.BM = func() bm.Policy { return bm.DT{} }
 	}
-	return burstlab.Measure(cfg).Tolerance
+	tol := burstlab.Measure(cfg).Tolerance
+	return runner.Result{Extra: map[string]float64{"tolerance_mb": mb(tol)}}
 }
 
-// fig5sim regenerates Figure 5's burst-tolerance surfaces by measuring
-// them on the packet simulator (package burstlab) instead of the fluid
-// model — a cross-check that the analytic shapes of Fig5 survive
-// packetization, scheduling, and periodic statistics updates. The
-// probes run as generic jobs on the runner pool: the burst lab builds
-// no fabric, so its probes are not scenarios.
-func fig5sim(o *RunOptions, w io.Writer) error {
-	var probes []fig5simProbe
+// fig5simJobs regenerates Figure 5's burst-tolerance surfaces by
+// measuring them on the packet simulator (package burstlab) instead of
+// the fluid model — a cross-check that the analytic shapes of Fig5
+// survive packetization, scheduling, and periodic statistics updates.
+// The burst lab builds no fabric, so its cells are probes, not
+// scenarios, and ignore the base. Each row is a DT probe then an ABM
+// probe.
+func fig5simJobs(scenario.Scenario) []job {
+	var jobs []job
+	var head string
+	probe := func(row string, ports, queues, rateX10 int) {
+		for _, scheme := range []string{"DT", "ABM"} {
+			jobs = append(jobs, job{label: fmt.Sprintf("%s,ports=%d,queues=%d,rate=%dx", scheme, ports, queues, rateX10),
+				head: head, row: row, probe: &burstProbe{scheme, ports, queues, rateX10}})
+			head = ""
+		}
+	}
+	head = "# Figure 5 (simulated): burst tolerance (MB) vs burst rate and congested ports\nrate_x10G\tports\tDT_MB\tABM_MB\n"
 	for _, r := range []int{10, 15, 20} {
 		for ports := 2; ports <= 14; ports += 4 {
-			probes = append(probes,
-				fig5simProbe{"DT", ports, 1, r}, fig5simProbe{"ABM", ports, 1, r})
+			probe(fmt.Sprintf("%d\t%d", r, ports), ports, 1, r)
 		}
 	}
-	queueStart := len(probes)
+	head = "# Figure 5 (simulated): burst tolerance (MB) vs burst rate and congested queues per port\nrate_x10G\tqueues\tDT_MB\tABM_MB\n"
 	for _, r := range []int{10, 15, 20} {
 		for queues := 2; queues <= 8; queues += 2 {
-			probes = append(probes,
-				fig5simProbe{"DT", 4, queues, r}, fig5simProbe{"ABM", 4, queues, r})
+			probe(fmt.Sprintf("%d\t%d", r, queues), 4, queues, r)
 		}
 	}
+	return jobs
+}
 
-	plan := &runner.Plan{Name: "fig5sim"}
-	for i, p := range probes {
-		probe := p
-		plan.Add(runner.Spec{
-			ID: fmt.Sprintf("fig5sim/%02d-%s,ports=%d,queues=%d,rate=%dx",
-				i, probe.scheme, probe.ports, probe.queues, probe.rateX10),
-			Experiment: "fig5sim",
-			Group: fmt.Sprintf("%s,ports=%d,queues=%d,rate=%dx",
-				probe.scheme, probe.ports, probe.queues, probe.rateX10),
-			Seed:   1, // the burst lab is seeded internally
-			Config: map[string]any{"scheme": probe.scheme, "ports": probe.ports, "queues": probe.queues, "rate_x10g": probe.rateX10},
-			Run: func(_ context.Context, _ int64) (runner.Result, error) {
-				tol := measureBurst(probe)
-				return runner.Result{Extra: map[string]float64{"tolerance_mb": mb(tol)}}, nil
-			},
-		})
+// toleranceEach is one burst-tolerance column per probe of the row.
+func toleranceEach(res []runner.Result) string {
+	cols := make([]string, len(res))
+	for i, r := range res {
+		cols[i] = fmt.Sprintf("%.3f", r.Extra["tolerance_mb"])
 	}
-	records, err := o.pool().Run(context.Background(), plan)
-	if err != nil {
-		return err
-	}
-	tol := make([]float64, len(records))
-	for i, rec := range records {
-		if !rec.OK() {
-			return fmt.Errorf("experiments: %s: %s (%s)", rec.ID, rec.Error, rec.Status)
-		}
-		tol[i] = rec.Result.Extra["tolerance_mb"]
-	}
-
-	fmt.Fprintln(w, "# Figure 5 (simulated): burst tolerance (MB) vs burst rate and congested ports")
-	fmt.Fprintln(w, "rate_x10G\tports\tDT_MB\tABM_MB")
-	i := 0
-	for _, r := range []int{10, 15, 20} {
-		for ports := 2; ports <= 14; ports += 4 {
-			fmt.Fprintf(w, "%d\t%d\t%.3f\t%.3f\n", r, ports, tol[i], tol[i+1])
-			i += 2
-		}
-	}
-	if i != queueStart {
-		return fmt.Errorf("experiments: fig5sim probe bookkeeping off: %d != %d", i, queueStart)
-	}
-	fmt.Fprintln(w, "# Figure 5 (simulated): burst tolerance (MB) vs burst rate and congested queues per port")
-	fmt.Fprintln(w, "rate_x10G\tqueues\tDT_MB\tABM_MB")
-	for _, r := range []int{10, 15, 20} {
-		for queues := 2; queues <= 8; queues += 2 {
-			fmt.Fprintf(w, "%d\t%d\t%.3f\t%.3f\n", r, queues, tol[i], tol[i+1])
-			i += 2
-		}
-	}
-	return nil
+	return strings.Join(cols, "\t")
 }

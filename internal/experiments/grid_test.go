@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -140,52 +142,74 @@ func TestGridDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRunCellsStoreRoundTrip checks that a figure rendered from cached
-// store records is identical to one rendered from fresh runs —
-// including the per-priority extras that ride in Extra.
-func TestRunCellsStoreRoundTrip(t *testing.T) {
+// TestFigureResumeFromLog runs a figure into a record log, then runs
+// its plan again on the same log: every cell must be served from the
+// log, and the table rendered from the served records — per-priority
+// extras included — must be byte-identical to the fresh one.
+func TestFigureResumeFromLog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	jobs := []job{{"mixed", mixedCell(preset(t, "small", 3, 2*units.Millisecond))}}
+	figs := Figures{IDs: []string{"fig8"}, Base: preset(t, "small", 3, 2*units.Millisecond)}
 	dir := t.TempDir()
-	var got [2]runner.Result
-	for i := range got {
+	var tsv [2][]byte
+	for i := range tsv {
+		plan, err := figs.Plan()
+		if err != nil {
+			t.Fatal(err)
+		}
 		st, err := runner.OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := runCells(&RunOptions{Store: st}, "roundtrip", jobs)
+		recs, err := (&runner.Pool{Store: st}).Run(context.Background(), plan)
 		st.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got[i] = res[0]
+		for _, rec := range recs {
+			if rec.Cached != (i == 1) || len(rec.Result.Extra) != 3 {
+				t.Fatalf("run %d: cached=%v extras=%v", i, rec.Cached, rec.Result.Extra)
+			}
+		}
+		if err := figs.WriteTSVs(dir, recs); err != nil {
+			t.Fatal(err)
+		}
+		if tsv[i], err = os.ReadFile(filepath.Join(dir, "fig8.tsv")); err != nil {
+			t.Fatal(err)
+		}
 	}
-	fresh, cached := got[0], got[1]
-	if len(fresh.Extra) != 3 {
-		t.Fatalf("per-prio metrics missing: %+v", fresh.Extra)
-	}
-	if fresh.Summary != cached.Summary || !reflect.DeepEqual(fresh.Extra, cached.Extra) {
-		t.Fatalf("cached result differs:\nfresh:  %+v\ncached: %+v", fresh, cached)
+	if !bytes.Equal(tsv[0], tsv[1]) {
+		t.Fatalf("table rendered from the log differs:\n%s\nvs\n%s", tsv[0], tsv[1])
 	}
 }
 
-// TestRunCellsPropagatesFailure checks that a failing cell surfaces its
-// job ID and does not take the figure's process down. (Unknown BM names
-// used to panic inside the simulator's per-switch factory; scenario
-// resolution now rejects them as an ordinary error.)
-func TestRunCellsPropagatesFailure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation test")
+// TestFigureCellFailure checks that a failing cell surfaces its job ID
+// and error, fails only its own figure's table, and does not take the
+// process down. (Unknown names used to panic inside the simulator;
+// scenario resolution now rejects them as an ordinary error.)
+func TestFigureCellFailure(t *testing.T) {
+	base := preset(t, "small", 1, units.Millisecond)
+	base.Workload.Background = "nonsense"
+	figs := Figures{IDs: []string{"fig12", "fig4"}, Base: base}
+	plan, err := figs.Plan()
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err := runCells(nil, "boom", []job{{"bad",
-		cell(preset(t, "small", 0, units.Millisecond), "nonsense", 0.1, "cubic", 0)}})
-	if err == nil {
-		t.Fatal("expected error")
+	recs, err := (&runner.Pool{}).Run(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "boom/000-bad") || !strings.Contains(err.Error(), "unknown policy") {
+	dir := t.TempDir()
+	err = figs.WriteTSVs(dir, recs)
+	if err == nil || !strings.Contains(err.Error(), "fig12/000-update=1rtt") || !strings.Contains(err.Error(), "nonsense") {
 		t.Fatalf("error lacks job identity: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fig12.tsv")); err == nil {
+		t.Error("fig12.tsv written despite failed cells")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fig4.tsv")); err != nil {
+		t.Errorf("fig4.tsv not written: %v", err)
 	}
 }
 

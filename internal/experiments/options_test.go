@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -66,11 +65,7 @@ func TestAblationOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation test")
 	}
-	var buf bytes.Buffer
-	if err := RunFigure(nil, "ablation", preset(t, "small", 1, 0), &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := renderFigure(t, "ablation", preset(t, "small", 1, 0))
 	for _, want := range []string{"drain-rate estimator", "congestion detection",
 		"headroom", "unscheduled alpha", "stats update interval"} {
 		if !strings.Contains(out, want) {

@@ -291,7 +291,7 @@ func (c *Controller) FluidFlows() int { return len(c.flows) }
 // and the promoted sender re-covers those bytes in packet mode.
 func (c *Controller) settle(f *flow, now units.Time) {
 	if sec := (now - c.lastEpoch).Seconds(); sec > 0 {
-		f.delivered += f.rate * sec * c.payloadFrac
+		f.delivered += float64(f.rate * sec * c.payloadFrac)
 	}
 }
 
@@ -344,7 +344,7 @@ func (c *Controller) epoch() {
 	c.ctrEpochs.Inc()
 
 	for _, f := range c.flows {
-		f.delivered += f.rate * sec * c.payloadFrac
+		f.delivered += float64(f.rate * sec * c.payloadFrac)
 	}
 	for _, sm := range c.modelLst {
 		if sm.dirty {
@@ -374,7 +374,7 @@ func (f *flow) remaining() float64 {
 // plays out packet-level.
 func (c *Controller) margin(f *flow) float64 {
 	lead := (2*f.sn.SRTT() + 2*c.cfg.EpochDt).Seconds()
-	return f.rate*lead + float64(f.sn.Alg().Window()) + 4*float64(c.net.Cfg.MSS)
+	return float64(f.rate*lead) + float64(f.sn.Alg().Window()) + float64(4*float64(c.net.Cfg.MSS))
 }
 
 // guardBandHot reports whether any queue on the flow's path holds more
@@ -464,7 +464,7 @@ func (c *Controller) scanCandidates(now units.Time, sec float64) {
 			if cd.emaRate == 0 {
 				cd.emaRate = inst
 			} else {
-				cd.emaRate += 0.25 * (inst - cd.emaRate)
+				cd.emaRate += float64(0.25 * (inst - cd.emaRate))
 			}
 		}
 		cd.lastUna = una
@@ -610,7 +610,7 @@ func (c *Controller) steady(cd *cand, now units.Time) bool {
 	}
 	// Enough runway that demotion pays for the promote/demote round trip.
 	demand := float64(sn.Alg().Window()) / srtt.Seconds()
-	lead := demand*(2*srtt+2*c.cfg.EpochDt).Seconds() + float64(sn.Alg().Window()) + 4*float64(c.net.Cfg.MSS)
+	lead := float64(demand*(2*srtt+2*c.cfg.EpochDt).Seconds()) + float64(sn.Alg().Window()) + float64(4*float64(c.net.Cfg.MSS))
 	if float64(sn.Size)-float64(sn.SndNxt()) <= 2*lead {
 		return false
 	}
@@ -843,7 +843,7 @@ func (c *Controller) measure(now, dt units.Time) {
 			frac = 1
 		}
 		for _, ps := range f.cons {
-			ps.capRem -= f.drain0 * frac
+			ps.capRem -= float64(f.drain0 * frac)
 			if ps.capRem < 0 {
 				ps.capRem = 0
 			}
@@ -856,7 +856,7 @@ func (c *Controller) measure(now, dt units.Time) {
 			ps.pktRate = ps.capRem
 			ps.seeded = true
 		} else {
-			ps.pktRate += 0.3 * (ps.capRem - ps.pktRate)
+			ps.pktRate += float64(0.3 * (ps.capRem - ps.pktRate))
 		}
 	}
 }
@@ -898,7 +898,7 @@ func (c *Controller) allocate(now units.Time, sec float64) {
 	}
 	mss := float64(c.net.Cfg.MSS)
 	for _, ps := range c.portList {
-		spare := float64(ps.lineRate())/8 - ps.pktRate
+		spare := float64(float64(ps.lineRate())/8) - ps.pktRate
 		if spare < 0 {
 			spare = 0
 		}
@@ -975,7 +975,7 @@ func (c *Controller) allocate(now units.Time, sec float64) {
 			// Linear response around the calibration point: exactly the
 			// achieved rate while the constraint environment is unchanged,
 			// and an eta-scaled claim on capacity that frees up later.
-			target := f.ramp0 + f.eta*(potential-f.pot0)
+			target := f.ramp0 + float64(f.eta*(potential-f.pot0))
 			if target < 0 {
 				target = 0
 			}
@@ -1006,17 +1006,17 @@ func (c *Controller) allocate(now units.Time, sec float64) {
 	}
 	for _, sm := range c.modelLst {
 		for _, qs := range sm.qs {
-			qs.ps.demand += float64(qs.fq.Arrival)/8 + qs.fq.Len/edt
+			qs.ps.demand += float64(float64(qs.fq.Arrival)/8) + qs.fq.Len/edt
 		}
 	}
 	for _, sm := range c.modelLst {
 		for _, qs := range sm.qs {
-			spare := float64(qs.ps.lineRate())/8 - qs.ps.pktRate
+			spare := float64(float64(qs.ps.lineRate())/8) - qs.ps.pktRate
 			if spare < 0 {
 				spare = 0
 			}
 			if qs.ps.demand > 0 {
-				d := float64(qs.fq.Arrival)/8 + qs.fq.Len/edt
+				d := float64(float64(qs.fq.Arrival)/8) + qs.fq.Len/edt
 				spare *= d / qs.ps.demand
 			}
 			qs.fq.Drain = units.Rate(spare * 8)

@@ -128,7 +128,7 @@ func Percentile(vals []float64, p float64) float64 {
 	if p == 0 {
 		return sorted[0]
 	}
-	rank := int(p/100*float64(len(sorted))+0.9999999) - 1
+	rank := int(float64(p/100*float64(len(sorted)))+0.9999999) - 1
 	if rank < 0 {
 		rank = 0
 	}

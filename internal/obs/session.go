@@ -130,7 +130,7 @@ func NewSession(o Options, shards int) (*Session, error) {
 	}
 	bar53 := uint64(1 << 53)
 	if o.Sample > 0 && o.Sample < 1 {
-		bar53 = uint64(o.Sample * float64(uint64(1)<<53))
+		bar53 = uint64(float64(o.Sample * float64(uint64(1)<<53)))
 	}
 	max := o.MaxEvents
 	if max <= 0 {

@@ -114,7 +114,7 @@ func (c *EmpiricalCDF) computeMean() float64 {
 	for _, pt := range c.points {
 		dp := pt.P - prev.P
 		if dp > 0 {
-			mean += dp * (prev.Value + pt.Value) / 2
+			mean += float64(dp * (prev.Value + pt.Value) / 2)
 		}
 		prev = pt
 	}
@@ -133,7 +133,7 @@ func (c *EmpiricalCDF) Max() float64 { return c.points[len(c.points)-1].Value }
 // Sample draws one value by inverse-transform sampling with linear
 // interpolation between CDF points.
 func (c *EmpiricalCDF) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64()
+	u := float64(rng.Float64())
 	i := sort.Search(len(c.points), func(i int) bool { return c.points[i].P >= u })
 	if i == 0 {
 		return c.points[0].Value
@@ -146,7 +146,7 @@ func (c *EmpiricalCDF) Sample(rng *rand.Rand) float64 {
 		return hi.Value
 	}
 	frac := (u - lo.P) / (hi.P - lo.P)
-	return lo.Value + frac*(hi.Value-lo.Value)
+	return lo.Value + float64(frac*(hi.Value-lo.Value))
 }
 
 // SampleBytes draws a flow size in bytes, at least 1.

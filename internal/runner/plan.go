@@ -33,9 +33,11 @@ func (p *Plan) SeedFor(index int) int64 {
 	return randutil.DeriveSeed(p.Seed, index)
 }
 
-// seedOf resolves the effective seed of job i: an explicit spec seed
-// wins, otherwise the derived one.
-func (p *Plan) seedOf(i int) int64 {
+// SeedOf resolves the effective seed of job i: an explicit spec seed
+// wins, otherwise the derived one (SeedFor). It is the seed the job
+// runs with, and a logged record is reused on resume only when it was
+// produced at this seed.
+func (p *Plan) SeedOf(i int) int64 {
 	if s := p.Specs[i].Seed; s != 0 {
 		return s
 	}

@@ -23,8 +23,8 @@ type RecordSink interface {
 	// Put persists one finished record durably.
 	Put(Record) error
 	// Completed returns the latest successful record of every job the
-	// sink already holds, keyed by job ID; jobs it lists are skipped on
-	// resume.
+	// sink already holds, keyed by job ID; on resume a listed job whose
+	// record carries the job's seed is skipped.
 	Completed() (map[string]Record, error)
 }
 
@@ -112,14 +112,17 @@ func (p *Pool) Run(ctx context.Context, plan *Plan) ([]Record, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				spec := plan.Specs[i]
-				if rec, ok := done[spec.ID]; ok && rec.OK() {
+				spec, seed := plan.Specs[i], plan.SeedOf(i)
+				// A logged record stands in for the job only if it ran at
+				// the seed this plan gives the job: a changed -seed
+				// re-runs it instead of serving the old numbers.
+				if rec, ok := done[spec.ID]; ok && rec.OK() && rec.Seed == seed {
 					rec.Cached = true
 					records[i] = rec
 					prog.record(rec)
 					continue
 				}
-				rec := p.runJob(ctx, spec, plan.seedOf(i))
+				rec := p.runJob(ctx, spec, seed)
 				if p.Store != nil && rec.Status != StatusCanceled {
 					if err := p.Store.Put(rec); err != nil {
 						storeMu.Lock()
@@ -151,7 +154,7 @@ dispatch:
 			spec := plan.Specs[i]
 			records[i] = Record{
 				ID: spec.ID, Experiment: spec.Experiment, Group: spec.Group,
-				Seed: plan.seedOf(i), Config: spec.Config,
+				Seed: plan.SeedOf(i), Config: spec.Config,
 				Status: StatusCanceled, Error: ctx.Err().Error(),
 			}
 		}

@@ -106,7 +106,7 @@ func TestSeedDerivation(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	for i := range plan.Specs {
-		s := plan.seedOf(i)
+		s := plan.SeedOf(i)
 		if s <= 0 {
 			t.Fatalf("seed %d not positive: %d", i, s)
 		}
@@ -115,18 +115,18 @@ func TestSeedDerivation(t *testing.T) {
 		}
 		seen[s] = true
 		if s != plan.SeedFor(i) {
-			t.Fatal("seedOf disagrees with SeedFor")
+			t.Fatal("SeedOf disagrees with SeedFor")
 		}
 	}
 	// Explicit seeds pass through untouched.
 	plan.Specs[3].Seed = 1234
-	if plan.seedOf(3) != 1234 {
+	if plan.SeedOf(3) != 1234 {
 		t.Fatal("explicit seed not honored")
 	}
 	// A different plan seed yields different derived seeds.
 	other := &Plan{Name: "p", Seed: 8}
 	other.Add(Spec{Run: fakeJob(nil)})
-	if other.seedOf(0) == plan.SeedFor(0) {
+	if other.SeedOf(0) == plan.SeedFor(0) {
 		t.Fatal("plan seed does not influence derivation")
 	}
 }
@@ -278,5 +278,41 @@ func TestPlanValidate(t *testing.T) {
 	p2.Add(Spec{ID: "a"})
 	if err := p2.Validate(); err == nil {
 		t.Fatal("nil Run not rejected")
+	}
+}
+
+// TestPoolResumeRerunsOnSeedChange: the store holds a seed-1 record
+// under the same ID as a job pinned at seed 2. Resume must re-run the
+// job rather than serve the seed-1 numbers, and must still serve a job
+// whose logged seed matches.
+func TestPoolResumeRerunsOnSeedChange(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var calls atomic.Int64
+	plan := func(seed int64) *Plan {
+		p := &Plan{Name: "pinned"}
+		p.Add(Spec{ID: "pinned/fig", Seed: seed, Run: fakeJob(&calls)})
+		p.Add(Spec{ID: "pinned/fixed", Seed: 7, Run: fakeJob(&calls)})
+		return p
+	}
+	pool := &Pool{Workers: 1, Store: st}
+	if _, err := pool.Run(context.Background(), plan(1)); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := pool.Run(context.Background(), plan(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("%d job runs, want 3 (the seed-2 job re-runs, the unchanged one is served)", n)
+	}
+	if r := recs[0]; r.Cached || r.Seed != 2 || r.Result.Events != 2 {
+		t.Fatalf("seed-2 job served from a seed-1 record: %+v", r)
+	}
+	if !recs[1].Cached {
+		t.Fatalf("unchanged job re-ran: %+v", recs[1])
 	}
 }

@@ -1,6 +1,6 @@
-// Package runner is the sweep orchestration layer behind cmd/sweep,
-// cmd/figures and the figure entry points of internal/experiments: it
-// expands experiment grids into job lists (Plan), shards them across
+// Package runner is the sweep orchestration layer behind cmd/sweep —
+// its grids and its -fig figure runs (internal/experiments builds both
+// plans): it holds experiment job lists (Plan), shards them across
 // worker goroutines with per-job timeouts, panic recovery and bounded
 // retries (Pool), persists every record in a CRC-framed append-only log
 // that enables resumption (Store — the one durable format, shared with
@@ -9,12 +9,12 @@
 // intervals (Aggregate).
 //
 // The runner is generic: a Spec carries an opaque Run function, so any
-// simulation entry point — scenario runs, burst-lab measurements,
-// whole figures — can be driven by the same pool. Determinism holds by
-// construction: each job's seed is derived from the plan seed and the
-// job's index with SplitMix64, and results are collected by job index,
-// so the outcome is byte-identical at any worker count or completion
-// order.
+// simulation entry point — scenario runs, burst-lab measurements —
+// can be driven by the same pool. Determinism holds by construction:
+// each job's seed is pinned by its spec or derived from the plan seed
+// and the job's index with SplitMix64 (Plan.SeedOf), and results are
+// collected by job index, so the outcome is byte-identical at any
+// worker count or completion order.
 package runner
 
 import (

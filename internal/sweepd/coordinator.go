@@ -77,8 +77,9 @@ type Config struct {
 	MaxReps int
 
 	// Store, when non-nil, persists every record as it arrives and
-	// seeds resumption: jobs whose IDs Completed() lists as ok are
-	// marked done before any lease is handed out.
+	// seeds resumption: jobs whose IDs Completed() lists as ok, at the
+	// seed the plan gives them, are marked done before any lease is
+	// handed out.
 	Store runner.RecordSink
 	// Progress, when non-nil, receives lease/completion log lines.
 	Progress io.Writer
@@ -196,11 +197,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		done:     make(chan struct{}),
 	}
 	for i, spec := range plan.Specs {
-		seed := spec.Seed
-		if seed == 0 {
-			seed = plan.SeedFor(i)
-		}
-		j := &job{id: spec.ID, index: i, group: groupKey(spec), seed: seed}
+		j := &job{id: spec.ID, index: i, group: groupKey(spec), seed: plan.SeedOf(i)}
 		c.jobs = append(c.jobs, j)
 		c.byID[j.id] = j
 		g, ok := c.groups[j.group]
@@ -220,7 +217,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		}
 	}
 	for _, j := range c.jobs {
-		if rec, ok := resumed[j.id]; ok && rec.OK() {
+		if rec, ok := resumed[j.id]; ok && rec.OK() && rec.Seed == j.seed {
 			rec.Cached = true
 			j.state, j.rec = jobDone, &rec
 			continue

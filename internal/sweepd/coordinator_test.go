@@ -357,6 +357,33 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 }
 
+// TestCoordinatorResumeReseeds logs a full sweep, then resumes the same
+// job IDs under another plan seed: no logged record carries the new
+// derived seeds, so every job must run again.
+func TestCoordinatorResumeReseeds(t *testing.T) {
+	store := NewStore(testLog(t))
+	old, err := (&runner.Pool{Workers: 2, Store: store}).Run(t.Context(), syntheticPlan("reseed", 6, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	plan := syntheticPlan("reseed", 6, &calls)
+	plan.Seed++
+	c, err := NewCoordinator(Config{Plan: plan, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWorkers(t, c, 2)
+	if n := calls.Load(); n != 6 {
+		t.Fatalf("reseeded resume ran %d jobs, want 6", n)
+	}
+	for i, rec := range c.Records() {
+		if rec.Cached || rec.Seed != plan.SeedOf(i) || rec.Seed == old[i].Seed {
+			t.Fatalf("job %d served at seed %d (plan seed gives %d)", i, rec.Seed, plan.SeedOf(i))
+		}
+	}
+}
+
 // TestAdaptiveReplication drives a high-variance group against a tight
 // CI target: the coordinator must keep adding deterministic extra
 // replications until the cap, and a second identical run must create
