@@ -48,7 +48,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"abm/internal/experiments"
@@ -117,7 +116,7 @@ func addSweepFlags(fs *flag.FlagSet) *sweepFlags {
 	fs.StringVar(&g.Name, "name", "sweep", "sweep name (prefixes job IDs)")
 	fs.Int64Var(&g.Seed, "seed", 1, "plan seed; per-job seeds derive from it")
 	fs.IntVar(&g.Reps, "reps", 1, "seed replications per configuration")
-	fs.IntVar(&g.Shards, "shards", 0, "simulation shards per job (0 = the base scenario's; >=1 runs the parallel engine; workers are capped so shards x workers <= GOMAXPROCS)")
+	fs.IntVar(&g.Shards, "shards", 0, "simulation shards per job (0 = the base scenario's; >=1 runs the parallel engine; in-process workers and work slots are capped so shards x workers <= GOMAXPROCS)")
 	fs.DurationVar(&f.timeout, "timeout", 0, "per-job wall-clock timeout (0 = none)")
 	fs.StringVar(&g.Scenario, "scenario", "", "base scenario JSON file (required unless -plan names one): jobs start from it and -vary axes mutate it")
 	fs.Func("vary", "sweep axis as \"field.path=v1,v2,...\" (repeatable; crossed in flag order)", func(s string) error {
@@ -361,6 +360,19 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return die(stderr, err)
 	}
+	if *ciTarget > 0 {
+		// Extras re-run their group's first spec, paths included, so
+		// each would overwrite that spec's per-job file.
+		for _, p := range []struct{ flag, path string }{
+			{"-trace-events", grid.Obs.EventsFile}, {"-trace-chrome", grid.Obs.ChromeFile},
+			{"-counters", grid.Obs.CountersFile}, {"-hist-snapshots", grid.Obs.HistFile},
+		} {
+			if p.path != "" {
+				return die(stderr, fmt.Errorf("-ci-target cannot be combined with %s: "+
+					"adaptive extras re-run a group's first spec and would overwrite its per-job file", p.flag))
+			}
+		}
+	}
 	log, err := f.openStore()
 	if err != nil {
 		return die(stderr, err)
@@ -375,14 +387,16 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 		progress = stderr
 	}
 	c, err := sweepd.NewCoordinator(sweepd.Config{
-		Grid:             &grid,
-		LeaseTTL:         *leaseTTL,
-		MaxLeaseAttempts: *maxLeases,
-		CITarget:         *ciTarget,
-		CIMetric:         *ciMetric,
-		MaxReps:          *maxReps,
-		Store:            store,
-		Progress:         progress,
+		Grid:     &grid,
+		LeaseTTL: *leaseTTL,
+		TableConfig: runner.TableConfig{
+			MaxLeaseAttempts: *maxLeases,
+			CITarget:         *ciTarget,
+			CIMetric:         *ciMetric,
+			MaxReps:          *maxReps,
+			Store:            store,
+			Log:              progress,
+		},
 	})
 	if err != nil {
 		return die(stderr, err)
@@ -392,38 +406,29 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 		return die(stderr, err)
 	}
 	defer l.Close()
-	go c.Serve(l)
+	go http.Serve(l, c.Handler())
+	plan := c.Table().Plan()
+	workers := runner.CapWorkers(f.workers, grid.Shards, stderr)
 	fmt.Fprintf(stderr, "sweep serve %q: %d jobs, listening on %s, %d in-process workers -> %s\n",
-		c.Plan().Name, len(c.Plan().Specs), l.Addr(), f.workers, f.out)
+		plan.Name, len(plan.Specs), l.Addr(), workers, f.out)
 
+	// The in-process workers work the table exactly as `sweep run`'s
+	// pool does; remote workers lease from the same table over HTTP.
 	ctx := context.Background()
-	var wg sync.WaitGroup
-	for i := 0; i < f.workers; i++ {
-		w := &sweepd.Worker{
-			Dispatcher: c,
-			Name:       fmt.Sprintf("local-%d", i),
-			Plan:       c.Plan(),
-			Retries:    f.retries,
-			Progress:   progress,
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Run(ctx); err != nil {
-				fmt.Fprintf(stderr, "sweep serve: %v\n", err)
-			}
-		}()
-	}
+	work := make(chan error, 1)
+	go func() { work <- c.Table().Work(ctx, workers, runner.ExecOptions{Retries: f.retries}, nil) }()
 	start := time.Now()
 	if err := c.Wait(ctx); err != nil {
 		return die(stderr, err)
 	}
-	wg.Wait()
+	if err := <-work; err != nil {
+		return die(stderr, err)
+	}
 	if err := store.Flush(); err != nil {
 		return die(stderr, err)
 	}
 	st := store.Stats()
-	return f.report(stdout, stderr, c.Records(), start,
+	return f.report(stdout, stderr, c.Table().Records(), start,
 		fmt.Sprintf("; %d records in %d batches", st.Records, st.Batches))
 }
 
@@ -569,7 +574,7 @@ func offlineStatus(dir string) (*sweepd.Status, error) {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		gs := sweepd.GroupStatus{Group: key, Settled: true, Total: len(byGroup[key])}
+		gs := sweepd.GroupStatus{TableGroup: runner.TableGroup{Group: key, Settled: true, Total: len(byGroup[key])}}
 		for _, rec := range byGroup[key] {
 			if rec.OK() {
 				gs.OK++

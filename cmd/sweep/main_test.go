@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -213,6 +214,45 @@ func TestGridInputErrors(t *testing.T) {
 			case tc.want != "" && (code != 2 || !strings.Contains(stderr, tc.want)):
 				t.Errorf("%s %s: exit %d, want 2 naming %q: %s", sub, tc.name, code, tc.want, stderr)
 			}
+		}
+	}
+}
+
+// TestServeCapsShardedWorkers: serve's in-process workers obey the
+// same shard cap as run's. At GOMAXPROCS 2 and 2 shards per job, three
+// requested workers cap to one, the cap is logged, and only local-0
+// ever leases a job.
+func TestServeCapsShardedWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	code, _, stderr := sweep(t, "serve", "-scenario", "../../examples/incast/scenario.json",
+		"-vary", "switch.bm=DT,ABM", "-vary", "duration=250us", "-shards", "2",
+		"-workers", "3", "-addr", "127.0.0.1:0", "-out", t.TempDir())
+	if code != 0 {
+		t.Fatalf("serve: exit %d: %s", code, stderr)
+	}
+	for _, want := range []string{"capping workers 3 -> 1", "1 in-process workers", "-> local-0", "2 ok (0 from log)"} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("serve log lacks %q:\n%s", want, stderr)
+		}
+	}
+	if strings.Contains(stderr, "-> local-1") {
+		t.Errorf("a capped-away worker leased a job:\n%s", stderr)
+	}
+}
+
+// TestServeRejectsCITargetWithPerJobFiles: adaptive extras re-run their
+// group's first spec, so with a per-job telemetry path they would
+// overwrite that spec's file. serve refuses the pair at startup,
+// naming both flags.
+func TestServeRejectsCITargetWithPerJobFiles(t *testing.T) {
+	for _, flag := range []string{"-trace-events", "-trace-chrome", "-counters", "-hist-snapshots"} {
+		code, _, stderr := sweep(t, "serve", "-scenario", "../../examples/incast/scenario.json",
+			"-ci-target", "0.05", flag, t.TempDir(), "-addr", "127.0.0.1:0", "-out", t.TempDir())
+		if code != 2 || !strings.Contains(stderr, "-ci-target") || !strings.Contains(stderr, flag) {
+			t.Errorf("serve -ci-target %s: exit %d, want 2 naming both flags: %s", flag, code, stderr)
 		}
 	}
 }

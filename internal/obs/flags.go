@@ -7,8 +7,8 @@ import (
 )
 
 // Flags registers the shared telemetry flag surface on the default flag
-// set. Every simulation CLI (abmsim, figures, sweep) exposes the same
-// names; the only difference is whether paths mean files (one run) or
+// set. Every simulation CLI (abmsim, sweep) exposes the same names;
+// the only difference is whether paths mean files (one run) or
 // directories (one file per job).
 type Flags struct {
 	Opts Options
@@ -16,7 +16,7 @@ type Flags struct {
 
 // AddFlags registers -trace-events, -trace-chrome, -trace-filter,
 // -trace-sample and -counters. perJob selects directory semantics for
-// the path flags (figures/sweep) instead of single files (abmsim).
+// the path flags (sweep) instead of single files (abmsim).
 func (f *Flags) AddFlags(perJob bool) {
 	f.AddFlagsTo(flag.CommandLine, perJob)
 }

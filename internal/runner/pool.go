@@ -7,7 +7,6 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
-	"sync"
 	"time"
 )
 
@@ -15,10 +14,11 @@ import (
 // cancellation, which is never retried and aborts dispatch).
 var errTimeout = errors.New("job deadline exceeded")
 
-// RecordSink is where a pool persists records as jobs complete and
+// RecordSink is where a Table persists records as jobs complete and
 // where it reads previously-completed jobs from when resuming. *Store
 // (one fsync per record) is the implementation; internal/sweepd wraps
-// the same log with batched commits.
+// the same log with batched commits. Pool and the sweep coordinator
+// both reach it through their Table.
 type RecordSink interface {
 	// Put persists one finished record durably.
 	Put(Record) error
@@ -28,13 +28,14 @@ type RecordSink interface {
 	Completed() (map[string]Record, error)
 }
 
-// Pool executes a Plan's jobs across a fixed set of worker goroutines.
-// Each job runs with an optional wall-clock timeout and panic recovery:
-// a crashing or hung simulation marks its own record failed and never
-// takes the sweep down. Errors (but not panics or timeouts, which are
-// deterministic) are retried up to Retries times with exponential
-// backoff. The zero value is a working pool with NumCPU workers, no
-// timeout, no retries and no persistence.
+// Pool executes a Plan on in-process workers that take their jobs from
+// the plan's Table, so `sweep run` and `sweep serve` share one
+// scheduler. Each job runs with an optional wall-clock timeout and
+// panic recovery: a crashing or hung simulation marks its own record
+// failed and never takes the sweep down. Errors (but not panics or
+// timeouts, which are deterministic) are retried up to Retries times
+// with exponential backoff. The zero value is a working pool with
+// NumCPU workers, no timeout, no retries and no persistence.
 type Pool struct {
 	// Workers is the number of concurrent jobs; <=0 means NumCPU.
 	Workers int
@@ -67,109 +68,29 @@ type Pool struct {
 // Run executes the plan and returns one record per job, in plan order.
 // The error reports setup problems (invalid plan, unreadable store) or
 // context cancellation; per-job failures are carried in the records —
-// check Failed on the result.
+// check Failed on the result. Jobs a canceled sweep never finished get
+// a canceled record.
 func (p *Pool) Run(ctx context.Context, plan *Plan) ([]Record, error) {
-	if err := plan.Validate(); err != nil {
+	t, err := NewTable(plan, TableConfig{Store: p.Store})
+	if err != nil {
 		return nil, err
 	}
 	workers := p.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if p.JobShards > 1 && workers > 1 {
-		maxWorkers := runtime.GOMAXPROCS(0) / p.JobShards
-		if maxWorkers < 1 {
-			maxWorkers = 1
-		}
-		if workers > maxWorkers {
-			if p.Progress != nil {
-				fmt.Fprintf(p.Progress,
-					"runner: capping workers %d -> %d (%d shards/job, GOMAXPROCS %d)\n",
-					workers, maxWorkers, p.JobShards, runtime.GOMAXPROCS(0))
-			}
-			workers = maxWorkers
-		}
-	}
-	var done map[string]Record
-	if p.Store != nil {
-		var err error
-		done, err = p.Store.Completed()
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	records := make([]Record, len(plan.Specs))
+	workers = CapWorkers(workers, p.JobShards, p.Progress)
 	prog := newProgress(p.Progress, plan.Name, len(plan.Specs))
-	var (
-		wg       sync.WaitGroup
-		storeErr error
-		storeMu  sync.Mutex
-	)
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				spec, seed := plan.Specs[i], plan.SeedOf(i)
-				// A logged record stands in for the job only if it ran at
-				// the seed this plan gives the job: a changed -seed
-				// re-runs it instead of serving the old numbers.
-				if rec, ok := done[spec.ID]; ok && rec.OK() && rec.Seed == seed {
-					rec.Cached = true
-					records[i] = rec
-					prog.record(rec)
-					continue
-				}
-				rec := p.runJob(ctx, spec, seed)
-				if p.Store != nil && rec.Status != StatusCanceled {
-					if err := p.Store.Put(rec); err != nil {
-						storeMu.Lock()
-						if storeErr == nil {
-							storeErr = err
-						}
-						storeMu.Unlock()
-					}
-				}
-				records[i] = rec
-				prog.record(rec)
-			}
-		}()
+	for _, rec := range t.Records() {
+		prog.record(rec) // served from the store
 	}
-dispatch:
-	for i := range plan.Specs {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(idx)
-	wg.Wait()
+	err = t.Work(ctx, workers, ExecOptions{Timeout: p.Timeout, Retries: p.Retries, Backoff: p.Backoff}, prog.record)
 	prog.finish()
-
-	for i := range records {
-		if records[i].Status == "" {
-			spec := plan.Specs[i]
-			records[i] = Record{
-				ID: spec.ID, Experiment: spec.Experiment, Group: spec.Group,
-				Seed: plan.SeedOf(i), Config: spec.Config,
-				Status: StatusCanceled, Error: ctx.Err().Error(),
-			}
-		}
+	if ctx.Err() != nil {
+		t.cancel(ctx.Err())
+		err = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
-		return records, err
-	}
-	return records, storeErr
-}
-
-// runJob executes one job to a final record, including its retry loop.
-func (p *Pool) runJob(ctx context.Context, spec Spec, seed int64) Record {
-	return Execute(ctx, spec, seed, ExecOptions{
-		Timeout: p.Timeout, Retries: p.Retries, Backoff: p.Backoff,
-	})
+	return t.Records(), err
 }
 
 // ExecOptions bounds one Execute call: the defaults a Pool would apply
@@ -186,10 +107,10 @@ type ExecOptions struct {
 }
 
 // Execute runs one job to a final record — panic recovery, per-job
-// deadline, bounded retries with exponential backoff — exactly as a
-// Pool worker would. It is the single job-execution path shared by the
-// in-process Pool and the distributed sweep workers (internal/sweepd),
-// so a job's record is identical wherever it runs.
+// deadline, bounded retries with exponential backoff. It is the single
+// job-execution path shared by in-process workers (Table.Work) and the
+// remote sweep workers (internal/sweepd), so a job's record is
+// identical wherever it runs.
 func Execute(ctx context.Context, spec Spec, seed int64, opt ExecOptions) Record {
 	rec := Record{
 		ID: spec.ID, Experiment: spec.Experiment, Group: spec.Group,

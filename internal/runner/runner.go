@@ -1,12 +1,13 @@
 // Package runner is the sweep orchestration layer behind cmd/sweep —
 // its grids and its -fig figure runs (internal/experiments builds both
-// plans): it holds experiment job lists (Plan), shards them across
-// worker goroutines with per-job timeouts, panic recovery and bounded
-// retries (Pool), persists every record in a CRC-framed append-only log
-// that enables resumption (Store — the one durable format, shared with
-// the distributed coordinator in internal/sweepd), and reduces
-// replicated seeds into summary statistics with bootstrap confidence
-// intervals (Aggregate).
+// plans): it holds experiment job lists (Plan), schedules them on one
+// job table (Table — leases, resume, adaptive replication; the
+// distributed coordinator in internal/sweepd serves the same table to
+// remote workers), runs them on in-process workers with per-job
+// timeouts, panic recovery and bounded retries (Pool), persists every
+// record in a CRC-framed append-only log that enables resumption
+// (Store — the one durable format), and reduces replicated seeds into
+// summary statistics with bootstrap confidence intervals (Aggregate).
 //
 // The runner is generic: a Spec carries an opaque Run function, so any
 // simulation entry point — scenario runs, burst-lab measurements —

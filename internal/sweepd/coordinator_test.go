@@ -57,18 +57,45 @@ func aggBytes(t *testing.T, recs []runner.Record) string {
 	return string(data) + "\n---\n" + runner.FormatGroups(groups)
 }
 
-// runWorkers drives the coordinator with n in-process workers sharing
-// its plan and waits for the sweep to finish.
+// runWorkers works the coordinator's table with n in-process workers —
+// the path `sweep serve -workers n` takes — and waits for the sweep to
+// finish.
 func runWorkers(t *testing.T, c *Coordinator, n int) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	work := make(chan error, 1)
+	go func() { work <- c.Table().Work(ctx, n, runner.ExecOptions{}, nil) }()
+	if err := c.Wait(ctx); err != nil {
+		t.Fatalf("sweep did not finish: %v", err)
+	}
+	if err := <-work; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runRemote works the coordinator with n remote workers of the given
+// slots over a real HTTP round trip and waits for the sweep to finish.
+// Workers of a grid coordinator fetch PlanInfo and rebuild the plan, as
+// a worker on another machine does; synthetic plans cannot travel as
+// grids, so workers of a plan-only coordinator share its plan.
+func runRemote(t *testing.T, c *Coordinator, n, slots int) {
+	t.Helper()
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	var plan *runner.Plan
+	if c.cfg.Grid == nil {
+		plan = c.Table().Plan()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		w := &Worker{
-			Dispatcher: c,
-			Name:       fmt.Sprintf("w%d", i),
-			Plan:       c.Plan(),
+			Dispatcher: NewClient(srv.URL),
+			Name:       fmt.Sprintf("remote%d", i),
+			Slots:      slots,
+			plan:       plan,
 		}
 		wg.Add(1)
 		go func() {
@@ -85,8 +112,8 @@ func runWorkers(t *testing.T, c *Coordinator, n int) {
 }
 
 // TestCoordinatorMatchesPool is the core determinism contract on
-// synthetic jobs: coordinator + workers and the classic in-process pool
-// must aggregate byte-identically.
+// synthetic jobs: coordinator + remote workers over HTTP and the
+// in-process pool must aggregate byte-identically.
 func TestCoordinatorMatchesPool(t *testing.T) {
 	poolRecs, err := (&runner.Pool{Workers: 4}).Run(t.Context(), syntheticPlan("eq", 12, nil))
 	if err != nil {
@@ -95,14 +122,14 @@ func TestCoordinatorMatchesPool(t *testing.T) {
 	want := aggBytes(t, poolRecs)
 
 	c, err := NewCoordinator(Config{
-		Plan:  syntheticPlan("eq", 12, nil),
-		Store: NewStore(testLog(t)),
+		Plan:        syntheticPlan("eq", 12, nil),
+		TableConfig: runner.TableConfig{Store: NewStore(testLog(t))},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkers(t, c, 3)
-	if got := aggBytes(t, c.Records()); got != want {
+	runRemote(t, c, 3, 1)
+	if got := aggBytes(t, c.Table().Records()); got != want {
 		t.Fatalf("aggregate mismatch\npool:\n%s\nsweepd:\n%s", want, got)
 	}
 	// And the durable log replays to the same aggregate.
@@ -157,10 +184,9 @@ func TestLeaseExpiryAndWorkerChurn(t *testing.T) {
 	want := aggBytes(t, poolRecs)
 
 	c, err := NewCoordinator(Config{
-		Plan:             makePlan(true),
-		LeaseTTL:         150 * time.Millisecond,
-		MaxLeaseAttempts: 10,
-		Store:            NewStore(testLog(t)),
+		Plan:        makePlan(true),
+		LeaseTTL:    150 * time.Millisecond,
+		TableConfig: runner.TableConfig{MaxLeaseAttempts: 10, Store: NewStore(testLog(t))},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +196,7 @@ func TestLeaseExpiryAndWorkerChurn(t *testing.T) {
 	// its context is killed once the coordinator shows a stuck lease.
 	doomedCtx, killWorker := context.WithCancel(context.Background())
 	defer killWorker()
-	doomed := &Worker{Dispatcher: c, Name: "doomed", Plan: c.Plan()}
+	doomed := &Worker{Dispatcher: c, Name: "doomed", plan: c.Table().Plan()}
 	doomedDone := make(chan struct{})
 	go func() {
 		defer close(doomedDone)
@@ -178,10 +204,8 @@ func TestLeaseExpiryAndWorkerChurn(t *testing.T) {
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		c.mu.Lock()
-		stuck := c.byID[blockedJob].state == jobLeased && c.byID[blockedJob].worker == "doomed"
-		c.mu.Unlock()
-		if stuck {
+		// A heartbeat that loses nothing: the doomed worker holds the job.
+		if hb, _ := c.Heartbeat("doomed", []string{blockedJob}); len(hb.Lost) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -192,17 +216,15 @@ func TestLeaseExpiryAndWorkerChurn(t *testing.T) {
 	killWorker()
 	<-doomedDone
 
-	// A healthy worker joins; after the TTL the coordinator re-leases
-	// the orphaned job to it and the sweep completes.
+	// A healthy in-process worker joins; after the TTL the coordinator
+	// re-queues the orphaned job, the worker leases it and the sweep
+	// completes.
 	runWorkers(t, c, 1)
 
-	c.mu.Lock()
-	attempts := c.byID[blockedJob].attempt
-	c.mu.Unlock()
-	if attempts < 2 {
-		t.Fatalf("poisoned job leased %d times, want >= 2 (re-lease after expiry)", attempts)
+	if n := c.Table().Status().Releases; n < 1 {
+		t.Fatalf("%d expired leases, want >= 1 (re-lease after expiry)", n)
 	}
-	if got := aggBytes(t, c.Records()); got != want {
+	if got := aggBytes(t, c.Table().Records()); got != want {
 		t.Fatalf("aggregate after churn differs from uninterrupted run\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
@@ -211,9 +233,9 @@ func TestLeaseExpiryAndWorkerChurn(t *testing.T) {
 // eventually recorded failed instead of looping forever.
 func TestLeaseGiveUp(t *testing.T) {
 	c, err := NewCoordinator(Config{
-		Plan:             syntheticPlan("giveup", 1, nil),
-		LeaseTTL:         20 * time.Millisecond,
-		MaxLeaseAttempts: 2,
+		Plan:        syntheticPlan("giveup", 1, nil),
+		LeaseTTL:    20 * time.Millisecond,
+		TableConfig: runner.TableConfig{MaxLeaseAttempts: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +255,7 @@ func TestLeaseGiveUp(t *testing.T) {
 	if err := c.Wait(ctx); err != nil {
 		t.Fatalf("coordinator never gave up: %v", err)
 	}
-	recs := c.Records()
+	recs := c.Table().Records()
 	if len(recs) != 1 || recs[0].Status != runner.StatusFailed ||
 		!strings.Contains(recs[0].Error, "lease expired") {
 		t.Fatalf("want a lease-expiry failure record, got %+v", recs)
@@ -248,9 +270,9 @@ func TestLeaseGiveUp(t *testing.T) {
 func TestLateCompleteAfterRequeue(t *testing.T) {
 	plan := syntheticPlan("late", 1, nil)
 	c, err := NewCoordinator(Config{
-		Plan:             plan,
-		LeaseTTL:         20 * time.Millisecond,
-		MaxLeaseAttempts: 3,
+		Plan:        plan,
+		LeaseTTL:    20 * time.Millisecond,
+		TableConfig: runner.TableConfig{MaxLeaseAttempts: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -266,11 +288,8 @@ func TestLateCompleteAfterRequeue(t *testing.T) {
 	if _, err := c.Heartbeat("other", nil); err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	state, npend := c.byID[lease.JobID].state, len(c.pending)
-	c.mu.Unlock()
-	if state != jobPending || npend != 1 {
-		t.Fatalf("job not requeued after expiry: state=%v pending=%d", state, npend)
+	if st := c.Table().Status(); st.Pending != 1 || st.Leased != 0 {
+		t.Fatalf("job not requeued after expiry: %+v", st)
 	}
 
 	// The late result from the original worker lands.
@@ -288,7 +307,7 @@ func TestLateCompleteAfterRequeue(t *testing.T) {
 	if !resp2.Done {
 		t.Fatal("sweep not done after the late complete")
 	}
-	recs := c.Records()
+	recs := c.Table().Records()
 	if len(recs) != 1 || !recs[0].OK() {
 		t.Fatalf("want one successful record, got %+v", recs)
 	}
@@ -308,7 +327,7 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 	if err != nil || len(resp.Leases) != 1 {
 		t.Fatalf("lease: %v %+v", err, resp)
 	}
-	id := resp.Leases[0].JobID
+	id := resp.Leases[0].ID
 	for i := 0; i < 6; i++ {
 		time.Sleep(20 * time.Millisecond)
 		hb, err := c.Heartbeat("slow", []string{id})
@@ -319,7 +338,7 @@ func TestHeartbeatKeepsLease(t *testing.T) {
 			t.Fatalf("heartbeat %d lost the lease: %v", i, hb.Lost)
 		}
 	}
-	rec := runner.Execute(context.Background(), c.Plan().Specs[0], resp.Leases[0].Seed, runner.ExecOptions{})
+	rec := runner.Execute(context.Background(), c.Table().Plan().Specs[0], resp.Leases[0].Seed, runner.ExecOptions{})
 	if err := c.Complete("slow", rec, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +363,7 @@ func TestCoordinatorResume(t *testing.T) {
 		}
 	}
 	var calls atomic.Int64
-	c, err := NewCoordinator(Config{Plan: syntheticPlan("res", 8, &calls), Store: store})
+	c, err := NewCoordinator(Config{Plan: syntheticPlan("res", 8, &calls), TableConfig: runner.TableConfig{Store: store}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +371,7 @@ func TestCoordinatorResume(t *testing.T) {
 	if n := calls.Load(); n != 4 {
 		t.Fatalf("resume ran %d jobs, want 4", n)
 	}
-	if got := aggBytes(t, c.Records()); got != want {
+	if got := aggBytes(t, c.Table().Records()); got != want {
 		t.Fatalf("resumed aggregate differs\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
@@ -369,7 +388,7 @@ func TestCoordinatorResumeReseeds(t *testing.T) {
 	var calls atomic.Int64
 	plan := syntheticPlan("reseed", 6, &calls)
 	plan.Seed++
-	c, err := NewCoordinator(Config{Plan: plan, Store: store})
+	c, err := NewCoordinator(Config{Plan: plan, TableConfig: runner.TableConfig{Store: store}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +396,7 @@ func TestCoordinatorResumeReseeds(t *testing.T) {
 	if n := calls.Load(); n != 6 {
 		t.Fatalf("reseeded resume ran %d jobs, want 6", n)
 	}
-	for i, rec := range c.Records() {
+	for i, rec := range c.Table().Records() {
 		if rec.Cached || rec.Seed != plan.SeedOf(i) || rec.Seed == old[i].Seed {
 			t.Fatalf("job %d served at seed %d (plan seed gives %d)", i, rec.Seed, plan.SeedOf(i))
 		}
@@ -391,24 +410,24 @@ func TestCoordinatorResumeReseeds(t *testing.T) {
 func TestAdaptiveReplication(t *testing.T) {
 	run := func() (map[string]int64, int) {
 		c, err := NewCoordinator(Config{
-			Plan:     syntheticPlan("adapt", 6, nil), // 3 groups x 2 reps
-			CITarget: 1e-6,                           // unreachably tight
-			CIMetric: "val",
-			MaxReps:  5,
+			Plan: syntheticPlan("adapt", 6, nil), // 3 groups x 2 reps
+			TableConfig: runner.TableConfig{
+				CITarget: 1e-6, // unreachably tight
+				CIMetric: "val",
+				MaxReps:  5,
+			},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		runWorkers(t, c, 2)
 		extras := make(map[string]int64)
-		c.mu.Lock()
-		for _, j := range c.jobs {
-			if strings.HasPrefix(j.id, "adapt/extra-") {
-				extras[j.id] = j.seed
+		for _, rec := range c.Table().Records() {
+			if strings.HasPrefix(rec.ID, "adapt/extra-") {
+				extras[rec.ID] = rec.Seed
 			}
 		}
-		c.mu.Unlock()
-		return extras, len(c.Records())
+		return extras, len(c.Table().Records())
 	}
 
 	extras, total := run()
@@ -428,16 +447,14 @@ func TestAdaptiveReplication(t *testing.T) {
 
 	// A loose target stays at the base replication count.
 	c, err := NewCoordinator(Config{
-		Plan:     syntheticPlan("adapt", 6, nil),
-		CITarget: 1e9,
-		CIMetric: "val",
-		MaxReps:  5,
+		Plan:        syntheticPlan("adapt", 6, nil),
+		TableConfig: runner.TableConfig{CITarget: 1e9, CIMetric: "val", MaxReps: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	runWorkers(t, c, 2)
-	if n := len(c.Records()); n != 6 {
+	if n := len(c.Table().Records()); n != 6 {
 		t.Fatalf("loose target ran %d records, want 6", n)
 	}
 }
@@ -448,7 +465,7 @@ func TestAdaptiveReplication(t *testing.T) {
 // re-runs and the aggregate is unchanged.
 func TestResumeRevivesAdaptiveExtras(t *testing.T) {
 	mkConfig := func(plan *runner.Plan, store *Store) Config {
-		return Config{Plan: plan, Store: store, CITarget: 1e-6, CIMetric: "val", MaxReps: 5}
+		return Config{Plan: plan, TableConfig: runner.TableConfig{Store: store, CITarget: 1e-6, CIMetric: "val", MaxReps: 5}}
 	}
 	store := NewStore(testLog(t))
 	c1, err := NewCoordinator(mkConfig(syntheticPlan("rev", 6, nil), store))
@@ -456,7 +473,7 @@ func TestResumeRevivesAdaptiveExtras(t *testing.T) {
 		t.Fatal(err)
 	}
 	runWorkers(t, c1, 2)
-	want := aggBytes(t, c1.Records())
+	want := aggBytes(t, c1.Table().Records())
 
 	var calls atomic.Int64
 	c2, err := NewCoordinator(mkConfig(syntheticPlan("rev", 6, &calls), store))
@@ -470,15 +487,15 @@ func TestResumeRevivesAdaptiveExtras(t *testing.T) {
 	if n := calls.Load(); n != 0 {
 		t.Fatalf("resume re-ran %d jobs, want 0", n)
 	}
-	if got := aggBytes(t, c2.Records()); got != want {
+	if got := aggBytes(t, c2.Table().Records()); got != want {
 		t.Fatalf("resumed adaptive aggregate differs\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
 
 // TestWorkerHeartbeatShortTTL runs a job several times longer than the
-// lease TTL through a real in-process worker: the worker must learn the
-// coordinator's TTL before its first heartbeat window, so the lease is
-// renewed and the job runs exactly once.
+// lease TTL through a remote worker: the worker must pace heartbeats
+// from the TTL the coordinator sends, so the lease is renewed and the
+// job runs exactly once.
 func TestWorkerHeartbeatShortTTL(t *testing.T) {
 	var calls atomic.Int64
 	plan := &runner.Plan{Name: "ttl", Seed: 7}
@@ -489,24 +506,21 @@ func TestWorkerHeartbeatShortTTL(t *testing.T) {
 			select {
 			case <-ctx.Done():
 				return runner.Result{}, ctx.Err()
-			case <-time.After(500 * time.Millisecond):
+			case <-time.After(time.Second):
 			}
 			return syntheticResult(seed), nil
 		},
 	})
-	c, err := NewCoordinator(Config{Plan: plan, LeaseTTL: 150 * time.Millisecond})
+	c, err := NewCoordinator(Config{Plan: plan, LeaseTTL: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkers(t, c, 1)
+	runRemote(t, c, 1, 1)
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("short-TTL job ran %d times, want 1 (heartbeats must hold the lease)", n)
 	}
-	c.mu.Lock()
-	attempts := c.byID["ttl/slow"].attempt
-	c.mu.Unlock()
-	if attempts != 1 {
-		t.Fatalf("short-TTL job leased %d times, want 1", attempts)
+	if n := c.Table().Status().Releases; n != 0 {
+		t.Fatalf("short-TTL lease expired %d times, want 0", n)
 	}
 }
 
@@ -524,35 +538,13 @@ func TestHTTPDispatcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		w := &Worker{
-			Dispatcher: NewClient(srv.URL),
-			Name:       fmt.Sprintf("remote%d", i),
-			Plan:       c.Plan(), // synthetic plans cannot travel as grids
-			Slots:      2,
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Run(ctx); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
-	if err := c.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if got := aggBytes(t, c.Records()); got != want {
+	runRemote(t, c, 2, 2)
+	if got := aggBytes(t, c.Table().Records()); got != want {
 		t.Fatalf("HTTP aggregate mismatch\nwant:\n%s\ngot:\n%s", want, got)
 	}
 
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
 	// Status over the wire reflects the finished sweep.
 	st, err := NewClient(srv.URL).Status()
 	if err != nil {

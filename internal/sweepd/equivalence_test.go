@@ -1,13 +1,8 @@
 package sweepd
 
 import (
-	"context"
-	"fmt"
-	"net/http/httptest"
 	"path/filepath"
-	"sync"
 	"testing"
-	"time"
 
 	"abm/internal/experiments"
 	"abm/internal/runner"
@@ -31,7 +26,7 @@ func equivGrid() experiments.Grid {
 }
 
 // TestSweepdMatchesPoolOnRealGrid runs the same grid through the
-// in-process pool and through coordinator + in-process workers backed
+// in-process pool and through coordinator + remote HTTP workers backed
 // by the durable record log, and demands byte-identical aggregate JSON
 // and TSV output.
 func TestSweepdMatchesPoolOnRealGrid(t *testing.T) {
@@ -58,12 +53,12 @@ func TestSweepdMatchesPoolOnRealGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewStore(log)
-	c, err := NewCoordinator(Config{Grid: &grid, Store: store})
+	c, err := NewCoordinator(Config{Grid: &grid, TableConfig: runner.TableConfig{Store: store}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkers(t, c, 2)
-	if got := aggBytes(t, c.Records()); got != want {
+	runRemote(t, c, 2, 1)
+	if got := aggBytes(t, c.Table().Records()); got != want {
 		t.Fatalf("sweepd aggregate differs from pool\nwant:\n%s\ngot:\n%s", want, got)
 	}
 	if err := store.Close(); err != nil {
@@ -117,29 +112,8 @@ func TestRemoteWorkerScenarioGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		// No Plan: the worker must fetch PlanInfo and rebuild it, which
-		// is exactly what a worker on another machine does.
-		w := &Worker{Dispatcher: NewClient(srv.URL), Name: fmt.Sprintf("remote%d", i)}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Run(ctx); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
-	if err := c.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if got := aggBytes(t, c.Records()); got != want {
+	runRemote(t, c, 2, 1)
+	if got := aggBytes(t, c.Table().Records()); got != want {
 		t.Fatalf("remote-worker aggregate differs from pool\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }

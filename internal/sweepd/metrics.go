@@ -47,36 +47,23 @@ func SlowdownOf(recs []runner.Record) *SlowdownSummary {
 // totals, per-worker liveness and throughput, and the record-log
 // batcher's commit counters.
 func (c *Coordinator) WriteMetrics(w *prom.Writer) {
+	ts := c.table.Status()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	var pending, leased, doneJobs, failed int
-	for _, j := range c.jobs {
-		switch j.state {
-		case jobPending:
-			pending++
-		case jobLeased:
-			leased++
-		case jobDone:
-			doneJobs++
-			if j.rec == nil || !j.rec.OK() {
-				failed++
-			}
-		}
-	}
 	w.Family("abm_sweepd_jobs", "gauge", "Coordinator job table by state.")
-	w.IntSample("abm_sweepd_jobs", []prom.Label{{Name: "state", Value: "pending"}}, int64(pending))
-	w.IntSample("abm_sweepd_jobs", []prom.Label{{Name: "state", Value: "leased"}}, int64(leased))
-	w.IntSample("abm_sweepd_jobs", []prom.Label{{Name: "state", Value: "done"}}, int64(doneJobs))
-	w.IntSample("abm_sweepd_jobs", []prom.Label{{Name: "state", Value: "failed"}}, int64(failed))
+	w.IntSample("abm_sweepd_jobs", []prom.Label{{Name: "state", Value: "pending"}}, int64(ts.Pending))
+	w.IntSample("abm_sweepd_jobs", []prom.Label{{Name: "state", Value: "leased"}}, int64(ts.Leased))
+	w.IntSample("abm_sweepd_jobs", []prom.Label{{Name: "state", Value: "done"}}, int64(ts.Done))
+	w.IntSample("abm_sweepd_jobs", []prom.Label{{Name: "state", Value: "failed"}}, int64(ts.Failed))
 
 	w.Family("abm_sweepd_leases_outstanding", "gauge", "Leases currently held by workers.")
-	w.IntSample("abm_sweepd_leases_outstanding", nil, int64(leased))
+	w.IntSample("abm_sweepd_leases_outstanding", nil, int64(ts.Leased))
 
 	w.Family("abm_sweepd_lease_releases_total", "counter", "Leases that expired and were requeued.")
-	w.IntSample("abm_sweepd_lease_releases_total", nil, c.releases)
+	w.IntSample("abm_sweepd_lease_releases_total", nil, ts.Releases)
 	w.Family("abm_sweepd_lease_giveups_total", "counter", "Jobs abandoned after the lease-attempt cap.")
-	w.IntSample("abm_sweepd_lease_giveups_total", nil, c.giveups)
+	w.IntSample("abm_sweepd_lease_giveups_total", nil, ts.GiveUps)
 
 	if len(c.workers) > 0 {
 		names := make([]string, 0, len(c.workers))

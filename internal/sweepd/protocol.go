@@ -32,9 +32,6 @@ type PlanInfo struct {
 	// Scenario is the raw bytes of Grid.Scenario; the worker parses them
 	// and expands the grid over them in memory.
 	Scenario json.RawMessage `json:"scenario,omitempty"`
-	// LeaseTTLMillis is the lease duration; workers must heartbeat
-	// comfortably within it (TTL/3 is the convention).
-	LeaseTTLMillis int64 `json:"lease_ttl_ms"`
 }
 
 // LeaseRequest asks for up to N job leases.
@@ -43,22 +40,13 @@ type LeaseRequest struct {
 	N      int    `json:"n"`
 }
 
-// Lease is one time-bounded job assignment.
+// Lease is one time-bounded job assignment: the table's lease (job ID,
+// spec index, resolved seed, prior attempts) plus SpecID, the plan's ID
+// at Index — a skew guard the worker checks against its local
+// expansion before running anything.
 type Lease struct {
-	// JobID is the record ID the worker must report back. For adaptive
-	// extra replications it differs from the spec's own ID.
-	JobID string `json:"job_id"`
-	// Index is the spec to execute, as an index into the deterministic
-	// plan expansion both sides share.
-	Index int `json:"index"`
-	// SpecID is the plan's ID at Index — a skew guard the worker checks
-	// against its local expansion before running anything.
+	runner.Lease
 	SpecID string `json:"spec_id"`
-	// Seed is the explicit simulation seed (already resolved by the
-	// coordinator, including adaptive extra-replication seeds).
-	Seed int64 `json:"seed"`
-	// Attempt counts prior leases of this job (0 on first lease).
-	Attempt int `json:"attempt"`
 }
 
 // LeaseResponse carries zero or more leases. Done reports that the
@@ -160,23 +148,10 @@ type SlowdownSummary struct {
 	P999  float64 `json:"p999"`
 }
 
-// GroupStatus is the per-group view of the status endpoint: replication
-// progress and, with adaptive replication on, how tight the group's
-// confidence interval currently is.
+// GroupStatus is the per-group view of the status endpoint: the job
+// table's group progress plus its slowdown summary.
 type GroupStatus struct {
-	Group string `json:"group"`
-	// OK and Failed count finished replications; Total counts every job
-	// created for the group so far (including leased/pending extras).
-	OK     int `json:"ok"`
-	Failed int `json:"failed,omitempty"`
-	Total  int `json:"total"`
-	// Mean and RelCIHalfWidth describe the adaptive target metric: the
-	// bootstrap CI half-width of the mean, relative to the mean.
-	Mean           float64 `json:"mean,omitempty"`
-	RelCIHalfWidth float64 `json:"rel_ci_half_width,omitempty"`
-	// Settled reports the group needs no more replications (CI under
-	// target, metric absent, or replication cap reached).
-	Settled bool `json:"settled"`
+	runner.TableGroup
 	// Slowdown summarizes the group's merged FCT-slowdown histogram
 	// (all classes, all finished replications so far); nil when the
 	// sweep records no histograms.
@@ -185,12 +160,8 @@ type GroupStatus struct {
 
 // Status is the coordinator's live state summary.
 type Status struct {
-	Name     string        `json:"name"`
-	Jobs     int           `json:"jobs"`
-	Pending  int           `json:"pending"`
-	Leased   int           `json:"leased"`
-	Done     int           `json:"done"`
-	Failed   int           `json:"failed"`
+	Name string `json:"name"`
+	runner.TableStatus
 	Finished bool          `json:"finished"`
 	Groups   []GroupStatus `json:"groups,omitempty"`
 	// Batch reports the record log's commit counters when the
@@ -198,11 +169,10 @@ type Status struct {
 	Batch *BatchStats `json:"batch,omitempty"`
 }
 
-// Dispatcher is the coordinator as a worker sees it. *Coordinator
-// implements it natively for in-process workers; *Client implements it
-// over HTTP for worker processes. Workers are written against this
-// interface, so single-process and distributed sweeps share every line
-// of execution code.
+// Dispatcher is the coordinator as a remote worker sees it: *Client
+// implements it over HTTP, and *Coordinator serves the same calls
+// behind its handler. In-process workers bypass it and work the
+// coordinator's runner.Table directly.
 type Dispatcher interface {
 	PlanInfo() (*PlanInfo, error)
 	Lease(worker string, n int) (*LeaseResponse, error)

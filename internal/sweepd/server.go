@@ -3,7 +3,6 @@ package sweepd
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 
 	"abm/internal/obs/prom"
@@ -75,12 +74,6 @@ func (c *Coordinator) Handler() http.Handler {
 		w.Write(pw.Bytes())
 	})
 	return mux
-}
-
-// Serve runs the coordinator's HTTP endpoint on l until the listener
-// closes. It is a thin convenience over http.Serve.
-func (c *Coordinator) Serve(l net.Listener) error {
-	return http.Serve(l, c.Handler())
 }
 
 // readJSON decodes the request body, answering 400 on failure.

@@ -51,9 +51,8 @@ func (s *Store) Completed() (map[string]runner.Record, error) {
 }
 
 // PutTelemetry persists one job's gzip-compressed telemetry bundle
-// beside the record log (the coordinator probes for this method via an
-// interface, so stores without it simply drop bundles). A no-op when
-// TelemetryDir is unset. Writes go through a temp file + rename so a
+// beside the record log (a coordinator with another RecordSink drops
+// bundles). A no-op when TelemetryDir is unset. Writes go through a temp file + rename so a
 // crash never leaves a truncated bundle under the final name.
 func (s *Store) PutTelemetry(id string, data []byte) error {
 	if s.TelemetryDir == "" {

@@ -39,7 +39,7 @@ func histPlan(name string, jobs int) *runner.Plan {
 	return plan
 }
 
-// TestTelemetryBundleRoundTrip is the fleet-shipping contract: a worker
+// TestTelemetryBundleRoundTrip is the fleet-shipping contract: a remote worker
 // bundles each successful job's counters + histograms, the coordinator
 // persists the bundle beside the record log, the file decodes back to
 // the worker's state, and the merged histograms surface as the group
@@ -48,13 +48,13 @@ func TestTelemetryBundleRoundTrip(t *testing.T) {
 	store := NewStore(testLog(t))
 	store.TelemetryDir = t.TempDir()
 	plan := histPlan("tele", 6)
-	c, err := NewCoordinator(Config{Plan: plan, Store: store})
+	c, err := NewCoordinator(Config{Plan: plan, TableConfig: runner.TableConfig{Store: store}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	runWorkers(t, c, 2)
+	runRemote(t, c, 2, 1)
 
-	recs := c.Records()
+	recs := c.Table().Records()
 	if len(recs) != 6 {
 		t.Fatalf("got %d records, want 6", len(recs))
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"abm/internal/obs/prom"
@@ -13,30 +14,33 @@ import (
 	"abm/internal/scenario"
 )
 
-// Worker executes leased jobs against a Dispatcher. It is a thin shell
-// around runner.Execute — the exact execution path (panic recovery,
-// per-job deadline, bounded retries) the in-process pool uses — plus
-// the lease lifecycle: poll for leases, heartbeat while running, report
-// records, exit when the coordinator says the sweep is done.
+// Worker is a remote sweep worker: it executes jobs leased from a
+// coordinator (over HTTP, a *Client) with runner.Execute — the path
+// in-process workers take, with panic recovery, per-job deadline and
+// bounded retries — plus the lease lifecycle: poll for leases,
+// heartbeat while running, report records with their telemetry
+// bundles, exit when the coordinator says the sweep is done.
 type Worker struct {
-	// Dispatcher is the coordinator: in-process (*Coordinator) or over
-	// HTTP (*Client).
+	// Dispatcher is the coordinator, usually a *Client.
 	Dispatcher Dispatcher
 	// Name identifies the worker in leases and logs. Default
 	// "worker-<pid>".
 	Name string
-	// Slots is how many jobs run concurrently. Default 1.
+	// Slots is how many jobs run concurrently. Default 1; capped so
+	// that slots x the grid's shards per job stay within GOMAXPROCS.
 	Slots int
 	// Timeout, Retries, Backoff configure runner.Execute per job.
 	Timeout time.Duration
 	Retries int
 	Backoff time.Duration
-	// Plan, when set, skips the PlanInfo fetch and uses these specs
-	// directly — how in-process workers share the coordinator's plan.
-	Plan *runner.Plan
 	// Progress, when non-nil, receives per-job log lines.
 	Progress io.Writer
 
+	// plan, when set, stands in for the PlanInfo fetch: in-package
+	// tests run synthetic plans, which cannot travel as grids.
+	plan *runner.Plan
+
+	ttl    atomic.Int64 // lease TTL in ns, from the latest lease response
 	mu     sync.Mutex
 	active map[string]bool // job IDs currently running (heartbeat set)
 	// Lifetime work counters behind the worker's own /metrics endpoint.
@@ -53,42 +57,32 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.Name == "" {
 		w.Name = fmt.Sprintf("worker-%d", os.Getpid())
 	}
+	w.active = make(map[string]bool)
+
+	// Heartbeats pace at TTL/3 from the coordinator's lease TTL, which
+	// every lease response carries.
+	w.ttl.Store(int64(30 * time.Second))
+	plan, shards := w.plan, 0
+	if plan == nil {
+		info, p, err := w.fetchPlan()
+		if err != nil {
+			return err
+		}
+		plan, shards = p, info.Grid.Shards
+	}
 	slots := w.Slots
 	if slots <= 0 {
 		slots = 1
 	}
-	w.active = make(map[string]bool)
-
-	// Seed the heartbeat pacing from the coordinator's real lease TTL —
-	// the in-process coordinator exposes it directly, remote ones send
-	// it in PlanInfo — so the very first heartbeat lands inside even a
-	// short lease instead of assuming the 30s default.
-	var ttl atomicDuration
-	ttl.set(30 * time.Second)
-	if src, ok := w.Dispatcher.(interface{ LeaseTTL() time.Duration }); ok {
-		if d := src.LeaseTTL(); d > 0 {
-			ttl.set(d)
-		}
-	}
-	plan := w.Plan
-	if plan == nil {
-		info, err := w.fetchPlan()
-		if err != nil {
-			return err
-		}
-		plan = info.plan
-		if info.leaseTTL > 0 {
-			ttl.set(info.leaseTTL)
-		}
-	}
+	slots = runner.CapWorkers(slots, shards, w.Progress)
 
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
-	go w.heartbeatLoop(hbCtx, &ttl)
+	go w.heartbeatLoop(hbCtx)
 
 	errs := make(chan error, slots)
 	for s := 0; s < slots; s++ {
-		go func() { errs <- w.slot(ctx, plan, &ttl) }()
+		go func() { errs <- w.slot(ctx, plan) }()
 	}
 	var first error
 	for s := 0; s < slots; s++ {
@@ -103,7 +97,7 @@ func (w *Worker) Run(ctx context.Context) error {
 var ErrCoordinatorGone = fmt.Errorf("sweepd: coordinator unreachable")
 
 // slot is one lease-execute-report loop.
-func (w *Worker) slot(ctx context.Context, plan *runner.Plan, ttl *atomicDuration) error {
+func (w *Worker) slot(ctx context.Context, plan *runner.Plan) error {
 	consecutiveFails := 0
 	for {
 		if ctx.Err() != nil {
@@ -120,7 +114,7 @@ func (w *Worker) slot(ctx context.Context, plan *runner.Plan, ttl *atomicDuratio
 		}
 		consecutiveFails = 0
 		if resp.TTLMillis > 0 {
-			ttl.set(time.Duration(resp.TTLMillis) * time.Millisecond)
+			w.ttl.Store(int64(time.Duration(resp.TTLMillis) * time.Millisecond))
 		}
 		if len(resp.Leases) == 0 {
 			if resp.Done {
@@ -145,28 +139,28 @@ func (w *Worker) slot(ctx context.Context, plan *runner.Plan, ttl *atomicDuratio
 func (w *Worker) runLease(ctx context.Context, plan *runner.Plan, lease Lease) error {
 	if lease.Index < 0 || lease.Index >= len(plan.Specs) {
 		return fmt.Errorf("sweepd: lease %s: spec index %d outside local plan (%d specs) — worker and coordinator disagree on the grid",
-			lease.JobID, lease.Index, len(plan.Specs))
+			lease.ID, lease.Index, len(plan.Specs))
 	}
 	spec := plan.Specs[lease.Index]
 	if lease.SpecID != "" && spec.ID != lease.SpecID {
 		return fmt.Errorf("sweepd: lease %s: local spec %d is %q, coordinator says %q — worker and coordinator disagree on the grid",
-			lease.JobID, lease.Index, spec.ID, lease.SpecID)
+			lease.ID, lease.Index, spec.ID, lease.SpecID)
 	}
 
 	w.mu.Lock()
-	w.active[lease.JobID] = true
+	w.active[lease.ID] = true
 	w.mu.Unlock()
-	w.logf("run %s (seed %d, attempt %d)", lease.JobID, lease.Seed, lease.Attempt)
+	w.logf("run %s (seed %d, attempt %d)", lease.ID, lease.Seed, lease.Attempt)
 
 	rec := runner.Execute(ctx, spec, lease.Seed, runner.ExecOptions{
 		Timeout: w.Timeout, Retries: w.Retries, Backoff: w.Backoff,
 	})
 	// The record reports under the lease's job ID: adaptive extra
 	// replications re-run a base spec under their own identity.
-	rec.ID = lease.JobID
+	rec.ID = lease.ID
 
 	w.mu.Lock()
-	delete(w.active, lease.JobID)
+	delete(w.active, lease.ID)
 	w.jobsDone++
 	w.wallMS += rec.WallMS
 	if rec.Result != nil {
@@ -179,12 +173,12 @@ func (w *Worker) runLease(ctx context.Context, plan *runner.Plan, lease Lease) e
 		// job re-runs elsewhere. Nothing to report.
 		return nil
 	}
-	telemetry := w.bundleTelemetry(lease.JobID, rec)
+	telemetry := w.bundleTelemetry(lease.ID, rec)
 	// The result is real work; try hard to deliver it.
 	var err error
 	for i := 0; i < 5; i++ {
 		if err = w.Dispatcher.Complete(w.Name, rec, telemetry); err == nil {
-			w.logf("done %s (%s)", lease.JobID, rec.Status)
+			w.logf("done %s (%s)", lease.ID, rec.Status)
 			return nil
 		}
 		w.sleep(ctx, time.Duration(i+1)*200*time.Millisecond)
@@ -192,7 +186,7 @@ func (w *Worker) runLease(ctx context.Context, plan *runner.Plan, lease Lease) e
 			break
 		}
 	}
-	w.logf("dropping result for %s: %v", lease.JobID, err)
+	w.logf("dropping result for %s: %v", lease.ID, err)
 	return nil // the lease expires and the job re-runs; not fatal
 }
 
@@ -246,10 +240,10 @@ func (w *Worker) WriteMetrics(pw *prom.Writer) {
 // heartbeatLoop renews leases on every active job at TTL/3. It sleeps
 // in short steps so a TTL update from a lease response takes effect on
 // the in-flight wait, not one full (possibly 30s-stale) interval later.
-func (w *Worker) heartbeatLoop(ctx context.Context, ttl *atomicDuration) {
+func (w *Worker) heartbeatLoop(ctx context.Context) {
 	last := time.Now()
 	for {
-		interval := ttl.get() / 3
+		interval := time.Duration(w.ttl.Load()) / 3
 		if interval < 50*time.Millisecond {
 			interval = 50 * time.Millisecond
 		}
@@ -284,35 +278,25 @@ func (w *Worker) heartbeatLoop(ctx context.Context, ttl *atomicDuration) {
 	}
 }
 
-// fetchedPlan is a rebuilt plan plus the coordinator-announced lease
-// TTL that rode along in PlanInfo.
-type fetchedPlan struct {
-	plan     *runner.Plan
-	leaseTTL time.Duration
-}
-
 // fetchPlan pulls PlanInfo and rebuilds the plan locally from the grid
 // and the base scenario bytes it carries.
-func (w *Worker) fetchPlan() (*fetchedPlan, error) {
+func (w *Worker) fetchPlan() (*PlanInfo, *runner.Plan, error) {
 	info, err := w.Dispatcher.PlanInfo()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if info.Grid == nil || len(info.Scenario) == 0 {
-		return nil, fmt.Errorf("sweepd: coordinator sent no grid or no base scenario")
+		return nil, nil, fmt.Errorf("sweepd: coordinator sent no grid or no base scenario")
 	}
 	plan, err := expand(*info.Grid, info.Scenario)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if len(plan.Specs) != info.Jobs {
-		return nil, fmt.Errorf("sweepd: local grid expansion has %d jobs, coordinator says %d — version skew",
+		return nil, nil, fmt.Errorf("sweepd: local grid expansion has %d jobs, coordinator says %d — version skew",
 			len(plan.Specs), info.Jobs)
 	}
-	return &fetchedPlan{
-		plan:     plan,
-		leaseTTL: time.Duration(info.LeaseTTLMillis) * time.Millisecond,
-	}, nil
+	return info, plan, nil
 }
 
 // sleep waits without outliving ctx.
@@ -328,22 +312,4 @@ func (w *Worker) logf(format string, args ...any) {
 	if w.Progress != nil {
 		fmt.Fprintf(w.Progress, "%s: "+format+"\n", append([]any{w.Name}, args...)...)
 	}
-}
-
-// atomicDuration is a tiny atomic time.Duration.
-type atomicDuration struct {
-	mu sync.Mutex
-	d  time.Duration
-}
-
-func (a *atomicDuration) set(d time.Duration) {
-	a.mu.Lock()
-	a.d = d
-	a.mu.Unlock()
-}
-
-func (a *atomicDuration) get() time.Duration {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.d
 }
