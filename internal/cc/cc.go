@@ -3,7 +3,7 @@
 // (ECN-based), TIMELY (RTT-gradient, rate-based), PowerTCP (in-band
 // telemetry) and θ-PowerTCP (timestamp-only), plus Reno as the textbook
 // baseline. Algorithms are pure window/rate state machines; the transport
-// layer drives them with ACK, duplicate-ACK, recovery and timeout events.
+// layer drives them with ACK, recovery and timeout events.
 package cc
 
 import (
@@ -30,6 +30,15 @@ type Config struct {
 
 // BDP returns the bandwidth-delay product for the configured path.
 func (c Config) BDP() units.ByteCount { return c.LineRate.BytesOver(c.BaseRTT) }
+
+// cwndCap is the window ceiling of the telemetry- and delay-driven
+// algorithms: MaxCwnd when set, else four bandwidth-delay products.
+func (c Config) cwndCap() units.ByteCount {
+	if c.MaxCwnd > 0 {
+		return c.MaxCwnd
+	}
+	return 4 * c.BDP()
+}
 
 // initialWindow resolves the starting window.
 func (c Config) initialWindow() units.ByteCount {
@@ -59,7 +68,6 @@ type Algorithm interface {
 	Name() string
 	Init(cfg Config)
 	OnAck(ev AckEvent)
-	OnDupAck(now units.Time)
 	// OnRecovery fires once when the transport enters fast recovery
 	// (triple duplicate ACK): the multiplicative-decrease point.
 	OnRecovery(now units.Time)

@@ -97,9 +97,6 @@ func (cu *Cubic) OnAck(ev AckEvent) {
 	cu.cwnd = clampWindow(cu.cwnd, cu.cfg.MSS, cu.cfg.MaxCwnd)
 }
 
-// OnDupAck implements Algorithm.
-func (cu *Cubic) OnDupAck(units.Time) {}
-
 // OnRecovery implements Algorithm.
 func (cu *Cubic) OnRecovery(units.Time) {
 	cu.wMax = float64(cu.cwnd) / float64(cu.cfg.MSS)

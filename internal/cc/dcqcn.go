@@ -99,9 +99,6 @@ func (d *DCQCN) OnAck(ev AckEvent) {
 	}
 }
 
-// OnDupAck implements Algorithm.
-func (d *DCQCN) OnDupAck(units.Time) {}
-
 // OnRecovery implements Algorithm: RDMA fabrics are lossless, but under
 // our lossy switches a loss is a strong congestion signal.
 func (d *DCQCN) OnRecovery(units.Time) {

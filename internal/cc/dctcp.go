@@ -82,9 +82,6 @@ func (d *DCTCP) OnAck(ev AckEvent) {
 	d.cwnd = clampWindow(d.cwnd, d.cfg.MSS, d.cfg.MaxCwnd)
 }
 
-// OnDupAck implements Algorithm.
-func (d *DCTCP) OnDupAck(units.Time) {}
-
 // OnRecovery implements Algorithm.
 func (d *DCTCP) OnRecovery(units.Time) {
 	d.ssthresh = clampWindow(d.cwnd/2, d.cfg.MSS, d.cfg.MaxCwnd)

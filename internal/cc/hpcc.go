@@ -95,7 +95,7 @@ func (h *HPCC) OnAck(ev AckEvent) {
 	h.maxU = float64(0.9*h.maxU) + float64(0.1*maxU)
 
 	w := float64(h.refCwnd)/(h.maxU/h.Eta) + float64(h.AIBytes)
-	h.cwnd = clampWindow(units.ByteCount(w), h.cfg.MSS, h.maxCwnd())
+	h.cwnd = clampWindow(units.ByteCount(w), h.cfg.MSS, h.cfg.cwndCap())
 
 	if ev.Now-h.lastSync >= h.cfg.BaseRTT {
 		h.refCwnd = h.cwnd
@@ -103,19 +103,9 @@ func (h *HPCC) OnAck(ev AckEvent) {
 	}
 }
 
-func (h *HPCC) maxCwnd() units.ByteCount {
-	if h.cfg.MaxCwnd > 0 {
-		return h.cfg.MaxCwnd
-	}
-	return 4 * h.cfg.BDP()
-}
-
-// OnDupAck implements Algorithm.
-func (h *HPCC) OnDupAck(units.Time) {}
-
 // OnRecovery implements Algorithm.
 func (h *HPCC) OnRecovery(units.Time) {
-	h.cwnd = clampWindow(h.cwnd/2, h.cfg.MSS, h.maxCwnd())
+	h.cwnd = clampWindow(h.cwnd/2, h.cfg.MSS, h.cfg.cwndCap())
 	h.refCwnd = h.cwnd
 }
 

@@ -117,7 +117,7 @@ func (p *PowerTCP) updateWindow(norm float64, now units.Time) {
 		norm = 0.05 // avoid explosion on near-idle paths
 	}
 	newCwnd := float64(p.gamma*(float64(p.prevCwnd)/norm+float64(p.beta))) + float64((1-p.gamma)*float64(p.cwnd))
-	p.cwnd = clampWindow(units.ByteCount(newCwnd), p.cfg.MSS, p.maxCwnd())
+	p.cwnd = clampWindow(units.ByteCount(newCwnd), p.cfg.MSS, p.cfg.cwndCap())
 	// Snapshot the window once per base RTT as "cwnd_old".
 	if now-p.lastSnap >= p.cfg.BaseRTT {
 		p.prevCwnd = p.cwnd
@@ -125,19 +125,9 @@ func (p *PowerTCP) updateWindow(norm float64, now units.Time) {
 	}
 }
 
-func (p *PowerTCP) maxCwnd() units.ByteCount {
-	if p.cfg.MaxCwnd > 0 {
-		return p.cfg.MaxCwnd
-	}
-	return 4 * p.cfg.BDP()
-}
-
-// OnDupAck implements Algorithm.
-func (p *PowerTCP) OnDupAck(units.Time) {}
-
 // OnRecovery implements Algorithm.
 func (p *PowerTCP) OnRecovery(units.Time) {
-	p.cwnd = clampWindow(p.cwnd/2, p.cfg.MSS, p.maxCwnd())
+	p.cwnd = clampWindow(p.cwnd/2, p.cfg.MSS, p.cfg.cwndCap())
 	p.prevCwnd = p.cwnd
 }
 

@@ -44,9 +44,6 @@ func (r *Reno) OnAck(ev AckEvent) {
 	r.cwnd = clampWindow(r.cwnd, r.cfg.MSS, r.cfg.MaxCwnd)
 }
 
-// OnDupAck implements Algorithm.
-func (r *Reno) OnDupAck(units.Time) {}
-
 // OnRecovery implements Algorithm.
 func (r *Reno) OnRecovery(units.Time) {
 	r.ssthresh = clampWindow(r.cwnd/2, r.cfg.MSS, r.cfg.MaxCwnd)

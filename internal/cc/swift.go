@@ -67,22 +67,12 @@ func (sw *Swift) OnAck(ev AckEvent) {
 		sw.cwnd = units.ByteCount(float64(sw.cwnd) * factor)
 		sw.lastDecrease = ev.Now
 	}
-	sw.cwnd = clampWindow(sw.cwnd, sw.cfg.MSS, sw.maxCwnd())
+	sw.cwnd = clampWindow(sw.cwnd, sw.cfg.MSS, sw.cfg.cwndCap())
 }
-
-func (sw *Swift) maxCwnd() units.ByteCount {
-	if sw.cfg.MaxCwnd > 0 {
-		return sw.cfg.MaxCwnd
-	}
-	return 4 * sw.cfg.BDP()
-}
-
-// OnDupAck implements Algorithm.
-func (sw *Swift) OnDupAck(units.Time) {}
 
 // OnRecovery implements Algorithm.
 func (sw *Swift) OnRecovery(now units.Time) {
-	sw.cwnd = clampWindow(units.ByteCount(float64(sw.cwnd)*(1-sw.MaxMDF)), sw.cfg.MSS, sw.maxCwnd())
+	sw.cwnd = clampWindow(units.ByteCount(float64(sw.cwnd)*(1-sw.MaxMDF)), sw.cfg.MSS, sw.cfg.cwndCap())
 	sw.lastDecrease = now
 }
 
@@ -96,7 +86,7 @@ func (sw *Swift) Window() units.ByteCount { return sw.cwnd }
 
 // SetWindow implements WindowRescaler.
 func (sw *Swift) SetWindow(w units.ByteCount) {
-	sw.cwnd = clampWindow(w, sw.cfg.MSS, sw.maxCwnd())
+	sw.cwnd = clampWindow(w, sw.cfg.MSS, sw.cfg.cwndCap())
 }
 
 // PacingRate implements Algorithm.

@@ -88,26 +88,16 @@ func (p *ThetaPowerTCP) OnAck(ev AckEvent) {
 	p.smoothed = (float64(p.smoothed*float64(tau-dt)) + float64(norm*float64(dt))) / float64(tau)
 
 	newCwnd := float64(p.gamma*(float64(p.prevCwnd)/p.smoothed+float64(p.beta))) + float64((1-p.gamma)*float64(p.cwnd))
-	p.cwnd = clampWindow(units.ByteCount(newCwnd), p.cfg.MSS, p.maxCwnd())
+	p.cwnd = clampWindow(units.ByteCount(newCwnd), p.cfg.MSS, p.cfg.cwndCap())
 	if ev.Now-p.lastSnap >= p.cfg.BaseRTT {
 		p.prevCwnd = p.cwnd
 		p.lastSnap = ev.Now
 	}
 }
 
-func (p *ThetaPowerTCP) maxCwnd() units.ByteCount {
-	if p.cfg.MaxCwnd > 0 {
-		return p.cfg.MaxCwnd
-	}
-	return 4 * p.cfg.BDP()
-}
-
-// OnDupAck implements Algorithm.
-func (p *ThetaPowerTCP) OnDupAck(units.Time) {}
-
 // OnRecovery implements Algorithm.
 func (p *ThetaPowerTCP) OnRecovery(units.Time) {
-	p.cwnd = clampWindow(p.cwnd/2, p.cfg.MSS, p.maxCwnd())
+	p.cwnd = clampWindow(p.cwnd/2, p.cfg.MSS, p.cfg.cwndCap())
 	p.prevCwnd = p.cwnd
 }
 

@@ -103,9 +103,6 @@ func (t *Timely) setRate(r units.Rate) {
 	t.rate = r
 }
 
-// OnDupAck implements Algorithm.
-func (t *Timely) OnDupAck(units.Time) {}
-
 // OnRecovery implements Algorithm: loss means severe congestion.
 func (t *Timely) OnRecovery(units.Time) {
 	t.setRate(units.Rate(float64(t.rate) * 0.5))

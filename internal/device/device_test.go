@@ -412,7 +412,7 @@ func TestCodelDequeueDropsIntegration(t *testing.T) {
 		}
 	})
 	drain(s, sw)
-	drops := sw.Port(0).Queue(0).DropsAQM
+	drops := sw.Port(0).Queue(0).DropsDequeue
 	if drops == 0 {
 		t.Fatal("codel should drop under sustained sojourn above target")
 	}
@@ -525,9 +525,8 @@ func TestTrimIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrs := sess.ShardSink(0)
 	sw, dst := testSwitch(s, SwitchConfig{
-		Obs: ctrs,
+		Obs: sess.ShardSink(0),
 		MMU: MMUConfig{
 			BufferSize: units.Megabyte,
 			BM:         bm.CS{},
@@ -549,7 +548,7 @@ func TestTrimIntegration(t *testing.T) {
 	if trimmed != 7 {
 		t.Fatalf("trimmed %d, want 7", trimmed)
 	}
-	if got := ctrs.Ctr(obs.CtrTrimmed).Get(); got != 7 {
+	if got := sess.Totals()["model/trimmed_pkts"]; got != 7 {
 		t.Fatalf("trim counter = %d, want 7", got)
 	}
 	sw.MMU().checkInvariants()

@@ -120,20 +120,10 @@ type MMU struct {
 
 	rng *rand.Rand
 
-	// Telemetry. The sink is nil when telemetry is off; the counter
-	// handles are resolved once here so the admission path performs
-	// plain nil-checked increments (see internal/obs).
-	obsSink            *obs.Sink
-	ctrAdmittedPkts    *obs.Counter
-	ctrAdmittedBytes   *obs.Counter
-	ctrDropThreshold   *obs.Counter
-	ctrDropNoBuffer    *obs.Counter
-	ctrDropAQM         *obs.Counter
-	ctrDropAFD         *obs.Counter
-	ctrDropUnscheduled *obs.Counter
-	ctrMarked          *obs.Counter
-	ctrTrimmed         *obs.Counter
-	histHeadroom       *hist.Histogram
+	// Telemetry. The sink is nil when telemetry is off; the admission
+	// path's counts live in the queues (see Switch.AddCounts).
+	obsSink      *obs.Sink
+	histHeadroom *hist.Histogram
 }
 
 func newMMU(cfg MMUConfig, sw *Switch, rng *rand.Rand, sink *obs.Sink) *MMU {
@@ -161,15 +151,6 @@ func newMMU(cfg MMUConfig, sw *Switch, rng *rand.Rand, sink *obs.Sink) *MMU {
 			m.alphas[i] = cfg.Alphas[i]
 		}
 	}
-	m.ctrAdmittedPkts = sink.Ctr(obs.CtrAdmittedPkts)
-	m.ctrAdmittedBytes = sink.Ctr(obs.CtrAdmittedBytes)
-	m.ctrDropThreshold = sink.Ctr(obs.CtrDropThreshold)
-	m.ctrDropNoBuffer = sink.Ctr(obs.CtrDropNoBuffer)
-	m.ctrDropAQM = sink.Ctr(obs.CtrDropAQM)
-	m.ctrDropAFD = sink.Ctr(obs.CtrDropAFD)
-	m.ctrDropUnscheduled = sink.Ctr(obs.CtrDropUnscheduled)
-	m.ctrMarked = sink.Ctr(obs.CtrECNMarked)
-	m.ctrTrimmed = sink.Ctr(obs.CtrTrimmed)
 	m.histHeadroom = sink.Hist(obs.HistAdmitHeadroom)
 	m.normDrain = make([]float64, len(m.queues))
 	for i := range m.normDrain {
@@ -387,7 +368,6 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 	// Stage 0: AFD-style early drop (IB).
 	if m.dropper != nil && m.dropper.ShouldDrop(ctx, m.rng) {
 		q.DropsAFD++
-		m.ctrDropAFD.Inc()
 		m.notifyDrop(q, ctx)
 		if traced {
 			// No threshold was computed on this path; trace the queue's
@@ -417,7 +397,6 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 		} else {
 			if !fitsBuffer {
 				q.DropsNoBuffer++
-				m.ctrDropNoBuffer.Inc()
 				m.notifyDrop(q, ctx)
 				if traced {
 					m.emitAdmit(ctx, pkt, obs.VerdictDropNoBuffer, thr)
@@ -425,7 +404,6 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 				return DroppedNoBuffer
 			}
 			q.DropsThreshold++
-			m.ctrDropThreshold.Inc()
 			m.notifyDrop(q, ctx)
 			if traced {
 				m.emitAdmit(ctx, pkt, obs.VerdictDropThreshold, thr)
@@ -452,7 +430,6 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 	switch decision {
 	case aqm.Drop:
 		q.DropsAQM++
-		m.ctrDropAQM.Inc()
 		m.notifyDrop(q, ctx)
 		if traced {
 			m.emitAdmit(ctx, pkt, obs.VerdictDropAQM, thr)
@@ -461,11 +438,10 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 	case aqm.Trim:
 		pkt.Trim()
 		size = pkt.Size()
-		m.ctrTrimmed.Inc()
+		q.TrimmedPkts++
 	case aqm.Mark:
 		pkt.Set(packet.FlagCE)
 		q.MarkedPkts++
-		m.ctrMarked.Inc()
 		if m.obsSink.Enabled(obs.KindMark) {
 			m.emitQueueEvent(obs.KindMark, ctx, pkt, q.bytes)
 		}
@@ -481,8 +457,6 @@ func (m *MMU) Admit(port, prio int, pkt *packet.Packet) AdmitResult {
 	}
 	q.push(pkt, m.sw.sim.Now())
 	m.sw.ports[port].queued++
-	m.ctrAdmittedPkts.Inc()
-	m.ctrAdmittedBytes.Add(int64(size))
 	if m.flowAware != nil {
 		m.flowAware.OnAdmit(ctx)
 	}
@@ -543,7 +517,6 @@ func (m *MMU) emitQueueEvent(kind obs.Kind, ctx *bm.Ctx, pkt *packet.Packet, qle
 func (m *MMU) notifyDrop(q *Queue, ctx *bm.Ctx) {
 	if ctx.Unscheduled {
 		q.DropsUnscheduled++
-		m.ctrDropUnscheduled.Inc()
 	}
 	if m.flowAware != nil {
 		m.flowAware.OnDrop(ctx)

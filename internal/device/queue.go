@@ -61,12 +61,14 @@ type Queue struct {
 	// DequeuedBytes counts all bytes ever dequeued (service received).
 	DequeuedBytes units.ByteCount
 
-	// Lifetime enqueue/dequeue/mark counters, for the per-queue
-	// telemetry summary (trace.WriteQueueCounters).
+	// Lifetime enqueue/dequeue/mark/trim counters, for the per-queue
+	// telemetry summary (trace.WriteQueueCounters) and the switch's
+	// model/ counters (admitted = enqueued).
 	EnqueuedPkts  int64
 	EnqueuedBytes units.ByteCount
 	DequeuedPkts  int64
 	MarkedPkts    int64
+	TrimmedPkts   int64
 
 	// FluidBytes counts payload bytes that traversed this queue in the
 	// hybrid engine's fluid mode — invisible to the packet counters
@@ -75,11 +77,14 @@ type Queue struct {
 	// this column alone.
 	FluidBytes units.ByteCount
 
-	// Drop counters by cause, for experiment reporting.
+	// Drop counters by cause, for experiment reporting. DropsAQM counts
+	// the AQM's verdicts at admission, DropsDequeue a sojourn AQM's
+	// discards at the port scheduler.
 	DropsThreshold int64
 	DropsNoBuffer  int64
 	DropsAQM       int64
 	DropsAFD       int64
+	DropsDequeue   int64
 	// DropsUnscheduled counts dropped packets that carried the
 	// first-RTT tag (any cause).
 	DropsUnscheduled int64
@@ -132,5 +137,5 @@ func (q *Queue) pop() (pkt *packet.Packet, enqAt units.Time, ok bool) {
 
 // TotalDrops returns the sum of all drop counters.
 func (q *Queue) TotalDrops() int64 {
-	return q.DropsThreshold + q.DropsNoBuffer + q.DropsAQM + q.DropsAFD
+	return q.DropsThreshold + q.DropsNoBuffer + q.DropsAQM + q.DropsAFD + q.DropsDequeue
 }

@@ -142,9 +142,8 @@ type Switch struct {
 
 	statsTicker *sim.Ticker
 
-	obsSink        *obs.Sink
-	ctrDropDequeue *obs.Counter
-	histQDelay     *hist.Histogram
+	obsSink    *obs.Sink
+	histQDelay *hist.Histogram
 
 	RxPkts int64
 	// RouteDrops counts packets discarded because the router returned a
@@ -177,9 +176,9 @@ func NewSwitch(s *sim.Simulator, cfg SwitchConfig) *Switch {
 		rng = s.Rand()
 	}
 	sw.obsSink = cfg.Obs
-	sw.ctrDropDequeue = cfg.Obs.Ctr(obs.CtrDropDequeue)
 	sw.histQDelay = cfg.Obs.Hist(obs.HistQueueDelay)
 	sw.mmu = newMMU(cfg.MMU, sw, rng, cfg.Obs)
+	cfg.Obs.AddSource(sw)
 	if iv := cfg.MMU.StatsInterval; iv > 0 {
 		sw.statsTicker = s.NewTicker(iv, func() { sw.mmu.tick(s.Now()) })
 	}
@@ -261,6 +260,25 @@ func (sw *Switch) TotalDrops() int64 {
 		n += sw.queues[i].TotalDrops()
 	}
 	return n
+}
+
+// AddCounts implements obs.Source: the switch's model/ counters are its
+// queues' admission, drop, mark and trim counts plus its route drops.
+func (sw *Switch) AddCounts(t *obs.Tally) {
+	for i := range sw.queues {
+		q := &sw.queues[i]
+		t[obs.CtrAdmittedPkts] += q.EnqueuedPkts
+		t[obs.CtrAdmittedBytes] += int64(q.EnqueuedBytes)
+		t[obs.CtrDropThreshold] += q.DropsThreshold
+		t[obs.CtrDropNoBuffer] += q.DropsNoBuffer
+		t[obs.CtrDropAQM] += q.DropsAQM
+		t[obs.CtrDropAFD] += q.DropsAFD
+		t[obs.CtrDropDequeue] += q.DropsDequeue
+		t[obs.CtrDropUnscheduled] += q.DropsUnscheduled
+		t[obs.CtrECNMarked] += q.MarkedPkts
+		t[obs.CtrTrimmed] += q.TrimmedPkts
+	}
+	t[obs.CtrDropNoRoute] += sw.RouteDrops
 }
 
 // Port is one egress port: per-priority queues, a scheduler, and the
@@ -352,8 +370,7 @@ func (p *Port) maybeTransmit() {
 		if q.deqHook != nil {
 			now := p.sw.sim.Now()
 			if q.deqHook.OnDequeue(now-enqAt, now) {
-				q.DropsAQM++
-				p.sw.ctrDropDequeue.Inc()
+				q.DropsDequeue++
 				if p.sw.obsSink.Enabled(obs.KindDequeue) {
 					p.emitDequeue(pkt, q, enqAt, obs.VerdictDropDequeue)
 				}

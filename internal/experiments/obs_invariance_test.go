@@ -101,40 +101,66 @@ func TestObsSamplingSubset(t *testing.T) {
 	}
 }
 
+// partitionCell is scenarios/linkfail-incast.json with both of leaf0's
+// uplinks down from 2 ms to 4 ms: a transient partition, during which
+// the spines hold packets for leaf0's hosts with no route to them.
+func partitionCell(t *testing.T, shards int) scenario.Scenario {
+	sc, err := scenario.Load(filepath.Join("..", "..", "scenarios", "linkfail-incast.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, up := scenario.Duration(2*units.Millisecond), scenario.Duration(4*units.Millisecond)
+	sc.Fabric.LinkFaults = []scenario.LinkFault{
+		{Link: "leaf0-spine0", At: down, RecoverAt: up},
+		{Link: "leaf0-spine1", At: down, RecoverAt: up},
+	}
+	sc.Shards = shards
+	sc.Obs = obs.Options{Counters: true}
+	return sc
+}
+
 // TestPacketConservation pins the packet-conservation invariant on the
 // telemetry counters: every packet handed to a NIC is eventually
-// dropped at a switch, consumed by a receiver, or retired at a sender —
-// no packet is created or destroyed anywhere else.
+// dropped at a switch (by the MMU, at dequeue, or for want of a route),
+// consumed by a receiver, or retired at a sender — no packet is created
+// or destroyed anywhere else. The partition cells drop packets for want
+// of a route.
 func TestPacketConservation(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		res := run(t, obsCell(t, shards, obs.Options{Counters: true}))
+	cells := map[string]scenario.Scenario{
+		"medium shards=0":    obsCell(t, 0, obs.Options{Counters: true}),
+		"medium shards=4":    obsCell(t, 4, obs.Options{Counters: true}),
+		"partition shards=0": partitionCell(t, 0),
+		"partition shards=2": partitionCell(t, 2),
+	}
+	for name, sc := range cells {
+		res := run(t, sc)
 		c := res.Counters
 		sent := c["model/data_pkts_sent"] + c["model/ack_pkts_sent"]
-		accounted := c["model/drops_threshold"] + c["model/drops_nobuffer"] +
+		drops := c["model/drops_threshold"] + c["model/drops_nobuffer"] +
 			c["model/drops_aqm"] + c["model/drops_afd"] + c["model/drops_dequeue"] +
-			c["model/data_pkts_consumed"] + c["model/ack_pkts_retired"]
+			c["model/drops_noroute"]
+		accounted := drops + c["model/data_pkts_consumed"] + c["model/ack_pkts_retired"]
 		if sent == 0 {
-			t.Fatalf("shards=%d: no packets sent", shards)
+			t.Fatalf("%s: no packets sent", name)
 		}
 		if sent != accounted {
-			t.Errorf("shards=%d: conservation violated: sent %d != accounted %d (counters: %v)",
-				shards, sent, accounted, c)
+			t.Errorf("%s: conservation violated: sent %d != accounted %d (counters: %v)",
+				name, sent, accounted, c)
 		}
 		// The overlapping tags stay within their parent counts.
 		if c["model/retrans_pkts_sent"] > c["model/data_pkts_sent"] {
-			t.Errorf("shards=%d: retransmits exceed data sends", shards)
+			t.Errorf("%s: retransmits exceed data sends", name)
 		}
-		drops := accounted - c["model/data_pkts_consumed"] - c["model/ack_pkts_retired"]
 		if c["model/drops_unscheduled"] > drops {
-			t.Errorf("shards=%d: unscheduled drops exceed total drops", shards)
+			t.Errorf("%s: unscheduled drops exceed total drops", name)
 		}
-		// The experiment-level drop count and the telemetry registry must
-		// agree on admission drops.
-		admissionDrops := c["model/drops_threshold"] + c["model/drops_nobuffer"] +
-			c["model/drops_aqm"] + c["model/drops_afd"]
-		if res.Drops != admissionDrops+c["model/drops_dequeue"] {
-			t.Errorf("shards=%d: Result.Drops %d != telemetry drops %d",
-				shards, res.Drops, admissionDrops+c["model/drops_dequeue"])
+		// The experiment-level drop count and the telemetry counters
+		// must agree on every drop.
+		if res.Drops != drops {
+			t.Errorf("%s: Result.Drops %d != telemetry drops %d", name, res.Drops, drops)
+		}
+		if strings.HasPrefix(name, "partition") && c["model/drops_noroute"] == 0 {
+			t.Errorf("%s: the partition dropped no packet for want of a route", name)
 		}
 	}
 }

@@ -51,14 +51,13 @@ type Host struct {
 	senders   flowTable[transport.Sender]
 	receivers flowTable[transport.Receiver]
 
-	// Telemetry handles (nil-safe when disabled). Output is the single
-	// counting point for emissions: sender data and receiver ACKs both
-	// route through it.
-	ctrDataSent     *obs.Counter
-	ctrRetransSent  *obs.Counter
-	ctrAckSent      *obs.Counter
-	ctrDataConsumed *obs.Counter
-	ctrAckRetired   *obs.Counter
+	// Packet-lifecycle counts. Output is the single counting point for
+	// emissions: sender data and receiver ACKs both route through it.
+	dataSent, retransSent, ackSent int64
+	dataConsumed, ackRetired       int64
+	// recovery is the tally every sender this host starts reports its
+	// timeouts and fast retransmits to.
+	recovery transport.Recovery
 }
 
 // New creates a host. Attach the uplink with Connect before starting
@@ -74,12 +73,21 @@ func New(s *sim.Simulator, cfg Config) *Host {
 		cfg.UnscheduledBytes = cfg.Rate.BytesOver(cfg.BaseRTT)
 	}
 	h := &Host{sim: s, cfg: cfg, tx: units.NewTxClock(cfg.Rate)}
-	h.ctrDataSent = cfg.Obs.Ctr(obs.CtrDataSent)
-	h.ctrRetransSent = cfg.Obs.Ctr(obs.CtrRetransSent)
-	h.ctrAckSent = cfg.Obs.Ctr(obs.CtrAckSent)
-	h.ctrDataConsumed = cfg.Obs.Ctr(obs.CtrDataConsumed)
-	h.ctrAckRetired = cfg.Obs.Ctr(obs.CtrAckRetired)
+	cfg.Obs.AddSource(h)
 	return h
+}
+
+// AddCounts implements obs.Source with the host's packet-lifecycle and
+// loss-recovery counts; every recovery event is one window cut.
+func (h *Host) AddCounts(t *obs.Tally) {
+	t[obs.CtrDataSent] += h.dataSent
+	t[obs.CtrRetransSent] += h.retransSent
+	t[obs.CtrAckSent] += h.ackSent
+	t[obs.CtrDataConsumed] += h.dataConsumed
+	t[obs.CtrAckRetired] += h.ackRetired
+	t[obs.CtrRTOFired] += h.recovery.Timeouts
+	t[obs.CtrFastRetrans] += h.recovery.FastRetrans
+	t[obs.CtrCwndCuts] += h.recovery.Timeouts + h.recovery.FastRetrans
 }
 
 // ID implements device.Endpoint.
@@ -102,11 +110,11 @@ func (h *Host) Receive(pkt *packet.Packet) {
 		if sn := h.senders.get(pkt.FlowID); sn != nil {
 			sn.OnAck(pkt)
 		}
-		h.ctrAckRetired.Inc()
+		h.ackRetired++
 		h.sim.FreePacket(pkt)
 		return
 	}
-	h.ctrDataConsumed.Inc()
+	h.dataConsumed++
 	h.RxBytes += pkt.Payload
 	h.receiver(pkt.FlowID, pkt.Src).OnData(pkt)
 	h.sim.FreePacket(pkt)
@@ -116,11 +124,11 @@ func (h *Host) Receive(pkt *packet.Packet) {
 // rate onto the access link.
 func (h *Host) Output(pkt *packet.Packet) {
 	if pkt.Is(packet.FlagACK) {
-		h.ctrAckSent.Inc()
+		h.ackSent++
 	} else {
-		h.ctrDataSent.Inc()
+		h.dataSent++
 		if pkt.Is(packet.FlagRetransmit) {
-			h.ctrRetransSent.Inc()
+			h.retransSent++
 		}
 	}
 	h.queue = append(h.queue, pkt)
@@ -176,6 +184,7 @@ func (h *Host) StartFlow(flowID uint64, dst packet.NodeID, size units.ByteCount,
 		MinRTO:           h.cfg.MinRTO,
 		UnscheduledBytes: h.cfg.UnscheduledBytes,
 		Prio:             prio,
+		Recovery:         &h.recovery,
 		Obs:              h.cfg.Obs,
 	}, algo, flowID, h.cfg.ID, dst, size, h.Output, onComplete)
 	h.senders.put(flowID, sn)

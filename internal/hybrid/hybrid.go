@@ -62,7 +62,8 @@ type Config struct {
 	SteadyRTTs int
 	// EpochDt is the fluid integration epoch.
 	EpochDt units.Time
-	// Obs is the telemetry sink; nil disables counters and trace events.
+	// Obs is the telemetry sink; nil disables trace events and leaves the
+	// controller's counts (Stats) out of the session's totals.
 	Obs *obs.Sink
 }
 
@@ -208,10 +209,6 @@ type Controller struct {
 	payloadFrac float64
 
 	stats         Stats
-	ctrDemotions  *obs.Counter
-	ctrPromotions *obs.Counter
-	ctrEpochs     *obs.Counter
-	ctrFluidBytes *obs.Counter
 	histResidency *hist.Histogram
 	histPromoLead *hist.Histogram
 }
@@ -239,13 +236,10 @@ func New(s *sim.Simulator, n *topo.Network, cfg Config) *Controller {
 		// demoting; 4 BDPs is a cheap prefilter for the candidate list.
 		minSize:       4 * n.Cfg.LinkRate.BytesOver(n.BaseRTT()),
 		payloadFrac:   float64(n.Cfg.MSS) / float64(n.Cfg.MSS+packet.HeaderBytes),
-		ctrDemotions:  cfg.Obs.Ctr(obs.CtrHybridDemotions),
-		ctrPromotions: cfg.Obs.Ctr(obs.CtrHybridPromotions),
-		ctrEpochs:     cfg.Obs.Ctr(obs.CtrHybridEpochs),
-		ctrFluidBytes: cfg.Obs.Ctr(obs.CtrHybridFluidBytes),
 		histResidency: cfg.Obs.Hist(obs.HistHybridResidency),
 		histPromoLead: cfg.Obs.Hist(obs.HistHybridPromoLead),
 	}
+	cfg.Obs.AddSource(c)
 	return c
 }
 
@@ -280,6 +274,14 @@ func (c *Controller) Stop() {
 
 // Stats returns the run's hybrid activity summary.
 func (c *Controller) Stats() Stats { return c.stats }
+
+// AddCounts implements obs.Source with the hybrid activity counts.
+func (c *Controller) AddCounts(t *obs.Tally) {
+	t[obs.CtrHybridDemotions] += c.stats.Demotions
+	t[obs.CtrHybridPromotions] += c.stats.Promotions
+	t[obs.CtrHybridEpochs] += c.stats.Epochs
+	t[obs.CtrHybridFluidBytes] += c.stats.FluidBytes
+}
 
 // FluidFlows returns the number of flows currently in fluid mode.
 func (c *Controller) FluidFlows() int { return len(c.flows) }
@@ -341,7 +343,6 @@ func (c *Controller) epoch() {
 	c.lastEpoch = now
 	sec := dt.Seconds()
 	c.stats.Epochs++
-	c.ctrEpochs.Inc()
 
 	for _, f := range c.flows {
 		f.delivered += float64(f.rate * sec * c.payloadFrac)
@@ -730,7 +731,6 @@ func (c *Controller) demote(cd *cand, now units.Time) {
 		c.stats.MaxFluid = len(c.flows)
 	}
 	c.stats.Demotions++
-	c.ctrDemotions.Inc()
 	if c.cfg.Obs.Enabled(obs.KindHybridDemote) {
 		c.cfg.Obs.Emit(obs.Event{
 			At:   now,
@@ -769,8 +769,6 @@ func (c *Controller) promote(f *flow, now units.Time) {
 	}
 	c.stats.Promotions++
 	c.stats.FluidBytes += fluidBytes
-	c.ctrPromotions.Inc()
-	c.ctrFluidBytes.Add(fluidBytes)
 	c.histResidency.Record(int64(now - f.demotedAt))
 	c.histPromoLead.Record(int64(f.sn.Size) - deliveredTo)
 

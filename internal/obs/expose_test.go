@@ -24,8 +24,8 @@ func TestWritePromGolden(t *testing.T) {
 	sess.ShardSink(1).Hist(HistSlowdownIncast).Record(8000)
 	sess.ShardSink(0).Hist(HistQueueDelay).Record(2_500_000) // 2.5us
 	sess.ShardSink(1).Hist(HistAdmitHeadroom).Record(-300)   // at/past threshold
-	sess.ShardSink(0).Ctr(CtrAdmittedPkts).Add(12)
-	sess.ShardSink(1).Ctr(CtrAdmittedPkts).Add(30)
+	sess.ShardSink(0).AddSource(count{CtrAdmittedPkts, 12})
+	sess.ShardSink(1).AddSource(count{CtrAdmittedPkts, 30})
 
 	var w prom.Writer
 	sess.WriteProm(&w, 2*units.Millisecond)

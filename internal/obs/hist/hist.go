@@ -75,7 +75,7 @@ func UpperEdge(i int) int64 {
 }
 
 // Histogram is one distribution: fixed buckets, an exact count, and an
-// exact sum. The zero value is ready to use. Like obs.Counter, the nil
+// exact sum. The zero value is ready to use. Like a nil obs.Sink, the nil
 // receiver is the disabled instrument: Record on nil is a single-branch
 // no-op that inlines, so uninstrumented runs pay nothing and the hot
 // path stays allocation-free (pinned by TestSteadyStateZeroAlloc).

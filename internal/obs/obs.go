@@ -1,21 +1,31 @@
-// Package obs is the simulator's telemetry layer: a deterministic
-// counter registry plus a structured event tracer, designed so that a
-// disabled instrument costs nothing on the packet hot path.
+// Package obs is the simulator's telemetry layer: a counter registry,
+// streaming histograms and a structured event tracer, designed so that
+// a disabled instrument costs nothing on the packet hot path.
+//
+// # Counts are pulled, not pushed
+//
+// Every count is a plain integer field of the long-lived component that
+// owns it (a switch's queues, a host, the hybrid controller, an engine),
+// incremented at one site whether telemetry is on or off; the same
+// fields feed experiment results. A component built with a non-nil
+// *Sink registers itself once as a Source, and Session.Totals asks
+// every source to add its counts to one Tally: records, -counters and
+// the live /metrics exposition all read the components' own numbers.
 //
 // # Zero cost when disabled
 //
-// Every instrumented component holds a *Sink (nil when telemetry is
-// off) and *Counter handles resolved once at setup. All hot-path
-// methods — Counter.Inc/Add, Sink.Enabled — are nil-receiver-safe
-// single-branch operations that inline, so the disabled configuration
-// adds no allocation, no map lookup, no atomic, and no call through an
-// interface to the packet lifecycle (pinned by TestSteadyStateZeroAlloc).
+// A component holds a *Sink (nil when telemetry is off) and
+// *hist.Histogram handles resolved once at setup. Sink.Enabled and
+// Histogram.Record are nil-receiver-safe single-branch operations that
+// inline, so the disabled configuration adds no allocation, no map
+// lookup, no atomic, and no call through an interface to the packet
+// lifecycle (pinned by TestSteadyStateZeroAlloc).
 //
 // # Determinism across shard counts
 //
 // The parallel engine gives every shard its own Sink, written only by
 // that shard's goroutine; no synchronization is needed until export.
-// Model counters are summed across sinks (addition commutes, so the
+// Model counts are summed across shards (addition commutes, so the
 // totals are trivially shard-count-invariant). Model events are merged
 // by a stable sort on the identity key (At, Node, Port, Prio, Flow,
 // Seq, Kind): two distinct model events can collide on the full key
@@ -221,17 +231,19 @@ type Event struct {
 	Unsched bool
 }
 
-// Sink collects events and counters for one shard (or for the serial
-// engine, which is one shard). A Sink is single-writer: only the owning
-// shard's goroutine appends to it; merging happens after the run on the
-// coordinator. A nil *Sink is the disabled instrument.
+// Sink collects events and histograms for one shard (or for the serial
+// engine, which is one shard) and lists the shard's counter sources. A
+// Sink is single-writer: only the owning shard's goroutine appends to
+// it; merging happens on the coordinator while the shard is quiescent.
+// A nil *Sink is the disabled instrument.
 type Sink struct {
-	mask   uint32
-	bar53  uint64 // sampling threshold in [0, 2^53]; 1<<53 keeps all
-	max    int    // event-buffer cap
-	events []Event
-	ctrs   [NumCtrs]Counter
-	hists  *[NumHists]hist.Histogram // nil unless Options.Hists
+	mask    uint32
+	bar53   uint64 // sampling threshold in [0, 2^53]; 1<<53 keeps all
+	max     int    // event-buffer cap
+	events  []Event
+	dropped int64 // events discarded by the buffer cap
+	sources []Source
+	hists   *[NumHists]hist.Histogram // nil unless Options.Hists
 }
 
 // Enabled reports whether events of kind k are being recorded. It is
@@ -241,13 +253,12 @@ func (s *Sink) Enabled(k Kind) bool {
 	return s != nil && s.mask&(1<<k) != 0
 }
 
-// Ctr returns the handle for counter id, nil on a nil sink. Resolved
-// once at component setup; never on the hot path.
-func (s *Sink) Ctr(id Ctr) *Counter {
-	if s == nil {
-		return nil
+// AddSource registers a component whose counts Session.Totals pulls.
+// Components call it once, at construction; a nil sink ignores it.
+func (s *Sink) AddSource(src Source) {
+	if s != nil {
+		s.sources = append(s.sources, src)
 	}
-	return &s.ctrs[id]
 }
 
 // Emit records ev. The caller must have checked Enabled(ev.Kind).
@@ -261,7 +272,7 @@ func (s *Sink) Emit(ev Event) {
 		return
 	}
 	if len(s.events) >= s.max {
-		s.ctrs[CtrTraceDropped].n++
+		s.dropped++
 		return
 	}
 	s.events = append(s.events, ev)

@@ -49,20 +49,21 @@ func TestParseMask(t *testing.T) {
 	}
 }
 
+// count is a counter source holding one value, standing in for a
+// component that keeps its own count.
+type count struct {
+	id Ctr
+	n  int64
+}
+
+func (c count) AddCounts(t *Tally) { t[c.id] += c.n }
+
 func TestNilInstrumentsAreSafe(t *testing.T) {
-	var c *Counter
-	c.Inc()
-	c.Add(7)
-	if c.Get() != 0 {
-		t.Fatal("nil Counter.Get != 0")
-	}
 	var s *Sink
 	if s.Enabled(KindAdmit) {
 		t.Fatal("nil Sink reports enabled")
 	}
-	if s.Ctr(CtrDataSent) != nil {
-		t.Fatal("nil Sink.Ctr != nil")
-	}
+	s.AddSource(count{CtrDataSent, 1}) // ignored, no panic
 	if s.Events() != nil {
 		t.Fatal("nil Sink.Events != nil")
 	}
@@ -83,7 +84,7 @@ func TestSinkBufferCap(t *testing.T) {
 	if len(s.Events()) != 3 {
 		t.Fatalf("buffer holds %d events, want cap 3", len(s.Events()))
 	}
-	if got := s.Ctr(CtrTraceDropped).Get(); got != 2 {
+	if got := s.dropped; got != 2 {
 		t.Fatalf("trace_events_dropped = %d, want 2", got)
 	}
 }
@@ -302,7 +303,7 @@ func TestSessionInactive(t *testing.T) {
 	if sess != nil {
 		t.Fatal("inactive options produced a non-nil session")
 	}
-	// Counters alone activates the registry but records no events.
+	// Counters alone builds a session but records no events.
 	sess, err = NewSession(Options{Counters: true}, 2)
 	if err != nil || sess == nil {
 		t.Fatalf("Counters-only session: %v, %v", sess, err)
@@ -310,12 +311,10 @@ func TestSessionInactive(t *testing.T) {
 	if sess.ShardSink(0).Enabled(KindAdmit) {
 		t.Fatal("Counters-only session records events")
 	}
-	sess.ShardSink(0).Ctr(CtrDataSent).Add(3)
-	sess.ShardSink(1).Ctr(CtrDataSent).Add(4)
-	if got := sess.Totals()["model/data_pkts_sent"]; got != 7 {
-		t.Fatalf("totals sum = %d, want 7", got)
-	}
-	if mt := sess.ModelTotals(); len(mt) != 1 {
-		t.Fatalf("ModelTotals = %v, want only model/data_pkts_sent", mt)
+	sess.ShardSink(0).AddSource(count{CtrDataSent, 3})
+	sess.ShardSink(1).AddSource(count{CtrDataSent, 4})
+	sess.ShardSink(1).AddSource(count{CtrRTOFired, 0})
+	if got := sess.Totals(); len(got) != 1 || got["model/data_pkts_sent"] != 7 {
+		t.Fatalf("totals = %v, want only model/data_pkts_sent summed to 7", got)
 	}
 }

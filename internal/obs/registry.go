@@ -1,9 +1,8 @@
 package obs
 
-// Ctr identifies one counter in the registry. Counters have fixed IDs
-// resolved to *Counter handles at component setup, so the hot path
-// performs plain integer increments — no map lookups, no atomics (each
-// shard owns its Sink), no name hashing.
+// Ctr identifies one counter: its export name and its slot in a Tally.
+// The registry holds names, not values; each value is kept by the
+// component that owns it and pulled through its Source.
 type Ctr uint8
 
 // Counter IDs. The model/ block is a pure function of the simulated
@@ -26,6 +25,7 @@ const (
 	CtrDropAQM
 	CtrDropAFD
 	CtrDropDequeue     // sojourn-AQM discards at the port scheduler
+	CtrDropNoRoute     // packets a switch discarded for want of a next hop
 	CtrDropUnscheduled // dropped packets carrying the first-RTT tag (any cause)
 	CtrECNMarked
 	CtrTrimmed
@@ -75,6 +75,7 @@ var ctrNames = [NumCtrs]string{
 	"model/drops_aqm",
 	"model/drops_afd",
 	"model/drops_dequeue",
+	"model/drops_noroute",
 	"model/drops_unscheduled",
 	"model/ecn_marked",
 	"model/trimmed_pkts",
@@ -102,31 +103,13 @@ var ctrNames = [NumCtrs]string{
 // Name returns the counter's export name ("model/..." or "engine/...").
 func (c Ctr) Name() string { return ctrNames[c] }
 
-// Counter is one registered counter. The nil receiver is the disabled
-// instrument: Inc and Add on nil are single-branch no-ops that inline,
-// so uninstrumented runs pay nothing.
-type Counter struct {
-	n int64
-}
+// Tally is one set of counter values, indexed by Ctr.
+type Tally [NumCtrs]int64
 
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.n++
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.n += n
-	}
-}
-
-// Get returns the current value (0 on nil).
-func (c *Counter) Get() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.n
+// Source is a component that keeps its own counts as plain integer
+// fields. AddCounts adds them to t under their registry IDs; it runs
+// only when a reader asks for totals, at a point where the owning shard
+// is quiescent (after the run, or at a snapshot tick).
+type Source interface {
+	AddCounts(t *Tally)
 }

@@ -22,8 +22,8 @@ type Options struct {
 	// CountersFile receives the counter totals and the per-queue
 	// summary TSV.
 	CountersFile string `json:"counters_file,omitempty"`
-	// Counters alone (no files) still activates the registry so totals
-	// embed in runner records.
+	// Counters alone (no files) still builds a session, so the
+	// components' counts embed in runner records as totals.
 	Counters bool `json:"counters,omitempty"`
 	// Filter is the event-kind mask (ParseMask syntax); empty records
 	// every kind when an event destination is set.
@@ -69,7 +69,7 @@ func (o Options) ForJob(id string) Options {
 	if !o.PerJob {
 		return o
 	}
-	name := sanitizeID(id)
+	name := SanitizeID(id)
 	if o.EventsFile != "" {
 		o.EventsFile = filepath.Join(o.EventsFile, name+".ndjson")
 	}
@@ -88,9 +88,11 @@ func (o Options) ForJob(id string) Options {
 	return o
 }
 
-// sanitizeID maps a job ID to a safe file stem (the runner store's
-// convention: keep [a-zA-Z0-9._=,-], everything else becomes '-').
-func sanitizeID(id string) string {
+// SanitizeID maps a job ID to a safe file stem: keep [a-zA-Z0-9._=,-],
+// everything else becomes '-'. Every per-job file of a sweep — traces,
+// counters, histogram series, shipped telemetry bundles — is named by
+// it.
+func SanitizeID(id string) string {
 	var b strings.Builder
 	b.Grow(len(id))
 	for _, r := range id {
@@ -109,9 +111,8 @@ func sanitizeID(id string) string {
 // parallel coordinator. It is created before the fabric is built and
 // read after the run has drained.
 type Session struct {
-	opts   Options
-	sinks  []*Sink
-	engine *Sink
+	opts  Options
+	sinks []*Sink // one per shard, then the coordinator's
 }
 
 // NewSession builds a session for a run with the given shard count
@@ -139,14 +140,13 @@ func NewSession(o Options, shards int) (*Session, error) {
 	if shards < 1 {
 		shards = 1
 	}
-	s := &Session{opts: o, sinks: make([]*Sink, shards)}
+	s := &Session{opts: o, sinks: make([]*Sink, shards+1)}
 	for i := range s.sinks {
 		s.sinks[i] = &Sink{mask: mask, bar53: bar53, max: max}
-		if o.HistsActive() {
+		if i < shards && o.HistsActive() {
 			s.sinks[i].hists = new([NumHists]hist.Histogram)
 		}
 	}
-	s.engine = &Sink{mask: mask, bar53: bar53, max: max}
 	return s, nil
 }
 
@@ -173,7 +173,7 @@ func (s *Session) EngineSink() *Sink {
 	if s == nil {
 		return nil
 	}
-	return s.engine
+	return s.sinks[len(s.sinks)-1]
 }
 
 // MergedEvents returns every recorded event in the canonical export
@@ -191,12 +191,10 @@ func (s *Session) MergedEvents() []Event {
 	for _, sk := range s.sinks {
 		total += len(sk.events)
 	}
-	total += len(s.engine.events)
 	out := make([]Event, 0, total)
 	for _, sk := range s.sinks {
 		out = append(out, sk.events...)
 	}
-	out = append(out, s.engine.events...)
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := &out[i], &out[j]
 		if a.At != b.At {
@@ -222,37 +220,27 @@ func (s *Session) MergedEvents() []Event {
 	return out
 }
 
-// Totals sums every counter across all sinks, keyed by export name.
-// Zero-valued counters are omitted. Addition commutes, so the model/
-// keys are shard-count-invariant; engine/ keys carry wall clocks and
-// are not.
+// Totals pulls every counter from the sources registered with every
+// sink, keyed by export name. Zero-valued counters are omitted.
+// Addition commutes, so the model/ keys are shard-count-invariant;
+// engine/ keys carry wall clocks and are not. Call it only while every
+// shard is quiescent: after the run, or at a barrier or snapshot tick.
 func (s *Session) Totals() map[string]int64 {
 	if s == nil {
 		return nil
 	}
-	out := make(map[string]int64)
-	add := func(sk *Sink) {
-		for id := Ctr(0); id < NumCtrs; id++ {
-			if v := sk.ctrs[id].n; v != 0 {
-				out[id.Name()] += v
-			}
-		}
-	}
+	var t Tally
 	for _, sk := range s.sinks {
-		add(sk)
+		for _, src := range sk.sources {
+			src.AddCounts(&t)
+		}
+		t[CtrTraceDropped] += sk.dropped
 	}
-	add(s.engine)
-	return out
-}
-
-// ModelTotals returns only the model/ counters — the shard-count-
-// invariant subset the determinism tests compare.
-func (s *Session) ModelTotals() map[string]int64 {
-	all := s.Totals()
-	for k := range all {
-		if !strings.HasPrefix(k, "model/") {
-			delete(all, k)
+	out := make(map[string]int64)
+	for id, v := range t {
+		if v != 0 {
+			out[Ctr(id).Name()] = v
 		}
 	}
-	return all
+	return out
 }

@@ -171,6 +171,7 @@ func Run(s Scenario) (Result, *metrics.Collector, error) {
 	cfg.Obs = sess
 
 	eng := sim.New(r.Seed)
+	sess.ShardSink(0).AddSource(eng)
 	n := topo.NewNetwork(eng, cfg)
 	col := &metrics.Collector{}
 
@@ -220,7 +221,6 @@ func Run(s Scenario) (Result, *metrics.Collector, error) {
 	eng.Run() // flush canceled tickers
 	rec.finish(drainEnd)
 
-	eng.ExportEngineStats(sess.ShardSink(0))
 	res := collectResult(r, n, col, rate, eng.Executed())
 	res.Counters = sess.Totals()
 	res.Hists = sess.HistTotals()
@@ -280,9 +280,6 @@ func runSharded(r Scenario, cfg topo.Config, totalBuffer units.ByteCount,
 	p.Drain() // run remaining retransmission chains to exhaustion
 	rec.finish(drainEnd)
 
-	for i := 0; i < p.NumShards(); i++ {
-		p.Shard(i).ExportEngineStats(sess.ShardSink(i))
-	}
 	res := collectResult(r, n, col, rate, p.Executed())
 	res.Counters = sess.Totals()
 	res.Hists = sess.HistTotals()
@@ -424,19 +421,15 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 func collectResult(r Scenario, n *topo.Network, col *metrics.Collector,
 	rate units.Rate, events uint64) Result {
 
-	var unschedDrops int64
+	var t obs.Tally
 	for _, sw := range n.Switches() {
-		for p := 0; p < sw.NumPorts(); p++ {
-			for q := 0; q < sw.Prios(); q++ {
-				unschedDrops += sw.Port(p).Queue(q).DropsUnscheduled
-			}
-		}
+		sw.AddCounts(&t)
 	}
 	res := Result{
 		Scenario:         r,
 		Summary:          col.Summarize(rate),
 		Drops:            n.TotalDrops(),
-		UnscheduledDrops: unschedDrops,
+		UnscheduledDrops: t[obs.CtrDropUnscheduled],
 		Events:           events,
 	}
 	w := r.Workload

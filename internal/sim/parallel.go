@@ -97,16 +97,17 @@ type Parallel struct {
 	maxWiden int
 	widened  uint64
 
+	// Coordinator counts (engine/ counters), kept by the coordinator
+	// alone, between windows. barrierWaitNs is measured only while
+	// telemetry is on.
+	windows, barriers, barrierWaitNs int64
+	mailboxBatches, mailboxEvents    int64
+
 	// Telemetry (nil when disabled). Each shard's worker writes window
 	// spans into its own shard sink (single-writer); the coordinator
-	// alone touches the engine sink and counters, between windows.
-	shardSinks        []*obs.Sink
-	engineSink        *obs.Sink
-	ctrWindows        *obs.Counter
-	ctrBarriers       *obs.Counter
-	ctrBarrierWaitNs  *obs.Counter
-	ctrMailboxBatches *obs.Counter
-	ctrMailboxEvents  *obs.Counter
+	// alone touches the engine sink, between windows.
+	shardSinks []*obs.Sink
+	engineSink *obs.Sink
 }
 
 // NewParallel creates an engine with n shards. Shard i's simulator is
@@ -163,22 +164,29 @@ func (p *Parallel) anyPosted() bool {
 
 // SetObs attaches a telemetry session, which must have been created with
 // this engine's shard count. Call before the first window: the engine
-// resolves per-shard sinks and its coordinator counter handles once
-// here. A nil session (telemetry off) is a no-op.
+// resolves per-shard sinks once here and registers itself with the
+// engine sink, and each shard's simulator with its shard's sink, as
+// counter sources. A nil session (telemetry off) is a no-op.
 func (p *Parallel) SetObs(sess *obs.Session) {
 	if sess == nil {
 		return
 	}
 	p.engineSink = sess.EngineSink()
-	p.ctrWindows = p.engineSink.Ctr(obs.CtrWindows)
-	p.ctrBarriers = p.engineSink.Ctr(obs.CtrBarriers)
-	p.ctrBarrierWaitNs = p.engineSink.Ctr(obs.CtrBarrierWaitNs)
-	p.ctrMailboxBatches = p.engineSink.Ctr(obs.CtrMailboxBatches)
-	p.ctrMailboxEvents = p.engineSink.Ctr(obs.CtrMailboxEvents)
+	p.engineSink.AddSource(p)
 	p.shardSinks = make([]*obs.Sink, len(p.shards))
-	for i := range p.shardSinks {
+	for i, s := range p.shards {
 		p.shardSinks[i] = sess.ShardSink(i)
+		p.shardSinks[i].AddSource(s)
 	}
+}
+
+// AddCounts implements obs.Source with the coordinator's counts.
+func (p *Parallel) AddCounts(t *obs.Tally) {
+	t[obs.CtrWindows] += p.windows
+	t[obs.CtrBarriers] += p.barriers
+	t[obs.CtrBarrierWaitNs] += p.barrierWaitNs
+	t[obs.CtrMailboxBatches] += p.mailboxBatches
+	t[obs.CtrMailboxEvents] += p.mailboxEvents
 }
 
 // shardSink returns shard i's telemetry sink (nil when disabled).
@@ -270,14 +278,14 @@ func (p *Parallel) AtBarrier(t units.Time, fn func(now units.Time)) *BarrierTick
 // events pop first, and posting order decides within one mailbox.
 // Coordinator-only.
 func (p *Parallel) flush() {
-	p.ctrBarriers.Inc()
+	p.barriers++
 	for _, m := range p.boxes {
 		buf := m.buf
 		if len(buf) == 0 {
 			continue
 		}
-		p.ctrMailboxBatches.Inc()
-		p.ctrMailboxEvents.Add(int64(len(buf)))
+		p.mailboxBatches++
+		p.mailboxEvents += int64(len(buf))
 		// A link posts deliveries in nondecreasing time order, so the
 		// buffer is nearly always sorted; check before paying for a sort.
 		sorted := true
@@ -397,7 +405,7 @@ func (p *Parallel) runWindow(limit units.Time, inclusive bool) {
 	if p.closed {
 		panic("sim: parallel engine used after Close")
 	}
-	p.ctrWindows.Inc()
+	p.windows++
 	req := windowReq{start: p.now, limit: limit, inclusive: inclusive}
 	inline := -1
 	dispatched := 0
@@ -422,15 +430,15 @@ func (p *Parallel) runWindow(limit units.Time, inclusive bool) {
 		return
 	}
 	// Measure the coordinator's wait only when telemetry asks for it;
-	// the handle is nil exactly when the whole subsystem is off.
-	if p.ctrBarrierWaitNs == nil {
+	// the engine sink is nil exactly when the whole subsystem is off.
+	if p.engineSink == nil {
 		p.wg.Wait()
 		return
 	}
 	wall := time.Now()
 	p.wg.Wait()
 	waitNs := time.Since(wall).Nanoseconds()
-	p.ctrBarrierWaitNs.Add(waitNs)
+	p.barrierWaitNs += waitNs
 	if p.engineSink.Enabled(obs.KindBarrier) {
 		active := int64(dispatched)
 		if inline >= 0 {

@@ -212,18 +212,17 @@ func (s *Simulator) InjectBatch(items []eventq.Item) {
 // canceled events not yet discarded).
 func (s *Simulator) Pending() int { return s.q.Len() }
 
-// ExportEngineStats adds the engine's self-observation — where the
-// calendar's pushes went (eventq.Stats) and how many Timer wake-ups
-// fired early — to sk's engine/ counter block. Call it once, after the
-// run; a nil sink (counters off) is a no-op.
-func (s *Simulator) ExportEngineStats(sk *obs.Sink) {
+// AddCounts implements obs.Source: the engine's self-observation —
+// where the calendar's pushes went (eventq.Stats) and how many Timer
+// wake-ups fired early.
+func (s *Simulator) AddCounts(t *obs.Tally) {
 	st := s.q.Stats()
-	sk.Ctr(obs.CtrCalendarNear).Add(int64(st.Near))
-	sk.Ctr(obs.CtrCalendarWheel).Add(int64(st.Wheel))
-	sk.Ctr(obs.CtrCalendarFar).Add(int64(st.Far))
-	sk.Ctr(obs.CtrCalendarLine).Add(int64(st.Line))
-	sk.Ctr(obs.CtrCalendarDrained).Add(int64(st.Drained))
-	sk.Ctr(obs.CtrTimerStaleWakes).Add(int64(s.staleWakes))
+	t[obs.CtrCalendarNear] += int64(st.Near)
+	t[obs.CtrCalendarWheel] += int64(st.Wheel)
+	t[obs.CtrCalendarFar] += int64(st.Far)
+	t[obs.CtrCalendarLine] += int64(st.Line)
+	t[obs.CtrCalendarDrained] += int64(st.Drained)
+	t[obs.CtrTimerStaleWakes] += int64(s.staleWakes)
 }
 
 // Ticker repeatedly invokes fn every interval until Stop is called.

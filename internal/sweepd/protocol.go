@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"abm/internal/experiments"
-	"abm/internal/obs/hist"
 	"abm/internal/runner"
 )
 
@@ -79,28 +78,26 @@ type CompleteRequest struct {
 	Worker string        `json:"worker"`
 	Record runner.Record `json:"record"`
 	// Telemetry is a gzip-compressed JSON TelemetryBundle (base64 on
-	// the wire via encoding/json); empty when the job recorded none.
+	// the wire via encoding/json); empty when the job wrote no trace.
 	// The coordinator persists it beside its records, closing the gap
 	// between worker-local NDJSON and the coordinator's durable state.
 	Telemetry []byte `json:"telemetry,omitempty"`
 }
 
 // TelemetryBundle is the decompressed per-job telemetry a worker ships
-// with its result: the counter and histogram state that also rides in
-// the record (kept here so a bundle is self-contained), plus the raw
-// per-job NDJSON event trace when the grid requested one.
+// with its result: the per-job NDJSON event trace. Counter and
+// histogram totals ride in the record itself.
 type TelemetryBundle struct {
-	JobID    string                   `json:"job_id"`
-	Counters map[string]int64         `json:"counters,omitempty"`
-	Hists    map[string]hist.Snapshot `json:"hists,omitempty"`
+	JobID string `json:"job_id"`
 	// TraceNDJSON is the job's -trace-events export, verbatim.
 	TraceNDJSON []byte `json:"trace_ndjson,omitempty"`
 }
 
 // EncodeTelemetry serializes a bundle to the wire form: gzip over JSON.
-// Nil is returned for an empty bundle so callers can skip shipping.
+// Nil is returned for a bundle without a trace so callers can skip
+// shipping.
 func EncodeTelemetry(b *TelemetryBundle) ([]byte, error) {
-	if b == nil || (len(b.Counters) == 0 && len(b.Hists) == 0 && len(b.TraceNDJSON) == 0) {
+	if b == nil || len(b.TraceNDJSON) == 0 {
 		return nil, nil
 	}
 	raw, err := json.Marshal(b)

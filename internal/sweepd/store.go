@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
+	"abm/internal/obs"
 	"abm/internal/runner"
 )
 
@@ -25,7 +25,8 @@ type Store struct {
 	b   *Batcher
 
 	// TelemetryDir, when set, is where PutTelemetry lands worker-shipped
-	// bundles — one <sanitized job ID>.json.gz per job, beside the
+	// bundles — one <job ID>.json.gz per job, the ID sanitized by the
+	// rule that names the job's trace (obs.SanitizeID), beside the
 	// record log. Empty disables bundle persistence.
 	TelemetryDir string
 }
@@ -61,7 +62,7 @@ func (s *Store) PutTelemetry(id string, data []byte) error {
 	if err := os.MkdirAll(s.TelemetryDir, 0o755); err != nil {
 		return err
 	}
-	path := filepath.Join(s.TelemetryDir, sanitizeJobID(id)+".json.gz")
+	path := filepath.Join(s.TelemetryDir, obs.SanitizeID(id)+".json.gz")
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
@@ -73,25 +74,10 @@ func (s *Store) PutTelemetry(id string, data []byte) error {
 	return nil
 }
 
-// sanitizeJobID maps a job ID to a safe flat filename (job IDs contain
-// slashes and commas: "sweep/003-bm=ABM,rep=1").
-func sanitizeJobID(id string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			return r
-		case r == '-' || r == '_' || r == '.' || r == '=':
-			return r
-		default:
-			return '_'
-		}
-	}, id)
-}
-
 // ReadTelemetry loads one job's persisted bundle, decompressed and
 // decoded.
 func ReadTelemetry(dir, id string) (*TelemetryBundle, error) {
-	data, err := os.ReadFile(filepath.Join(dir, sanitizeJobID(id)+".json.gz"))
+	data, err := os.ReadFile(filepath.Join(dir, obs.SanitizeID(id)+".json.gz"))
 	if err != nil {
 		return nil, err
 	}

@@ -1,21 +1,28 @@
 package sweepd
 
 import (
+	"bytes"
 	"context"
 	"fmt"
-	"reflect"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"abm/internal/obs"
 	"abm/internal/obs/hist"
 	"abm/internal/obs/prom"
 	"abm/internal/runner"
+	"abm/internal/scenario"
 )
 
 // histPlan builds jobs whose results carry histogram snapshots, the way
 // a real scenario run with hists enabled does: a seed-derived slowdown
-// distribution per job, so every shipped bundle is distinguishable.
-func histPlan(name string, jobs int) *runner.Plan {
+// distribution per job. Even-numbered jobs also write a per-job event
+// trace under traceDir and name it in their resolved scenario, as a
+// grid run with -trace-events does, so every shipped bundle is
+// distinguishable; odd-numbered jobs write none.
+func histPlan(name string, jobs int, traceDir string) *runner.Plan {
 	plan := &runner.Plan{Name: name, Seed: 7}
 	for i := 0; i < jobs; i++ {
 		group := fmt.Sprintf("g%d", i%2)
@@ -28,26 +35,37 @@ func histPlan(name string, jobs int) *runner.Plan {
 				for v := int64(1); v <= 10; v++ {
 					h.Record(1000 + (seed%97)*v)
 				}
-				return runner.Result{
+				res := runner.Result{
 					Events:   uint64(seed),
 					Counters: map[string]int64{"model/admitted_pkts": seed % 13},
 					Hists:    map[string]hist.Snapshot{"fct_slowdown_websearch": h.Snapshot()},
-				}, nil
+				}
+				if i%2 == 0 {
+					path := filepath.Join(traceDir, fmt.Sprintf("%d.ndjson", i))
+					trace := fmt.Sprintf("{\"t\":%d,\"kind\":\"admit\"}\n", seed)
+					if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+						return runner.Result{}, err
+					}
+					res.Scenario = scenario.Scenario{Obs: obs.Options{EventsFile: path}}
+				}
+				return res, nil
 			},
 		})
 	}
 	return plan
 }
 
-// TestTelemetryBundleRoundTrip is the fleet-shipping contract: a remote worker
-// bundles each successful job's counters + histograms, the coordinator
-// persists the bundle beside the record log, the file decodes back to
-// the worker's state, and the merged histograms surface as the group
-// slowdown summary in Status.
+// TestTelemetryBundleRoundTrip is the fleet-shipping contract: a remote
+// worker bundles each successful job's event trace, the coordinator
+// persists the bundle beside the record log under the trace's own file
+// stem, the file decodes back to the trace the job wrote, a job without
+// a trace ships nothing, and the records' merged histograms surface as
+// the group slowdown summary in Status.
 func TestTelemetryBundleRoundTrip(t *testing.T) {
 	store := NewStore(testLog(t))
 	store.TelemetryDir = t.TempDir()
-	plan := histPlan("tele", 6)
+	traceDir := t.TempDir()
+	plan := histPlan("tele", 6, traceDir)
 	c, err := NewCoordinator(Config{Plan: plan, TableConfig: runner.TableConfig{Store: store}})
 	if err != nil {
 		t.Fatal(err)
@@ -58,9 +76,21 @@ func TestTelemetryBundleRoundTrip(t *testing.T) {
 	if len(recs) != 6 {
 		t.Fatalf("got %d records, want 6", len(recs))
 	}
-	for _, rec := range recs {
+	for i, rec := range recs {
 		if !rec.OK() {
 			t.Fatalf("job %s failed: %s", rec.ID, rec.Error)
+		}
+		stem := obs.Options{PerJob: true, EventsFile: "."}.ForJob(rec.ID).EventsFile
+		stem = strings.TrimSuffix(stem, ".ndjson")
+		path := filepath.Join(store.TelemetryDir, stem+".json.gz")
+		if i%2 == 1 {
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("job %s wrote no trace but shipped a bundle (%v)", rec.ID, err)
+			}
+			continue
+		}
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("bundle for %s not named like its trace: %v", rec.ID, err)
 		}
 		b, err := ReadTelemetry(store.TelemetryDir, rec.ID)
 		if err != nil {
@@ -69,11 +99,12 @@ func TestTelemetryBundleRoundTrip(t *testing.T) {
 		if b.JobID != rec.ID {
 			t.Errorf("bundle for %s carries job ID %q", rec.ID, b.JobID)
 		}
-		if !reflect.DeepEqual(b.Hists, rec.Result.Hists) {
-			t.Errorf("bundle hists for %s diverge from the record", rec.ID)
+		want, err := os.ReadFile(filepath.Join(traceDir, fmt.Sprintf("%d.ndjson", i)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(b.Counters, rec.Result.Counters) {
-			t.Errorf("bundle counters for %s diverge from the record", rec.ID)
+		if !bytes.Equal(b.TraceNDJSON, want) {
+			t.Errorf("bundle trace for %s = %q, want %q", rec.ID, b.TraceNDJSON, want)
 		}
 	}
 

@@ -190,29 +190,25 @@ func (w *Worker) runLease(ctx context.Context, plan *runner.Plan, lease Lease) e
 	return nil // the lease expires and the job re-runs; not fatal
 }
 
-// bundleTelemetry assembles and compresses the per-job telemetry the
-// worker ships with a successful record: the record's counter and
-// histogram state plus — when the job wrote a per-job NDJSON event
-// trace — the raw trace bytes. Returns nil (ship nothing) when the job
-// recorded no telemetry; bundling failures only cost the bundle, never
-// the result.
+// bundleTelemetry compresses the per-job NDJSON event trace a
+// successful job wrote, for the worker to ship with its record. Returns
+// nil (ship nothing) when the job wrote no trace; bundling failures
+// only cost the bundle, never the result.
 func (w *Worker) bundleTelemetry(jobID string, rec runner.Record) []byte {
 	if !rec.OK() || rec.Result == nil {
 		return nil
 	}
-	b := &TelemetryBundle{
-		JobID:    jobID,
-		Counters: rec.Result.Counters,
-		Hists:    rec.Result.Hists,
-	}
 	// The resolved scenario knows where this job's trace landed; jobs
 	// run with per-job telemetry each write their own file.
-	if sc, ok := rec.Result.Scenario.(scenario.Scenario); ok && sc.Obs.EventsFile != "" {
-		if data, err := os.ReadFile(sc.Obs.EventsFile); err == nil {
-			b.TraceNDJSON = data
-		}
+	sc, ok := rec.Result.Scenario.(scenario.Scenario)
+	if !ok || sc.Obs.EventsFile == "" {
+		return nil
 	}
-	data, err := EncodeTelemetry(b)
+	trace, err := os.ReadFile(sc.Obs.EventsFile)
+	if err != nil {
+		return nil
+	}
+	data, err := EncodeTelemetry(&TelemetryBundle{JobID: jobID, TraceNDJSON: trace})
 	if err != nil {
 		w.logf("telemetry bundle for %s dropped: %v", jobID, err)
 		return nil

@@ -58,7 +58,7 @@ func WriteQueueCounters(w io.Writer, n *topo.Network) error {
 				if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 					name, p, qi,
 					q.EnqueuedPkts, int64(q.EnqueuedBytes), q.DequeuedPkts, int64(q.DequeuedBytes),
-					q.DropsThreshold, q.DropsNoBuffer, q.DropsAQM, q.DropsAFD, q.DropsUnscheduled,
+					q.DropsThreshold, q.DropsNoBuffer, q.DropsAQM+q.DropsDequeue, q.DropsAFD, q.DropsUnscheduled,
 					q.MarkedPkts, int64(q.MaxBytes), int64(q.LastThreshold()), int64(q.FluidBytes)); err != nil {
 					return err
 				}

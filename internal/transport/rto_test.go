@@ -63,7 +63,7 @@ func TestRTOBackoffResetsOnProgress(t *testing.T) {
 	p.s.At(0, func() { p.snd.Start() })
 	// Let two RTOs fire, then heal the path.
 	p.s.RunUntil(40 * units.Millisecond)
-	if p.snd.Timeouts < 1 {
+	if p.snd.rec.Timeouts < 1 {
 		t.Fatal("expected timeouts while the path is broken")
 	}
 	drop = false
@@ -82,8 +82,8 @@ func TestRTOCappedAtMax(t *testing.T) {
 	s.RunUntil(2 * units.Second)
 	// With a 20ms cap, two seconds fit at least ~90 timeouts; without the
 	// cap exponential backoff would allow only ~7.
-	if sn.Timeouts < 50 {
-		t.Fatalf("timeouts = %d, backoff cap not applied", sn.Timeouts)
+	if sn.rec.Timeouts < 50 {
+		t.Fatalf("timeouts = %d, backoff cap not applied", sn.rec.Timeouts)
 	}
 }
 
@@ -122,25 +122,25 @@ func TestRTORearmsAcrossDemotePromote(t *testing.T) {
 	}
 	p.snd.Demote()
 	p.s.RunUntil(30 * units.Millisecond) // three minRTOs in fluid mode
-	if p.snd.Timeouts != 0 {
-		t.Fatalf("RTO fired %d times while fluid", p.snd.Timeouts)
+	if p.snd.rec.Timeouts != 0 {
+		t.Fatalf("RTO fired %d times while fluid", p.snd.rec.Timeouts)
 	}
 	p.faults = func(*packet.Packet) bool { return true } // black hole from here on
 	at := p.s.Now()
 	p.snd.Promote(p.snd.SndUna() + 10*1440)
 	rto := p.snd.RTO()
 	p.s.RunUntil(at + rto - 1)
-	if p.snd.Timeouts != 0 {
+	if p.snd.rec.Timeouts != 0 {
 		t.Fatalf("RTO fired before promotion time + RTO (%v)", rto)
 	}
 	p.s.RunUntil(at + rto)
-	if p.snd.Timeouts != 1 {
-		t.Fatalf("timeouts = %d at promotion time + RTO, want 1", p.snd.Timeouts)
+	if p.snd.rec.Timeouts != 1 {
+		t.Fatalf("timeouts = %d at promotion time + RTO, want 1", p.snd.rec.Timeouts)
 	}
 	// A second demotion with the backed-off timer pending stops it too.
 	p.snd.Demote()
 	p.s.RunUntil(at + 10*rto)
-	if p.snd.Timeouts != 1 {
-		t.Fatalf("backed-off RTO fired while fluid: timeouts = %d", p.snd.Timeouts)
+	if p.snd.rec.Timeouts != 1 {
+		t.Fatalf("backed-off RTO fired while fluid: timeouts = %d", p.snd.rec.Timeouts)
 	}
 }

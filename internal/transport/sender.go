@@ -30,9 +30,21 @@ type Config struct {
 
 	Prio uint8
 
+	// Recovery is the tally the sender's loss-recovery events add to;
+	// a host hands every sender it starts its own, so the counts
+	// outlive the flows. Nil gives the sender a private one.
+	Recovery *Recovery
+
 	// Obs is the telemetry sink of the sender's shard; nil disables
 	// telemetry (see internal/obs).
 	Obs *obs.Sink
+}
+
+// Recovery counts loss-recovery events: retransmission timeouts fired
+// and fast retransmits entered. Each is also one congestion-window cut.
+type Recovery struct {
+	Timeouts    int64
+	FastRetrans int64
 }
 
 func (c *Config) fillDefaults() {
@@ -95,17 +107,12 @@ type Sender struct {
 	// never allocates a closure.
 	pacingFn func()
 
-	// Counters.
-	PktsSent    int64
-	PktsRetrans int64
-	Timeouts    int64
-	FastRetrans int64
+	// rec counts loss-recovery events; it is shared with the other
+	// senders of the host that started this one (see Config.Recovery).
+	// The host's NIC counts the packets.
+	rec *Recovery
 
-	// Telemetry handles (nil-safe when disabled).
-	obsSink        *obs.Sink
-	ctrRTOFired    *obs.Counter
-	ctrCwndCuts    *obs.Counter
-	ctrFastRetrans *obs.Counter
+	obsSink *obs.Sink // nil when telemetry is off
 }
 
 // NewSender creates a flow sender. The congestion-control algorithm must
@@ -124,13 +131,14 @@ func NewSender(s *sim.Simulator, cfg Config, alg cc.Algorithm,
 		FlowID: flowID, Src: src, Dst: dst, Size: size,
 		onComplete: onComplete,
 		rto:        cfg.MinRTO,
+		rec:        cfg.Recovery,
+		obsSink:    cfg.Obs,
+	}
+	if sn.rec == nil {
+		sn.rec = new(Recovery)
 	}
 	sn.rtoTimer.Init(s, sn.onRTO)
 	sn.pacingFn = func() { sn.trySend() }
-	sn.obsSink = cfg.Obs
-	sn.ctrRTOFired = cfg.Obs.Ctr(obs.CtrRTOFired)
-	sn.ctrCwndCuts = cfg.Obs.Ctr(obs.CtrCwndCuts)
-	sn.ctrFastRetrans = cfg.Obs.Ctr(obs.CtrFastRetrans)
 	return sn
 }
 
@@ -207,7 +215,6 @@ func (sn *Sender) emit(seq int64, payload units.ByteCount, retrans bool) {
 	}
 	if retrans {
 		pkt.Set(packet.FlagRetransmit)
-		sn.PktsRetrans++
 	} else if sn.sndUna == 0 && seq < int64(sn.cfg.UnscheduledBytes) {
 		// First-RTT packet: no feedback has arrived and the byte offset is
 		// within the unscheduled budget.
@@ -216,7 +223,6 @@ func (sn *Sender) emit(seq int64, payload units.ByteCount, retrans bool) {
 	if seq+int64(payload) >= int64(sn.Size) {
 		pkt.Set(packet.FlagFIN)
 	}
-	sn.PktsSent++
 	sn.out(pkt)
 	sn.armRTO()
 }
@@ -291,15 +297,12 @@ func (sn *Sender) OnAck(pkt *packet.Packet) {
 		return
 	}
 	sn.dupAcks++
-	sn.alg.OnDupAck(now)
 	if sn.dupAcks == sn.cfg.DupAckThreshold && !sn.inRecovery {
 		sn.inRecovery = true
 		sn.recover = sn.sndNxt
 		sn.lastDisturb = now
 		sn.alg.OnRecovery(now)
-		sn.FastRetrans++
-		sn.ctrFastRetrans.Inc()
-		sn.ctrCwndCuts.Inc()
+		sn.rec.FastRetrans++
 		if sn.obsSink.Enabled(obs.KindCwndCut) {
 			sn.obsSink.Emit(obs.Event{
 				At:   now,
@@ -332,10 +335,8 @@ func (sn *Sender) onRTO() {
 	if sn.finished || sn.fluid {
 		return
 	}
-	sn.Timeouts++
+	sn.rec.Timeouts++
 	sn.lastDisturb = sn.sim.Now()
-	sn.ctrRTOFired.Inc()
-	sn.ctrCwndCuts.Inc()
 	sn.alg.OnTimeout(sn.sim.Now())
 	if sn.obsSink.Enabled(obs.KindTimeout) {
 		// Aux carries the timeout duration that just fired (the armRTO

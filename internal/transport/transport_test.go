@@ -15,7 +15,6 @@ type stubCC struct {
 	rate    units.Rate
 	ecn     bool
 	acks    []cc.AckEvent
-	dups    int
 	recover int
 	tmo     int
 }
@@ -23,7 +22,6 @@ type stubCC struct {
 func (s *stubCC) Name() string            { return "stub" }
 func (s *stubCC) Init(cc.Config)          {}
 func (s *stubCC) OnAck(ev cc.AckEvent)    { s.acks = append(s.acks, ev) }
-func (s *stubCC) OnDupAck(units.Time)     { s.dups++ }
 func (s *stubCC) OnRecovery(units.Time)   { s.recover++ }
 func (s *stubCC) OnTimeout(units.Time)    { s.tmo++ }
 func (s *stubCC) Window() units.ByteCount { return s.cwnd }
@@ -45,6 +43,9 @@ type pipe struct {
 	snd *Sender
 	rcv *Receiver
 
+	// sent and retrans count the data packets the sender emitted.
+	sent, retrans int
+
 	done   bool
 	doneAt units.Time
 }
@@ -57,6 +58,10 @@ func newPipe(t *testing.T, size units.ByteCount, alg cc.Algorithm, cfg Config) *
 	})
 	p.snd = NewSender(p.s, cfg, alg, 1, 1, 2, size,
 		func(pkt *packet.Packet) {
+			p.sent++
+			if pkt.Is(packet.FlagRetransmit) {
+				p.retrans++
+			}
 			if p.faults != nil && p.faults(pkt) {
 				return // dropped in the fabric
 			}
@@ -77,11 +82,11 @@ func TestCleanTransferCompletes(t *testing.T) {
 	if !p.done {
 		t.Fatal("flow did not complete")
 	}
-	if p.snd.PktsSent != 10 {
-		t.Fatalf("sent %d packets, want 10", p.snd.PktsSent)
+	if p.sent != 10 {
+		t.Fatalf("sent %d packets, want 10", p.sent)
 	}
-	if p.snd.PktsRetrans != 0 || p.snd.Timeouts != 0 {
-		t.Fatalf("unexpected recovery: retrans=%d timeouts=%d", p.snd.PktsRetrans, p.snd.Timeouts)
+	if p.retrans != 0 || p.snd.rec.Timeouts != 0 {
+		t.Fatalf("unexpected recovery: retrans=%d timeouts=%d", p.retrans, p.snd.rec.Timeouts)
 	}
 	if p.rcv.BytesReceived != 10*1440 {
 		t.Fatalf("receiver saw %v bytes", p.rcv.BytesReceived)
@@ -147,11 +152,11 @@ func TestFastRetransmitOnSingleLoss(t *testing.T) {
 	if !p.done {
 		t.Fatal("flow did not complete")
 	}
-	if p.snd.FastRetrans != 1 {
-		t.Fatalf("fast retransmits = %d, want 1", p.snd.FastRetrans)
+	if p.snd.rec.FastRetrans != 1 {
+		t.Fatalf("fast retransmits = %d, want 1", p.snd.rec.FastRetrans)
 	}
-	if p.snd.Timeouts != 0 {
-		t.Fatalf("timeouts = %d, want 0 (dupacks should recover)", p.snd.Timeouts)
+	if p.snd.rec.Timeouts != 0 {
+		t.Fatalf("timeouts = %d, want 0 (dupacks should recover)", p.snd.rec.Timeouts)
 	}
 	if alg.recover != 1 {
 		t.Fatalf("cc recovery events = %d, want 1", alg.recover)
@@ -179,7 +184,7 @@ func TestRTORecoversTailLoss(t *testing.T) {
 	if !p.done {
 		t.Fatal("flow did not complete")
 	}
-	if p.snd.Timeouts < 1 {
+	if p.snd.rec.Timeouts < 1 {
 		t.Fatal("tail loss must recover via RTO")
 	}
 	if alg.tmo < 1 {
@@ -200,7 +205,7 @@ func TestHeavyRandomLossEventuallyCompletes(t *testing.T) {
 	p.s.RunUntil(10 * units.Second)
 	if !p.done {
 		t.Fatalf("flow did not complete under 30%% loss (sent=%d retrans=%d timeouts=%d una=%d)",
-			p.snd.PktsSent, p.snd.PktsRetrans, p.snd.Timeouts, p.snd.sndUna)
+			p.sent, p.retrans, p.snd.rec.Timeouts, p.snd.sndUna)
 	}
 }
 
@@ -302,10 +307,10 @@ func TestTrimmedPacketTriggersDupAcks(t *testing.T) {
 	if p.rcv.TrimmedSeen != 1 {
 		t.Fatalf("receiver saw %d trimmed, want 1", p.rcv.TrimmedSeen)
 	}
-	if p.snd.FastRetrans != 1 {
-		t.Fatalf("trim should drive fast retransmit, got %d", p.snd.FastRetrans)
+	if p.snd.rec.FastRetrans != 1 {
+		t.Fatalf("trim should drive fast retransmit, got %d", p.snd.rec.FastRetrans)
 	}
-	if p.snd.Timeouts != 0 {
+	if p.snd.rec.Timeouts != 0 {
 		t.Fatal("trim recovery must not need a timeout")
 	}
 }
@@ -417,7 +422,7 @@ func TestShortFlowSinglePacket(t *testing.T) {
 	if !p.done {
 		t.Fatal("single-packet flow did not complete")
 	}
-	if p.snd.PktsSent != 1 {
-		t.Fatalf("sent %d, want 1", p.snd.PktsSent)
+	if p.sent != 1 {
+		t.Fatalf("sent %d, want 1", p.sent)
 	}
 }

@@ -77,37 +77,28 @@ func (f *lifecycleFabric) warm() {
 // TestSteadyStateZeroAlloc asserts that advancing the warmed fabric —
 // thousands of full packet round trips — allocates nothing, both with
 // telemetry fully disabled (nil sink: the default configuration) and
-// with the counter registry active (plain int64 increments through
-// pre-resolved handles; no events recorded).
+// with a counters session (the components' own counts registered as
+// sources; no events recorded).
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name string
-		sink func(t *testing.T) *obs.Sink
+		opts obs.Options
 	}{
-		{"disabled", func(t *testing.T) *obs.Sink { return nil }},
-		{"counters", func(t *testing.T) *obs.Sink {
-			sess, err := obs.NewSession(obs.Options{Counters: true}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sess.ShardSink(0)
-		}},
-		{"histograms", func(t *testing.T) *obs.Sink {
-			// Counters plus the streaming histograms: queue delay and
-			// admission headroom record on every packet through fixed
-			// arrays behind pre-resolved handles, so the hot path must
-			// stay allocation-free here too.
-			sess, err := obs.NewSession(obs.Options{Counters: true, Hists: true}, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sess.ShardSink(0)
-		}},
+		{"disabled", obs.Options{}},
+		{"counters", obs.Options{Counters: true}},
+		// Counters plus the streaming histograms: queue delay and
+		// admission headroom record on every packet through fixed
+		// arrays behind pre-resolved handles, so the hot path must stay
+		// allocation-free here too.
+		{"histograms", obs.Options{Counters: true, Hists: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sink := tc.sink(t)
-			f := newLifecycleFabric(42, sink)
+			sess, err := obs.NewSession(tc.opts, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := newLifecycleFabric(42, sess.ShardSink(0))
 			f.warm()
 			next := f.s.Now()
 			window := units.Millisecond
@@ -122,8 +113,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 			if allocs != 0 {
 				t.Fatalf("steady-state run allocated %.1f objects per %v window, want 0", allocs, window)
 			}
-			if sink != nil && sink.Ctr(obs.CtrDataSent).Get() == 0 {
-				t.Fatal("counter registry recorded no sends")
+			if sess != nil && sess.Totals()["model/data_pkts_sent"] == 0 {
+				t.Fatal("session totals counted no sends")
 			}
 		})
 	}
