@@ -53,11 +53,12 @@ func newLink(s *sim.Simulator, delay units.Time, dst Endpoint) *Link {
 }
 
 // NewLinkVia returns a link whose deliveries route through a parallel-
-// engine mailbox instead of the sender's event calendar: the receive
-// fires on the destination's shard at the next window barrier. The
-// sharded topology builder uses it for every tier link so the delivery
-// merge order is the same at any shard count; sim here is the SENDER's
-// shard simulator (it stamps departure times). It takes no delay line.
+// engine mailbox instead of the sender's event calendar: at the next
+// window barrier the receive moves onto the destination shard's
+// crossing line. The sharded topology builder uses it for every tier
+// link so the delivery merge order is the same at any shard count; sim
+// here is the SENDER's shard simulator (it stamps departure times). It
+// takes no delay line of the sender's.
 func NewLinkVia(s *sim.Simulator, delay units.Time, dst Endpoint, box *sim.Mailbox) *Link {
 	l := newLink(s, delay, dst)
 	if box == nil {

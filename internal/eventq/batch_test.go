@@ -79,6 +79,67 @@ func TestPushBatchMatchesPushLoop(t *testing.T) {
 	}
 }
 
+// TestPushLineBatchMatchesPushLine cross-checks PushLineBatch against
+// a loop of PushLine calls, on a private line and on a shared one, with
+// calendar events around them and batches that partly fall behind the
+// line's tail: the pop sequences must be identical. It also checks that
+// Line never hands out a private line, even for its delay of zero.
+func TestPushLineBatchMatchesPushLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	nop := func(any) {}
+	for trial := 0; trial < 50; trial++ {
+		var batched, looped Queue
+		var bl, ll LineID
+		if trial%2 == 0 {
+			bl, ll = batched.NewLine(), looped.NewLine()
+			if batched.Line(0) == bl {
+				t.Fatal("Line(0) handed out a private line")
+			}
+		} else {
+			d := units.Time(rng.Intn(20))
+			bl, ll = batched.Line(d), looped.Line(d)
+		}
+		at := units.Time(0)
+		for round := 0; round < 1+rng.Intn(8); round++ {
+			for i := 0; i < rng.Intn(20); i++ {
+				tm := at + units.Time(rng.Intn(100))
+				batched.PushArg(tm, nop, 1000*round+i)
+				looped.PushArg(tm, nop, 1000*round+i)
+			}
+			items := make([]Item, rng.Intn(40))
+			for i := range items {
+				if rng.Intn(4) > 0 {
+					at += units.Time(rng.Intn(3))
+				}
+				tm := at
+				if rng.Intn(10) == 0 {
+					tm -= units.Time(rng.Intn(30)) // behind the tail
+				}
+				items[i] = Item{Time: tm, Fn: nop, Arg: 100000*round + i}
+			}
+			batched.PushLineBatch(bl, items)
+			for _, it := range items {
+				looped.PushLine(ll, it.Time, it.Fn, it.Arg)
+			}
+		}
+		if batched.Stats() != looped.Stats() || batched.Len() != looped.Len() {
+			t.Fatalf("trial %d: stats %+v len %d vs %+v len %d",
+				trial, batched.Stats(), batched.Len(), looped.Stats(), looped.Len())
+		}
+		bt, ba := drain(&batched)
+		lt, la := drain(&looped)
+		if len(bt) != len(lt) {
+			t.Fatalf("trial %d: length mismatch %d vs %d", trial, len(bt), len(lt))
+		}
+		for i := range bt {
+			if bt[i] != lt[i] || ba[i] != la[i] {
+				t.Fatalf("trial %d pop %d: batch (%v,%d) vs loop (%v,%d)",
+					trial, i, bt[i], ba[i], lt[i], la[i])
+			}
+		}
+	}
+}
+
 func TestPushBatchEmpty(t *testing.T) {
 	var q Queue
 	q.PushBatch(nil)

@@ -31,6 +31,10 @@
 // push that would land behind the tail (the caller's clock went
 // backwards) takes the calendar instead, under the same seq. Line
 // events return no handle and cannot be canceled; they count in Len.
+// Line(d) shares one line among every caller with delay d; NewLine
+// makes a private line of delay zero for a caller that pushes at
+// explicit times, such as the parallel engine's barrier crossings
+// (PushLineBatch).
 //
 // # Ordering
 //
@@ -55,10 +59,12 @@
 // out, so with 1024 ps buckets and a 33.5 us horizon per-packet
 // serialization events take the wheel and only timers reach far. Link
 // deliveries take their line whatever the delay, so the horizon does
-// not bound them. The wheel stays 2^15 buckets wide because the
-// parallel engine injects window-barrier deliveries into the calendar
-// up to one lookahead (one link delay) ahead. Stats makes the split
-// visible.
+// not bound them; neither does it bound the parallel engine's
+// window-barrier crossings, which ride each shard's private line. The
+// wheel stays 2^15 buckets wide, above the 10 us link delay the
+// fabrics mostly use, so that a delivery that falls behind its line's
+// tail (a barrier crossing over the shorter of two link delays) still
+// takes the wheel rather than far. Stats makes the split visible.
 //
 // # One call per event
 //
@@ -260,11 +266,12 @@ type lineEntry struct {
 // line is a FIFO delay line: a power-of-two ring holding events in
 // (time, seq) order, oldest at head.
 type line struct {
-	delay units.Time // the delay the line was registered for
-	ring  []lineEntry
-	head  int // ring index of the oldest entry
-	n     int // queued entries
-	tail  units.Time
+	delay   units.Time // the delay the line was registered for
+	private bool       // made by NewLine: Line never hands it out
+	ring    []lineEntry
+	head    int // ring index of the oldest entry
+	n       int // queued entries
+	tail    units.Time
 }
 
 // grow doubles the ring, unrolling it so the oldest entry is at 0. It
@@ -428,11 +435,21 @@ func (q *Queue) pushAt(now, t units.Time, seq uint64, fn func(any), arg any, del
 // first use: every caller asking for the same delay shares one line.
 func (q *Queue) Line(d units.Time) LineID {
 	for i := range q.lines {
-		if q.lines[i].delay == d {
+		if !q.lines[i].private && q.lines[i].delay == d {
 			return LineID(i)
 		}
 	}
 	q.lines = append(q.lines, line{delay: d})
+	return LineID(len(q.lines) - 1)
+}
+
+// NewLine returns a new private line of delay zero: Line never hands
+// it to another caller, so its owner alone decides what it holds, and
+// PushLine(id, t, fn, arg) on it schedules fn(arg) at exactly t. Its
+// pushes must come in nondecreasing time to stay on the line; a push
+// behind its tail takes the calendar, as on any line.
+func (q *Queue) NewLine() LineID {
+	q.lines = append(q.lines, line{private: true})
 	return LineID(len(q.lines) - 1)
 }
 
@@ -463,19 +480,50 @@ func (q *Queue) PushLine(id LineID, now units.Time, fn func(any), arg any) {
 	q.stats.Line++
 }
 
-// Item is one event of a PushBatch call: the arguments of a PushArg,
-// as a value so batches can be built, sorted, and injected without
-// touching the queue.
+// Item is one event of a batch push (PushLineBatch): the arguments of
+// a push, as a value so batches can be built, sorted and pushed without
+// touching the queue. Key is the caller's own tie-break for sorting a
+// batch (the parallel engine's mailbox rank); the queue ignores it.
 type Item struct {
 	Time units.Time
 	Fn   func(any)
 	Arg  any
+	Key  int32
 }
 
-// PushBatch schedules every item in order: items[i] receives a lower
-// sequence number than items[i+1], so a batch sorted by (time, key)
-// executes in exactly that order among simultaneous events. It is the
-// window-barrier injection path of the parallel engine.
+// PushLineBatch is PushLine(id, it.Time, it.Fn, it.Arg) for every item
+// in slice order, in one call: items[i] takes a lower sequence number
+// than items[i+1], so a batch sorted by (time, key) executes in exactly
+// that order among simultaneous events. On a private line (NewLine)
+// each item fires at its Time; an item behind the line's tail takes
+// the calendar under its sequence number, as in PushLine.
+func (q *Queue) PushLineBatch(id LineID, items []Item) {
+	ln := &q.lines[id]
+	for i := range items {
+		it := &items[i]
+		q.seq++
+		t := it.Time + ln.delay
+		if ln.n > 0 && t < ln.tail {
+			q.pushAt(noClock, t, q.seq, it.Fn, it.Arg, false)
+			continue
+		}
+		if ln.n == len(ln.ring) {
+			ln.grow()
+		}
+		e := &ln.ring[(ln.head+ln.n)&(len(ln.ring)-1)]
+		e.time, e.seq, e.fn, e.arg = t, q.seq, it.Fn, it.Arg
+		ln.n++
+		ln.tail = t
+		q.live++
+		q.stats.Line++
+	}
+}
+
+// PushBatch schedules every item in order on the calendar: items[i]
+// receives a lower sequence number than items[i+1]. It has no caller in
+// the model (the parallel engine's barrier crossings take
+// PushLineBatch); it stays only because benchmark/ still compiles
+// against it, and goes with the other shims there.
 func (q *Queue) PushBatch(items []Item) {
 	for i := range items {
 		q.PushArg(items[i].Time, items[i].Fn, items[i].Arg)

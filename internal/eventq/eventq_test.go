@@ -350,10 +350,11 @@ func TestWarmQueueZeroAlloc(t *testing.T) {
 	}
 	batch := make([]Item, 16)
 	type state struct {
-		q    Queue
-		line LineID
-		now  units.Time
-		i    int
+		q     Queue
+		line  LineID
+		cross LineID // private, for PushLineBatch
+		now   units.Time
+		i     int
 	}
 	pop := func(s *state) { _, _, s.now, _ = s.q.Pop() }
 	cases := []struct {
@@ -381,11 +382,21 @@ func TestWarmQueueZeroAlloc(t *testing.T) {
 			s.q.PushLine(s.line, s.now, nop, nil)
 			pop(s)
 		}},
+		{"PushLineBatch", func(s *state) {
+			for j := range batch {
+				batch[j] = Item{Time: s.now + 10*units.Microsecond + units.Time(j), Fn: nop}
+			}
+			s.q.PushLineBatch(s.cross, batch)
+			for range batch {
+				pop(s)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := new(state)
 			s.line = s.q.Line(10 * units.Microsecond)
+			s.cross = s.q.NewLine()
 			for s.i = 0; s.i < depth; s.i++ {
 				s.q.PushArg(gaps[s.i&1023], nop, nil)
 			}

@@ -46,7 +46,7 @@ const (
 	CtrWindows        // lookahead windows executed
 	CtrBarriers       // coordinator barriers (mailbox flushes)
 	CtrBarrierWaitNs  // coordinator wall ns blocked on shard workers
-	CtrMailboxBatches // non-empty mailbox drains
+	CtrMailboxBatches // non-empty (source shard, destination shard) buffer drains
 	CtrMailboxEvents  // events merged across shard boundaries
 	CtrTraceDropped   // events discarded by the per-shard buffer cap
 

@@ -150,7 +150,8 @@ func BuildFabric(s Scenario) (Scenario, *sim.Simulator, *topo.Network, units.Byt
 // Run resolves and executes one scenario, returning its result and the
 // metrics collector with every flow record for tracing and custom
 // analysis. Shards selects the engine; output is identical at every
-// shard count.
+// shard count >= 1; the serial loop (0) orders exact-time ties its own
+// way and so may differ (see Scenario.Shards).
 func Run(s Scenario) (Result, *metrics.Collector, error) {
 	r, err := s.Resolve()
 	if err != nil {

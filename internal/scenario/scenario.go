@@ -75,7 +75,10 @@ type Scenario struct {
 	Seed int64 `json:"seed"`
 	// Shards selects the engine: 0 is the legacy serial loop; >= 1 runs
 	// the topology-sharded parallel engine with min(Shards, Leaves)
-	// shards. Output is identical at every shard count.
+	// shards. Output is identical at every shard count >= 1. The serial
+	// loop breaks exact-time ties by its own push order instead, so it
+	// differs from the sharded output wherever simultaneous events
+	// interact (on a contended incast cell, in drops and tail slowdowns).
 	Shards int `json:"shards,omitempty"`
 	// Duration is how long the workload generators offer traffic; the
 	// run then drains in-flight flows (bounded) before summarizing.

@@ -16,19 +16,23 @@
 //
 // # Determinism
 //
-// At every barrier the engine drains all mailboxes and injects the
-// buffered events into their destination calendars in a canonical
-// order: delivery time first, ties broken by mailbox registration
-// order, then by posting order within a mailbox. The canonical order
-// depends only on the model (which link, which packet sequence), not on
-// which goroutine ran first, so a parallel run is deterministic and —
-// as long as mailbox registration is partition-invariant — identical
-// at any shard count.
+// A Post appends to one buffer per (source shard, destination shard)
+// pair. At every barrier the engine merges each destination's buffers
+// and appends the crossings to that shard's private delay line in a
+// canonical order: delivery time first, ties broken by mailbox
+// registration order, then by posting order within a mailbox; the line
+// hands out tie-break sequence numbers in that order. The canonical
+// order depends only on the model (which link, which packet sequence),
+// not on which goroutine ran first, so a parallel run is deterministic
+// and — as long as mailbox registration is partition-invariant —
+// identical at any shard count.
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -38,19 +42,21 @@ import (
 	"abm/internal/units"
 )
 
-// Mailbox buffers events crossing into a destination shard. It is
-// single-producer: only the owning shard's goroutine may Post, only
-// the engine's coordinator drains it at barriers.
+// Mailbox carries events from one source shard into one destination
+// shard. It is single-producer: only the source shard's goroutine may
+// Post, and only the engine's coordinator drains its buffer, which it
+// shares with every other mailbox of the same shard pair, at barriers.
 type Mailbox struct {
-	dst int
-	buf []eventq.Item
+	out  *[]eventq.Item // the (source, destination) pair's buffer
+	rank int32          // registration order: each Post's Key
 }
 
 // Post buffers fn(arg) to fire at absolute time t in the destination
 // shard. t must be at least one lookahead beyond the current window's
-// start; the engine injects it at the next barrier.
+// start; the engine moves it onto the destination's line at the next
+// barrier.
 func (m *Mailbox) Post(t units.Time, fn func(any), arg any) {
-	m.buf = append(m.buf, eventq.Item{Time: t, Fn: fn, Arg: arg})
+	*m.out = append(*m.out, eventq.Item{Time: t, Fn: fn, Arg: arg, Key: m.rank})
 }
 
 // BarrierTicker invokes a callback at fixed simulated intervals on the
@@ -82,8 +88,21 @@ type Parallel struct {
 	now     units.Time // barrier frontier: all shards have executed events < now
 	look    units.Time // lookahead: minimum mailbox latency; 0 until registered
 	shards  []*Simulator
-	boxes   []*Mailbox
 	tickers []*BarrierTicker
+
+	// Barrier crossings. pairs[src*S+dst] buffers what shard src posted
+	// for shard dst since the last barrier, each item keyed by its
+	// mailbox's rank; flush merges each destination's buffers onto its
+	// private line cross[dst] and heads is the merge's reused scratch.
+	// boxes counts registered mailboxes (the next rank).
+	pairs [][]eventq.Item
+	cross []eventq.LineID
+	heads [][]eventq.Item
+	boxes int32
+
+	// next[i] is shard i's earliest event time (or never) as of the last
+	// peekMin, which every runWindow follows directly.
+	next []units.Time
 
 	work    []chan windowReq
 	wg      sync.WaitGroup
@@ -119,11 +138,20 @@ func NewParallel(seed int64, n int) *Parallel {
 	}
 	p := &Parallel{seed: seed, maxWiden: defaultMaxWiden}
 	p.shards = make([]*Simulator, n)
+	p.cross = make([]eventq.LineID, n)
 	for i := range p.shards {
 		p.shards[i] = New(randutil.DeriveSeed(seed, i))
+		p.cross[i] = p.shards[i].q.NewLine()
 	}
+	p.pairs = make([][]eventq.Item, n*n)
+	p.heads = make([][]eventq.Item, 0, n)
+	p.next = make([]units.Time, n)
 	return p
 }
+
+// never is a shard's next-event time when its calendar is empty: later
+// than any window limit.
+const never = units.Time(math.MaxInt64)
 
 // Seed returns the engine's base seed (not a shard's derived seed).
 func (p *Parallel) Seed() int64 { return p.seed }
@@ -151,11 +179,11 @@ func (p *Parallel) SetMaxWiden(k int) {
 // that followed a mailbox-silent window without an intervening barrier.
 func (p *Parallel) Widened() uint64 { return p.widened }
 
-// anyPosted reports whether any mailbox holds a pending crossing.
+// anyPosted reports whether any shard pair holds a pending crossing.
 // Coordinator-only (between windows).
 func (p *Parallel) anyPosted() bool {
-	for _, m := range p.boxes {
-		if len(m.buf) > 0 {
+	for _, b := range p.pairs {
+		if len(b) > 0 {
 			return true
 		}
 	}
@@ -220,14 +248,17 @@ func (p *Parallel) Executed() uint64 {
 	return n
 }
 
-// NewMailbox registers a mailbox delivering into shard dst with the
-// given minimum latency. Registration order is the tie-break of the
-// barrier merge, so callers must register mailboxes in a deterministic,
+// NewMailbox registers a mailbox carrying events posted on shard src
+// into shard dst with the given minimum latency; only src's events may
+// Post to it. Registration order is the tie-break of the barrier merge,
+// so callers must register mailboxes in a deterministic,
 // partition-invariant order (the topology builder registers them in
 // link-construction order).
-func (p *Parallel) NewMailbox(dst int, latency units.Time) *Mailbox {
-	if dst < 0 || dst >= len(p.shards) {
-		panic(fmt.Sprintf("sim: mailbox destination shard %d out of range", dst))
+func (p *Parallel) NewMailbox(src, dst int, latency units.Time) *Mailbox {
+	for _, sh := range [...]int{src, dst} {
+		if sh < 0 || sh >= len(p.shards) {
+			panic(fmt.Sprintf("sim: mailbox shard %d out of range", sh))
+		}
 	}
 	if latency <= 0 {
 		panic(fmt.Sprintf("sim: mailbox latency %v must be positive (it bounds the lookahead)", latency))
@@ -235,11 +266,13 @@ func (p *Parallel) NewMailbox(dst int, latency units.Time) *Mailbox {
 	if p.look == 0 || latency < p.look {
 		p.look = latency
 	}
-	// Preallocate the batch buffer: it is reused across barriers
-	// (drained with buf[:0]), so seeding a useful capacity up front
-	// removes the early append-growth reallocations every run pays.
-	m := &Mailbox{dst: dst, buf: make([]eventq.Item, 0, 128)}
-	p.boxes = append(p.boxes, m)
+	m := &Mailbox{out: &p.pairs[src*len(p.shards)+dst], rank: p.boxes}
+	p.boxes++
+	// The pair buffer is reused across barriers (cut to [:0]), so a
+	// useful capacity up front saves the early growth every run pays.
+	if cap(*m.out) == 0 {
+		*m.out = make([]eventq.Item, 0, 128)
+	}
 	return m
 }
 
@@ -270,36 +303,91 @@ func (p *Parallel) AtBarrier(t units.Time, fn func(now units.Time)) *BarrierTick
 	return bt
 }
 
-// flush drains every mailbox and injects the buffered events into their
-// destination shards in canonical order (time, registration order,
-// posting order). Injecting each mailbox separately, in registration
-// order, realizes exactly that order: the destination heap breaks time
-// ties by push sequence, so an earlier-registered mailbox's equal-time
-// events pop first, and posting order decides within one mailbox.
-// Coordinator-only.
+// flush moves every buffered crossing onto its destination shard's
+// line in canonical order (time, registration order, posting order),
+// which the line then numbers in that order, so equal-time crossings
+// pop by rank and then by posting order. Each pair buffer is first put
+// in (time, rank) order on its own (see sortCrossings); a destination's
+// buffers then merge by (time, rank), a key no two of them share since
+// every mailbox has one source shard. Coordinator-only.
 func (p *Parallel) flush() {
 	p.barriers++
-	for _, m := range p.boxes {
-		buf := m.buf
-		if len(buf) == 0 {
+	n := len(p.shards)
+	for dst, s := range p.shards {
+		heads := p.heads[:0]
+		for src := 0; src < n; src++ {
+			buf := p.pairs[src*n+dst]
+			if len(buf) == 0 {
+				continue
+			}
+			p.mailboxBatches++
+			p.mailboxEvents += int64(len(buf))
+			sortCrossings(buf)
+			heads = append(heads, buf)
+			p.pairs[src*n+dst] = buf[:0]
+		}
+		if len(heads) == 0 {
 			continue
 		}
-		p.mailboxBatches++
-		p.mailboxEvents += int64(len(buf))
-		// A link posts deliveries in nondecreasing time order, so the
-		// buffer is nearly always sorted; check before paying for a sort.
-		sorted := true
-		for i := 1; i < len(buf); i++ {
-			if buf[i].Time < buf[i-1].Time {
-				sorted = false
-				break
+		first := heads[0][0].Time
+		for _, h := range heads[1:] {
+			first = min(first, h[0].Time)
+		}
+		if first < s.now {
+			panic(fmt.Sprintf("sim: crossing at %v before shard %d's now %v", first, dst, s.now))
+		}
+		q, line := &s.q, p.cross[dst]
+		for len(heads) > 1 {
+			best := 0
+			for i := 1; i < len(heads); i++ {
+				if crossingCmp(&heads[i][0], &heads[best][0]) < 0 {
+					best = i
+				}
+			}
+			c := &heads[best][0]
+			q.PushLine(line, c.Time, c.Fn, c.Arg)
+			if heads[best] = heads[best][1:]; len(heads[best]) == 0 {
+				heads[best] = heads[len(heads)-1]
+				heads = heads[:len(heads)-1]
 			}
 		}
-		if !sorted {
-			sort.SliceStable(buf, func(i, j int) bool { return buf[i].Time < buf[j].Time })
+		q.PushLineBatch(line, heads[0])
+	}
+}
+
+// crossingCmp orders crossings by (time, rank).
+func crossingCmp(a, b *eventq.Item) int {
+	if c := cmp.Compare(a.Time, b.Time); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Key, b.Key)
+}
+
+// sortCrossings puts one pair buffer in (time, rank) order, keeping
+// posting order among equal keys (one mailbox's equal-time posts). A
+// shard posts in execution order, so with one latency per fabric the
+// buffer is already time-sorted and only equal-time runs from
+// different mailboxes move: the insertion pass below is then linear.
+// The first out-of-order time hands the rest to an in-place stable
+// sort; the pass so far kept equal keys in posting order, so the
+// result is the same.
+func sortCrossings(buf []eventq.Item) {
+	for i := 1; i < len(buf); i++ {
+		prev := &buf[i-1]
+		if buf[i].Time < prev.Time {
+			slices.SortStableFunc(buf, func(a, b eventq.Item) int { return crossingCmp(&a, &b) })
+			return
 		}
-		p.shards[m.dst].InjectBatch(buf)
-		m.buf = buf[:0]
+		if buf[i].Time > prev.Time || buf[i].Key >= prev.Key {
+			continue
+		}
+		c := buf[i]
+		j := i
+		for j > 0 && buf[j-1].Time == c.Time && buf[j-1].Key > c.Key {
+			buf[j] = buf[j-1]
+			j--
+		}
+		buf[j] = c
 	}
 }
 
@@ -333,16 +421,19 @@ func (p *Parallel) nextTicker() (units.Time, bool) {
 	return best, ok
 }
 
-// peekMin returns the earliest event time across all shard calendars.
+// peekMin returns the earliest event time across all shard calendars,
+// and keeps each shard's in next for the runWindow that follows.
 func (p *Parallel) peekMin() (units.Time, bool) {
-	var best units.Time
-	ok := false
-	for _, s := range p.shards {
-		if t, live := s.NextEventTime(); live && (!ok || t < best) {
-			best, ok = t, true
+	best := never
+	for i, s := range p.shards {
+		t, live := s.NextEventTime()
+		if !live {
+			t = never
 		}
+		p.next[i] = t
+		best = min(best, t)
 	}
-	return best, ok
+	return best, best != never
 }
 
 // ensureWorkers lazily starts one goroutine per shard. Workers block on
@@ -398,9 +489,10 @@ func (p *Parallel) runShardWindow(i int, req windowReq) {
 	}
 }
 
-// runWindow executes one window on every shard that has work in it.
-// Exactly one active shard runs inline on the coordinator; the rest run
-// on their workers.
+// runWindow executes one window on every shard that has work in it,
+// as the peekMin the caller made just before found them. Exactly one
+// active shard runs inline on the coordinator; the rest run on their
+// workers.
 func (p *Parallel) runWindow(limit units.Time, inclusive bool) {
 	if p.closed {
 		panic("sim: parallel engine used after Close")
@@ -409,9 +501,8 @@ func (p *Parallel) runWindow(limit units.Time, inclusive bool) {
 	req := windowReq{start: p.now, limit: limit, inclusive: inclusive}
 	inline := -1
 	dispatched := 0
-	for i, s := range p.shards {
-		t, ok := s.NextEventTime()
-		if !ok || t > limit || (!inclusive && t == limit) {
+	for i, t := range p.next {
+		if t > limit || (!inclusive && t == limit) {
 			continue
 		}
 		if inline < 0 {
@@ -454,7 +545,8 @@ func (p *Parallel) runWindow(limit units.Time, inclusive bool) {
 }
 
 // windowEnd picks the next barrier: bounded by the lookahead past the
-// earliest event, by the next global ticker, and by the deadline.
+// earliest event, by the next global ticker, and by the deadline. Its
+// peekMin leaves each shard's head for the runWindow that follows.
 func (p *Parallel) windowEnd(deadline units.Time) units.Time {
 	next := deadline
 	if t, ok := p.peekMin(); ok && p.look > 0 {
@@ -512,6 +604,7 @@ func (p *Parallel) RunUntil(deadline units.Time) {
 	// Events at exactly the deadline: every event before it has run and
 	// crossings due at it were injected by the flush above; anything
 	// these events post crosses no earlier than deadline + lookahead.
+	p.peekMin()
 	p.runWindow(deadline, true)
 }
 

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"abm/internal/units"
@@ -36,8 +38,8 @@ func buildPingPong(p *Parallel, limit int) (*pingNode, *pingNode) {
 	a := &pingNode{sim: p.Shard(0), limit: limit}
 	b := &pingNode{sim: p.Shard(1 % p.NumShards()), limit: limit}
 	a.peer, b.peer = b, a
-	a.out = p.NewMailbox(1%p.NumShards(), hopDelay)
-	b.out = p.NewMailbox(0, hopDelay)
+	a.out = p.NewMailbox(0, 1%p.NumShards(), hopDelay)
+	b.out = p.NewMailbox(1%p.NumShards(), 0, hopDelay)
 	return a, b
 }
 
@@ -115,8 +117,8 @@ func TestParallelDeterministic(t *testing.T) {
 func TestMailboxMergeOrder(t *testing.T) {
 	p := NewParallel(1, 2)
 	defer p.Close()
-	first := p.NewMailbox(0, hopDelay)  // registered first
-	second := p.NewMailbox(0, hopDelay) // registered second
+	first := p.NewMailbox(1, 0, hopDelay)  // registered first
+	second := p.NewMailbox(1, 0, hopDelay) // registered second
 
 	var got []int
 	rec := func(arg any) { got = append(got, arg.(int)) }
@@ -201,7 +203,7 @@ func TestDrainCrossesShards(t *testing.T) {
 	defer p.Close()
 	boxes := make([]*Mailbox, 4)
 	for i := range boxes {
-		boxes[i] = p.NewMailbox((i+1)%4, hopDelay)
+		boxes[i] = p.NewMailbox(i, (i+1)%4, hopDelay)
 	}
 	var visits int
 	var hop func(arg any)
@@ -297,5 +299,125 @@ func TestAdaptiveWideningMatchesUnwidened(t *testing.T) {
 	}
 	if !reflect.DeepEqual(traceK, trace1) || execsK != execs1 || widenedK != 0 {
 		t.Errorf("SetMaxWiden(0) should clamp to 1: widened=%d", widenedK)
+	}
+}
+
+// TestCrossingOrderProperty drives seeded random posts through the
+// barrier merge and checks that every destination shard runs them in
+// the canonical order: a stable sort of the posts, in posting order,
+// by (time, barrier, registration rank). Posts come from one to four
+// source shards into several mailboxes per destination, with mixed
+// latencies (so a pair buffer arrives out of time order and a later
+// barrier's crossing can land behind the line's tail), equal-time ties
+// across mailboxes, and out-of-order times within one mailbox. Posting
+// rounds are at least one lookahead apart, so each round's posts cross
+// at a barrier of their own and the round stands for the barrier in
+// the key. Every trial runs with and without window widening.
+func TestCrossingOrderProperty(t *testing.T) {
+	for seed := int64(1); seed <= 150; seed++ {
+		for _, widen := range []int{1, defaultMaxWiden} {
+			crossingTrial(t, seed, widen)
+		}
+	}
+}
+
+// plannedPost is one post of a crossing trial, planned before the run.
+type plannedPost struct {
+	id, box, round int
+	time           units.Time
+}
+
+func crossingTrial(t *testing.T, seed int64, maxWiden int) {
+	r := rand.New(rand.NewSource(seed))
+	shards := 1 + r.Intn(4)
+	p := NewParallel(seed, shards)
+	defer p.Close()
+	p.SetMaxWiden(maxWiden)
+
+	mixed := r.Intn(2) == 0
+	type box struct {
+		src, dst int
+		lat      units.Time
+		mb       *Mailbox
+	}
+	boxes := make([]box, shards+1+r.Intn(3*shards))
+	for i := range boxes {
+		b := &boxes[i]
+		b.src, b.dst, b.lat = r.Intn(shards), r.Intn(shards), hopDelay
+		if mixed {
+			b.lat *= units.Time(1 + r.Intn(3))
+		}
+		b.mb = p.NewMailbox(b.src, b.dst, b.lat)
+	}
+
+	// plan[round][shard] lists the posts shard makes at that round's
+	// instant, in posting order. A few distinct offsets make equal-time
+	// ties across mailboxes common and shuffle times within a mailbox.
+	look := p.Lookahead()
+	var plan [][][]plannedPost
+	var all []plannedPost
+	var rounds []units.Time
+	at := look
+	for round := 0; round < 4+r.Intn(12); round++ {
+		rounds = append(rounds, at)
+		perShard := make([][]plannedPost, shards)
+		for k := r.Intn(6 * shards); k > 0; k-- {
+			bi := r.Intn(len(boxes))
+			pp := plannedPost{id: len(all), box: bi, round: round,
+				time: at + boxes[bi].lat + units.Time(r.Intn(3))*1000}
+			perShard[boxes[bi].src] = append(perShard[boxes[bi].src], pp)
+			all = append(all, pp)
+		}
+		plan = append(plan, perShard)
+		at += look + units.Time(r.Intn(4))*look/2
+	}
+
+	got := make([][]int, shards) // per destination; written by its shard only
+	deliver := make([]func(any), shards)
+	for d := range deliver {
+		d := d
+		deliver[d] = func(a any) {
+			id := a.(int)
+			if now := p.Shard(d).Now(); now != all[id].time {
+				t.Errorf("seed %d: post %d ran at %v, want %v", seed, id, now, all[id].time)
+			}
+			got[d] = append(got[d], id)
+		}
+	}
+	for round, at := range rounds {
+		for s := 0; s < shards; s++ {
+			posts := plan[round][s]
+			p.Shard(s).AtArg(at, func(any) {
+				for _, pp := range posts {
+					b := &boxes[pp.box]
+					b.mb.Post(pp.time, deliver[b.dst], pp.id)
+				}
+			}, nil)
+		}
+	}
+	p.RunUntil(rounds[r.Intn(len(rounds))])
+	p.Drain()
+
+	want := make([][]int, shards)
+	ref := append([]plannedPost(nil), all...)
+	sort.SliceStable(ref, func(i, j int) bool {
+		a, b := ref[i], ref[j]
+		if a.time != b.time {
+			return a.time < b.time
+		}
+		if a.round != b.round {
+			return a.round < b.round
+		}
+		return a.box < b.box
+	})
+	for _, pp := range ref {
+		d := boxes[pp.box].dst
+		want[d] = append(want[d], pp.id)
+	}
+	for d := range want {
+		if !reflect.DeepEqual(got[d], want[d]) {
+			t.Fatalf("seed %d, maxWiden %d, %d shards, mixed %v: shard %d ran %v, want %v",
+				seed, maxWiden, shards, mixed, d, got[d], want[d])
+		}
 	}
 }

@@ -195,19 +195,6 @@ func (s *Simulator) RunBefore(limit units.Time) {
 // uses it to size lookahead windows.
 func (s *Simulator) NextEventTime() (units.Time, bool) { return s.q.PeekTime() }
 
-// InjectBatch schedules a pre-ordered batch of events in one pass; see
-// eventq.PushBatch. The batch must already be sorted by the caller's
-// merge order — items keep that order among simultaneous events.
-// Injecting before the shard clock would silently reorder causality,
-// so that panics (checking the first item suffices: the batch is
-// sorted by time).
-func (s *Simulator) InjectBatch(items []eventq.Item) {
-	if len(items) > 0 && items[0].Time < s.now {
-		panic(fmt.Sprintf("sim: injecting at %v before now %v", items[0].Time, s.now))
-	}
-	s.q.PushBatch(items)
-}
-
 // Pending returns the number of events still in the calendar (including
 // canceled events not yet discarded).
 func (s *Simulator) Pending() int { return s.q.Len() }

@@ -280,15 +280,16 @@ func switchRNG(baseSeed int64, id int) *rand.Rand {
 	return rand.New(rand.NewSource(randutil.DeriveSeed(baseSeed, id)))
 }
 
-// tierLink creates one switch<->switch link: direct in serial mode,
-// mailbox-routed in sharded mode. Mailboxes register in call order,
-// which build keeps partition-invariant (the canonical Graph.Links
-// order).
-func (n *Network) tierLink(src *sim.Simulator, dst device.Endpoint, dstShard int) *device.Link {
+// tierLink creates the link from switch from to switch to (graph
+// indices): direct in serial mode, mailbox-routed in sharded mode.
+// Mailboxes register in call order, which build keeps
+// partition-invariant (the canonical Graph.Links order).
+func (n *Network) tierLink(from, to int) *device.Link {
+	src, dst := n.swSim[from], n.switches[to]
 	if n.Par == nil {
 		return device.NewLink(src, n.Cfg.LinkDelay, dst)
 	}
-	box := n.Par.NewMailbox(dstShard, n.Cfg.LinkDelay)
+	box := n.Par.NewMailbox(n.Part.SwitchShard[from], n.Part.SwitchShard[to], n.Cfg.LinkDelay)
 	return device.NewLinkVia(src, n.Cfg.LinkDelay, dst, box)
 }
 
@@ -363,8 +364,8 @@ func (n *Network) build(baseSeed int64) {
 	for li := range g.Links {
 		lk := &g.Links[li]
 		lo, hi := n.switches[lk.Lo], n.switches[lk.Hi]
-		lo.ConnectPort(lk.LoPort, n.tierLink(n.swSim[lk.Lo], hi, n.Part.SwitchShard[lk.Hi]))
-		hi.ConnectPort(lk.HiPort, n.tierLink(n.swSim[lk.Hi], lo, n.Part.SwitchShard[lk.Lo]))
+		lo.ConnectPort(lk.LoPort, n.tierLink(lk.Lo, lk.Hi))
+		hi.ConnectPort(lk.HiPort, n.tierLink(lk.Hi, lk.Lo))
 		n.linkUp[li] = true
 		n.linkRates[li] = [2]units.Rate{lo.Port(lk.LoPort).Rate(), hi.Port(lk.HiPort).Rate()}
 	}
