@@ -130,6 +130,7 @@ func Measure(cfg Config) Result {
 		NumPorts:      numPorts,
 		QueuesPerPort: prios,
 		PortRate:      cfg.PortRate,
+		MSS:           cfg.PacketPayload,
 		MMU: device.MMUConfig{
 			BufferSize:       cfg.Buffer,
 			Headroom:         cfg.Headroom,

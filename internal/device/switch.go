@@ -103,6 +103,11 @@ type SwitchConfig struct {
 	// beyond the slice fall back to PortRate, which must still be set.
 	PortRates []units.Rate
 
+	// MSS is the payload of a full segment, the size the ports'
+	// serialization ends are lined up for (see Serializer); zero
+	// selects 1440, the hosts' default.
+	MSS units.ByteCount
+
 	MMU MMUConfig
 
 	// NewScheduler creates the per-port scheduler; nil selects round
@@ -161,6 +166,9 @@ func NewSwitch(s *sim.Simulator, cfg SwitchConfig) *Switch {
 	}
 	if cfg.PortRate <= 0 {
 		panic("device: switch port rate must be positive")
+	}
+	if cfg.MSS <= 0 {
+		cfg.MSS = 1440
 	}
 	sw := &Switch{sim: s, id: cfg.ID, prios: cfg.QueuesPerPort, cfg: cfg}
 	sw.ports = make([]Port, cfg.NumPorts)
@@ -287,8 +295,8 @@ func (sw *Switch) AddCounts(t *obs.Tally) {
 type Port struct {
 	sw     *Switch
 	idx    int
-	tx     units.TxClock // port bandwidth with its cached per-byte time
-	queues []Queue       // view into sw.queues
+	tx     Serializer // port bandwidth and its serialization lines
+	queues []Queue    // view into sw.queues
 	sched  Scheduler
 	link   *Link
 
@@ -308,7 +316,7 @@ type Port struct {
 
 // init sets up port idx of sw in place (ports live in sw.ports).
 func (p *Port) init(sw *Switch, idx int, rate units.Rate, newSched func() Scheduler) {
-	*p = Port{sw: sw, idx: idx, tx: units.NewTxClock(rate)}
+	*p = Port{sw: sw, idx: idx, tx: NewSerializer(sw.sim, rate, sw.cfg.MSS)}
 	p.queues = sw.queues[idx*sw.prios : (idx+1)*sw.prios : (idx+1)*sw.prios]
 	for i := range p.queues {
 		p.queues[i] = Queue{Port: idx, Prio: i}
@@ -335,7 +343,7 @@ func (p *Port) SetRate(r units.Rate) {
 	if r <= 0 {
 		panic("device: port rate must be positive")
 	}
-	p.tx = units.NewTxClock(r)
+	p.tx.SetRate(r)
 }
 
 // Backlog returns the total bytes queued at this port.
@@ -409,7 +417,7 @@ func (p *Port) emitDequeue(pkt *packet.Packet, q *Queue, enqAt units.Time, verdi
 func (p *Port) transmit(pkt *packet.Packet, q *Queue) {
 	p.busy = true
 	p.txPkt, p.txQ = pkt, q
-	p.sw.sim.AfterArg(p.tx.TxTime(pkt.Size()), portTxDone, p)
+	p.tx.Start(pkt, portTxDone, p)
 }
 
 // portTxDone is the transmit-completion event of every port: a

@@ -26,11 +26,12 @@
 // A delay line (Line, PushLine) bypasses all three: it is a ring of
 // {time, seq, fn, arg} entries for one fixed delay d, appended at the
 // tail and popped at the head, never in the arena. A link's deliveries
-// are its use: every push is at now+d with now nondecreasing and seq
-// increasing, so the ring is sorted by (time, seq) by construction. A
-// push that would land behind the tail (the caller's clock went
-// backwards) takes the calendar instead, under the same seq. Line
-// events return no handle and cannot be canceled; they count in Len.
+// and full-size or header-only serialization ends are its uses: every
+// push is at now+d with now nondecreasing and seq increasing, so the
+// ring is sorted by (time, seq) by construction. A push that would
+// land behind the tail (the caller's clock went backwards) takes the
+// calendar instead, under the same seq. Line events return no handle
+// and cannot be canceled; they count in Len.
 // Line(d) shares one line among every caller with delay d; NewLine
 // makes a private line of delay zero for a caller that pushes at
 // explicit times, such as the parallel engine's barrier crossings
@@ -56,15 +57,17 @@
 //
 // The constants are fixed from the traffic this repository simulates:
 // serialization takes 51 ns-1.2 us at 10 G and timers are >= 80 us
-// out, so with 1024 ps buckets and a 33.5 us horizon per-packet
-// serialization events take the wheel and only timers reach far. Link
-// deliveries take their line whatever the delay, so the horizon does
-// not bound them; neither does it bound the parallel engine's
-// window-barrier crossings, which ride each shard's private line. The
-// wheel stays 2^15 buckets wide, above the 10 us link delay the
-// fabrics mostly use, so that a delivery that falls behind its line's
-// tail (a barrier crossing over the shorter of two link delays) still
-// takes the wheel rather than far. Stats makes the split visible.
+// out, so with 1024 ps buckets and a 33.5 us horizon the serialization
+// ends that take the calendar (a flow's last partial segment; full
+// segments and header-only packets ride their rate's line) land in the
+// wheel and only timers reach far. Link deliveries take their line
+// whatever the delay, so the horizon does not bound them; neither does
+// it bound the parallel engine's window-barrier crossings, which ride
+// each shard's private line. The wheel stays 2^15 buckets wide, above
+// the 10 us link delay the fabrics mostly use, so that a delivery that
+// falls behind its line's tail (a barrier crossing over the shorter of
+// two link delays) still takes the wheel rather than far. Stats makes
+// the split visible.
 //
 // # One call per event
 //

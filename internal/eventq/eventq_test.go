@@ -260,11 +260,17 @@ func BenchmarkEventQueue(b *testing.B) {
 }
 
 // The calendar hold model at longflows-packet's mix: every packet-hop
-// is one serialization end 51 ns-1.2 us ahead (64-1500 B at 10 G,
-// wheel) and one delivery a 10 us link ahead (delay line); 1 push in
-// 303 (0.33 %, as engine/calendar_far reports) is a ticker-like event
-// beyond the horizon (far). The depth is the deliveries in flight:
-// 8.9 M over 25 ms is ~356 per us, ~3,600 per link delay.
+// is one serialization end and one delivery a 10 us link ahead (delay
+// line); 1 push in 303 (0.33 %, as engine/calendar_far reports) is a
+// ticker-like event beyond the horizon (far). The depth is the
+// deliveries in flight: 8.9 M over 25 ms is ~356 per us, ~3,600 per
+// link delay. The serialization end comes in two mixes:
+//
+//   - wheel: 51 ns-1.2 us ahead (64-1500 B at 10 G) on the calendar,
+//     as every serialization end was before they took lines;
+//   - lines: alternately on a full segment's line (1.2 us) and a
+//     header-only packet's (48 ns), as data and ACKs alternate; the
+//     workload's last partial segments (64 of 8.9 M hops) are left out.
 const (
 	holdDepth     = 3600
 	holdLinkDelay = 10 * units.Microsecond
@@ -273,11 +279,13 @@ const (
 )
 
 type hold struct {
-	q    Queue
-	line LineID
-	now  units.Time
-	i    int
-	ser  [1024]units.Time
+	q     Queue
+	line  LineID
+	tx    [2]LineID // serialization lines; lines mix only
+	lines bool
+	now   units.Time
+	i     int
+	ser   [1024]units.Time
 }
 
 func holdNop(any) {}
@@ -287,10 +295,12 @@ func (h *hold) push() {
 	switch {
 	case h.i%holdFarEvery == 0:
 		h.q.PushArg(h.now+holdFarDelay, holdNop, nil)
-	case h.i&1 == 0:
-		h.q.PushArg(h.now+h.ser[h.i&1023], holdNop, nil)
-	default:
+	case h.i&1 != 0:
 		h.q.PushLine(h.line, h.now, holdNop, nil)
+	case h.lines:
+		h.q.PushLine(h.tx[h.i>>1&1], h.now, holdNop, nil)
+	default:
+		h.q.PushArg(h.now+h.ser[h.i&1023], holdNop, nil)
 	}
 }
 
@@ -304,30 +314,40 @@ func (h *hold) step() {
 // BenchmarkCalendarHold reports ns per push+pop in the hold model
 // above: the calendar's floor for the packet path. The headroom ratio
 // ns_per_pkt_hop ÷ (events per packet-hop × this figure) says how far
-// a workload's per-hop cost is from what the calendar alone needs.
+// a workload's per-hop cost is from what the calendar alone needs;
+// tx=lines is the mix the packet path runs today.
 func BenchmarkCalendarHold(b *testing.B) {
-	h := new(hold)
-	h.line = h.q.Line(holdLinkDelay)
-	rng := rand.New(rand.NewSource(42))
-	for i := range h.ser {
-		h.ser[i] = 51*units.Nanosecond + units.Time(rng.Int63n(int64(1150*units.Nanosecond)))
-	}
-	for i := 0; i < holdDepth; i++ {
-		h.push()
-	}
-	// Warm up past the first full cycle so the mix of residents and
-	// the ring, arena and heaps have reached their steady sizes.
-	for i := 0; i < 50*holdDepth; i++ {
-		h.step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.step()
-	}
-	b.StopTimer()
-	if h.q.Len() != holdDepth {
-		b.Fatalf("hold depth drifted to %d", h.q.Len())
+	for _, lines := range []bool{false, true} {
+		name := "tx=wheel"
+		if lines {
+			name = "tx=lines"
+		}
+		b.Run(name, func(b *testing.B) {
+			h := &hold{lines: lines}
+			h.line = h.q.Line(holdLinkDelay)
+			h.tx = [2]LineID{h.q.Line(1200 * units.Nanosecond), h.q.Line(48 * units.Nanosecond)}
+			rng := rand.New(rand.NewSource(42))
+			for i := range h.ser {
+				h.ser[i] = 51*units.Nanosecond + units.Time(rng.Int63n(int64(1150*units.Nanosecond)))
+			}
+			for i := 0; i < holdDepth; i++ {
+				h.push()
+			}
+			// Warm up past the first full cycle so the mix of residents and
+			// the rings, arena and heaps have reached their steady sizes.
+			for i := 0; i < 50*holdDepth; i++ {
+				h.step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.step()
+			}
+			b.StopTimer()
+			if h.q.Len() != holdDepth {
+				b.Fatalf("hold depth drifted to %d", h.q.Len())
+			}
+		})
 	}
 }
 
@@ -352,7 +372,8 @@ func TestWarmQueueZeroAlloc(t *testing.T) {
 	type state struct {
 		q     Queue
 		line  LineID
-		cross LineID // private, for PushLineBatch
+		tx    [2]LineID // serialization lines: full segment, header only
+		cross LineID    // private, for PushLineBatch
 		now   units.Time
 		i     int
 	}
@@ -382,6 +403,14 @@ func TestWarmQueueZeroAlloc(t *testing.T) {
 			s.q.PushLine(s.line, s.now, nop, nil)
 			pop(s)
 		}},
+		// A packet-hop on the port path: the serialization end on one of
+		// two lines, then the delivery on the link's line.
+		{"PushLine, two per hop", func(s *state) {
+			s.q.PushLine(s.tx[s.i&1], s.now, nop, nil)
+			s.q.PushLine(s.line, s.now, nop, nil)
+			pop(s)
+			pop(s)
+		}},
 		{"PushLineBatch", func(s *state) {
 			for j := range batch {
 				batch[j] = Item{Time: s.now + 10*units.Microsecond + units.Time(j), Fn: nop}
@@ -396,6 +425,7 @@ func TestWarmQueueZeroAlloc(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := new(state)
 			s.line = s.q.Line(10 * units.Microsecond)
+			s.tx = [2]LineID{s.q.Line(1200 * units.Nanosecond), s.q.Line(48 * units.Nanosecond)}
 			s.cross = s.q.NewLine()
 			for s.i = 0; s.i < depth; s.i++ {
 				s.q.PushArg(gaps[s.i&1023], nop, nil)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -167,56 +168,54 @@ func TestPacketConservation(t *testing.T) {
 
 // TestEngineCalendarCounters checks the engine's self-observation: with
 // counters on, a run reports where its calendar pushes went, serial or
-// sharded. Every packet-hop is two events: the sender's serialization
-// end, which takes the wheel (or near), and the link delivery, which
-// takes the delay line on a serial run whatever the link delay — so a
-// 40 us link, beyond the wheel's horizon, leaves far at timer level.
-// On a sharded run the mailbox-routed tier links' deliveries ride each
-// destination shard's crossing line from the window barrier on, so
-// there too every delivery is one line push.
+// sharded. Every packet-hop is two events, and both normally ride a
+// delay line. The link delivery takes its line whatever the link delay
+// (so a 40 us link, beyond the wheel's horizon, leaves far at timer
+// level); on a sharded run the mailbox-routed tier links' deliveries
+// ride each destination shard's crossing line from the window barrier
+// on. The sender's serialization end takes its rate's line for a full
+// segment or a header-only packet and the calendar for any other size:
+// a flow's last partial segment, each time it crosses a link.
 func TestEngineCalendarCounters(t *testing.T) {
-	run := func(shards int, linkDelay units.Time) (c map[string]int64, hops int64) {
+	run := func(shards int, linkDelay units.Time) {
+		name := fmt.Sprintf("shards=%d delay=%v", shards, linkDelay)
 		sc := obsCell(t, shards, obs.Options{Counters: true})
 		sc.Fabric.LinkDelay = scenario.Duration(linkDelay)
 		res, _, err := scenario.Run(sc)
 		if err != nil {
-			t.Fatalf("shards=%d delay=%v: %v", shards, linkDelay, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		c = res.Counters
+		c := res.Counters
 		if c["engine/calendar_drained"] == 0 {
-			t.Errorf("shards=%d delay=%v: no wheel bucket drained", shards, linkDelay)
+			t.Errorf("%s: no wheel bucket drained", name)
 		}
 		// Every packet crosses one link per NIC send and one per switch
 		// transmission (admitted minus discarded at dequeue).
-		hops = c["model/data_pkts_sent"] + c["model/ack_pkts_sent"] +
+		hops := c["model/data_pkts_sent"] + c["model/ack_pkts_sent"] +
 			c["model/admitted_pkts"] - c["model/drops_dequeue"]
-		return c, hops
-	}
-	for _, delay := range []units.Time{10 * units.Microsecond, 40 * units.Microsecond} {
-		c, hops := run(0, delay)
 		line, wheel, near, far := c["engine/calendar_line"], c["engine/calendar_wheel"], c["engine/calendar_near"], c["engine/calendar_far"]
-		if line != hops {
-			t.Errorf("serial %v: calendar_line=%d, want one per link delivery (%d)", delay, line, hops)
+		if line < hops || line > 2*hops {
+			t.Errorf("%s: calendar_line=%d, want between one and two per packet-hop (%d)", name, line, hops)
 		}
-		if w := wheel + near; w < hops || w > hops+hops/4 {
-			t.Errorf("serial %v: wheel+near=%d, want about one push per packet-hop (%d)", delay, w, hops)
+		if line+wheel+near < 2*hops {
+			t.Errorf("%s: line+wheel+near=%d, want at least two pushes per packet-hop (%d)", name, line+wheel+near, hops)
+		}
+		// The serialization ends off the lines are the partial segments:
+		// 150-160 of ~78,000 hops at the time of writing.
+		if off := 2*hops - line; off <= 0 || off > hops/256 {
+			t.Errorf("%s: %d of %d serialization ends missed their line, want a few partial segments (at most %d)", name, off, hops, hops/256)
 		}
 		if far >= hops {
-			t.Errorf("serial %v: calendar_far=%d for %d packet-hops, want timers only", delay, far, hops)
+			t.Errorf("%s: calendar_far=%d for %d packet-hops, want timers only", name, far, hops)
 		}
-		if delay == 10*units.Microsecond && c["engine/timer_stale_wakes"] == 0 {
-			t.Errorf("serial: no engine/timer_stale_wakes in %v", c)
+		if linkDelay == 10*units.Microsecond && c["engine/timer_stale_wakes"] == 0 {
+			t.Errorf("%s: no engine/timer_stale_wakes in %v", name, c)
+		}
+		if shards > 0 && c["engine/mailbox_events"] == 0 {
+			t.Errorf("%s: no tier crossing went through a mailbox", name)
 		}
 	}
-	c, hops := run(2, 10*units.Microsecond)
-	line, boxed := c["engine/calendar_line"], c["engine/mailbox_events"]
-	if line != hops || boxed == 0 {
-		t.Errorf("shards=2: calendar_line=%d (mailbox_events=%d), want one per link delivery (%d), tier crossings included", line, boxed, hops)
-	}
-	if w := c["engine/calendar_wheel"] + c["engine/calendar_near"]; w < hops {
-		t.Errorf("shards=2: wheel+near=%d, want at least one push per packet-hop (%d)", w, hops)
-	}
-	if c["engine/timer_stale_wakes"] == 0 {
-		t.Errorf("shards=2: no engine/timer_stale_wakes in %v", c)
-	}
+	run(0, 10*units.Microsecond)
+	run(0, 40*units.Microsecond)
+	run(2, 10*units.Microsecond)
 }

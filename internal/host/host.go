@@ -46,7 +46,7 @@ type Host struct {
 
 	// txPkt is the packet currently serializing onto the wire.
 	txPkt *packet.Packet
-	tx    units.TxClock // cfg.Rate with its cached per-byte time
+	tx    device.Serializer // cfg.Rate and its serialization lines
 
 	senders   flowTable[transport.Sender]
 	receivers flowTable[transport.Receiver]
@@ -72,7 +72,7 @@ func New(s *sim.Simulator, cfg Config) *Host {
 	if cfg.UnscheduledBytes <= 0 {
 		cfg.UnscheduledBytes = cfg.Rate.BytesOver(cfg.BaseRTT)
 	}
-	h := &Host{sim: s, cfg: cfg, tx: units.NewTxClock(cfg.Rate)}
+	h := &Host{sim: s, cfg: cfg, tx: device.NewSerializer(s, cfg.Rate, cfg.MSS)}
 	cfg.Obs.AddSource(h)
 	return h
 }
@@ -149,7 +149,7 @@ func (h *Host) maybeTransmit() {
 	}
 	h.busy = true
 	h.txPkt = pkt
-	h.sim.AfterArg(h.tx.TxTime(pkt.Size()), hostTxDone, h)
+	h.tx.Start(pkt, hostTxDone, h)
 }
 
 // hostTxDone is every NIC's transmit-completion event: a package-level

@@ -55,7 +55,7 @@ const (
 	CtrCalendarNear    // pushes into the current-bucket heap
 	CtrCalendarWheel   // pushes into the wheel (the O(1) path)
 	CtrCalendarFar     // pushes beyond the wheel's horizon; ~all means serialization or timer delays exceed it
-	CtrCalendarLine    // pushes appended to a delay line (link deliveries)
+	CtrCalendarLine    // pushes appended to a delay line (link deliveries, full-size and header-only serialization ends)
 	CtrCalendarDrained // wheel buckets poured into the near heap
 	CtrTimerStaleWakes // sim.Timer wake-ups that fired before their deadline and rescheduled
 

@@ -96,7 +96,8 @@ func (s *Simulator) AfterArg(d units.Time, fn func(any), arg any) Event {
 
 // DelayLine names one of the simulator's delay lines: a FIFO for events
 // always scheduled the same fixed delay ahead, such as a link's
-// deliveries (see eventq.Queue.Line).
+// deliveries or a port's full-segment serialization ends (see
+// eventq.Queue.Line).
 type DelayLine = eventq.LineID
 
 // DelayLine returns the simulator's line for delay d, creating it on

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"abm/internal/units"
@@ -26,15 +27,16 @@ func (e *eagerTimer) Arm(d units.Time) {
 
 func (e *eagerTimer) Stop() { e.ev.Cancel() }
 
-// runTimerScript drives three timers with a seeded random script of
-// background events that arm (later, earlier, at the same deadline
-// again, zero delay), stop, and schedule further background events —
-// some exactly at a timer's deadline, so fires tie with ordinary
-// events. It returns the log of every background event and every fire
-// as (time, tie-break seq), which is the calendar order itself.
-func runTimerScript(seed int64, lazy bool) ([]string, *Simulator) {
-	s := New(seed)
-	rng := rand.New(rand.NewSource(seed))
+// runTimerScript drives three timers with a script of background
+// events that arm (later, earlier, at the same deadline again, zero
+// delay), stop, and schedule further background events — some exactly
+// at a timer's deadline, so fires tie with ordinary events — and
+// advance the clock by their spacing. Every choice is intn's: a seeded
+// random source, or a fuzzer's bytes. It returns the log of every
+// background event and every fire as (time, tie-break seq), which is
+// the calendar order itself.
+func runTimerScript(intn func(int) int, lazy bool) ([]string, *Simulator) {
+	s := New(1)
 	var log []string
 
 	const numTimers = 3
@@ -53,8 +55,8 @@ func runTimerScript(seed int64, lazy bool) ([]string, *Simulator) {
 		var seqOf func() uint64
 		fire := func() {
 			log = append(log, fmt.Sprintf("fire %d t=%d seq=%d", i, s.Now(), seqOf()))
-			if rng.Intn(2) == 0 { // like onRTO: the expiry re-arms, backed off
-				arm(i, units.Time(1+rng.Intn(40))*units.Microsecond)
+			if intn(2) == 1 { // like onRTO: the expiry re-arms, backed off (a zero choice ends the chain)
+				arm(i, units.Time(1+intn(40))*units.Microsecond)
 			}
 		}
 		if lazy {
@@ -77,15 +79,15 @@ func runTimerScript(seed int64, lazy bool) ([]string, *Simulator) {
 	}
 	bg = func() {
 		now := s.Now()
-		i := rng.Intn(numTimers)
+		i := intn(numTimers)
 		log = append(log, fmt.Sprintf("bg t=%d", now))
-		switch rng.Intn(8) {
+		switch intn(8) {
 		case 0, 1: // push the deadline back, as every packet and ACK does
-			arm(i, 10*units.Millisecond+units.Time(rng.Intn(1000)))
+			arm(i, 10*units.Millisecond+units.Time(intn(1000)))
 		case 2: // shrink: the RTT estimate dropped or a back-off was reset
-			arm(i, units.Time(1+rng.Intn(20))*units.Microsecond)
+			arm(i, units.Time(1+intn(20))*units.Microsecond)
 		case 3: // same-time tie with whatever else fires now
-			arm(i, units.Time(rng.Intn(3)))
+			arm(i, units.Time(intn(3)))
 		case 4: // the same deadline again: equal time, later seq
 			if d := deadline[i] - now; d >= 0 {
 				arm(i, d)
@@ -97,53 +99,98 @@ func runTimerScript(seed int64, lazy bool) ([]string, *Simulator) {
 				spawn(deadline[i])
 			}
 		}
-		spawn(now + units.Time(rng.Intn(30))*units.Microsecond)
-		if rng.Intn(4) == 0 {
-			spawn(now + 10*units.Millisecond + units.Time(rng.Intn(2000)))
+		spawn(now + units.Time(intn(30))*units.Microsecond)
+		if intn(4) == 0 {
+			spawn(now + 10*units.Millisecond + units.Time(intn(2000)))
 		}
 	}
 	for k := 0; k < 8; k++ {
-		spawn(units.Time(rng.Intn(50)) * units.Microsecond)
+		spawn(units.Time(intn(50)) * units.Microsecond)
 	}
 	s.Run()
 	return log, s
 }
 
+// compareTimerScript runs the script on two simulators, one with Timer
+// and one with the eager cancel-and-push reference, each with its own
+// choice source from newIntn. The two must produce the same sequence
+// of fires and background events, (time, seq) for (time, seq). The
+// only difference allowed is the count of executed events: Timer's
+// early wake-ups are extra no-ops.
+func compareTimerScript(t *testing.T, name string, newIntn func() func(int) int) (stale, fires uint64) {
+	t.Helper()
+	want, eager := runTimerScript(newIntn(), false)
+	got, lazy := runTimerScript(newIntn(), true)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d log entries, reference has %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s entry %d: got %q, reference %q", name, i, got[i], want[i])
+		}
+		if strings.HasPrefix(want[i], "fire") {
+			fires++
+		}
+	}
+	stale = lazy.staleWakes
+	if lazy.Executed() != eager.Executed()+stale {
+		t.Fatalf("%s: executed %d, want reference %d + %d stale wakes",
+			name, lazy.Executed(), eager.Executed(), stale)
+	}
+	if eager.staleWakes != 0 {
+		t.Fatalf("%s: reference run counted stale wakes", name)
+	}
+	return stale, fires
+}
+
 // TestTimerMatchesEagerReference is the timer's ordering proof by
-// search: on two simulators, one with Timer and one with the eager
-// cancel-and-push reference, the same script must produce the same
-// sequence of fires and background events, (time, seq) for (time,
-// seq). The only difference allowed is the count of executed events:
-// Timer's early wake-ups are extra no-ops.
+// search over seeded scripts (FuzzTimer searches further).
 func TestTimerMatchesEagerReference(t *testing.T) {
 	var stale, fires uint64
 	for seed := int64(1); seed <= 100; seed++ {
-		want, eager := runTimerScript(seed, false)
-		got, lazy := runTimerScript(seed, true)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d log entries, reference has %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d entry %d: got %q, reference %q", seed, i, got[i], want[i])
-			}
-			if len(want[i]) > 4 && want[i][:4] == "fire" {
-				fires++
-			}
-		}
-		st := lazy.staleWakes
-		if lazy.Executed() != eager.Executed()+st {
-			t.Fatalf("seed %d: executed %d, want reference %d + %d stale wakes",
-				seed, lazy.Executed(), eager.Executed(), st)
-		}
-		if eager.staleWakes != 0 {
-			t.Fatalf("seed %d: reference run counted stale wakes", seed)
-		}
+		st, f := compareTimerScript(t, fmt.Sprintf("seed %d", seed), func() func(int) int {
+			return rand.New(rand.NewSource(seed)).Intn
+		})
 		stale += st
+		fires += f
 	}
 	if stale == 0 || fires == 0 {
 		t.Fatalf("script exercised %d stale wakes and %d fires; both must occur", stale, fires)
 	}
+}
+
+// FuzzTimer is the fuzz face of the same proof: the fuzzer's bytes make
+// every choice of the script — which timer, arm later or earlier or at
+// a tie, stop, how far apart the background events fall — and an
+// exhausted input chooses 0. Run with
+// `go test -fuzz=FuzzTimer ./internal/sim`.
+func FuzzTimer(f *testing.F) {
+	f.Add([]byte{})
+	// Arm late, then shrink below the queued wake (an early re-push).
+	f.Add([]byte{0, 0, 0, 3, 0, 0, 0, 1, 2, 0, 1, 0})
+	// Stops and same-deadline re-arms tied with background events.
+	f.Add([]byte{1, 4, 1, 4, 1, 5, 0, 1, 6, 2, 2, 6, 7, 3, 0})
+	f.Add([]byte{2, 2, 9, 0, 1, 3, 1, 2, 6, 1, 4, 3, 9, 2, 5, 2, 6, 1})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 4096 {
+			script = script[:4096]
+		}
+		compareTimerScript(t, "script", func() func(int) int {
+			i := 0
+			return func(n int) int {
+				v := 0
+				for m := 1; m < n; m <<= 8 {
+					b := 0
+					if i < len(script) {
+						b = int(script[i])
+						i++
+					}
+					v = v<<8 | b
+				}
+				return v % n
+			}
+		})
+	})
 }
 
 // TestTimerQueuesOneWake pins the point of the design: re-arming a

@@ -341,6 +341,7 @@ func (n *Network) build(baseSeed int64) {
 			QueuesPerPort: cfg.QueuesPerPort,
 			PortRate:      cfg.LinkRate,
 			PortRates:     portRates,
+			MSS:           cfg.MSS,
 			MMU:           mmuFor(),
 			NewScheduler:  cfg.NewScheduler,
 			EnableINT:     cfg.EnableINT,
