@@ -9,12 +9,12 @@ import (
 	"abm/internal/units"
 )
 
-// calendarPushes returns s's delay-line pushes and its calendar pushes
-// (near, wheel and far) so far.
+// calendarPushes returns s's delay-line pushes and its heap pushes so
+// far.
 func calendarPushes(s *sim.Simulator) (line, cal int64) {
 	var tl obs.Tally
 	s.AddCounts(&tl)
-	return tl[obs.CtrCalendarLine], tl[obs.CtrCalendarNear] + tl[obs.CtrCalendarWheel] + tl[obs.CtrCalendarFar]
+	return tl[obs.CtrCalendarLine], tl[obs.CtrCalendarHeap]
 }
 
 // TestSerializerLines pins the routing of serialization ends: a full

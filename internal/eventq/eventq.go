@@ -1,6 +1,6 @@
 // Package eventq implements the priority queue that drives the
-// discrete-event simulator: a bucketed calendar ordered by firing time
-// with insertion order as tie-break, so simultaneous events execute
+// discrete-event simulator: one heap ordered by firing time with
+// insertion order as tie-break, so simultaneous events execute
 // deterministically in the order they were scheduled, plus FIFO delay
 // lines for events that are always scheduled a fixed delay ahead.
 //
@@ -8,30 +8,20 @@
 //
 // Events live in an index-based arena ([]node) addressed by int32
 // slots, so scheduling performs no per-event heap allocation and no
-// interface conversions. Time is cut into buckets of 2^bucketShift ps
-// and cur names the bucket being executed. Three structures hold the
-// slots, chosen at push time by the event's bucket b:
+// interface conversions. One 4-ary min-heap of (time, seq, slot)
+// entries holds every event that no line carries: timers, tickers,
+// planned flow arrivals and the serialization ends of a flow's last
+// partial segment: under one percent of a packet-heavy run's events.
 //
-//   - near (b <= cur): a small 4-ary min-heap of the events of the
-//     current bucket, plus any later push that lands at or behind it.
-//   - wheel (cur < b < cur+wheelSize): one unsorted intrusive list per
-//     bucket, indexed by b&wheelMask, with a bitmap of non-empty
-//     buckets. Push is O(1); when near runs dry, a bitmap scan finds
-//     the next non-empty bucket, cur moves to it and its list is poured
-//     into near (canceled nodes are dropped there).
-//   - far (b >= cur+wheelSize): a 4-ary min-heap for everything beyond
-//     the wheel's horizon — retransmission timers, tickers, pre-planned
-//     flow arrivals. Its residents stay until they are popped.
-//
-// A delay line (Line, PushLine) bypasses all three: it is a ring of
+// A delay line (Line, PushLine) bypasses the heap: it is a ring of
 // {time, seq, fn, arg} entries for one fixed delay d, appended at the
 // tail and popped at the head, never in the arena. A link's deliveries
 // and full-size or header-only serialization ends are its uses: every
 // push is at now+d with now nondecreasing and seq increasing, so the
 // ring is sorted by (time, seq) by construction. A push that would
 // land behind the tail (the caller's clock went backwards) takes the
-// calendar instead, under the same seq. Line events return no handle
-// and cannot be canceled; they count in Len.
+// heap instead, under the same seq. Line events return no handle and
+// cannot be canceled; they count in Len.
 // Line(d) shares one line among every caller with delay d; NewLine
 // makes a private line of delay zero for a caller that pushes at
 // explicit times, such as the parallel engine's barrier crossings
@@ -39,48 +29,23 @@
 //
 // # Ordering
 //
-// Invariant: near holds every queued calendar event whose bucket is
-// <= cur, except far residents; wheel slot b&wheelMask holds only
-// absolute bucket b with cur < b < cur+wheelSize; far holds events that
-// were at least wheelSize buckets ahead when pushed; every line is
-// sorted by (time, seq). Every wheel resident is therefore later than
-// every near resident, so whenever near is non-empty the global minimum
-// under (time, seq) is the smallest of the near root, the far root and
-// the line heads; when near is empty, cur advances to the next
-// non-empty wheel bucket first (even when a line head is earlier). cur
-// only moves forward: to the next non-empty bucket, or — when near and
-// wheel are both empty — to the bucket of the far or line event being
-// popped. A bounded pop or a peek may advance cur past the caller's
-// clock; that is harmless, since a later push at or behind cur simply
-// goes to near. The pop sequence is exactly the sequence a single flat
-// heap would produce; which structure held an event is invisible.
-//
-// The constants are fixed from the traffic this repository simulates:
-// serialization takes 51 ns-1.2 us at 10 G and timers are >= 80 us
-// out, so with 1024 ps buckets and a 33.5 us horizon the serialization
-// ends that take the calendar (a flow's last partial segment; full
-// segments and header-only packets ride their rate's line) land in the
-// wheel and only timers reach far. Link deliveries take their line
-// whatever the delay, so the horizon does not bound them; neither does
-// it bound the parallel engine's window-barrier crossings, which ride
-// each shard's private line. The wheel stays 2^15 buckets wide, above
-// the 10 us link delay the fabrics mostly use, so that a delivery that
-// falls behind its line's tail (a barrier crossing over the shorter of
-// two link delays) still takes the wheel rather than far. Stats makes
-// the split visible.
+// The heap and every line are sorted by (time, seq), so the global
+// minimum is the smallest of the heap root and the line heads. The pop
+// sequence is exactly the sequence a single flat heap would produce;
+// which structure held an event is invisible. Stats makes the split
+// visible.
 //
 // # One call per event
 //
-// Every calendar push runs one body, pushAt, which also checks the
+// Every heap push runs one body, pushAt, which also checks the
 // caller's clock; Push, PushArg, PushAt, PushAfter and PushSeqArg are
 // one-line wrappers within the inliner's budget, so a simulator's
 // scheduling call compiles to a single call into the package. Every
 // pop runs one body, next: Pop, PopLE, PopLT and PeekTime are one-line
-// wrappers around it. next selects and removes in one pass — pour,
-// root comparison, line scan, removal and the cur jump — and calls
+// wrappers around it. next selects and removes in one pass and calls
 // nothing except a heap sift, which a one-entry heap skips. The rare
-// paths (discarding canceled roots, allocating the wheel, growing a
-// line's ring) sit outside the hot bodies.
+// paths (discarding canceled heap roots, growing a line's ring) sit
+// outside the hot bodies.
 //
 // Fired and discarded slots go onto a LIFO free list and are reused by
 // later pushes; reuse is safe because every slot carries a generation
@@ -90,9 +55,8 @@
 // # Cancel semantics
 //
 // Cancel is O(1): it only marks the node, and canceled nodes are
-// discarded lazily — at a heap root, or when their wheel bucket is
-// poured into near. The generation check makes every handle operation
-// safe and precise:
+// discarded lazily, when they reach the heap root. The generation
+// check makes every handle operation safe and precise:
 //
 //   - Cancel on a fired, discarded, or already-canceled event is a
 //     no-op, even if the arena slot has since been reused by a new
@@ -100,7 +64,7 @@
 //   - Scheduled reports false as soon as the event is popped, before
 //     its callback runs.
 //   - Canceled reports true only while the canceled node still
-//     occupies the calendar; once it is lazily discarded the handle is
+//     occupies the heap; once it is lazily discarded the handle is
 //     stale and Canceled reports false. Use it directly after Cancel.
 //
 // The zero Event handle is valid and inert: Cancel is a no-op and
@@ -110,19 +74,11 @@ package eventq
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"abm/internal/units"
 )
 
-const (
-	bucketShift = 10             // bucket width: 1024 ps
-	wheelSize   = 1 << 15        // buckets; horizon = 2^25 ps ~ 33.5 us
-	wheelMask   = wheelSize - 1  // bucket -> wheel index
-	wheelWords  = wheelSize / 64 // bitmap words
-)
-
-// node is one arena slot: the event payload plus calendar bookkeeping.
+// node is one arena slot: the event payload plus its handle state.
 type node struct {
 	time units.Time
 	seq  uint64    // push counter (or reserved value): FIFO tie-break
@@ -130,7 +86,6 @@ type node struct {
 	arg  any
 
 	gen      uint32 // bumped on release; validates handles
-	next     int32  // next slot in the wheel bucket's list; -1 ends it
 	canceled bool
 }
 
@@ -164,14 +119,14 @@ func (e Event) Cancel() {
 }
 
 // Canceled reports whether the event is canceled and still occupies
-// the calendar (see the package comment for the post-discard caveat).
+// the heap (see the package comment for the post-discard caveat).
 func (e Event) Canceled() bool {
 	nd := e.live()
 	return nd != nil && nd.canceled
 }
 
 // Scheduled reports whether the event is still pending: in the
-// calendar, not canceled, and not yet popped for execution.
+// queue, not canceled, and not yet popped for execution.
 func (e Event) Scheduled() bool {
 	nd := e.live()
 	return nd != nil && !nd.canceled
@@ -291,33 +246,23 @@ func (ln *line) grow() {
 // LineID names one of a queue's delay lines (see Line).
 type LineID int32
 
-// Stats counts calendar traffic since the queue was created: which
-// structure each push went to, and how many wheel buckets were poured
-// into near. Far close to the calendar's total (Line aside) means the
-// workload's calendar delays exceed the wheel's horizon and the queue
-// is running at flat-heap cost.
+// Stats counts the queue's pushes since it was created, by the
+// structure each went to.
 type Stats struct {
-	Near, Wheel, Far uint64 // pushes by destination structure
-	Line             uint64 // pushes appended to a delay line
-	Drained          uint64 // wheel buckets poured into near
+	Heap uint64 // pushes into the heap
+	Line uint64 // pushes appended to a delay line
 }
 
-// Queue is a time-ordered event queue. The zero value is ready to use;
-// the wheel (~132 KB) is allocated by the first push that needs it.
+// Queue is a time-ordered event queue. The zero value is ready to use.
 type Queue struct {
 	nodes []node  // arena; handles index into it
 	free  []int32 // LIFO free slots (deterministic reuse order)
 	seq   uint64
 	live  int // queued events, including undiscarded canceled ones
 
-	cur    int64               // current absolute bucket
-	near   heap4               // events with bucket <= cur
-	far    heap4               // events pushed >= wheelSize buckets ahead
-	heads  *[wheelSize]int32   // wheel: list head per bucket, valid where bitmap is set
-	bitmap *[wheelWords]uint64 // wheel: non-empty buckets
-	wheelN int                 // non-empty wheel buckets
-	lines  []line              // delay lines, indexed by LineID
-	stats  Stats
+	heap  heap4  // every queued event that is not on a line
+	lines []line // delay lines, indexed by LineID
+	stats Stats
 }
 
 // noClock is the now of a push whose caller keeps no clock: no time
@@ -328,7 +273,7 @@ const noClock = units.Time(math.MinInt64)
 // ones that have not yet been discarded.
 func (q *Queue) Len() int { return q.live }
 
-// Stats returns the calendar's traffic counters.
+// Stats returns the queue's push counters.
 func (q *Queue) Stats() Stats { return q.stats }
 
 // CallFunc adapts a no-argument callback to the fn/arg pair of a push:
@@ -378,11 +323,11 @@ func (q *Queue) PushSeqArg(t units.Time, seq uint64, fn func(any), arg any) Even
 	return q.pushAt(noClock, t, seq, fn, arg, false)
 }
 
-// pushAt is the one body of every calendar push: it checks t against
+// pushAt is the one body of every heap push: it checks t against
 // the caller's clock (delay says whether the caller asked for t as a
 // delay past now, which its panic then names), takes the next sequence
 // number when seq is 0 (a reserved one is never 0), takes an arena
-// slot and files the event in near, the wheel or far by its bucket.
+// slot and pushes the event onto the heap.
 // The exported pushes are one-line wrappers the inliner folds into
 // their callers.
 func (q *Queue) pushAt(now, t units.Time, seq uint64, fn func(any), arg any, delay bool) Event {
@@ -407,30 +352,8 @@ func (q *Queue) pushAt(now, t units.Time, seq uint64, fn func(any), arg any, del
 	nd := &q.nodes[slot]
 	nd.time, nd.seq, nd.fn, nd.arg = t, seq, fn, arg
 	q.live++
-
-	b := int64(t) >> bucketShift
-	switch d := b - q.cur; {
-	case d <= 0:
-		q.stats.Near++
-		q.near.push(entry{t, seq, slot})
-	case d < wheelSize:
-		q.stats.Wheel++
-		if q.heads == nil {
-			q.heads, q.bitmap = new([wheelSize]int32), new([wheelWords]uint64)
-		}
-		i := b & wheelMask
-		if w, bit := &q.bitmap[i>>6], uint64(1)<<(i&63); *w&bit == 0 {
-			*w |= bit
-			q.wheelN++
-			nd.next = -1
-		} else {
-			nd.next = q.heads[i]
-		}
-		q.heads[i] = slot
-	default:
-		q.stats.Far++
-		q.far.push(entry{t, seq, slot})
-	}
+	q.stats.Heap++
+	q.heap.push(entry{t, seq, slot})
 	return Event{q: q, slot: slot, gen: nd.gen}
 }
 
@@ -450,7 +373,7 @@ func (q *Queue) Line(d units.Time) LineID {
 // it to another caller, so its owner alone decides what it holds, and
 // PushLine(id, t, fn, arg) on it schedules fn(arg) at exactly t. Its
 // pushes must come in nondecreasing time to stay on the line; a push
-// behind its tail takes the calendar, as on any line.
+// behind its tail takes the heap, as on any line.
 func (q *Queue) NewLine() LineID {
 	q.lines = append(q.lines, line{private: true})
 	return LineID(len(q.lines) - 1)
@@ -460,7 +383,7 @@ func (q *Queue) NewLine() LineID {
 // It takes the next sequence number exactly as PushArg does, so the pop
 // order is the one PushArg(now+delay, fn, arg) would give. With now
 // nondecreasing the push lands at the line's tail; one behind the tail
-// (now went backwards) goes to the calendar instead, which keeps the
+// (now went backwards) goes to the heap instead, which keeps the
 // line sorted. There is no handle: a line event cannot be canceled.
 func (q *Queue) PushLine(id LineID, now units.Time, fn func(any), arg any) {
 	q.seq++
@@ -499,7 +422,7 @@ type Item struct {
 // than items[i+1], so a batch sorted by (time, key) executes in exactly
 // that order among simultaneous events. On a private line (NewLine)
 // each item fires at its Time; an item behind the line's tail takes
-// the calendar under its sequence number, as in PushLine.
+// the heap under its sequence number, as in PushLine.
 func (q *Queue) PushLineBatch(id LineID, items []Item) {
 	ln := &q.lines[id]
 	for i := range items {
@@ -522,7 +445,7 @@ func (q *Queue) PushLineBatch(id LineID, items []Item) {
 	}
 }
 
-// PushBatch schedules every item in order on the calendar: items[i]
+// PushBatch schedules every item in order on the heap: items[i]
 // receives a lower sequence number than items[i+1]. It has no caller in
 // the model (the parallel engine's barrier crossings take
 // PushLineBatch); it stays only because benchmark/ still compiles
@@ -536,8 +459,8 @@ func (q *Queue) PushBatch(items []Item) {
 // LaneID, NewLane, ReleaseLane, PushLane and PushLaneArg are the
 // source-compatibility remains of the per-source lane calendar this
 // package used to be: benchmark/ still compiles against them. The lane
-// is ignored — every push takes the one calendar — and no model
-// package may call them.
+// is ignored — every push takes the heap — and no model package may
+// call them.
 type LaneID int32
 
 // NewLane returns a placeholder lane; see LaneID.
@@ -556,9 +479,8 @@ func (q *Queue) PushLaneArg(_ LaneID, t units.Time, fn func(any), arg any) Event
 
 // Sources next selects from besides a line index (>= 0).
 const (
-	srcNone = -3
-	srcNear = -2
-	srcFar  = -1
+	srcNone = -2
+	srcHeap = -1
 )
 
 // What next does with the event it selects.
@@ -569,62 +491,20 @@ const (
 )
 
 // next is the one body behind Pop, PopLE, PopLT and PeekTime. It finds
-// the earliest live event: canceled events at the heap roots are
-// discarded, and while near is empty the next non-empty wheel bucket
-// is poured into it (cur moves to that bucket; canceled nodes are
-// dropped there). The event is the smallest of the near root, the far
-// root and the line heads. If the queue is empty or the event is past
-// limit, ok is false and nothing is removed. Otherwise a pop takes it
-// out — a heap event's slot is released before its callback runs, so
-// handles to it stop reporting Scheduled — and returns its callback
-// pair along with its time.
+// the earliest live event: canceled events at the heap root are
+// discarded, and the event is the smaller of the heap root and the
+// line heads. If the queue is empty or the event is past limit, ok is
+// false and nothing is removed. Otherwise a pop takes it out — a heap
+// event's slot is released before its callback runs, so handles to it
+// stop reporting Scheduled — and returns its callback pair along with
+// its time.
 func (q *Queue) next(limit units.Time, mode int) (fn func(any), arg any, t units.Time, ok bool) {
-	for {
-		if len(q.near) > 0 {
-			if !q.nodes[q.near[0].slot].canceled {
-				break
-			}
-			q.dropCanceled(&q.near)
-			continue
-		}
-		if q.wheelN == 0 {
-			break
-		}
-		start := (q.cur + 1) & wheelMask
-		w := start >> 6
-		word := q.bitmap[w] &^ (uint64(1)<<(start&63) - 1)
-		for word == 0 {
-			// Wrapping back to the starting word is fine: its low bits are
-			// the buckets just under cur+wheelSize, last in scan order.
-			w = (w + 1) & (wheelWords - 1)
-			word = q.bitmap[w]
-		}
-		i := w<<6 | int64(bits.TrailingZeros64(word))
-		q.bitmap[w] &^= uint64(1) << (i & 63)
-		q.wheelN--
-		q.cur += 1 + (i-start)&wheelMask
-		q.stats.Drained++
-		for slot := q.heads[i]; slot >= 0; {
-			nd := &q.nodes[slot]
-			next := nd.next
-			if nd.canceled {
-				q.release(slot)
-			} else {
-				q.near.push(entry{nd.time, nd.seq, slot})
-			}
-			slot = next
-		}
+	if len(q.heap) > 0 && q.nodes[q.heap[0].slot].canceled {
+		q.dropCanceled()
 	}
-	if len(q.far) > 0 && q.nodes[q.far[0].slot].canceled {
-		q.dropCanceled(&q.far)
-	}
-
 	src, k := srcNone, entry{}
-	if len(q.near) > 0 {
-		src, k = srcNear, q.near[0]
-	}
-	if len(q.far) > 0 && (src == srcNone || q.far[0].less(k)) {
-		src, k = srcFar, q.far[0]
+	if len(q.heap) > 0 {
+		src, k = srcHeap, q.heap[0]
 	}
 	for i := range q.lines {
 		ln := &q.lines[i]
@@ -650,36 +530,26 @@ func (q *Queue) next(limit units.Time, mode int) (fn func(any), arg any, t units
 		ln.head = (ln.head + 1) & (len(ln.ring) - 1)
 		ln.n--
 		q.live--
+		return fn, arg, k.time, true
+	}
+	if len(q.heap) == 1 {
+		q.heap = q.heap[:0]
 	} else {
-		h := &q.near
-		if src == srcFar {
-			h = &q.far
-		}
-		if len(*h) == 1 {
-			*h = (*h)[:0]
-		} else {
-			h.popMin()
-		}
-		nd := &q.nodes[k.slot]
-		fn, arg = nd.fn, nd.arg
-		q.release(k.slot)
+		q.heap.popMin()
 	}
-	if len(q.near) == 0 && q.wheelN == 0 {
-		// Only far and line events remain: jump the wheel's window to
-		// the popped event so its successors land in the wheel.
-		if b := int64(k.time) >> bucketShift; b > q.cur {
-			q.cur = b
-		}
-	}
+	nd := &q.nodes[k.slot]
+	fn, arg = nd.fn, nd.arg
+	q.release(k.slot)
 	return fn, arg, k.time, true
 }
 
-// dropCanceled discards canceled events at h's root until the root is
-// live or h is empty: the rare path of next, kept out of its body.
-func (q *Queue) dropCanceled(h *heap4) {
-	for len(*h) > 0 && q.nodes[(*h)[0].slot].canceled {
-		q.release((*h)[0].slot)
-		h.popMin()
+// dropCanceled discards canceled events at the heap root until the
+// root is live or the heap is empty: the rare path of next, kept out
+// of its body.
+func (q *Queue) dropCanceled() {
+	for len(q.heap) > 0 && q.nodes[q.heap[0].slot].canceled {
+		q.release(q.heap[0].slot)
+		q.heap.popMin()
 	}
 }
 
@@ -703,7 +573,7 @@ func (q *Queue) PopLT(limit units.Time) (fn func(any), arg any, t units.Time, ok
 }
 
 // PeekTime returns the firing time of the earliest non-canceled event
-// without removing it. Canceled events at the heap roots are
+// without removing it. Canceled events at the heap root are
 // discarded.
 func (q *Queue) PeekTime() (units.Time, bool) {
 	_, _, t, ok := q.next(math.MaxInt64, peek)

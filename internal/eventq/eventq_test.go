@@ -261,21 +261,21 @@ func BenchmarkEventQueue(b *testing.B) {
 
 // The calendar hold model at longflows-packet's mix: every packet-hop
 // is one serialization end and one delivery a 10 us link ahead (delay
-// line); 1 push in 303 (0.33 %, as engine/calendar_far reports) is a
-// ticker-like event beyond the horizon (far). The depth is the
+// line); 1 push in 303 (0.33 %, engine/calendar_heap's share there)
+// is a ticker-like event 100 us ahead on the heap. The depth is the
 // deliveries in flight: 8.9 M over 25 ms is ~356 per us, ~3,600 per
 // link delay. The serialization end comes in two mixes:
 //
-//   - wheel: 51 ns-1.2 us ahead (64-1500 B at 10 G) on the calendar,
-//     as every serialization end was before they took lines;
+//   - heap: 51 ns-1.2 us ahead (64-1500 B at 10 G) on the heap, as
+//     every serialization end was before they took lines;
 //   - lines: alternately on a full segment's line (1.2 us) and a
 //     header-only packet's (48 ns), as data and ACKs alternate; the
 //     workload's last partial segments (64 of 8.9 M hops) are left out.
 const (
-	holdDepth     = 3600
-	holdLinkDelay = 10 * units.Microsecond
-	holdFarDelay  = 100 * units.Microsecond
-	holdFarEvery  = 303
+	holdDepth      = 3600
+	holdLinkDelay  = 10 * units.Microsecond
+	holdTimerDelay = 100 * units.Microsecond
+	holdTimerEvery = 303
 )
 
 type hold struct {
@@ -293,8 +293,8 @@ func holdNop(any) {}
 func (h *hold) push() {
 	h.i++
 	switch {
-	case h.i%holdFarEvery == 0:
-		h.q.PushArg(h.now+holdFarDelay, holdNop, nil)
+	case h.i%holdTimerEvery == 0:
+		h.q.PushArg(h.now+holdTimerDelay, holdNop, nil)
 	case h.i&1 != 0:
 		h.q.PushLine(h.line, h.now, holdNop, nil)
 	case h.lines:
@@ -318,7 +318,7 @@ func (h *hold) step() {
 // tx=lines is the mix the packet path runs today.
 func BenchmarkCalendarHold(b *testing.B) {
 	for _, lines := range []bool{false, true} {
-		name := "tx=wheel"
+		name := "tx=heap"
 		if lines {
 			name = "tx=lines"
 		}
@@ -353,10 +353,10 @@ func BenchmarkCalendarHold(b *testing.B) {
 
 // TestWarmQueueZeroAlloc asserts that every push path, paired with the
 // pops that keep the queue at a standing depth, allocates nothing once
-// the arena, free list, heaps, wheel and line ring have grown to that
-// depth. Each step pushes a fixed number of events 0-2 us ahead (near
-// and wheel; every 64th 100 us ahead, beyond the wheel into far) or
-// onto a 10 us delay line, then pops as many.
+// the arena, free list, heap and line rings have grown to that depth.
+// Each step pushes a fixed number of events 0-2 us ahead on the heap
+// (every 64th 100 us ahead, a timer) or onto a delay line, then pops as
+// many.
 func TestWarmQueueZeroAlloc(t *testing.T) {
 	const depth = 2048
 	nop := func(any) {}

@@ -18,9 +18,8 @@ type modelEvent struct {
 
 // refModel is the sorted-slice reference implementation the calendar
 // is checked against: a plain slice ordered by (time, seq) with eager
-// removal. It has no notion of buckets, wheel or horizon — which is the
-// point: the structure an event waits in must be invisible in the pop
-// order. Its pop order is the determinism contract.
+// removal. It has no notion of heap or lines — which is the point: the
+// structure an event waits in must be invisible in the pop order. Its pop order is the determinism contract.
 type refModel struct {
 	events []*modelEvent
 }
@@ -70,15 +69,18 @@ func (m *refModel) pop() (*modelEvent, bool) {
 	return m.popBefore(math.MaxInt64, true)
 }
 
+// tick and span scale the times applyOps draws: tick (1024 ps) is a
+// step of serialization size, span (2^25 ps, ~33.5 us) a long link
+// delay or a short timer.
 const (
-	bucketWidth = units.Time(1) << bucketShift
-	horizon     = wheelSize * bucketWidth
+	tick = units.Time(1) << 10
+	span = tick << 15
 )
 
 // lineDelays are the fixed delays of the delay lines applyOps drives: a
-// few buckets, a quarter of the wheel's horizon (a 10 us link), and
-// beyond the horizon (a 40 us link).
-var lineDelays = [...]units.Time{3*bucketWidth + 1, horizon / 4, horizon + horizon/5}
+// few ticks (a serialization end), a quarter span (a 10 us link) and
+// 1.2 spans (a 40 us link).
+var lineDelays = [...]units.Time{3*tick + 1, span / 4, span + span/5}
 
 // applyOps drives the real queue and the reference model through one
 // interleaving of pushes, shim-lane pushes, reserved-seq pushes,
@@ -90,12 +92,10 @@ var lineDelays = [...]units.Time{3*bucketWidth + 1, horizon / 4, horizon + horiz
 // rest (op/14) picks the kind of bound (see nextLimit).
 //
 // Firing times are drawn relative to the model clock (the last popped
-// time) and to the queue's own cur, so they hit the places where the
-// three structures meet: the last and first picosecond of a bucket, the
-// buckets wheelSize-1, wheelSize and wheelSize+1 ahead of cur, times
-// behind cur after a bounded pop ran it ahead of the clock, and hops of
-// up to a third of the horizon that carry a long run several times
-// around the wheel.
+// time), so they hit the places where the heap and the lines meet: the
+// picoseconds around a line's delivery time (a tie there is decided by
+// seq alone), the edges of tick-aligned slots ahead of the clock, the
+// clock itself, and hops from a few ticks to many spans out.
 func applyOps(t *testing.T, ops, times []byte) *Queue {
 	t.Helper()
 	q := new(Queue)
@@ -127,26 +127,22 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 		switch b % 16 {
 		case 0, 1, 2: // same few picoseconds: forces (time, seq) ties
 			return now + k
-		case 3: // last picosecond of a bucket at or ahead of cur
-			return (units.Time(q.cur)+k+1)*bucketWidth - 1
-		case 4: // first picosecond of a bucket ahead of cur
-			return (units.Time(q.cur) + k + 1) * bucketWidth
-		case 5: // last wheel bucket
-			return (units.Time(q.cur)+wheelSize-1)*bucketWidth + k
-		case 6: // first far bucket
-			return (units.Time(q.cur)+wheelSize)*bucketWidth + k
-		case 7:
-			return (units.Time(q.cur)+wheelSize+1)*bucketWidth + k
-		case 8: // the clock itself: behind cur once a bounded pop ran ahead
+		case 3: // last picosecond of a tick-aligned slot ahead of the clock
+			return (now/tick+k+1)*tick - 1
+		case 4: // first picosecond of a tick-aligned slot ahead of the clock
+			return (now/tick + k + 1) * tick
+		case 5, 6, 7: // just before, at and just after a line push made now
+			return now + lineDelays[k%3] + units.Time(b%16-6)
+		case 8: // the clock itself: ties with the last pop
 			return now
-		case 9, 10: // a link delay: up to 1/3 horizon, wraps the wheel over a run
-			return now + horizon/48*(k+1)
-		case 11: // a timer: well beyond the horizon
-			return now + horizon*(k+2) + k
-		case 12: // last picosecond before the horizon, seen from the clock
-			return now + horizon - 1 - k
-		default: // a serialization time: a few buckets
-			return now + units.Time(b)*bucketWidth/7
+		case 9, 10: // a link delay: up to a third of a span
+			return now + span/48*(k+1)
+		case 11: // a timer: many spans out
+			return now + span*(k+2) + k
+		case 12: // just short of a span
+			return now + span - 1 - k
+		default: // a serialization time: a few ticks
+			return now + units.Time(b)*tick/7
 		}
 	}
 
@@ -154,7 +150,9 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 	// from nextTime, as for a push; the others are the extremes of the
 	// time range (nothing fires before MinInt64, everything at or
 	// before MaxInt64), the exact time of the earliest live event (where
-	// PopLE and PopLT part ways), and the edges of cur's bucket.
+	// PopLE and PopLT part ways), and the clock and the picosecond after
+	// it (events tied with the clock pop under PopLE(now) and
+	// PopLT(now+1), never under PopLT(now)).
 	nextLimit := func(kind byte) units.Time {
 		switch kind {
 		case 1:
@@ -166,10 +164,10 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 				return e.time
 			}
 			return now
-		case 4: // last picosecond of cur's bucket
-			return (units.Time(q.cur)+1)*bucketWidth - 1
-		case 5: // first picosecond of the bucket after cur
-			return (units.Time(q.cur) + 1) * bucketWidth
+		case 4:
+			return now
+		case 5:
+			return now + 1
 		default:
 			return nextTime()
 		}
@@ -247,7 +245,7 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 			live = append(live, pair{q.PushSeqArg(tm, rs, fire, rs), model.push(tm, rs)})
 		case 2, 7: // pop
 			popBoth("step", step)
-		case 9: // bounded pops: often stop short and leave cur ahead of the clock
+		case 9: // bounded pops: often stop short of the earliest event
 			limit := nextLimit(op / 14)
 			fn, arg, tm, ok := q.PopLE(limit)
 			me, mok := model.popBefore(limit, true)
@@ -257,12 +255,12 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 			fn, arg, tm, ok := q.PopLT(limit)
 			me, mok := model.popBefore(limit, false)
 			check("PopLT step", step, fn, arg, tm, ok, me, mok)
-		case 11: // peek: may advance cur, must not change the order
+		case 11: // peek: may discard canceled roots, must not change the order
 			tm, ok := q.PeekTime()
 			if me := model.head(); ok != (me != nil) || (ok && tm != me.time) {
 				t.Fatalf("step %d: PeekTime=(%v,%v), model has %d events", step, tm, ok, len(model.events))
 			}
-		case 3: // cancel a pseudo-random live handle (near, wheel or far resident)
+		case 3: // cancel a pseudo-random live handle (a heap resident)
 			if len(live) == 0 {
 				continue
 			}
@@ -281,8 +279,8 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 	if q.Len() != 0 {
 		t.Fatalf("drained queue reports Len()=%d", q.Len())
 	}
-	if q.wheelN != 0 || len(q.near) != 0 || len(q.far) != 0 {
-		t.Fatalf("drained queue still holds wheelN=%d near=%d far=%d", q.wheelN, len(q.near), len(q.far))
+	if len(q.heap) != 0 {
+		t.Fatalf("drained queue still holds %d heap entries", len(q.heap))
 	}
 	for i := range q.lines {
 		if q.lines[i].n != 0 {
@@ -306,39 +304,17 @@ func TestModelRandomInterleavings(t *testing.T) {
 	}
 }
 
-// TestModelWheelRevolutions is applyOps in the simulator's own shape —
-// every pop schedules a successor a link delay ahead, a few dozen
-// events are in flight — run long enough to carry cur several times
-// around the wheel with events resident in it throughout.
-func TestModelWheelRevolutions(t *testing.T) {
-	var ops, times []byte
-	rng := rand.New(rand.NewSource(3))
-	hop := func() byte { return byte(9 + 16*rng.Intn(16)) } // horizon/48 .. horizon/3 ahead
-	for i := 0; i < 32; i++ {
-		ops, times = append(ops, 0), append(times, hop())
-	}
-	for i := 0; i < 4000; i++ {
-		ops, times = append(ops, 2, 0), append(times, hop())
-	}
-	q := applyOps(t, ops, times)
-	if q.cur < 3*wheelSize {
-		t.Fatalf("cur=%d: run did not carry the wheel around 3 times (%d buckets)", q.cur, 3*wheelSize)
-	}
-	if st := q.Stats(); st.Far != 0 || st.Wheel < 4000 {
-		t.Fatalf("stats %+v: link-delay hops must all take the wheel", st)
-	}
-}
-
 // TestModelDelayLines is applyOps in the packet pipeline's shape: every
-// pop schedules a serialization end a few buckets ahead and a link
+// pop schedules a serialization end a few ticks ahead and a link
 // delivery on one of the lines, now and then one lands behind a line's
-// tail, and a cancel hits a calendar resident. In-order line pushes
-// must stay in their lines, so only a fallback can reach far, and the
-// pop order must still be the reference's.
+// tail, and a cancel hits a heap resident. In-order line pushes must
+// stay in their lines, so only the serialization ends and the
+// fallbacks reach the heap, and the pop order must still be the
+// reference's.
 func TestModelDelayLines(t *testing.T) {
 	var ops, times []byte
 	rng := rand.New(rand.NewSource(11))
-	ser := func() byte { return byte(13 + 16*rng.Intn(4)) } // 1.9-5.6 buckets
+	ser := func() byte { return byte(13 + 16*rng.Intn(4)) } // 1.9-5.6 ticks
 	for i := 0; i < 16; i++ {
 		ops, times = append(ops, 0, 12), append(times, ser(), byte(rng.Intn(3)))
 	}
@@ -354,55 +330,50 @@ func TestModelDelayLines(t *testing.T) {
 		}
 	}
 	q := applyOps(t, ops, times)
-	st := q.Stats()
-	if st.Line != 3016 || st.Far > fallbacks || st.Near+st.Wheel+st.Far != 3016+fallbacks {
-		t.Fatalf("stats %+v: want all 3016 deliveries in lines and the %d fallbacks in the calendar", st, fallbacks)
+	if st := q.Stats(); st.Line != 3016 || st.Heap != 3016+fallbacks {
+		t.Fatalf("stats %+v: want all 3016 deliveries in lines and the 3016 serialization ends and %d fallbacks on the heap", st, fallbacks)
 	}
 }
 
-// TestLineOnlyQueueMovesCur pins the cur jump for line pops: a queue
-// that holds only line events (here 40 us ones, beyond the horizon)
-// must still carry cur along with the clock, so a later short push
-// lands in the wheel and not in far.
-func TestLineOnlyQueueMovesCur(t *testing.T) {
-	var q Queue
-	const d = 40 * units.Microsecond
-	id := q.Line(d)
-	nop := func(any) {}
-	var now units.Time
-	for i := 0; i < 10; i++ {
-		q.PushLine(id, now, nop, nil)
-		_, _, now, _ = q.Pop()
-	}
-	if want := 10 * d; now != want {
-		t.Fatalf("clock %v after 10 line hops, want %v", now, want)
-	}
-	q.PushArg(now+units.Microsecond, nop, nil)
-	if st := q.Stats(); st.Wheel != 1 || st.Far != 0 || st.Line != 10 {
-		t.Fatalf("stats %+v: a 1 us push after line-only pops must take the wheel", st)
-	}
-}
-
-// TestBeyondHorizonMatchesReference is the graceful-degradation proof:
-// when every calendar push lands beyond the wheel's horizon (timer or
-// serialization delays above 33.5 us), every push takes the far heap —
-// flat-heap cost, and still exactly the reference order.
-func TestBeyondHorizonMatchesReference(t *testing.T) {
+// TestModelPlantedArrivals is applyOps in the sharded engine's shape,
+// where the heap is largest: thousands of flow arrivals planted up
+// front, many spans out and often tied in time, then line traffic
+// (one delivery per pop), timers re-armed under reserved seqs as
+// sim.Timer does, partial segments' serialization ends, and cancels.
+// The planted arrivals fire among the line events, so the heap root
+// and the line heads are compared at every pop.
+func TestModelPlantedArrivals(t *testing.T) {
+	const planted = 3000
 	var ops, times []byte
-	rng := rand.New(rand.NewSource(5))
-	far := func() byte { return byte(11 + 16*rng.Intn(16)) } // 2..17 horizons ahead
-	for i := 0; i < 64; i++ {
-		ops, times = append(ops, 0), append(times, far())
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < planted; i++ {
+		ops, times = append(ops, 0), append(times, byte(11+16*rng.Intn(8))) // 2-9 spans out
 	}
-	for i := 0; i < 2000; i++ {
-		ops, times = append(ops, 2, 0), append(times, far())
-		if i%50 == 0 {
-			ops = append(ops, 3) // cancel a far resident now and then
+	link := func() byte { return byte(1 + rng.Intn(2)) } // the 10 us or the 40 us line
+	for i := 0; i < 16; i++ {
+		ops, times = append(ops, 12), append(times, link())
+	}
+	var lines, heap uint64 = 16, planted
+	for i := 0; i < 4000; i++ {
+		ops, times = append(ops, 2, 12), append(times, link())
+		lines++
+		switch i % 10 {
+		case 0: // arm a timer: reserve its place in the order now
+			ops = append(ops, 6)
+		case 4: // and push it later, a timer's delay out
+			ops, times = append(ops, 8), append(times, byte(9+16*rng.Intn(16)))
+			heap++
+		case 7: // a partial segment's serialization end
+			ops, times = append(ops, 0), append(times, byte(13+16*rng.Intn(4)))
+			heap++
+		}
+		if i%50 == 25 {
+			ops = append(ops, 3)
 		}
 	}
 	q := applyOps(t, ops, times)
-	if st := q.Stats(); st.Wheel != 0 || st.Near != 0 || st.Far != 2064 {
-		t.Fatalf("stats %+v: want every one of the 2064 pushes in far", st)
+	if st := q.Stats(); st.Line != lines || st.Heap != heap {
+		t.Fatalf("stats %+v: want %d line pushes and %d heap pushes", st, lines, heap)
 	}
 }
 
@@ -416,33 +387,33 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{4, 4, 4, 2, 5, 5, 2, 2, 2}, []byte{40, 3, 80})
 	f.Add([]byte{4, 5, 3, 6, 4, 2, 3, 2, 2, 2}, []byte{96, 1, 50, 2})
 	f.Add([]byte{4, 0, 4, 0, 2, 2, 6, 5, 2, 2, 2}, []byte{7, 7, 7, 7})
-	// Bucket edges: last/first picosecond of neighbouring buckets.
+	// Tick edges: last/first picosecond of neighbouring tick-aligned slots.
 	f.Add([]byte{0, 0, 0, 0, 2, 2, 0, 0, 2, 2, 2, 2}, []byte{3, 4, 19, 20, 3, 4})
-	// Horizon edge: wheelSize-1, wheelSize, wheelSize+1 buckets ahead, then cancel one of each.
+	// Line ties: a picosecond before, at and after a line push made now, then cancel one of each.
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 3, 3, 2, 2, 2, 2}, []byte{5, 6, 7, 21, 22, 23, 12})
-	// Bounded pops stop short (cur runs ahead), then pushes at the clock land behind cur.
+	// Bounded pops stop short, then pushes at the clock tie with the last pop.
 	f.Add([]byte{0, 0, 9, 10, 11, 0, 0, 2, 2, 2, 2}, []byte{9, 25, 0, 0, 8, 8, 2})
-	// Only far events: every pop jumps the empty wheel's window.
+	// Only heap events: timers spans out and serialization times.
 	f.Add([]byte{0, 0, 2, 0, 0, 2, 0, 2, 2, 2}, []byte{11, 27, 13, 9, 43, 13})
 	// Reserved seqs pushed late, tied in time with ordinary pushes.
 	f.Add([]byte{6, 0, 6, 0, 8, 8, 2, 2, 2, 2}, []byte{0, 0, 0, 0, 9, 9})
 	// Delay lines: deliveries on all three lines interleaved with
 	// serialization pushes and pops, ties with the clock.
 	f.Add([]byte{12, 0, 12, 12, 2, 0, 12, 2, 12, 2, 2, 2, 2}, []byte{0, 13, 1, 2, 29, 1, 0, 2})
-	// A push behind a line's tail falls back to the calendar, then a cancel there.
+	// A push behind a line's tail falls back to the heap, then a cancel there.
 	f.Add([]byte{12, 12, 13, 13, 3, 2, 12, 13, 2, 2, 2, 2}, []byte{1, 1, 1, 5, 1, 0, 0, 1, 0, 200})
-	// Only line events: bounded pops and peeks with near and wheel empty.
+	// Only line events: bounded pops and peeks with the heap empty.
 	f.Add([]byte{12, 12, 12, 9, 10, 11, 2, 12, 0, 2, 2, 2}, []byte{2, 2, 1, 9, 25, 0, 45})
 	// Bounded-pop limits (op/14 picks the bound): 23/24 PopLE/PopLT at
 	// MinInt64, 37/38 at MaxInt64, 51/52 at the head event's own time,
-	// 65/66 and 79/80 at the edges of cur's bucket.
-	// A far-only queue: every bound against far residents alone.
+	// 65/66 and 79/80 at the clock and the picosecond after it.
+	// A heap-only queue: every bound against heap residents alone.
 	f.Add([]byte{0, 0, 0, 0, 24, 23, 52, 51, 11, 38, 66, 0, 80, 37, 2, 2}, []byte{11, 27, 6, 43, 7})
 	// A line-only queue: the same bounds against line heads alone.
 	f.Add([]byte{12, 12, 12, 24, 23, 52, 51, 11, 65, 79, 38, 12, 37, 2, 2}, []byte{0, 1, 2, 2})
-	// Canceled roots on both heaps: near events at t=0 and t=1, far ones
-	// two and three horizons out; op 17 cancels the far root, op 31 the
-	// near root, then a peek and PopLT(MinInt64) must discard both.
+	// Canceled heap residents: events at t=0 and t=1 and two and three
+	// spans out; op 17 cancels the one two spans out, op 31 the root,
+	// then PopLT(MinInt64) and a peek must discard the root alone.
 	f.Add([]byte{0, 0, 0, 0, 17, 31, 24, 11, 2, 2, 2}, []byte{0, 11, 16, 27})
 	f.Fuzz(func(t *testing.T, ops, times []byte) {
 		if len(ops) > 4096 {

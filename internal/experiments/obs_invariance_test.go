@@ -170,12 +170,12 @@ func TestPacketConservation(t *testing.T) {
 // counters on, a run reports where its calendar pushes went, serial or
 // sharded. Every packet-hop is two events, and both normally ride a
 // delay line. The link delivery takes its line whatever the link delay
-// (so a 40 us link, beyond the wheel's horizon, leaves far at timer
-// level); on a sharded run the mailbox-routed tier links' deliveries
-// ride each destination shard's crossing line from the window barrier
-// on. The sender's serialization end takes its rate's line for a full
-// segment or a header-only packet and the calendar for any other size:
-// a flow's last partial segment, each time it crosses a link.
+// (so a 40 us link leaves the heap at timer level); on a sharded run
+// the mailbox-routed tier links' deliveries ride each destination
+// shard's crossing line from the window barrier on. The sender's
+// serialization end takes its rate's line for a full segment or a
+// header-only packet and the heap for any other size: a flow's last
+// partial segment, each time it crosses a link.
 func TestEngineCalendarCounters(t *testing.T) {
 	run := func(shards int, linkDelay units.Time) {
 		name := fmt.Sprintf("shards=%d delay=%v", shards, linkDelay)
@@ -186,27 +186,25 @@ func TestEngineCalendarCounters(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		c := res.Counters
-		if c["engine/calendar_drained"] == 0 {
-			t.Errorf("%s: no wheel bucket drained", name)
-		}
 		// Every packet crosses one link per NIC send and one per switch
 		// transmission (admitted minus discarded at dequeue).
 		hops := c["model/data_pkts_sent"] + c["model/ack_pkts_sent"] +
 			c["model/admitted_pkts"] - c["model/drops_dequeue"]
-		line, wheel, near, far := c["engine/calendar_line"], c["engine/calendar_wheel"], c["engine/calendar_near"], c["engine/calendar_far"]
+		line, heap := c["engine/calendar_line"], c["engine/calendar_heap"]
 		if line < hops || line > 2*hops {
 			t.Errorf("%s: calendar_line=%d, want between one and two per packet-hop (%d)", name, line, hops)
 		}
-		if line+wheel+near < 2*hops {
-			t.Errorf("%s: line+wheel+near=%d, want at least two pushes per packet-hop (%d)", name, line+wheel+near, hops)
-		}
 		// The serialization ends off the lines are the partial segments:
 		// 150-160 of ~78,000 hops at the time of writing.
-		if off := 2*hops - line; off <= 0 || off > hops/256 {
+		off := 2*hops - line
+		if off <= 0 || off > hops/256 {
 			t.Errorf("%s: %d of %d serialization ends missed their line, want a few partial segments (at most %d)", name, off, hops, hops/256)
 		}
-		if far >= hops {
-			t.Errorf("%s: calendar_far=%d for %d packet-hops, want timers only", name, far, hops)
+		if heap < off {
+			t.Errorf("%s: calendar_heap=%d, want at least the %d serialization ends off the lines", name, heap, off)
+		}
+		if heap-off >= hops {
+			t.Errorf("%s: calendar_heap=%d beyond the %d partial segments for %d packet-hops, want timers only", name, heap, off, hops)
 		}
 		if linkDelay == 10*units.Microsecond && c["engine/timer_stale_wakes"] == 0 {
 			t.Errorf("%s: no engine/timer_stale_wakes in %v", name, c)

@@ -52,11 +52,8 @@ const (
 
 	// engine/: event calendar self-observation (see eventq.Stats). Each
 	// shard has its own calendar, so the split depends on the partition.
-	CtrCalendarNear    // pushes into the current-bucket heap
-	CtrCalendarWheel   // pushes into the wheel (the O(1) path)
-	CtrCalendarFar     // pushes beyond the wheel's horizon; ~all means serialization or timer delays exceed it
+	CtrCalendarHeap    // pushes into the heap (timers, planned arrivals, partial segments' serialization ends)
 	CtrCalendarLine    // pushes appended to a delay line (link deliveries, full-size and header-only serialization ends)
-	CtrCalendarDrained // wheel buckets poured into the near heap
 	CtrTimerStaleWakes // sim.Timer wake-ups that fired before their deadline and rescheduled
 
 	NumCtrs
@@ -92,11 +89,8 @@ var ctrNames = [NumCtrs]string{
 	"engine/mailbox_batches",
 	"engine/mailbox_events",
 	"engine/trace_events_dropped",
-	"engine/calendar_near",
-	"engine/calendar_wheel",
-	"engine/calendar_far",
+	"engine/calendar_heap",
 	"engine/calendar_line",
-	"engine/calendar_drained",
 	"engine/timer_stale_wakes",
 }
 

@@ -205,11 +205,8 @@ func (s *Simulator) Pending() int { return s.q.Len() }
 // wake-ups fired early.
 func (s *Simulator) AddCounts(t *obs.Tally) {
 	st := s.q.Stats()
-	t[obs.CtrCalendarNear] += int64(st.Near)
-	t[obs.CtrCalendarWheel] += int64(st.Wheel)
-	t[obs.CtrCalendarFar] += int64(st.Far)
+	t[obs.CtrCalendarHeap] += int64(st.Heap)
 	t[obs.CtrCalendarLine] += int64(st.Line)
-	t[obs.CtrCalendarDrained] += int64(st.Drained)
 	t[obs.CtrTimerStaleWakes] += int64(s.staleWakes)
 }
 
