@@ -50,13 +50,13 @@ func allocsForCell(t *testing.T, cell scenario.Scenario) (float64, scenario.Resu
 	return allocs, res
 }
 
-// TestParallelAllocParity pins the sharded engine's allocation overhead
-// against the serial loop: a shards=1 run of the Fig 6 medium cell must
-// allocate within 10% (plus a small constant for engine construction:
-// workers, mailboxes, channels) of the serial run of the same cell.
-// This is the regression guard for per-window churn — reused mailbox
-// buffers and by-value window requests mean steady-state windows
-// allocate nothing, so the two engines stay within construction
+// TestParallelAllocParity pins the allocation overhead of mailbox-routed
+// tier links against direct ones: a shards=1 run of the Fig 6 medium
+// cell must allocate within 10% (plus a small constant for engine
+// construction: workers, mailboxes, channels) of the shards=0 run of
+// the same cell. This is the regression guard for per-window churn —
+// reused mailbox buffers and by-value window requests mean steady-state
+// windows allocate nothing, so the two stay within construction
 // distance of each other.
 func TestParallelAllocParity(t *testing.T) {
 	cell := figureCell(t, "medium", "ABM", 0.4, "cubic", 0.3)
@@ -99,8 +99,8 @@ func hybridSteady() scenario.Scenario {
 }
 
 // TestAllocBudgets pins the allocations per run of the Fig 6 incast
-// cell at 8 ms (small fabric, DT and ABM; medium fabric, ABM on the
-// serial engine and at 1, 2 and 4 shards) and of the hybrid
+// cell at 8 ms (small fabric, DT and ABM; medium fabric, ABM at shards
+// 0 and at 1, 2 and 4 shards) and of the hybrid
 // steady-state cell. measured is the count this test read when the
 // budget was set (go1.24, linux/amd64) and the budget is 1.10 × that:
 // the counts repeat to within a couple of allocations run to run, so

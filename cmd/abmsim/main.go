@@ -48,7 +48,7 @@ func run(args []string, stdout io.Writer) error {
 		kb      = fs.Float64("buffer", 9.6, "buffer in KB per port per Gb/s (Trident2=9.6, Tomahawk=5.12, Tofino=3.44)")
 		scale   = fs.String("scale", "small", "fabric scale: small, medium, paper")
 		seed    = fs.Int64("seed", 1, "random seed")
-		shards  = fs.Int("shards", 0, "simulation shards (0 = serial loop; >=1 runs the parallel engine, clamped to the fabric's leaf count)")
+		shards  = fs.Int("shards", 0, "simulation shards (0 = one shard with direct tier links, the serial tie order; >=1 routes tier links through mailboxes, clamped to the fabric's leaf count)")
 		update  = fs.Duration("update", 0, "ABM-approx control-plane update interval (e.g. 800us)")
 		flows   = fs.String("flows", "", "write a per-flow TSV trace to this file")
 		sched   = fs.String("sched", "rr", "per-port scheduler: rr, dwrr, strict")
@@ -56,7 +56,7 @@ func run(args []string, stdout io.Writer) error {
 		scnIn   = fs.String("scenario", "", "load the run from this scenario JSON file; explicitly-set flags override its fields")
 		scnOut  = fs.String("save-scenario", "", "write the fully-resolved scenario as JSON and exit")
 		dur     = fs.Duration("duration", 0, "traffic duration override (e.g. 2ms; 0 = the scale's default)")
-		hybrid  = fs.Bool("hybrid", false, "enable the hybrid fluid/packet engine (serial engine only)")
+		hybrid  = fs.Bool("hybrid", false, "enable the hybrid fluid/packet engine (-shards 0 only)")
 		topol   = fs.String("topology", "", "fabric topology: leafspine or fattree; empty keeps the scenario/scale shape")
 		karity  = fs.Int("k", 0, "fat-tree arity (even, >= 2; implies -topology fattree)")
 		of      obs.Flags

@@ -295,6 +295,13 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stopProf()
 
+	// -timeout bounds every job that carries no limit of its own (the
+	// figure cells; a grid's jobs already carry it as timeout_sec).
+	for i := range plan.Specs {
+		if plan.Specs[i].Timeout == 0 {
+			plan.Specs[i].Timeout = f.timeout
+		}
+	}
 	if *injectPanic != "" {
 		for i := range plan.Specs {
 			if strings.Contains(plan.Specs[i].ID, *injectPanic) {
@@ -321,7 +328,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	start := time.Now()
 	pool := &runner.Pool{
 		Workers: f.workers, JobShards: f.grid.Shards,
-		Timeout: f.timeout, Retries: f.retries,
+		Retries:  f.retries,
 		Progress: stderr, Store: store,
 	}
 	records, err := pool.Run(context.Background(), plan)

@@ -86,7 +86,9 @@ var lineDelays = [...]units.Time{3*tick + 1, span / 4, span + span/5}
 // interleaving of pushes, shim-lane pushes, reserved-seq pushes,
 // delay-line pushes (in order, and behind a line's tail), pops, bounded
 // pops that may stop short, and cancels on live handles wherever they
-// reside — failing if the pop sequences ever diverge.
+// reside — failing if the pop sequences ever diverge. Besides the
+// drained queue it returns how many deliveries from each line popped
+// before the final drain, i.e. interleaved with the other ops.
 // ops supplies one byte per step; times one byte per generated time.
 // An op byte's value mod 14 picks the operation; for a bounded pop, the
 // rest (op/14) picks the kind of bound (see nextLimit).
@@ -96,7 +98,7 @@ var lineDelays = [...]units.Time{3*tick + 1, span / 4, span + span/5}
 // picoseconds around a line's delivery time (a tie there is decided by
 // seq alone), the edges of tick-aligned slots ahead of the clock, the
 // clock itself, and hops from a few ticks to many spans out.
-func applyOps(t *testing.T, ops, times []byte) *Queue {
+func applyOps(t *testing.T, ops, times []byte) (*Queue, [len(lineDelays)]int) {
 	t.Helper()
 	q := new(Queue)
 	var model refModel
@@ -109,6 +111,8 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 	var live []pair
 	var reserved []uint64
 	var lines [len(lineDelays)]LineID
+	var linePops [len(lineDelays)]int
+	lineOf := map[uint64]int{} // a line delivery's seq -> its line
 	for i, d := range lineDelays {
 		lines[i] = q.Line(d)
 	}
@@ -190,6 +194,9 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 			t.Fatalf("%s %d: popped (t=%v id=%d), model (t=%v id=%d)",
 				where, step, tm, firedID, me.time, me.seq)
 		}
+		if i, ok := lineOf[me.seq]; ok {
+			linePops[i]++
+		}
 		now = tm
 		return true
 	}
@@ -205,6 +212,7 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 			i := nextByte() % len(lines)
 			q.PushLine(lines[i], now, fire, seq)
 			model.push(now+lineDelays[i], seq)
+			lineOf[seq] = i
 		case 13: // behind a line's tail: must fall back to the calendar
 			seq++
 			i := nextByte() % len(lines)
@@ -272,6 +280,7 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 		}
 	}
 	// Drain: remaining pop order must match exactly.
+	interleaved := linePops
 	step := 0
 	for popBoth("drain", step) {
 		step++
@@ -287,7 +296,7 @@ func applyOps(t *testing.T, ops, times []byte) *Queue {
 			t.Fatalf("drained queue still holds %d events in line %d", q.lines[i].n, i)
 		}
 	}
-	return q
+	return q, interleaved
 }
 
 // TestModelRandomInterleavings runs many seeded random op sequences
@@ -311,6 +320,12 @@ func TestModelRandomInterleavings(t *testing.T) {
 // stay in their lines, so only the serialization ends and the
 // fallbacks reach the heap, and the pop order must still be the
 // reference's.
+//
+// The pipeline alone keeps the clock within a few ticks of its pushes,
+// so every 250 rounds a burst of pops without pushes lets it jump to
+// the next pending long-line deliveries. The clock thus passes both
+// long lines' delays well before the final drain, and their heads
+// interleave with the heap under the check.
 func TestModelDelayLines(t *testing.T) {
 	var ops, times []byte
 	rng := rand.New(rand.NewSource(11))
@@ -328,10 +343,18 @@ func TestModelDelayLines(t *testing.T) {
 		case 50:
 			ops = append(ops, 3)
 		}
+		if i%250 == 249 {
+			for j := 0; j < 200; j++ {
+				ops = append(ops, 2)
+			}
+		}
 	}
-	q := applyOps(t, ops, times)
+	q, interleaved := applyOps(t, ops, times)
 	if st := q.Stats(); st.Line != 3016 || st.Heap != 3016+fallbacks {
 		t.Fatalf("stats %+v: want all 3016 deliveries in lines and the 3016 serialization ends and %d fallbacks on the heap", st, fallbacks)
+	}
+	if interleaved[1] == 0 || interleaved[2] == 0 {
+		t.Fatalf("line deliveries popped before the drain: %v; want some from both long lines", interleaved)
 	}
 }
 
@@ -371,7 +394,7 @@ func TestModelPlantedArrivals(t *testing.T) {
 			ops = append(ops, 3)
 		}
 	}
-	q := applyOps(t, ops, times)
+	q, _ := applyOps(t, ops, times)
 	if st := q.Stats(); st.Line != lines || st.Heap != heap {
 		t.Fatalf("stats %+v: want %d line pushes and %d heap pushes", st, lines, heap)
 	}

@@ -8,11 +8,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"abm/internal/metrics"
 	"abm/internal/scenario"
+	"abm/internal/units"
 )
 
 var updateSharded = flag.Bool("update-sharded", false,
@@ -24,25 +26,54 @@ var updateSharded = flag.Bool("update-sharded", false,
 var shardedGoldenCells = []string{"ABM", "ABM-fattree", "ABM-linkfail"}
 
 // outputDigest is the SHA-256 of a run's flow records, drop counters,
-// executed-event count and buffer samples, floats as raw bits.
-func outputDigest(res scenario.Result, col *metrics.Collector) string {
+// executed-event count (when withEvents is set) and buffer samples,
+// floats as raw bits.
+func outputDigest(res scenario.Result, col *metrics.Collector, withEvents bool) string {
 	h := sha256.New()
 	for _, f := range col.Flows {
 		fmt.Fprintf(h, "flow %d %d %d %d %d %d %d %t\n",
 			f.ID, f.Class, f.Prio, f.Size, f.Start, f.End, f.Ideal, f.Finished)
 	}
-	fmt.Fprintf(h, "drops %d %d events %d\n", res.Drops, res.UnscheduledDrops, res.Events)
+	if withEvents {
+		fmt.Fprintf(h, "drops %d %d events %d\n", res.Drops, res.UnscheduledDrops, res.Events)
+	} else {
+		fmt.Fprintf(h, "drops %d %d\n", res.Drops, res.UnscheduledDrops)
+	}
 	for _, x := range col.BufferSamples {
 		fmt.Fprintf(h, "%016x\n", math.Float64bits(x))
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestShardedOutputGolden pins the sharded engine's output itself, not
-// just its invariance across shard counts: a change to the barrier
-// merge's tie order that hits every shard count alike passes
-// TestShardCountInvariance but fails here. testdata/capture-sharded.sh
-// rebuilds the digests from a given commit.
+// barrierEvents counts what a run executes at window barriers rather
+// than as calendar events: one buffer sample every 100 us up to the
+// end of the 500 ms drain, and one link event per fault transition.
+func barrierEvents(r scenario.Scenario) uint64 {
+	n := uint64((r.Duration.Time() + 500*units.Millisecond) / (100 * units.Microsecond))
+	for _, lf := range r.Fabric.LinkFaults {
+		switch {
+		case lf.Flaps > 0:
+			n += 2 * uint64(lf.Flaps)
+		case lf.RecoverAt > 0:
+			n += 2
+		default:
+			n++
+		}
+	}
+	return n
+}
+
+// TestShardedOutputGolden pins the engine's output itself, not just its
+// invariance across shard counts: a change to the barrier merge's tie
+// order that hits every shard count alike passes
+// TestShardCountInvariance but fails here. The "/serial" rows pin the
+// shards-0 run (one shard, direct tier links), whose tie order differs,
+// so that a sampler or fault-ordering shift there fails too. Their
+// digest leaves out the event count; the row's third field is instead
+// the count the capture commit executed, when the sample and the link
+// events were still calendar events, and this tree must execute exactly
+// that many fewer. testdata/capture-sharded.sh rebuilds the golden from
+// a given commit.
 func TestShardedOutputGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run shard sweep")
@@ -70,32 +101,46 @@ func TestShardedOutputGolden(t *testing.T) {
 		cells[nc.name] = nc.sc
 	}
 	var out []string
-	for _, name := range shardedGoldenCells {
-		sc, ok := cells[name]
-		if !ok {
-			t.Fatalf("shortCells has no cell %q", name)
-		}
-		for _, shards := range []int{1, 2} {
-			sc := sc.Clone()
+	for _, shards := range []int{1, 2, 0} {
+		for _, name := range shardedGoldenCells {
+			sc, ok := cells[name]
+			if !ok {
+				t.Fatalf("shortCells has no cell %q", name)
+			}
+			sc = sc.Clone()
 			sc.Shards = shards
 			res, col, err := scenario.Run(sc)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", name, shards, err)
 			}
-			got := outputDigest(res, col)
-			if shards == 1 {
-				out = append(out, name+"\t"+got)
+			key, got := name, outputDigest(res, col, shards > 0)
+			line := got
+			if shards == 0 {
+				key += "/serial"
+				line += fmt.Sprintf("\t%d", res.Events)
+			}
+			if shards <= 1 {
+				out = append(out, key+"\t"+line)
 				if *updateSharded {
-					want[name] = got
+					want[key] = line
 				}
 			}
-			if got != want[name] {
-				t.Errorf("%s shards=%d: output digest %s, want %s", name, shards, got, want[name])
+			wantSum, events, _ := strings.Cut(want[key], "\t")
+			if got != wantSum {
+				t.Errorf("%s shards=%d: output digest %s, want %s", name, shards, got, wantSum)
+			}
+			if shards == 0 && !*updateSharded {
+				capture, err := strconv.ParseUint(events, 10, 64)
+				if err != nil || res.Events+barrierEvents(res.Scenario) != capture {
+					t.Errorf("%s: %d events + %d barrier events, want the capture's %q",
+						key, res.Events, barrierEvents(res.Scenario), events)
+				}
 			}
 		}
 	}
 	if *updateSharded {
-		data := "# shortCells name, SHA-256 of its sharded output at seed 42 (outputDigest)\n" +
+		data := "# shortCells name, SHA-256 of its output at seed 42 (outputDigest); /serial rows at shards 0,\n" +
+			"# without the event count in the digest and with the capture's executed events after it\n" +
 			strings.Join(out, "\n") + "\n"
 		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 			t.Fatal(err)

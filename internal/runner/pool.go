@@ -30,12 +30,12 @@ type RecordSink interface {
 
 // Pool executes a Plan on in-process workers that take their jobs from
 // the plan's Table, so `sweep run` and `sweep serve` share one
-// scheduler. Each job runs with an optional wall-clock timeout and
-// panic recovery: a crashing or hung simulation marks its own record
-// failed and never takes the sweep down. Errors (but not panics or
-// timeouts, which are deterministic) are retried up to Retries times
+// scheduler. Each job runs with its spec's optional wall-clock timeout
+// and panic recovery: a crashing or hung simulation marks its own
+// record failed and never takes the sweep down. Errors (but not panics
+// or timeouts, which are deterministic) are retried up to Retries times
 // with exponential backoff. The zero value is a working pool with
-// NumCPU workers, no timeout, no retries and no persistence.
+// NumCPU workers, no retries and no persistence.
 type Pool struct {
 	// Workers is the number of concurrent jobs; <=0 means NumCPU.
 	Workers int
@@ -45,11 +45,6 @@ type Pool struct {
 	// stays within GOMAXPROCS instead of silently oversubscribing the
 	// machine, and logs the adjustment to Progress.
 	JobShards int
-	// Timeout is the default per-job wall-clock limit; 0 means none.
-	// A simulation cannot be preempted, so on expiry the job goroutine
-	// is abandoned (it still counts against no worker slot) and the job
-	// is recorded as StatusTimeout.
-	Timeout time.Duration
 	// Retries is how many times a job returning an error is re-run.
 	Retries int
 	// Backoff is the first retry delay, doubling per attempt; <=0 means
@@ -84,7 +79,7 @@ func (p *Pool) Run(ctx context.Context, plan *Plan) ([]Record, error) {
 	for _, rec := range t.Records() {
 		prog.record(rec) // served from the store
 	}
-	err = t.Work(ctx, workers, ExecOptions{Timeout: p.Timeout, Retries: p.Retries, Backoff: p.Backoff}, prog.record)
+	err = t.Work(ctx, workers, ExecOptions{Retries: p.Retries, Backoff: p.Backoff}, prog.record)
 	prog.finish()
 	if ctx.Err() != nil {
 		t.cancel(ctx.Err())
@@ -93,12 +88,9 @@ func (p *Pool) Run(ctx context.Context, plan *Plan) ([]Record, error) {
 	return t.Records(), err
 }
 
-// ExecOptions bounds one Execute call: the defaults a Pool would apply
-// to a job whose spec leaves them unset.
+// ExecOptions configures one Execute call's retries; the wall-clock
+// limit is the spec's own (Spec.Timeout).
 type ExecOptions struct {
-	// Timeout is the wall-clock limit when spec.Timeout is zero; zero
-	// means none.
-	Timeout time.Duration
 	// Retries is how many times a job returning a plain error re-runs.
 	Retries int
 	// Backoff is the first retry delay, doubling per attempt; <=0 means
@@ -116,10 +108,6 @@ func Execute(ctx context.Context, spec Spec, seed int64, opt ExecOptions) Record
 		ID: spec.ID, Experiment: spec.Experiment, Group: spec.Group,
 		Seed: seed, Config: spec.Config,
 	}
-	timeout := spec.Timeout
-	if timeout == 0 {
-		timeout = opt.Timeout
-	}
 	backoff := opt.Backoff
 	if backoff <= 0 {
 		backoff = 100 * time.Millisecond
@@ -127,7 +115,7 @@ func Execute(ctx context.Context, spec Spec, seed int64, opt ExecOptions) Record
 	start := time.Now()
 	for {
 		rec.Attempts++
-		res, stack, err := attempt(ctx, spec, seed, timeout)
+		res, stack, err := attempt(ctx, spec, seed)
 		switch {
 		case err == nil:
 			rec.Status, rec.Result, rec.Error, rec.Stack = StatusOK, &res, "", ""
@@ -158,15 +146,15 @@ func Execute(ctx context.Context, spec Spec, seed int64, opt ExecOptions) Record
 	return rec
 }
 
-// attempt runs spec.Run once under the deadline, converting panics into
-// errors with their stack attached.
-func attempt(ctx context.Context, spec Spec, seed int64,
-	timeout time.Duration) (Result, []byte, error) {
-
+// attempt runs spec.Run once under spec.Timeout, converting panics into
+// errors with their stack attached. A simulation cannot be preempted,
+// so on expiry the job goroutine is abandoned (it holds no worker slot)
+// and the job is recorded as StatusTimeout.
+func attempt(ctx context.Context, spec Spec, seed int64) (Result, []byte, error) {
 	jobCtx := ctx
-	if timeout > 0 {
+	if spec.Timeout > 0 {
 		var cancel context.CancelFunc
-		jobCtx, cancel = context.WithTimeout(ctx, timeout)
+		jobCtx, cancel = context.WithTimeout(ctx, spec.Timeout)
 		defer cancel()
 	}
 	type outcome struct {
@@ -189,7 +177,7 @@ func attempt(ctx context.Context, spec Spec, seed int64,
 		return o.res, o.stack, o.err
 	case <-jobCtx.Done():
 		if ctx.Err() == nil {
-			return Result{}, nil, fmt.Errorf("runner: %s: %w after %v", spec.ID, errTimeout, timeout)
+			return Result{}, nil, fmt.Errorf("runner: %s: %w after %v", spec.ID, errTimeout, spec.Timeout)
 		}
 		return Result{}, nil, ctx.Err()
 	}

@@ -161,13 +161,15 @@ func TestPoolTimeout(t *testing.T) {
 	plan := fakePlan(4, nil)
 	release := make(chan struct{})
 	defer close(release)
+	for i := range plan.Specs {
+		plan.Specs[i].Timeout = 30 * time.Millisecond
+	}
 	plan.Specs[1].Run = func(context.Context, int64) (Result, error) {
 		<-release // hung simulation
 		return Result{}, nil
 	}
 	start := time.Now()
-	recs, err := (&Pool{Workers: 2, Timeout: 30 * time.Millisecond, Retries: 3}).
-		Run(context.Background(), plan)
+	recs, err := (&Pool{Workers: 2, Retries: 3}).Run(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +185,13 @@ func TestPoolTimeout(t *testing.T) {
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("timeout did not bound the sweep")
 	}
-	// Per-spec timeout overrides the pool default.
 	plan2 := fakePlan(1, nil)
 	plan2.Specs[0].Timeout = 10 * time.Millisecond
 	plan2.Specs[0].Run = func(ctx context.Context, _ int64) (Result, error) {
 		<-ctx.Done() // a ctx-aware job sees the deadline too
 		return Result{}, ctx.Err()
 	}
-	recs2, err := (&Pool{Workers: 1, Timeout: time.Hour}).Run(context.Background(), plan2)
+	recs2, err := (&Pool{Workers: 1}).Run(context.Background(), plan2)
 	if err != nil {
 		t.Fatal(err)
 	}

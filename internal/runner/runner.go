@@ -49,8 +49,7 @@ type Spec struct {
 	// nonzero pins the seed (the figure runners do this so their TSV
 	// output is a pure function of the figure seed).
 	Seed int64
-	// Timeout bounds the job's wall-clock time; zero uses the pool
-	// default, and zero there means no limit.
+	// Timeout bounds the job's wall-clock time; zero means no limit.
 	Timeout time.Duration
 	// Config is echoed into the job's JSON record for provenance.
 	Config any

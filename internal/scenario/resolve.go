@@ -266,7 +266,7 @@ func (s Scenario) Resolve() (Scenario, error) {
 	hy := &r.Hybrid
 	if hy.Enabled {
 		if r.Shards >= 1 {
-			return Scenario{}, fmt.Errorf("scenario: the hybrid fluid/packet engine requires the serial engine (shards 0), got shards %d", r.Shards)
+			return Scenario{}, fmt.Errorf("scenario: the hybrid fluid/packet engine requires shards 0 (the serial tie order: one shard, direct tier links), got shards %d", r.Shards)
 		}
 		if hy.GuardBandFrac > 1 {
 			return Scenario{}, fmt.Errorf("scenario: hybrid guard_band_frac %g exceeds 1", hy.GuardBandFrac)

@@ -49,18 +49,8 @@ type Result struct {
 	Hybrid *hybrid.Stats
 }
 
-// samplerInterval is the period of the run's one periodic tick (see
-// sample) in both run modes.
+// samplerInterval is the period of the run's one periodic tick.
 const samplerInterval = 100 * units.Microsecond
-
-// sample is the run's periodic tick: the fabric's worst-switch buffer
-// occupancy, then the histogram recorder's tick. It reads every switch,
-// so the sharded engine runs it at window barriers, where the whole
-// fabric is quiescent at the same cut a serial ticker observes.
-func sample(n *topo.Network, col *metrics.Collector, rec *histRecorder, now units.Time) {
-	col.SampleBuffer(n.WorstBufferFrac())
-	rec.tick(now)
-}
 
 // rateOf converts a Gbps knob to the simulator's integer bits/s rate.
 func rateOf(gbps float64) units.Rate {
@@ -133,8 +123,8 @@ func (s Scenario) topoConfig() (topo.Config, units.ByteCount) {
 	return cfg, totalBuffer
 }
 
-// BuildFabric resolves the scenario and constructs the serial engine and
-// fabric without any workloads attached — the programmatic Simulation
+// BuildFabric resolves the scenario and constructs a serial simulator
+// and fabric without any workloads attached — the programmatic Simulation
 // API drives traffic itself.
 func BuildFabric(s Scenario) (Scenario, *sim.Simulator, *topo.Network, units.ByteCount, error) {
 	r, err := s.Resolve()
@@ -147,11 +137,14 @@ func BuildFabric(s Scenario) (Scenario, *sim.Simulator, *topo.Network, units.Byt
 	return r, eng, n, totalBuffer, nil
 }
 
-// Run resolves and executes one scenario, returning its result and the
-// metrics collector with every flow record for tracing and custom
-// analysis. Shards selects the engine; output is identical at every
-// shard count >= 1; the serial loop (0) orders exact-time ties its own
-// way and so may differ (see Scenario.Shards).
+// Run resolves and executes one scenario on the parallel engine,
+// returning its result and the metrics collector with every flow record
+// for tracing and custom analysis. Shards >= 1 partitions the fabric
+// and routes every tier link through a mailbox, so output is identical
+// at every such shard count; 0 runs one shard with direct tier links,
+// the serial tie order, which may differ (see Scenario.Shards). Either
+// way faults land on window barriers, the periodic sample runs at
+// barriers, and the drain runs the calendars to exhaustion.
 func Run(s Scenario) (Result, *metrics.Collector, error) {
 	r, err := s.Resolve()
 	if err != nil {
@@ -159,97 +152,19 @@ func Run(s Scenario) (Result, *metrics.Collector, error) {
 	}
 	cfg, totalBuffer := r.topoConfig()
 	duration := r.Duration.Time()
-	rate := cfg.LinkRate
 
+	var part topo.Partition // zero: one shard, direct tier links
 	if r.Shards >= 1 {
-		return runSharded(r, cfg, totalBuffer, duration, rate)
+		part = topo.MakePartition(cfg.Graph(), r.Shards)
 	}
-
-	sess, err := obs.NewSession(r.Obs, 1)
+	shards := max(part.Shards, 1)
+	sess, err := obs.NewSession(r.Obs, shards)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	cfg.Obs = sess
 
-	eng := sim.New(r.Seed)
-	sess.ShardSink(0).AddSource(eng)
-	n := topo.NewNetwork(eng, cfg)
-	col := &metrics.Collector{}
-
-	// Fault events are scheduled before anything else so that among ties
-	// at one instant they apply first — the serial equivalent of the
-	// sharded engine's window-barrier cut.
-	for _, ev := range expandFaults(n.G, r.Fabric.LinkFaults) {
-		ev := ev
-		eng.At(ev.At, func() { n.ApplyLinkEvent(ev) })
-	}
-
-	traffic, err := buildWorkloads(n, r, col, totalBuffer, duration)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	rec, err := newHistRecorder(r, sess, col, n)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	// The hybrid controller installs the flow-start hook and its epoch
-	// ticker before any flow launches.
-	var ctl *hybrid.Controller
-	if r.Hybrid.Enabled {
-		ctl = hybrid.New(eng, n, hybrid.Config{
-			GuardBandFrac: r.Hybrid.GuardBandFrac,
-			SteadyRTTs:    r.Hybrid.SteadyRTTs,
-			EpochDt:       r.Hybrid.EpochDt.Time(),
-			Obs:           sess.ShardSink(0),
-		})
-		ctl.Start()
-	}
-	traffic.Schedule()
-	ticker := eng.NewTicker(samplerInterval, func() { sample(n, col, rec, eng.Now()) })
-
-	eng.RunUntil(duration)
-	// Drain: let in-flight flows finish (bounded so pathological runs
-	// still terminate).
-	drainEnd := duration + 500*units.Millisecond
-	eng.RunUntil(drainEnd)
-	ticker.Stop()
-	if ctl != nil {
-		// Promote every remaining fluid flow so the final flush below
-		// completes flows in packet mode, like a pure-packet run.
-		ctl.Stop()
-	}
-	n.Stop()
-	eng.Run() // flush canceled tickers
-	rec.finish(drainEnd)
-
-	res := collectResult(r, n, col, rate, eng.Executed())
-	res.Counters = sess.Totals()
-	res.Hists = sess.HistTotals()
-	if ctl != nil {
-		st := ctl.Stats()
-		res.Hybrid = &st
-	}
-	if err := writeObsOutputs(r.Obs, sess, n, rec); err != nil {
-		return Result{}, nil, err
-	}
-	return res, col, nil
-}
-
-// runSharded executes a scenario on the parallel engine: the fabric is
-// partitioned across shards, the workload stream is planned to the
-// traffic horizon up front (see workload.Stream.Schedule), and the
-// periodic sample runs at window barriers.
-func runSharded(r Scenario, cfg topo.Config, totalBuffer units.ByteCount,
-	duration units.Time, rate units.Rate) (Result, *metrics.Collector, error) {
-
-	part := topo.MakePartition(cfg.Graph(), r.Shards)
-	sess, err := obs.NewSession(r.Obs, part.Shards)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	cfg.Obs = sess
-
-	p := sim.NewParallel(r.Seed, part.Shards)
+	p := sim.NewParallel(r.Seed, shards)
 	defer p.Close()
 	p.SetObs(sess)
 	n := topo.NewShardedNetwork(p, cfg, part)
@@ -258,7 +173,6 @@ func runSharded(r Scenario, cfg topo.Config, totalBuffer units.ByteCount,
 	// Window barriers are the only point where cross-shard routing state
 	// may change; every fault lands exactly on one.
 	for _, ev := range expandFaults(n.G, r.Fabric.LinkFaults) {
-		ev := ev
 		p.AtBarrier(ev.At, func(units.Time) { n.ApplyLinkEvent(ev) })
 	}
 
@@ -270,20 +184,50 @@ func runSharded(r Scenario, cfg topo.Config, totalBuffer units.ByteCount,
 	if err != nil {
 		return Result{}, nil, err
 	}
+	// The hybrid controller installs the flow-start hook and its epoch
+	// ticker before any flow launches. Resolve admits it only at shards
+	// 0, where the whole fabric is on shard 0.
+	var ctl *hybrid.Controller
+	if r.Hybrid.Enabled {
+		ctl = hybrid.New(p.Shard(0), n, hybrid.Config{
+			GuardBandFrac: r.Hybrid.GuardBandFrac,
+			SteadyRTTs:    r.Hybrid.SteadyRTTs,
+			EpochDt:       r.Hybrid.EpochDt.Time(),
+			Obs:           sess.ShardSink(0),
+		})
+		ctl.Start()
+	}
 	traffic.Schedule()
-	ticker := p.NewBarrierTicker(samplerInterval, func(now units.Time) { sample(n, col, rec, now) })
+	// The periodic sample (the worst switch's buffer occupancy, then the
+	// histogram recorder's tick) reads every switch, so it runs at window
+	// barriers, where the whole fabric is quiescent.
+	ticker := p.NewBarrierTicker(samplerInterval, func(now units.Time) {
+		col.SampleBuffer(n.WorstBufferFrac())
+		rec.tick(now)
+	})
 
 	p.RunUntil(duration)
+	// Drain: let in-flight flows finish (bounded so pathological runs
+	// still terminate).
 	drainEnd := duration + 500*units.Millisecond
 	p.RunUntil(drainEnd)
 	ticker.Stop()
+	if ctl != nil {
+		// Promote every remaining fluid flow so the final flush below
+		// completes flows in packet mode, like a pure-packet run.
+		ctl.Stop()
+	}
 	n.Stop()
 	p.Drain() // run remaining retransmission chains to exhaustion
 	rec.finish(drainEnd)
 
-	res := collectResult(r, n, col, rate, p.Executed())
+	res := collectResult(r, n, col, cfg.LinkRate, p.Executed())
 	res.Counters = sess.Totals()
 	res.Hists = sess.HistTotals()
+	if ctl != nil {
+		st := ctl.Stats()
+		res.Hybrid = &st
+	}
 	if err := writeObsOutputs(r.Obs, sess, n, rec); err != nil {
 		return Result{}, nil, err
 	}
@@ -326,7 +270,7 @@ func expandFaults(g *topo.Graph, faults []LinkFault) []topo.LinkEvent {
 }
 
 // buildWorkloads builds the scenario's workload stream without
-// scheduling anything; both engines then call its Schedule. A workload
+// scheduling anything; Run then calls its Schedule. A workload
 // Resolve accepts but the fabric cannot realize (say, an incast request
 // that rounds to zero bytes) is an error here.
 func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,

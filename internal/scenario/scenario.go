@@ -5,8 +5,8 @@
 // workload mix, shard count, telemetry, duration and seed. It is the
 // only run spec: the abm root API, the figures in internal/experiments,
 // the abmsim/figures/sweep CLIs and the examples all build a Scenario
-// directly, and one builder constructs the fabric and workloads for
-// both the serial and the topology-sharded engines.
+// directly, and one builder constructs the fabric and workloads on the
+// parallel engine at every shard count.
 //
 // A Scenario has exactly one defaults-resolution pass: Resolve returns
 // a fully-explicit spec (goldens pin it) and is idempotent, so a
@@ -73,10 +73,11 @@ type Scenario struct {
 	// Seed drives every random stream of the run (workload arrivals,
 	// per-switch policy randomness, ...) deterministically.
 	Seed int64 `json:"seed"`
-	// Shards selects the engine: 0 is the legacy serial loop; >= 1 runs
-	// the topology-sharded parallel engine with min(Shards, Leaves)
-	// shards. Output is identical at every shard count >= 1. The serial
-	// loop breaks exact-time ties by its own push order instead, so it
+	// Shards partitions the fabric: >= 1 runs min(Shards, Leaves)
+	// shards with every tier link routed through an engine mailbox, and
+	// output is identical at every such count. 0 means one shard with
+	// direct tier links: the serial tie order, where a delivery pops in
+	// its sender's push order rather than the barrier merge's, so it
 	// differs from the sharded output wherever simultaneous events
 	// interact (on a contended incast cell, in drops and tail slowdowns).
 	Shards int `json:"shards,omitempty"`
@@ -123,8 +124,7 @@ type Fabric struct {
 	LinkDelay Duration `json:"link_delay"`
 	// LinkFaults schedules link failures, recoveries, flaps and rate
 	// degradations at fixed simulation times. Deterministic and
-	// shard-count-invariant: serial runs apply them as calendar events,
-	// sharded runs at window barriers.
+	// shard-count-invariant: each applies at a window barrier.
 	LinkFaults []LinkFault `json:"link_faults,omitempty"`
 }
 
@@ -348,8 +348,8 @@ type LongFlows struct {
 // Hybrid configures the fluid/packet hybrid engine; see internal/hybrid
 // for the mode-transition rules these knobs parameterize.
 type Hybrid struct {
-	// Enabled turns the hybrid engine on. Serial engine only: Resolve
-	// rejects Enabled together with Shards >= 1.
+	// Enabled turns the hybrid engine on. Shards 0 only (the whole
+	// fabric on one shard): Resolve rejects Enabled with Shards >= 1.
 	Enabled bool `json:"enabled,omitempty"`
 	// GuardBandFrac is the fraction of a queue's admission threshold at
 	// which fluid flows return to packet mode; zero resolves to 0.5.

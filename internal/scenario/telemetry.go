@@ -23,9 +23,8 @@ import (
 // a global view.
 //
 // Determinism: ticks run at fixed sim times as part of the run's one
-// periodic sample — on the serial engine via a plain ticker, on the
-// parallel engine at window barriers, which observe the same cut
-// (every event before the tick time executed, none after). A finished
+// periodic sample, at window barriers, which observe one cut (every
+// event before the tick time executed, none after). A finished
 // flow is recorded the first tick strictly after its end time, so the
 // recording tick is a pure function of the flow record and the
 // snapshot series is byte-identical at any shard count.

@@ -94,7 +94,10 @@ type Parallel struct {
 	// for shard dst since the last barrier, each item keyed by its
 	// mailbox's rank; flush merges each destination's buffers onto its
 	// private line cross[dst] and heads is the merge's reused scratch.
-	// boxes counts registered mailboxes (the next rank).
+	// A shard's line is made with its first inbound mailbox (noLine
+	// until then), so a shard no mailbox reaches, such as the lone shard
+	// of a fabric with direct tier links, has no idle line to scan on
+	// every pop. boxes counts registered mailboxes (the next rank).
 	pairs [][]eventq.Item
 	cross []eventq.LineID
 	heads [][]eventq.Item
@@ -113,6 +116,8 @@ type Parallel struct {
 	// mailbox empty, the coordinator skips the (no-op) barrier and runs
 	// the next lookahead-sized window immediately, up to maxWiden
 	// windows per barrier cycle. widened counts the extension windows.
+	// Widening never changes output, so only tests set maxWiden (1 pins
+	// the unwidened schedule).
 	maxWiden int
 	widened  uint64
 
@@ -141,7 +146,7 @@ func NewParallel(seed int64, n int) *Parallel {
 	p.cross = make([]eventq.LineID, n)
 	for i := range p.shards {
 		p.shards[i] = New(randutil.DeriveSeed(seed, i))
-		p.cross[i] = p.shards[i].q.NewLine()
+		p.cross[i] = noLine
 	}
 	p.pairs = make([][]eventq.Item, n*n)
 	p.heads = make([][]eventq.Item, 0, n)
@@ -153,6 +158,9 @@ func NewParallel(seed int64, n int) *Parallel {
 // than any window limit.
 const never = units.Time(math.MaxInt64)
 
+// noLine marks a shard whose crossing line is not made yet.
+const noLine = eventq.LineID(-1)
+
 // Seed returns the engine's base seed (not a shard's derived seed).
 func (p *Parallel) Seed() int64 { return p.seed }
 
@@ -161,23 +169,6 @@ func (p *Parallel) Seed() int64 { return p.seed }
 // of the barrier savings on sparse phases while keeping the coordinator
 // responsive to new crossings.
 const defaultMaxWiden = 8
-
-// SetMaxWiden bounds adaptive window widening to k lookahead windows
-// per barrier cycle; k=1 disables widening (every window is followed by
-// a barrier, the pre-widening behavior). Widening never changes
-// simulation output — the skipped barriers are exactly the ones that
-// would have drained zero events and fired zero tickers — so this knob
-// exists for benchmarking and for tests that pin the window schedule.
-func (p *Parallel) SetMaxWiden(k int) {
-	if k < 1 {
-		k = 1
-	}
-	p.maxWiden = k
-}
-
-// Widened returns the number of extension windows run so far: windows
-// that followed a mailbox-silent window without an intervening barrier.
-func (p *Parallel) Widened() uint64 { return p.widened }
 
 // anyPosted reports whether any shard pair holds a pending crossing.
 // Coordinator-only (between windows).
@@ -265,6 +256,9 @@ func (p *Parallel) NewMailbox(src, dst int, latency units.Time) *Mailbox {
 	}
 	if p.look == 0 || latency < p.look {
 		p.look = latency
+	}
+	if p.cross[dst] == noLine {
+		p.cross[dst] = p.shards[dst].q.NewLine()
 	}
 	m := &Mailbox{out: &p.pairs[src*len(p.shards)+dst], rank: p.boxes}
 	p.boxes++
@@ -478,9 +472,13 @@ func (p *Parallel) runShardWindow(i int, req windowReq) {
 		s.RunBefore(req.limit)
 	}
 	if traced {
+		end := req.limit
+		if end == never {
+			end = s.Now() // Drain's exhaustion window: up to its last event
+		}
 		sink.Emit(obs.Event{
 			At:   req.start,
-			Dur:  req.limit - req.start,
+			Dur:  end - req.start,
 			Kind: obs.KindWindow,
 			Node: int32(i),
 			Aux:  int64(s.Executed() - before),
@@ -622,12 +620,13 @@ func (p *Parallel) Drain() {
 			return
 		}
 		if p.look == 0 {
-			// No mailboxes: a single shard draining serially.
-			p.runWindow(t, true)
-			if p.now < t {
-				p.now = t
+			// No mailboxes, so no shard can reach another: one window
+			// runs each to exhaustion.
+			p.runWindow(never, false)
+			for _, s := range p.shards {
+				p.now = max(p.now, s.Now())
 			}
-			continue
+			return
 		}
 		// Same widening rule as RunUntil: keep running windows while no
 		// crossing is posted (tickers are stopped by contract here).

@@ -68,9 +68,6 @@ func (s *Simulator) NewPacket() *packet.Packet { return s.pool.Get() }
 // INT slices).
 func (s *Simulator) FreePacket(p *packet.Packet) { s.pool.Put(p) }
 
-// PacketPool exposes the free list for instrumentation and tests.
-func (s *Simulator) PacketPool() *packet.Pool { return &s.pool }
-
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it would silently reorder causality.
 func (s *Simulator) At(t units.Time, fn func()) Event {

@@ -29,8 +29,9 @@ type Worker struct {
 	// Slots is how many jobs run concurrently. Default 1; capped so
 	// that slots x the grid's shards per job stay within GOMAXPROCS.
 	Slots int
-	// Timeout, Retries, Backoff configure runner.Execute per job.
-	Timeout time.Duration
+	// Retries and Backoff configure runner.Execute per job; the
+	// wall-clock limit comes with each job's spec (the grid's
+	// timeout_sec).
 	Retries int
 	Backoff time.Duration
 	// Progress, when non-nil, receives per-job log lines.
@@ -153,7 +154,7 @@ func (w *Worker) runLease(ctx context.Context, plan *runner.Plan, lease Lease) e
 	w.logf("run %s (seed %d, attempt %d)", lease.ID, lease.Seed, lease.Attempt)
 
 	rec := runner.Execute(ctx, spec, lease.Seed, runner.ExecOptions{
-		Timeout: w.Timeout, Retries: w.Retries, Backoff: w.Backoff,
+		Retries: w.Retries, Backoff: w.Backoff,
 	})
 	// The record reports under the lease's job ID: adaptive extra
 	// replications re-run a base spec under their own identity.

@@ -35,9 +35,8 @@ func (s LinkState) String() string {
 }
 
 // LinkEvent is one scheduled change to a fabric link's state. The run
-// layer applies events at their times — as plain calendar events on the
-// serial engine, at window barriers on the sharded engine (the only
-// point where cross-shard routing state may safely change) — so a
+// layer applies events at their times, at window barriers (the only
+// point where cross-shard routing state may safely change), so a
 // failure schedule is deterministic and shard-count-invariant.
 type LinkEvent struct {
 	At    units.Time
@@ -62,8 +61,8 @@ func SortLinkEvents(evs []LinkEvent) {
 }
 
 // ApplyLinkEvent transitions one link's state and re-converges routing.
-// It must run with the fabric quiescent: inline on the serial engine,
-// or at a window barrier in sharded mode. Down/up transitions rebuild
+// It must run with the fabric quiescent: between a serial simulator's
+// events, or at a window barrier of the parallel engine. Down/up transitions rebuild
 // every forwarding table from the surviving graph (next-hop sets are
 // pruned or regrown); degradation only changes the two port rates, so
 // in-service routing is untouched.

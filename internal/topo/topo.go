@@ -177,11 +177,12 @@ func MakePartition(g *Graph, shards int) Partition {
 	return p
 }
 
-// Network is a built fabric, driven either by one serial simulator
-// (Sim) or by the sharded parallel engine (Par); exactly one is set.
+// Network is a built fabric whose tier links are direct on one
+// simulator (Sim) or routed through engine mailboxes (Par); exactly one
+// is set.
 type Network struct {
-	Sim  *sim.Simulator // serial mode; nil when sharded
-	Par  *sim.Parallel  // sharded mode; nil when serial
+	Sim  *sim.Simulator // direct tier links; nil when Par is set
+	Par  *sim.Parallel  // mailbox-routed tier links; nil when Sim is set
 	Part Partition
 	Cfg  Config
 	G    *Graph
@@ -208,8 +209,8 @@ type Network struct {
 	// OnFlowStart, when set, observes every flow launch just before its
 	// first packet is emitted (hybrid engine: a new burst at a shared
 	// queue promotes fluid flows back to packet mode before the burst's
-	// packets can race them). It runs on the source host's shard, so a
-	// sharded run must only install it when the engine is serial.
+	// packets can race them). It runs on the source host's shard, so
+	// only a fabric on one simulator (Sim set) may install it.
 	OnFlowStart func(id uint64, src, dst int, size units.ByteCount, prio uint8)
 }
 
@@ -236,16 +237,11 @@ func NodeName(id packet.NodeID) string {
 // rows.
 func (n *Network) NodeName(id packet.NodeID) string { return n.G.NodeNameOf(id) }
 
-// NewNetwork builds and wires the fabric on a single serial simulator.
+// NewNetwork builds and wires the fabric on a single simulator with
+// direct tier links.
 func NewNetwork(s *sim.Simulator, cfg Config) *Network {
-	cfg.fillDefaults()
-	n := &Network{Sim: s, Cfg: cfg, G: cfg.Topo}
-	n.Part = MakePartition(n.G, 1)
-	n.swSim = make([]*sim.Simulator, n.G.NumSwitches())
-	for i := range n.swSim {
-		n.swSim[i] = s
-	}
-	n.build(s.Seed())
+	n := &Network{Sim: s}
+	n.build(cfg, Partition{}, s.Seed())
 	return n
 }
 
@@ -255,21 +251,19 @@ func NewNetwork(s *sim.Simulator, cfg Config) *Network {
 // routes through an engine mailbox — including same-shard tier links,
 // so the barrier merge order is a property of the topology alone and
 // the run is identical at any shard count.
+//
+// A zero partition (Shards == 0) instead builds the whole fabric on
+// shard 0 of a one-shard engine with direct tier links: the serial tie
+// order. Switch randomness derives from the engine's base seed either
+// way.
 func NewShardedNetwork(p *sim.Parallel, cfg Config, part Partition) *Network {
-	cfg.fillDefaults()
-	if part.Shards != p.NumShards() {
+	n := &Network{Par: p}
+	if part.Shards == 0 {
+		n = &Network{Sim: p.Shard(0)}
+	} else if part.Shards != p.NumShards() {
 		panic(fmt.Sprintf("topo: partition has %d shards, engine has %d", part.Shards, p.NumShards()))
 	}
-	if len(part.SwitchShard) != cfg.Topo.NumSwitches() {
-		panic(fmt.Sprintf("topo: partition covers %d switches, fabric has %d",
-			len(part.SwitchShard), cfg.Topo.NumSwitches()))
-	}
-	n := &Network{Par: p, Cfg: cfg, Part: part, G: cfg.Topo}
-	n.swSim = make([]*sim.Simulator, n.G.NumSwitches())
-	for i, sh := range part.SwitchShard {
-		n.swSim[i] = p.Shard(sh)
-	}
-	n.build(p.Seed())
+	n.build(cfg, part, p.Seed())
 	return n
 }
 
@@ -281,7 +275,7 @@ func switchRNG(baseSeed int64, id int) *rand.Rand {
 }
 
 // tierLink creates the link from switch from to switch to (graph
-// indices): direct in serial mode, mailbox-routed in sharded mode.
+// indices): direct on one simulator, else mailbox-routed.
 // Mailboxes register in call order, which build keeps
 // partition-invariant (the canonical Graph.Links order).
 func (n *Network) tierLink(from, to int) *device.Link {
@@ -293,12 +287,27 @@ func (n *Network) tierLink(from, to int) *device.Link {
 	return device.NewLinkVia(src, n.Cfg.LinkDelay, dst, box)
 }
 
-// build constructs switches in graph order, wires the tiers along the
-// canonical link list, computes routing tables and hop counts from the
-// graph, and attaches hosts.
-func (n *Network) build(baseSeed int64) {
-	cfg := n.Cfg
-	g := n.G
+// build places the switches on the partition's shards (all on n.Sim
+// for a zero partition), constructs them in graph order, wires the
+// tiers along the canonical link list, computes routing tables and hop
+// counts from the graph, and attaches hosts.
+func (n *Network) build(cfg Config, part Partition, baseSeed int64) {
+	cfg.fillDefaults()
+	g := cfg.Topo
+	if part.Shards == 0 {
+		part = MakePartition(g, 1)
+	} else if len(part.SwitchShard) != g.NumSwitches() {
+		panic(fmt.Sprintf("topo: partition covers %d switches, fabric has %d",
+			len(part.SwitchShard), g.NumSwitches()))
+	}
+	n.Cfg, n.G, n.Part = cfg, g, part
+	n.swSim = make([]*sim.Simulator, g.NumSwitches())
+	for i, sh := range part.SwitchShard {
+		n.swSim[i] = n.Sim
+		if n.Par != nil {
+			n.swSim[i] = n.Par.Shard(sh)
+		}
+	}
 	mmuFor := func() device.MMUConfig {
 		return device.MMUConfig{
 			BufferSize:       cfg.BufferSize,
@@ -452,8 +461,8 @@ func (n *Network) Hops(src, dst int) int {
 	return 2 + int(n.rt.groupDist[b][a])
 }
 
-// SimOfHost returns the simulator host h's events must schedule on (the
-// serial simulator, or in sharded mode its edge switch's shard).
+// SimOfHost returns the simulator host h's events must schedule on: its
+// edge switch's (Sim when the fabric is on one simulator).
 func (n *Network) SimOfHost(h int) *sim.Simulator { return n.swSim[n.GroupOf(h)] }
 
 // ShardOfHost returns host h's shard index.
