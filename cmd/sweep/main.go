@@ -191,7 +191,7 @@ func (f *sweepFlags) openStore() (*runner.Store, error) {
 // report writes <out>/aggregate.json, prints the group table to stdout
 // and the summary plus one FAILED line per failed job to stderr, and
 // returns the exit status: 1 when any job failed.
-func (f *sweepFlags) report(stdout, stderr io.Writer, records []runner.Record, start time.Time, detail string) int {
+func (f *sweepFlags) report(stdout, stderr io.Writer, records []runner.Record, start time.Time) int {
 	groups := runner.Aggregate(records)
 	aggPath := filepath.Join(f.out, "aggregate.json")
 	data, err := json.MarshalIndent(groups, "", "  ")
@@ -212,8 +212,8 @@ func (f *sweepFlags) report(stdout, stderr io.Writer, records []runner.Record, s
 	}
 	failed := runner.Failed(records)
 	fmt.Fprint(stdout, runner.FormatGroups(groups))
-	fmt.Fprintf(stderr, "done in %s: %d ok (%d from log), %d failed%s; aggregate -> %s\n",
-		time.Since(start).Round(100*time.Millisecond), ok, cached, len(failed), detail, aggPath)
+	fmt.Fprintf(stderr, "done in %s: %d ok (%d from log), %d failed; aggregate -> %s\n",
+		time.Since(start).Round(100*time.Millisecond), ok, cached, len(failed), aggPath)
 	for _, rec := range failed {
 		fmt.Fprintf(stderr, "  FAILED %s: %s (%s)\n", rec.ID, firstLine(rec.Error), rec.Status)
 	}
@@ -335,7 +335,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return die(stderr, err)
 	}
-	code := f.report(stdout, stderr, records, start, "")
+	code := f.report(stdout, stderr, records, start)
 	if figs != nil {
 		// Every table is rendered from the records, so a resumed run
 		// rewrites them without simulating.
@@ -380,13 +380,10 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	log, err := f.openStore()
+	store, err := f.openStore()
 	if err != nil {
 		return die(stderr, err)
 	}
-	store := sweepd.NewStore(log)
-	// Worker-shipped telemetry bundles land beside the record log.
-	store.TelemetryDir = filepath.Join(f.out, "telemetry")
 	defer store.Close()
 
 	var progress io.Writer
@@ -396,6 +393,8 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	c, err := sweepd.NewCoordinator(sweepd.Config{
 		Grid:     &grid,
 		LeaseTTL: *leaseTTL,
+		// Worker-shipped telemetry bundles land beside the record log.
+		TelemetryDir: filepath.Join(f.out, "telemetry"),
 		TableConfig: runner.TableConfig{
 			MaxLeaseAttempts: *maxLeases,
 			CITarget:         *ciTarget,
@@ -431,12 +430,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	if err := <-work; err != nil {
 		return die(stderr, err)
 	}
-	if err := store.Flush(); err != nil {
-		return die(stderr, err)
-	}
-	st := store.Stats()
-	return f.report(stdout, stderr, c.Table().Records(), start,
-		fmt.Sprintf("; %d records in %d batches", st.Records, st.Batches))
+	return f.report(stdout, stderr, c.Table().Records(), start)
 }
 
 // workCmd joins a remote coordinator as a worker.
@@ -541,10 +535,6 @@ func printStatus(w io.Writer, st *sweepd.Status) {
 			fmt.Fprintf(w, "  %-40s slowdown p50 %.3f  p99 %.3f  p999 %.3f  (%d flows)\n",
 				"", s.P50, s.P99, s.P999, s.Count)
 		}
-	}
-	if st.Batch != nil {
-		fmt.Fprintf(w, "  log: %d records in %d batches (max %d)\n",
-			st.Batch.Records, st.Batch.Batches, st.Batch.MaxBatchLen)
 	}
 }
 

@@ -5,9 +5,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"abm/internal/runner"
+	"abm/internal/sweepd"
 )
 
 // sweep drives the CLI in-process and returns its exit status, stdout
@@ -240,6 +246,82 @@ func TestServeCapsShardedWorkers(t *testing.T) {
 	}
 	if strings.Contains(stderr, "-> local-1") {
 		t.Errorf("a capped-away worker leased a job:\n%s", stderr)
+	}
+}
+
+// syncBuffer is a bytes.Buffer a running serve may write while the
+// test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServeCommitsEachRecord pins serve's commit rule, the one `sweep
+// run` keeps: a record a remote worker completes is in records.log,
+// visible to a fresh store's Replay, by the time Complete returns.
+func TestServeCommitsEachRecord(t *testing.T) {
+	out := t.TempDir()
+	var stdout bytes.Buffer
+	var stderr syncBuffer
+	exit := make(chan int, 1)
+	go func() {
+		exit <- run([]string{"serve", "-scenario", "../../examples/incast/scenario.json",
+			"-vary", "switch.bm=DT,ABM", "-workers", "0", "-quiet", "-addr", "127.0.0.1:0", "-out", out}, &stdout, &stderr)
+	}()
+	listening := regexp.MustCompile(`listening on (\S+),`)
+	var addr string
+	for deadline := time.Now().Add(10 * time.Second); addr == ""; time.Sleep(5 * time.Millisecond) {
+		if m := listening.FindStringSubmatch(stderr.String()); m != nil {
+			addr = m[1]
+		}
+		select {
+		case code := <-exit:
+			t.Fatalf("serve exited %d before listening: %s", code, stderr.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("serve never listened: %s", stderr.String())
+		}
+	}
+
+	client := sweepd.NewClient(addr)
+	for n := 1; n <= 2; n++ {
+		resp, err := client.Lease("w", 1)
+		if err != nil || len(resp.Leases) != 1 {
+			t.Fatalf("lease %d: %v %+v", n, err, resp)
+		}
+		l := resp.Leases[0]
+		rec := runner.Record{ID: l.ID, Seed: l.Seed, Status: runner.StatusOK, Attempts: 1, Result: &runner.Result{}}
+		if err := client.Complete("w", rec, nil); err != nil {
+			t.Fatal(err)
+		}
+		store, err := runner.OpenStore(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := store.Replay()
+		store.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != n || recs[n-1].ID != l.ID {
+			t.Fatalf("after completing %d records the log holds %d: %+v", n, len(recs), recs)
+		}
+	}
+	if code := <-exit; code != 0 {
+		t.Fatalf("serve: exit %d: %s", code, stderr.String())
 	}
 }
 

@@ -16,9 +16,8 @@ var errTimeout = errors.New("job deadline exceeded")
 
 // RecordSink is where a Table persists records as jobs complete and
 // where it reads previously-completed jobs from when resuming. *Store
-// (one fsync per record) is the implementation; internal/sweepd wraps
-// the same log with batched commits. Pool and the sweep coordinator
-// both reach it through their Table.
+// (one fsync per record) is the implementation. Pool and the sweep
+// coordinator both reach it through their Table.
 type RecordSink interface {
 	// Put persists one finished record durably.
 	Put(Record) error

@@ -81,6 +81,14 @@ func TestStoreFailedNotCompleted(t *testing.T) {
 	if done, _ = st.Completed(); len(done) != 1 {
 		t.Fatalf("ok record not visible: %v", done)
 	}
+	// And a later failure supersedes the success: the latest entry for
+	// a job decides.
+	if err := st.Put(Record{ID: "a", Status: StatusFailed, Error: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	if done, _ = st.Completed(); len(done) != 0 {
+		t.Fatalf("later failure did not supersede the success: %v", done)
+	}
 }
 
 // TestStoreDamage replays what a crash or a damaged disk can leave in

@@ -112,15 +112,6 @@ type Parallel struct {
 	started bool
 	closed  bool
 
-	// Adaptive lookahead widening: after a window ends with every
-	// mailbox empty, the coordinator skips the (no-op) barrier and runs
-	// the next lookahead-sized window immediately, up to maxWiden
-	// windows per barrier cycle. widened counts the extension windows.
-	// Widening never changes output, so only tests set maxWiden (1 pins
-	// the unwidened schedule).
-	maxWiden int
-	widened  uint64
-
 	// Coordinator counts (engine/ counters), kept by the coordinator
 	// alone, between windows. barrierWaitNs is measured only while
 	// telemetry is on.
@@ -141,7 +132,7 @@ func NewParallel(seed int64, n int) *Parallel {
 	if n < 1 {
 		panic(fmt.Sprintf("sim: parallel engine needs at least one shard, got %d", n))
 	}
-	p := &Parallel{seed: seed, maxWiden: defaultMaxWiden}
+	p := &Parallel{seed: seed}
 	p.shards = make([]*Simulator, n)
 	p.cross = make([]eventq.LineID, n)
 	for i := range p.shards {
@@ -163,23 +154,6 @@ const noLine = eventq.LineID(-1)
 
 // Seed returns the engine's base seed (not a shard's derived seed).
 func (p *Parallel) Seed() int64 { return p.seed }
-
-// defaultMaxWiden bounds how many consecutive lookahead windows may run
-// between barriers when no mailbox receives a post. K=8 captures most
-// of the barrier savings on sparse phases while keeping the coordinator
-// responsive to new crossings.
-const defaultMaxWiden = 8
-
-// anyPosted reports whether any shard pair holds a pending crossing.
-// Coordinator-only (between windows).
-func (p *Parallel) anyPosted() bool {
-	for _, b := range p.pairs {
-		if len(b) > 0 {
-			return true
-		}
-	}
-	return false
-}
 
 // SetObs attaches a telemetry session, which must have been created with
 // this engine's shard count. Call before the first window: the engine
@@ -572,32 +546,12 @@ func (p *Parallel) RunUntil(deadline units.Time) {
 		if p.now >= deadline {
 			break
 		}
-		// Adaptive widening: each barrier cycle runs up to maxWiden
-		// lookahead windows back to back, stopping early the moment a
-		// window posts a crossing (it must be injected before any shard
-		// may enter the window it lands in) or a barrier ticker comes
-		// due. A skipped barrier would have drained nothing and fired
-		// nothing, so widening cannot change simulation output — it
-		// only skips coordinator turnover between windows. Every
-		// decision below reads partition-invariant state (the global
-		// event minimum, the mailbox set, the ticker schedule), so the
-		// window schedule — and with it the injection order — is itself
-		// identical at every shard count.
-		for phase := 0; ; phase++ {
-			next := p.windowEnd(deadline)
-			if next <= p.now {
-				panic(fmt.Sprintf("sim: window did not advance past %v", p.now))
-			}
-			p.runWindow(next, false)
-			p.now = next
-			if p.now >= deadline || phase+1 >= p.maxWiden || p.anyPosted() {
-				break
-			}
-			if t, ok := p.nextTicker(); ok && t <= p.now {
-				break
-			}
-			p.widened++
+		next := p.windowEnd(deadline)
+		if next <= p.now {
+			panic(fmt.Sprintf("sim: window did not advance past %v", p.now))
 		}
+		p.runWindow(next, false)
+		p.now = next
 	}
 	// Events at exactly the deadline: every event before it has run and
 	// crossings due at it were injected by the flush above; anything
@@ -628,22 +582,9 @@ func (p *Parallel) Drain() {
 			}
 			return
 		}
-		// Same widening rule as RunUntil: keep running windows while no
-		// crossing is posted (tickers are stopped by contract here).
-		for phase := 0; ; phase++ {
-			limit := t + p.look
-			p.runWindow(limit, false)
-			if p.now < limit {
-				p.now = limit
-			}
-			if phase+1 >= p.maxWiden || p.anyPosted() {
-				break
-			}
-			if t, ok = p.peekMin(); !ok {
-				break
-			}
-			p.widened++
-		}
+		limit := t + p.look
+		p.runWindow(limit, false)
+		p.now = max(p.now, limit)
 	}
 }
 

@@ -275,60 +275,6 @@ func TestShardSeedsDiffer(t *testing.T) {
 	}
 }
 
-// TestAdaptiveWideningMatchesUnwidened runs a model with long
-// mailbox-silent stretches (a local event chain beside a finite bounce
-// chain) at maxWiden=1 (widening off) and the default K. Widening must
-// actually engage, and the receipt traces and executed-event counts
-// must be identical: extension windows only skip no-op barriers.
-func TestAdaptiveWideningMatchesUnwidened(t *testing.T) {
-	run := func(maxWiden int) (trace []string, widened, execs uint64) {
-		p := NewParallel(7, 2)
-		defer p.Close()
-		p.maxWiden = maxWiden
-		a, b := buildPingPong(p, 6)
-
-		// A shard-local chain far longer than the bounce exchange: 600
-		// events half a lookahead apart, no crossings. While bounces
-		// are live every window posts (widening must snap back); after
-		// they finish the chain runs through mailbox-silent windows
-		// (widening must engage), continuing past the deadline so the
-		// Drain loop widens too.
-		s0 := p.Shard(0)
-		count := 0
-		var local func()
-		local = func() {
-			count++
-			if count < 600 {
-				s0.After(hopDelay/2, local)
-			}
-		}
-		s0.After(0, local)
-
-		a.sim.AtArg(0, a.recv, 0)
-		p.RunUntil(units.Time(2_000_000))
-		p.Drain()
-		if count != 600 {
-			t.Fatalf("local chain ran %d of 600 events", count)
-		}
-		return append(append([]string{}, a.trace...), b.trace...), p.widened, p.Executed()
-	}
-
-	trace1, widened1, execs1 := run(1)
-	if widened1 != 0 {
-		t.Errorf("maxWiden=1 recorded %d extension windows, want 0", widened1)
-	}
-	trace8, widened8, execs8 := run(defaultMaxWiden)
-	if widened8 == 0 {
-		t.Error("widening never engaged on a mailbox-silent workload")
-	}
-	if !reflect.DeepEqual(trace1, trace8) {
-		t.Errorf("traces differ between maxWiden=1 and %d:\n%v\nvs\n%v", defaultMaxWiden, trace1, trace8)
-	}
-	if execs1 != execs8 {
-		t.Errorf("executed %d events at maxWiden=1 vs %d at %d", execs1, execs8, defaultMaxWiden)
-	}
-}
-
 // TestCrossingOrderProperty drives seeded random posts through the
 // barrier merge and checks that every destination shard runs them in
 // the canonical order: a stable sort of the posts, in posting order,
@@ -339,12 +285,10 @@ func TestAdaptiveWideningMatchesUnwidened(t *testing.T) {
 // across mailboxes, and out-of-order times within one mailbox. Posting
 // rounds are at least one lookahead apart, so each round's posts cross
 // at a barrier of their own and the round stands for the barrier in
-// the key. Every trial runs with and without window widening.
+// the key.
 func TestCrossingOrderProperty(t *testing.T) {
 	for seed := int64(1); seed <= 150; seed++ {
-		for _, widen := range []int{1, defaultMaxWiden} {
-			crossingTrial(t, seed, widen)
-		}
+		crossingTrial(t, seed)
 	}
 }
 
@@ -354,12 +298,11 @@ type plannedPost struct {
 	time           units.Time
 }
 
-func crossingTrial(t *testing.T, seed int64, maxWiden int) {
+func crossingTrial(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	shards := 1 + r.Intn(4)
 	p := NewParallel(seed, shards)
 	defer p.Close()
-	p.maxWiden = maxWiden
 
 	mixed := r.Intn(2) == 0
 	type box struct {
@@ -443,8 +386,8 @@ func crossingTrial(t *testing.T, seed int64, maxWiden int) {
 	}
 	for d := range want {
 		if !reflect.DeepEqual(got[d], want[d]) {
-			t.Fatalf("seed %d, maxWiden %d, %d shards, mixed %v: shard %d ran %v, want %v",
-				seed, maxWiden, shards, mixed, d, got[d], want[d])
+			t.Fatalf("seed %d, %d shards, mixed %v: shard %d ran %v, want %v",
+				seed, shards, mixed, d, got[d], want[d])
 		}
 	}
 }

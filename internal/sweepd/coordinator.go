@@ -1,15 +1,15 @@
 // Package sweepd is the remote half of `sweep serve`/`sweep work`: a
 // coordinator that serves a sweep's runner.Table to worker processes
 // over HTTP+JSON, bounds their leases by a TTL that heartbeats renew,
-// keeps per-worker stats, lands the telemetry bundles workers ship
-// with their records, and commits records to the sweep's runner.Store
-// record log in batches. The table itself — FIFO leases, give-up after
+// keeps per-worker stats and lands the telemetry bundles workers ship
+// with their records. The table itself — FIFO leases, give-up after
 // MaxLeaseAttempts, first-writer-wins results, resume, adaptive
-// replication — is runner's, shared with `sweep run` and with serve's
-// in-process workers. Remote workers are thin wrappers around
-// runner.Execute — same per-job seeds, panic/timeout isolation and
-// retries — so a job's record is identical wherever it ran, and the
-// aggregate is byte-identical.
+// replication, committing each accepted record to the sweep's
+// runner.Store (one write and one fsync per record) — is runner's,
+// shared with `sweep run` and with serve's in-process workers. Remote
+// workers are thin wrappers around runner.Execute — same per-job
+// seeds, panic/timeout isolation and retries — so a job's record is
+// identical wherever it ran, and the aggregate is byte-identical.
 package sweepd
 
 import (
@@ -48,6 +48,9 @@ type Config struct {
 	// LeaseTTL is how long a remote lease lives without a heartbeat
 	// before the job is handed to someone else. Default 30s.
 	LeaseTTL time.Duration
+	// TelemetryDir, when set, is where Complete lands worker-shipped
+	// telemetry bundles (see PutTelemetry). Empty drops them.
+	TelemetryDir string
 	// TableConfig is the job table's policy: lease attempts, adaptive
 	// replication and the record store. Its Log also receives the
 	// coordinator's own lines.
@@ -74,6 +77,10 @@ type Coordinator struct {
 	// mu serializes the RPCs that touch worker stats and telemetry.
 	mu      sync.Mutex
 	workers map[string]*workerStats
+	// storeErr is the first error persisting a remotely completed
+	// record. The worker's retry of that record is a duplicate the
+	// table ignores, so Wait reports it instead.
+	storeErr error
 }
 
 // NewCoordinator builds the job table and, when a store is configured,
@@ -155,8 +162,10 @@ func (c *Coordinator) Heartbeat(worker string, jobIDs []string) (*HeartbeatRespo
 }
 
 // Complete implements Dispatcher: it lands one finished record in the
-// table (first writer wins) and, when the table accepts it, persists
-// its telemetry bundle when the store can.
+// table (first writer wins) and, when the table accepts it, lands its
+// telemetry bundle under TelemetryDir. An accepted record is in the
+// table's store when Complete returns; a store error is returned, and
+// kept for Wait.
 func (c *Coordinator) Complete(worker string, rec runner.Record, telemetry []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -165,14 +174,14 @@ func (c *Coordinator) Complete(worker string, rec runner.Record, telemetry []byt
 	if !accepted {
 		return err
 	}
-	if len(telemetry) > 0 {
-		// Telemetry persistence is best-effort and optional: a store
-		// that cannot keep bundles (or a bundle that fails to land)
-		// must not fail the result itself.
-		if ts, ok := c.cfg.Store.(*Store); ok && ts != nil {
-			if err := ts.PutTelemetry(rec.ID, telemetry); err != nil {
-				c.logf("telemetry for %s dropped: %v", rec.ID, err)
-			}
+	if err != nil && c.storeErr == nil {
+		c.storeErr = fmt.Errorf("sweepd: record %s: %w", rec.ID, err)
+	}
+	if len(telemetry) > 0 && c.cfg.TelemetryDir != "" {
+		// Telemetry persistence is best-effort: a bundle that fails to
+		// land must not fail the result itself.
+		if err := PutTelemetry(c.cfg.TelemetryDir, rec.ID, telemetry); err != nil {
+			c.logf("telemetry for %s dropped: %v", rec.ID, err)
 		}
 	}
 	if ws != nil {
@@ -185,9 +194,10 @@ func (c *Coordinator) Complete(worker string, rec runner.Record, telemetry []byt
 	return err
 }
 
-// Wait blocks until the sweep completes or ctx is canceled. It also
-// drives lease expiry while blocked, so a sweep whose workers all died
-// still converges (to failed records) instead of hanging.
+// Wait blocks until the sweep completes or ctx is canceled, and then
+// returns the first error persisting a remotely completed record. It
+// also drives lease expiry while blocked, so a sweep whose workers all
+// died still converges (to failed records) instead of hanging.
 func (c *Coordinator) Wait(ctx context.Context) error {
 	tick := time.NewTicker(250 * time.Millisecond)
 	defer tick.Stop()
@@ -197,8 +207,8 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 			// The Complete that finished the sweep may still be landing
 			// its telemetry bundle; it holds mu until it has.
 			c.mu.Lock()
-			c.mu.Unlock()
-			return nil
+			defer c.mu.Unlock()
+			return c.storeErr
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-tick.C:
@@ -213,10 +223,6 @@ func (c *Coordinator) Status() *Status {
 	st := &Status{Name: c.table.Plan().Name, TableStatus: ts, Finished: ts.Done == ts.Jobs}
 	for _, g := range ts.Groups {
 		st.Groups = append(st.Groups, GroupStatus{TableGroup: g, Slowdown: SlowdownOf(g.Records)})
-	}
-	if s, ok := c.cfg.Store.(*Store); ok && s != nil {
-		stats := s.Stats()
-		st.Batch = &stats
 	}
 	return st
 }

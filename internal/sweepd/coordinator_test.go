@@ -3,6 +3,7 @@ package sweepd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"strings"
@@ -123,7 +124,7 @@ func TestCoordinatorMatchesPool(t *testing.T) {
 
 	c, err := NewCoordinator(Config{
 		Plan:        syntheticPlan("eq", 12, nil),
-		TableConfig: runner.TableConfig{Store: NewStore(testLog(t))},
+		TableConfig: runner.TableConfig{Store: testLog(t)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +187,7 @@ func TestLeaseExpiryAndWorkerChurn(t *testing.T) {
 	c, err := NewCoordinator(Config{
 		Plan:        makePlan(true),
 		LeaseTTL:    150 * time.Millisecond,
-		TableConfig: runner.TableConfig{MaxLeaseAttempts: 10, Store: NewStore(testLog(t))},
+		TableConfig: runner.TableConfig{MaxLeaseAttempts: 10, Store: testLog(t)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,6 +314,44 @@ func TestLateCompleteAfterRequeue(t *testing.T) {
 	}
 }
 
+// failingSink is a record store whose every Put fails.
+type failingSink struct{}
+
+var errSinkFull = errors.New("disk full")
+
+func (failingSink) Put(rec runner.Record) error                  { return fmt.Errorf("put %s: %w", rec.ID, errSinkFull) }
+func (failingSink) Completed() (map[string]runner.Record, error) { return nil, nil }
+
+// TestCompleteStoreErrorFailsWait: a record the table accepts but its
+// store fails to persist is reported to the worker by Complete, and —
+// because the worker's retry is a duplicate the table ignores — to the
+// coordinator's owner by Wait once the table is done.
+func TestCompleteStoreErrorFailsWait(t *testing.T) {
+	plan := syntheticPlan("putfail", 2, nil)
+	c, err := NewCoordinator(Config{Plan: plan, TableConfig: runner.TableConfig{Store: failingSink{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Lease("w", 2)
+	if err != nil || len(resp.Leases) != 2 {
+		t.Fatalf("lease: %v %+v", err, resp)
+	}
+	for _, l := range resp.Leases {
+		rec := runner.Execute(context.Background(), plan.Specs[l.Index], l.Seed, runner.ExecOptions{})
+		rec.ID = l.ID
+		if err := c.Complete("w", rec, nil); !errors.Is(err, errSinkFull) {
+			t.Fatalf("Complete(%s) = %v, want the store error", l.ID, err)
+		}
+		if err := c.Complete("w", rec, nil); err != nil {
+			t.Fatalf("retried Complete(%s) = %v, want nil (a duplicate)", l.ID, err)
+		}
+	}
+	err = c.Wait(t.Context())
+	if !errors.Is(err, errSinkFull) || !strings.Contains(err.Error(), resp.Leases[0].ID) {
+		t.Fatalf("Wait = %v, want the first record's store error", err)
+	}
+}
+
 // TestHeartbeatKeepsLease proves the opposite of expiry: a slow worker
 // that heartbeats keeps its lease past several TTLs.
 func TestHeartbeatKeepsLease(t *testing.T) {
@@ -356,7 +395,7 @@ func TestCoordinatorResume(t *testing.T) {
 	}
 	want := aggBytes(t, full)
 
-	store := NewStore(testLog(t))
+	store := testLog(t)
 	for _, rec := range full[:4] {
 		if err := store.Put(rec); err != nil {
 			t.Fatal(err)
@@ -380,7 +419,7 @@ func TestCoordinatorResume(t *testing.T) {
 // job IDs under another plan seed: no logged record carries the new
 // derived seeds, so every job must run again.
 func TestCoordinatorResumeReseeds(t *testing.T) {
-	store := NewStore(testLog(t))
+	store := testLog(t)
 	old, err := (&runner.Pool{Workers: 2, Store: store}).Run(t.Context(), syntheticPlan("reseed", 6, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -464,10 +503,10 @@ func TestAdaptiveReplication(t *testing.T) {
 // and seeds) must be revived alongside the base jobs, so nothing
 // re-runs and the aggregate is unchanged.
 func TestResumeRevivesAdaptiveExtras(t *testing.T) {
-	mkConfig := func(plan *runner.Plan, store *Store) Config {
+	mkConfig := func(plan *runner.Plan, store *runner.Store) Config {
 		return Config{Plan: plan, TableConfig: runner.TableConfig{Store: store, CITarget: 1e-6, CIMetric: "val", MaxReps: 5}}
 	}
-	store := NewStore(testLog(t))
+	store := testLog(t)
 	c1, err := NewCoordinator(mkConfig(syntheticPlan("rev", 6, nil), store))
 	if err != nil {
 		t.Fatal(err)

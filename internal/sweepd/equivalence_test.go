@@ -48,11 +48,10 @@ func TestSweepdMatchesPoolOnRealGrid(t *testing.T) {
 	want := aggBytes(t, poolRecs)
 
 	dir := t.TempDir()
-	log, err := runner.OpenStore(dir)
+	store, err := runner.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewStore(log)
 	c, err := NewCoordinator(Config{Grid: &grid, TableConfig: runner.TableConfig{Store: store}})
 	if err != nil {
 		t.Fatal(err)

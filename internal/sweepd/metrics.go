@@ -44,8 +44,7 @@ func SlowdownOf(recs []runner.Record) *SlowdownSummary {
 
 // WriteMetrics renders the coordinator's fleet gauges in Prometheus
 // text format: job states, leases outstanding, re-lease/give-up
-// totals, per-worker liveness and throughput, and the record-log
-// batcher's commit counters.
+// totals, and per-worker liveness and throughput.
 func (c *Coordinator) WriteMetrics(w *prom.Writer) {
 	ts := c.table.Status()
 	c.mu.Lock()
@@ -92,17 +91,5 @@ func (c *Coordinator) WriteMetrics(w *prom.Writer) {
 			lbl := []prom.Label{{Name: "worker", Value: name}}
 			w.Sample("abm_sweepd_worker_wall_seconds_total", lbl, c.workers[name].wallMS/1000)
 		}
-	}
-
-	if s, ok := c.cfg.Store.(*Store); ok && s != nil {
-		stats := s.Stats()
-		w.Family("abm_sweepd_batch_records_total", "counter", "Records committed to the record log.")
-		w.IntSample("abm_sweepd_batch_records_total", nil, stats.Records)
-		w.Family("abm_sweepd_batch_commits_total", "counter", "Record-log commits (one append + one fsync each).")
-		w.IntSample("abm_sweepd_batch_commits_total", nil, stats.Batches)
-		w.Family("abm_sweepd_batch_pending", "gauge", "Records buffered awaiting the next commit.")
-		w.IntSample("abm_sweepd_batch_pending", nil, int64(stats.Pending))
-		w.Family("abm_sweepd_batch_last_fsync_seconds", "gauge", "Duration of the most recent commit (append + fsync).")
-		w.Sample("abm_sweepd_batch_last_fsync_seconds", nil, float64(stats.LastCommitMicros)/1e6)
 	}
 }

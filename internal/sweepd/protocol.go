@@ -161,9 +161,6 @@ type Status struct {
 	runner.TableStatus
 	Finished bool          `json:"finished"`
 	Groups   []GroupStatus `json:"groups,omitempty"`
-	// Batch reports the record log's commit counters when the
-	// coordinator persists through a batched store.
-	Batch *BatchStats `json:"batch,omitempty"`
 }
 
 // Dispatcher is the coordinator as a remote worker sees it: *Client

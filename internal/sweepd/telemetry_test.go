@@ -62,11 +62,10 @@ func histPlan(name string, jobs int, traceDir string) *runner.Plan {
 // a trace ships nothing, and the records' merged histograms surface as
 // the group slowdown summary in Status.
 func TestTelemetryBundleRoundTrip(t *testing.T) {
-	store := NewStore(testLog(t))
-	store.TelemetryDir = t.TempDir()
+	teleDir := t.TempDir()
 	traceDir := t.TempDir()
 	plan := histPlan("tele", 6, traceDir)
-	c, err := NewCoordinator(Config{Plan: plan, TableConfig: runner.TableConfig{Store: store}})
+	c, err := NewCoordinator(Config{Plan: plan, TelemetryDir: teleDir, TableConfig: runner.TableConfig{Store: testLog(t)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestTelemetryBundleRoundTrip(t *testing.T) {
 		}
 		stem := obs.Options{PerJob: true, EventsFile: "."}.ForJob(rec.ID).EventsFile
 		stem = strings.TrimSuffix(stem, ".ndjson")
-		path := filepath.Join(store.TelemetryDir, stem+".json.gz")
+		path := filepath.Join(teleDir, stem+".json.gz")
 		if i%2 == 1 {
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Errorf("job %s wrote no trace but shipped a bundle (%v)", rec.ID, err)
@@ -92,7 +91,7 @@ func TestTelemetryBundleRoundTrip(t *testing.T) {
 		if _, err := os.Stat(path); err != nil {
 			t.Fatalf("bundle for %s not named like its trace: %v", rec.ID, err)
 		}
-		b, err := ReadTelemetry(store.TelemetryDir, rec.ID)
+		b, err := ReadTelemetry(teleDir, rec.ID)
 		if err != nil {
 			t.Fatalf("bundle for %s: %v", rec.ID, err)
 		}
@@ -124,7 +123,7 @@ func TestTelemetryBundleRoundTrip(t *testing.T) {
 	text := string(pw.Bytes())
 	for _, fam := range []string{
 		"abm_sweepd_jobs", "abm_sweepd_leases_outstanding",
-		"abm_sweepd_worker_jobs_done_total", "abm_sweepd_batch_pending",
+		"abm_sweepd_worker_jobs_done_total",
 	} {
 		if !strings.Contains(text, "# TYPE "+fam+" ") {
 			t.Errorf("coordinator /metrics missing family %s", fam)
