@@ -8,6 +8,7 @@ package abm
 // alloc_mb in the benchmark driver.
 
 import (
+	"runtime"
 	"testing"
 
 	"abm/internal/scenario"
@@ -31,23 +32,32 @@ func figureCell(tb testing.TB, scale, bmName string, load float64, ccName string
 	return sc
 }
 
-// allocsForCell runs the cell a few times and returns the mean
-// allocations per run (setup + simulation; the cell is small enough
-// that both matter) and the last run's result, so callers can check
-// the run did the work the budget assumes.
-func allocsForCell(t *testing.T, cell scenario.Scenario) (float64, scenario.Result) {
+// allocsForCell runs the cell a few times, as testing.AllocsPerRun
+// does (one warm-up run, GOMAXPROCS 1), and returns the mean
+// allocations and bytes allocated per run (setup + simulation; the
+// cell is small enough that both matter) and the last run's result, so
+// callers can check the run did the work the budget assumes.
+func allocsForCell(t *testing.T, cell scenario.Scenario) (allocs, bytes float64, res scenario.Result) {
 	t.Helper()
-	var res scenario.Result
-	allocs := testing.AllocsPerRun(3, func() {
+	const runs = 3
+	run := func() {
 		var err error
 		if res, _, err = scenario.Run(cell); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
 	if res.Summary.Flows == 0 {
 		t.Fatal("no flows simulated")
 	}
-	return allocs, res
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs, res
 }
 
 // TestParallelAllocParity pins the allocation overhead of mailbox-routed
@@ -61,10 +71,10 @@ func allocsForCell(t *testing.T, cell scenario.Scenario) (float64, scenario.Resu
 func TestParallelAllocParity(t *testing.T) {
 	cell := figureCell(t, "medium", "ABM", 0.4, "cubic", 0.3)
 	cell.Duration = scenario.Duration(2 * units.Millisecond)
-	serial, _ := allocsForCell(t, cell)
+	serial, _, _ := allocsForCell(t, cell)
 	sharded := cell
 	sharded.Shards = 1
-	parallel, _ := allocsForCell(t, sharded)
+	parallel, _, _ := allocsForCell(t, sharded)
 
 	limit := serial*1.10 + 500
 	if parallel > limit {
@@ -98,16 +108,18 @@ func hybridSteady() scenario.Scenario {
 	}
 }
 
-// TestAllocBudgets pins the allocations per run of the Fig 6 incast
-// cell at 8 ms (small fabric, DT and ABM; medium fabric, ABM at shards
-// 0 and at 1, 2 and 4 shards) and of the hybrid
-// steady-state cell. measured is the count this test read when the
-// budget was set (go1.24, linux/amd64) and the budget is 1.10 × that:
-// the counts repeat to within a couple of allocations run to run, so
-// the slack only absorbs toolchain differences. A budget that trips
-// means something new allocates per flow, per window or per packet. A
-// change that lowers a count should lower its measured figure with it,
-// so the gate stays tight.
+// TestAllocBudgets pins the allocations and the bytes allocated per run
+// of the Fig 6 incast cell at 8 ms (small fabric, DT and ABM; medium
+// fabric, ABM at shards 0 and at 1, 2 and 4 shards) and of the hybrid
+// steady-state cell. measured and measuredKB are what this test read
+// when the budgets were set (go1.24, linux/amd64) and each budget is
+// 1.10 × its figure: the counts repeat to within a couple of
+// allocations run to run, so the slack only absorbs toolchain
+// differences. An allocation budget that trips means something new
+// allocates per flow, per window or per packet; a byte budget that
+// trips means something grows (a queue or list that allocates as it
+// lengthens, a buffer sized up). A change that lowers a figure should
+// lower its measured value with it, so the gate stays tight.
 func TestAllocBudgets(t *testing.T) {
 	fig6 := func(scale, bmName string, shards int) scenario.Scenario {
 		sc := figureCell(t, scale, bmName, 0.4, "cubic", 0.3)
@@ -116,21 +128,22 @@ func TestAllocBudgets(t *testing.T) {
 		return sc
 	}
 	cases := []struct {
-		name     string
-		cell     scenario.Scenario
-		measured float64
+		name       string
+		cell       scenario.Scenario
+		measured   float64
+		measuredKB float64
 	}{
-		{"fig6-small-DT", fig6("small", "DT", 0), 2777},
-		{"fig6-small-ABM", fig6("small", "ABM", 0), 2699},
-		{"fig6-medium-serial", fig6("medium", "ABM", 0), 9154},
-		{"fig6-medium-shards1", fig6("medium", "ABM", 1), 9386},
-		{"fig6-medium-shards2", fig6("medium", "ABM", 2), 9720},
-		{"fig6-medium-shards4", fig6("medium", "ABM", 4), 10347},
-		{"hybrid-steady", hybridSteady(), 1055},
+		{"fig6-small-DT", fig6("small", "DT", 0), 2437, 507},
+		{"fig6-small-ABM", fig6("small", "ABM", 0), 2363, 500},
+		{"fig6-medium-serial", fig6("medium", "ABM", 0), 7901, 1270},
+		{"fig6-medium-shards1", fig6("medium", "ABM", 1), 8094, 1323},
+		{"fig6-medium-shards2", fig6("medium", "ABM", 2), 8423, 1429},
+		{"fig6-medium-shards4", fig6("medium", "ABM", 4), 9031, 1559},
+		{"hybrid-steady", hybridSteady(), 871, 357},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, res := allocsForCell(t, tc.cell)
+			got, bytes, res := allocsForCell(t, tc.cell)
 			if tc.cell.Hybrid.Enabled && (res.Hybrid == nil || res.Hybrid.Demotions == 0) {
 				t.Fatal("hybrid engine never demoted a flow")
 			}
@@ -138,7 +151,11 @@ func TestAllocBudgets(t *testing.T) {
 			if got > budget {
 				t.Errorf("%.0f allocs/run, budget %.0f (1.10 x %.0f)", got, budget, tc.measured)
 			}
-			t.Logf("%.0f allocs/run (budget %.0f)", got, budget)
+			kb, kbBudget := bytes/1024, 1.10*tc.measuredKB
+			if kb > kbBudget {
+				t.Errorf("%.0f KB/run, budget %.0f (1.10 x %.0f)", kb, kbBudget, tc.measuredKB)
+			}
+			t.Logf("%.0f allocs/run (budget %.0f), %.0f KB/run (budget %.0f)", got, budget, kb, kbBudget)
 		})
 	}
 }

@@ -835,7 +835,7 @@ func (d *refDWRR) Next(qs []Queue) *Queue {
 			d.deficits[d.cur] += d.weight(d.cur) * d.Quantum
 			d.needCredit = false
 		}
-		head := int64(q.items[q.head].pkt.Size())
+		head := int64(q.fifo.Head().Size())
 		if d.deficits[d.cur] >= head {
 			d.deficits[d.cur] -= head
 			return q

@@ -546,15 +546,24 @@ func (m *MMU) drainRateAbs(port, prio int) units.Rate {
 }
 
 // checkInvariants panics if the MMU accounting disagrees with the sum of
-// queue occupancies. Called from tests.
+// queue occupancies, or a queue's packet list with its count and bytes.
+// Called from tests.
 func (m *MMU) checkInvariants() {
 	var sum units.ByteCount
 	for i := range m.sw.ports {
 		p := &m.sw.ports[i]
 		pkts := 0
 		for j := range p.queues {
-			sum += p.queues[j].bytes
-			pkts += p.queues[j].Len()
+			q := &p.queues[j]
+			n, bytes := 0, units.ByteCount(0)
+			for pkt := q.fifo.Head(); pkt != nil && n <= q.Len(); pkt = pkt.Next() {
+				n, bytes = n+1, bytes+pkt.Size()
+			}
+			if n != q.Len() || bytes != q.bytes {
+				panic(fmt.Sprintf("device: port %d queue %d links %d packets of %v, counts %d of %v", i, j, n, bytes, q.Len(), q.bytes))
+			}
+			sum += q.bytes
+			pkts += q.Len()
 		}
 		if pkts != p.queued {
 			panic(fmt.Sprintf("device: port %d counts %d queued packets, its queues hold %d", i, p.queued, pkts))

@@ -11,22 +11,13 @@ import (
 	"abm/internal/units"
 )
 
-// queued wraps a packet with its enqueue timestamp, needed by
-// sojourn-based AQMs (Codel) and for queueing-delay stats.
-type queued struct {
-	pkt   *packet.Packet
-	enqAt units.Time
-}
-
 // Queue is one priority queue at one egress port: a FIFO of packets plus
 // the bookkeeping the MMU needs (occupancy, last computed threshold,
 // dequeue counters for drain-rate measurement). Queues live by value in
 // their switch's contiguous array (Switch.queues); the fields every
 // admission and dequeue touches come first so they share a cache line.
 type Queue struct {
-	items []queued
-	head  int
-
+	fifo  packet.FIFO
 	bytes units.ByteCount
 
 	// bytesF mirrors bytes as float64, refreshed on every enqueue and
@@ -91,7 +82,7 @@ type Queue struct {
 }
 
 // Len returns the number of queued packets.
-func (q *Queue) Len() int { return len(q.items) - q.head }
+func (q *Queue) Len() int { return q.fifo.Len() }
 
 // Bytes returns the queue occupancy in bytes.
 func (q *Queue) Bytes() units.ByteCount { return q.bytes }
@@ -100,9 +91,10 @@ func (q *Queue) Bytes() units.ByteCount { return q.bytes }
 // or stats tick.
 func (q *Queue) LastThreshold() units.ByteCount { return q.lastThreshold }
 
-// push appends a packet.
+// push appends a packet, stamping its EnqAt.
 func (q *Queue) push(p *packet.Packet, now units.Time) {
-	q.items = append(q.items, queued{pkt: p, enqAt: now})
+	p.EnqAt = now
+	q.fifo.Push(p)
 	q.bytes += p.Size()
 	q.bytesF = float64(q.bytes)
 	q.EnqueuedPkts++
@@ -112,27 +104,17 @@ func (q *Queue) push(p *packet.Packet, now units.Time) {
 	}
 }
 
-// pop removes and returns the head packet and its enqueue time.
-func (q *Queue) pop() (pkt *packet.Packet, enqAt units.Time, ok bool) {
-	if q.Len() == 0 {
-		return nil, 0, false
-	}
-	item := q.items[q.head]
-	q.items[q.head] = queued{}
-	q.head++
-	size := item.pkt.Size()
+// pop removes and returns the head packet of a non-empty queue; its
+// EnqAt is when push took it.
+func (q *Queue) pop() *packet.Packet {
+	pkt := q.fifo.Pop()
+	size := pkt.Size()
 	q.bytes -= size
 	q.bytesF = float64(q.bytes)
 	q.dequeuedInTick += size
 	q.DequeuedBytes += size
 	q.DequeuedPkts++
-	// Compact once the dead prefix dominates, keeping amortized O(1).
-	if q.head > 64 && q.head*2 >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	return item.pkt, item.enqAt, true
+	return pkt
 }
 
 // TotalDrops returns the sum of all drop counters.

@@ -111,7 +111,7 @@ func (d *DWRR) Next(qs []Queue) *Queue {
 			d.needCredit = false
 		}
 		q := &qs[d.cur]
-		head := int64(q.items[q.head].pkt.Size())
+		head := int64(q.fifo.Head().Size())
 		if d.deficits[d.cur] >= head {
 			d.deficits[d.cur] -= head
 			return q

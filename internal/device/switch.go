@@ -366,29 +366,26 @@ func (p *Port) maybeTransmit() {
 		if q == nil {
 			return
 		}
-		pkt, enqAt, ok := q.pop()
-		if !ok {
-			return
-		}
+		pkt := q.pop()
 		p.queued--
 		p.sw.mmu.release(pkt)
 		if p.sw.histQDelay != nil {
-			p.sw.histQDelay.Record(int64(p.sw.sim.Now() - enqAt))
+			p.sw.histQDelay.Record(int64(p.sw.sim.Now() - pkt.EnqAt))
 		}
 		// Sojourn-based AQM (Codel) may discard at dequeue.
 		if q.deqHook != nil {
 			now := p.sw.sim.Now()
-			if q.deqHook.OnDequeue(now-enqAt, now) {
+			if q.deqHook.OnDequeue(now-pkt.EnqAt, now) {
 				q.DropsDequeue++
 				if p.sw.obsSink.Enabled(obs.KindDequeue) {
-					p.emitDequeue(pkt, q, enqAt, obs.VerdictDropDequeue)
+					p.emitDequeue(pkt, q, obs.VerdictDropDequeue)
 				}
 				p.sw.sim.FreePacket(pkt)
 				continue
 			}
 		}
 		if p.sw.obsSink.Enabled(obs.KindDequeue) {
-			p.emitDequeue(pkt, q, enqAt, obs.VerdictTx)
+			p.emitDequeue(pkt, q, obs.VerdictTx)
 		}
 		p.transmit(pkt, q)
 		return
@@ -397,7 +394,7 @@ func (p *Port) maybeTransmit() {
 
 // emitDequeue traces one dequeue with the post-pop queue length and the
 // packet's sojourn time. The caller has checked Enabled(KindDequeue).
-func (p *Port) emitDequeue(pkt *packet.Packet, q *Queue, enqAt units.Time, verdict uint8) {
+func (p *Port) emitDequeue(pkt *packet.Packet, q *Queue, verdict uint8) {
 	now := p.sw.sim.Now()
 	p.sw.obsSink.Emit(obs.Event{
 		At:      now,
@@ -410,7 +407,7 @@ func (p *Port) emitDequeue(pkt *packet.Packet, q *Queue, enqAt units.Time, verdi
 		Seq:     pkt.Seq,
 		Size:    int32(pkt.Size()),
 		QLen:    q.bytes,
-		Aux:     int64(now - enqAt),
+		Aux:     int64(now - pkt.EnqAt),
 	})
 }
 

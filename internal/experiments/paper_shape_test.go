@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"abm/internal/metrics"
 	"abm/internal/scenario"
 	"abm/internal/units"
 )
@@ -122,5 +123,49 @@ func TestApproxInterpolatesBetweenABMAndDT(t *testing.T) {
 	dt := run("DT", 0)
 	if fast >= dt {
 		t.Fatalf("fast approx (%.1f) should beat DT (%.1f)", fast, dt)
+	}
+}
+
+// rtoFlows counts a cell's incast flows and those among them whose FCT
+// reached 10 ms, the minimum RTO: the flows that waited out a timeout.
+func rtoFlows(t *testing.T, sc scenario.Scenario) (rto, incast int) {
+	t.Helper()
+	_, col, err := scenario.Run(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fr := range col.Flows {
+		if fr.Class != metrics.ClassIncast {
+			continue
+		}
+		incast++
+		if fr.Finished && fr.FCT() >= 10*units.Millisecond {
+			rto++
+		}
+	}
+	return rto, incast
+}
+
+// TestFig7Cliff pins where ABM's burst absorption ends on the small
+// fabric (cubic, load 0.4, fan-in 8): while one incast response fits
+// the first-RTT budget of one BDP (request 0.8) ABM times out on no
+// incast flow, and once it outgrows it (request 0.9) the untagged tail
+// is lost and ABM times out on more incast flows than DT does.
+func TestFig7Cliff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation test")
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		base := preset(t, "small", seed, 0)
+		base.Workload.Incast.Fanout = 8
+		if rto, n := rtoFlows(t, cell(base, "ABM", 0.4, "cubic", 0.8)); rto != 0 || n == 0 {
+			t.Errorf("seed %d, request 0.8: ABM has %d RTO flows of %d incast flows, want 0", seed, rto, n)
+		}
+		abm, _ := rtoFlows(t, cell(base, "ABM", 0.4, "cubic", 0.9))
+		dt, _ := rtoFlows(t, cell(base, "DT", 0.4, "cubic", 0.9))
+		if abm <= dt {
+			t.Errorf("seed %d, request 0.9: ABM has %d RTO flows, DT %d; want ABM more", seed, abm, dt)
+		}
+		t.Logf("seed %d, request 0.9: ABM %d RTO flows, DT %d", seed, abm, dt)
 	}
 }

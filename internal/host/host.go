@@ -38,8 +38,7 @@ type Host struct {
 	cfg  Config
 	link *device.Link // egress toward the ToR
 
-	queue   []*packet.Packet // NIC FIFO
-	qhead   int
+	queue   packet.FIFO // NIC FIFO
 	busy    bool
 	TxBytes units.ByteCount
 	RxBytes units.ByteCount // payload bytes received (goodput)
@@ -131,22 +130,15 @@ func (h *Host) Output(pkt *packet.Packet) {
 			h.retransSent++
 		}
 	}
-	h.queue = append(h.queue, pkt)
+	h.queue.Push(pkt)
 	h.maybeTransmit()
 }
 
 func (h *Host) maybeTransmit() {
-	if h.busy || h.qhead >= len(h.queue) {
+	if h.busy || h.queue.Len() == 0 {
 		return
 	}
-	pkt := h.queue[h.qhead]
-	h.queue[h.qhead] = nil
-	h.qhead++
-	if h.qhead > 64 && h.qhead*2 >= len(h.queue) {
-		n := copy(h.queue, h.queue[h.qhead:])
-		h.queue = h.queue[:n]
-		h.qhead = 0
-	}
+	pkt := h.queue.Pop()
 	h.busy = true
 	h.txPkt = pkt
 	h.tx.Start(pkt, hostTxDone, h)
@@ -193,7 +185,7 @@ func (h *Host) StartFlow(flowID uint64, dst packet.NodeID, size units.ByteCount,
 }
 
 // Backlog returns the NIC queue depth in packets.
-func (h *Host) Backlog() int { return len(h.queue) - h.qhead }
+func (h *Host) Backlog() int { return h.queue.Len() }
 
 // Sender returns the sender for flowID, or nil.
 func (h *Host) Sender(flowID uint64) *transport.Sender { return h.senders.get(flowID) }

@@ -46,10 +46,11 @@ type HopINT struct {
 // Packet is a simulated segment. Packets are passed by pointer and owned
 // by exactly one component at a time; they are never shared.
 //
-// Layout: the scalar fields every hop reads or writes fill the first 64
-// bytes and the two INT slices start the second 64, so a switch that
-// forwards without INT touches one cache line per packet. The struct is
-// padded to 128 bytes, a Go allocation size class whose objects are
+// Layout: the fields every hop reads or writes, the FIFO link and
+// EnqAt included, fill the first 64 bytes; the two INT slices start the
+// second 64 and the endpoint-only AckNo and EchoTS close it, so a
+// switch that forwards without INT touches one cache line per packet.
+// The struct is 128 bytes, a Go allocation size class whose objects are
 // 64-byte aligned (packet_test pins both).
 type Packet struct {
 	FlowID uint64
@@ -67,17 +68,18 @@ type Packet struct {
 
 	Seq     int64 // first payload byte offset within the flow
 	Payload units.ByteCount
-	AckNo   int64 // cumulative ACK (valid when FlagACK)
+	SentAt  units.Time // stamped by the sender, echoed on ACKs
 
-	SentAt units.Time // stamped by the sender, echoed on ACKs
-	EchoTS units.Time // on ACKs: the SentAt of the segment being acked
+	next  *Packet    // link in the one FIFO or free list holding the packet
+	EnqAt units.Time // when its switch queue took it (Codel, delay stats)
 
 	// Hops accumulates INT as the packet crosses switches; AckINT carries
 	// the data packet's telemetry back to the sender.
 	Hops   []HopINT
 	AckINT []HopINT
 
-	_ [16]byte
+	AckNo  int64      // cumulative ACK (valid when FlagACK)
+	EchoTS units.Time // on ACKs: the SentAt of the segment being acked
 }
 
 // Size returns the wire size of the packet.

@@ -1,9 +1,10 @@
 package packet
 
-// Pool is a deterministic LIFO free list of packets. It deliberately
-// avoids sync.Pool: the simulator is single-threaded per run, and
-// sync.Pool's GC-driven eviction and per-P sharding would make packet
-// reuse (and thus allocation behavior) nondeterministic across runs.
+// Pool is a deterministic LIFO free list of packets, linked as a FIFO
+// is. It deliberately avoids sync.Pool: the simulator is single-threaded
+// per run, and sync.Pool's GC-driven eviction and per-P sharding would
+// make packet reuse (and thus allocation behavior) nondeterministic
+// across runs.
 //
 // Ownership contract: packets are single-owner (see Packet). Exactly
 // the component that consumes a packet releases it — the MMU on drop,
@@ -15,7 +16,7 @@ package packet
 // Hops), so Put re-homes whichever array the retired packet still owns
 // into Hops for the next Get to append into.
 type Pool struct {
-	free []*Packet
+	free *Packet // most recently released; the rest link through next
 
 	// Allocs counts packets newly allocated because the free list was
 	// empty; Recycled counts Gets served from the free list. Their sum
@@ -27,10 +28,8 @@ type Pool struct {
 // Get returns a packet with all fields zeroed, reusing a released one
 // when available (any retained Hops capacity is kept, length 0).
 func (p *Pool) Get() *Packet {
-	if n := len(p.free); n > 0 {
-		pkt := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if pkt := p.free; pkt != nil {
+		p.free, pkt.next = pkt.next, nil
 		p.Recycled++
 		pkt.pooled = false
 		return pkt
@@ -54,9 +53,6 @@ func (p *Pool) Put(pkt *Packet) {
 		// ACK retirement: the telemetry array rode in on AckINT.
 		hops = pkt.AckINT
 	}
-	*pkt = Packet{Hops: hops[:0], pooled: true}
-	p.free = append(p.free, pkt)
+	*pkt = Packet{Hops: hops[:0], pooled: true, next: p.free}
+	p.free = pkt
 }
-
-// Len returns the number of packets currently on the free list.
-func (p *Pool) Len() int { return len(p.free) }

@@ -60,8 +60,9 @@ type Pool struct {
 }
 
 // Run executes the plan and returns one record per job, in plan order.
-// The error reports setup problems (invalid plan, unreadable store) or
-// context cancellation; per-job failures are carried in the records —
+// The error reports setup problems (invalid plan, unreadable store), a
+// record the store failed to persist (Table.Err) or context
+// cancellation; per-job failures are carried in the records —
 // check Failed on the result. Jobs a canceled sweep never finished get
 // a canceled record.
 func (p *Pool) Run(ctx context.Context, plan *Plan) ([]Record, error) {

@@ -2,7 +2,6 @@ package runner
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -36,7 +35,10 @@ type Table struct {
 	// releases counts leases that expired and were requeued; giveups
 	// counts jobs abandoned after MaxLeaseAttempts.
 	releases, giveups int64
-	done              chan struct{}
+	// storeErr is the first error persisting an accepted record, from
+	// Complete or a give-up alike; Work and Err report it.
+	storeErr error
+	done     chan struct{}
 }
 
 // TableConfig sets a Table's lease, replication and persistence policy.
@@ -276,9 +278,7 @@ func (t *Table) reapLocked(now time.Time) {
 			}
 			t.giveups++
 			t.logf("gave up on %s after %d leases", j.id, j.attempt)
-			if err := t.finishLocked(j, rec); err != nil {
-				t.logf("store error for %s: %v", j.id, err)
-			}
+			t.finishLocked(j, rec)
 			continue
 		}
 		t.releases++
@@ -295,7 +295,7 @@ func (t *Table) reapLocked(now time.Time) {
 // ignored: first writer wins. A late record for a job that was
 // requeued is accepted, and the queued copy is skipped. accepted
 // reports whether the record now stands for its job; a store error is
-// returned with the record accepted all the same.
+// returned with the record accepted all the same, and kept for Err.
 func (t *Table) Complete(worker string, rec Record) (accepted bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -315,11 +315,14 @@ func (t *Table) Complete(worker string, rec Record) (accepted bool, err error) {
 }
 
 // finishLocked persists a job's record, marks the job done with it and
-// runs its group's adaptive check.
+// runs its group's adaptive check. A store error is returned, and the
+// table's first is kept for Err.
 func (t *Table) finishLocked(j *tableJob, rec Record) error {
 	var err error
 	if t.cfg.Store != nil {
-		err = t.cfg.Store.Put(rec)
+		if err = t.cfg.Store.Put(rec); err != nil && t.storeErr == nil {
+			t.storeErr = fmt.Errorf("runner: record %s: %w", rec.ID, err)
+		}
 	}
 	j.state, j.worker, j.rec = jobDone, "", &rec
 	t.open--
@@ -419,6 +422,14 @@ func (t *Table) maybeFinishLocked() {
 
 // Done returns a channel closed when every job is done.
 func (t *Table) Done() <-chan struct{} { return t.done }
+
+// Err returns the first error persisting an accepted record: a record
+// the table counts done that its store may not hold.
+func (t *Table) Err() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.storeErr
+}
 
 // Records returns every finished job's record: plan jobs in plan order,
 // then adaptive extras in creation order.
@@ -534,7 +545,7 @@ func (t *Table) Status() TableStatus {
 // to lease blocks on the table until a job is queued or the sweep
 // finishes. Workers are named local-0 ... local-<n-1>; their leases
 // never expire. Each record a worker lands is passed to done when it is
-// non-nil. Work returns each worker's first store error, joined.
+// non-nil. Work returns Err.
 func (t *Table) Work(ctx context.Context, n int, opt ExecOptions, done func(Record)) error {
 	stop := context.AfterFunc(ctx, func() {
 		t.mu.Lock()
@@ -543,7 +554,6 @@ func (t *Table) Work(ctx context.Context, n int, opt ExecOptions, done func(Reco
 	})
 	defer stop()
 	var wg sync.WaitGroup
-	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("local-%d", i)
 		wg.Add(1)
@@ -559,18 +569,14 @@ func (t *Table) Work(ctx context.Context, n int, opt ExecOptions, done func(Reco
 				if rec.Status == StatusCanceled {
 					return // the sweep is canceled; the job stays unfinished
 				}
-				accepted, err := t.Complete(name, rec)
-				if errs[i] == nil {
-					errs[i] = err
-				}
-				if accepted && done != nil {
+				if accepted, _ := t.Complete(name, rec); accepted && done != nil {
 					done(rec)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return t.Err()
 }
 
 // next blocks until a job is leasable, then leases it (never

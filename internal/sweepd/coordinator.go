@@ -77,10 +77,6 @@ type Coordinator struct {
 	// mu serializes the RPCs that touch worker stats and telemetry.
 	mu      sync.Mutex
 	workers map[string]*workerStats
-	// storeErr is the first error persisting a remotely completed
-	// record. The worker's retry of that record is a duplicate the
-	// table ignores, so Wait reports it instead.
-	storeErr error
 }
 
 // NewCoordinator builds the job table and, when a store is configured,
@@ -165,7 +161,8 @@ func (c *Coordinator) Heartbeat(worker string, jobIDs []string) (*HeartbeatRespo
 // table (first writer wins) and, when the table accepts it, lands its
 // telemetry bundle under TelemetryDir. An accepted record is in the
 // table's store when Complete returns; a store error is returned, and
-// kept for Wait.
+// the table keeps it for Wait (the worker's retry is a duplicate the
+// table ignores).
 func (c *Coordinator) Complete(worker string, rec runner.Record, telemetry []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -173,9 +170,6 @@ func (c *Coordinator) Complete(worker string, rec runner.Record, telemetry []byt
 	accepted, err := c.table.Complete(worker, rec)
 	if !accepted {
 		return err
-	}
-	if err != nil && c.storeErr == nil {
-		c.storeErr = fmt.Errorf("sweepd: record %s: %w", rec.ID, err)
 	}
 	if len(telemetry) > 0 && c.cfg.TelemetryDir != "" {
 		// Telemetry persistence is best-effort: a bundle that fails to
@@ -195,7 +189,7 @@ func (c *Coordinator) Complete(worker string, rec runner.Record, telemetry []byt
 }
 
 // Wait blocks until the sweep completes or ctx is canceled, and then
-// returns the first error persisting a remotely completed record. It
+// returns the table's first store error (Table.Err). It
 // also drives lease expiry while blocked, so a sweep whose workers all
 // died still converges (to failed records) instead of hanging.
 func (c *Coordinator) Wait(ctx context.Context) error {
@@ -208,7 +202,7 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 			// its telemetry bundle; it holds mu until it has.
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			return c.storeErr
+			return c.table.Err()
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-tick.C:

@@ -352,6 +352,34 @@ func TestCompleteStoreErrorFailsWait(t *testing.T) {
 	}
 }
 
+// TestGiveUpStoreErrorFailsWait: the failed record the table writes
+// for a job whose every lease expired is a record like any other, so a
+// store that cannot persist it fails Wait instead of letting the sweep
+// finish with the record missing.
+func TestGiveUpStoreErrorFailsWait(t *testing.T) {
+	c, err := NewCoordinator(Config{
+		Plan:        syntheticPlan("giveupfail", 1, nil),
+		LeaseTTL:    10 * time.Millisecond,
+		TableConfig: runner.TableConfig{MaxLeaseAttempts: 1, Store: failingSink{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Lease("ghost", 1)
+	if err != nil || len(resp.Leases) != 1 {
+		t.Fatalf("lease: %v %+v", err, resp)
+	}
+	ctx, cancel := context.WithTimeout(t.Context(), 5*time.Second)
+	defer cancel()
+	err = c.Wait(ctx) // its ticker reaps the expired lease and gives up
+	if !errors.Is(err, errSinkFull) || !strings.Contains(err.Error(), resp.Leases[0].ID) {
+		t.Fatalf("Wait = %v, want the give-up record's store error", err)
+	}
+	if recs := c.Table().Records(); len(recs) != 1 || recs[0].Status != runner.StatusFailed {
+		t.Fatalf("want the give-up record in the table, got %+v", recs)
+	}
+}
+
 // TestHeartbeatKeepsLease proves the opposite of expiry: a slow worker
 // that heartbeats keeps its lease past several TTLs.
 func TestHeartbeatKeepsLease(t *testing.T) {
