@@ -133,13 +133,13 @@ func TestAllocBudgets(t *testing.T) {
 		measured   float64
 		measuredKB float64
 	}{
-		{"fig6-small-DT", fig6("small", "DT", 0), 2437, 507},
-		{"fig6-small-ABM", fig6("small", "ABM", 0), 2363, 500},
-		{"fig6-medium-serial", fig6("medium", "ABM", 0), 7901, 1270},
-		{"fig6-medium-shards1", fig6("medium", "ABM", 1), 8094, 1323},
-		{"fig6-medium-shards2", fig6("medium", "ABM", 2), 8423, 1429},
-		{"fig6-medium-shards4", fig6("medium", "ABM", 4), 9031, 1559},
-		{"hybrid-steady", hybridSteady(), 871, 357},
+		{"fig6-small-DT", fig6("small", "DT", 0), 2062, 429},
+		{"fig6-small-ABM", fig6("small", "ABM", 0), 2037, 428},
+		{"fig6-medium-serial", fig6("medium", "ABM", 0), 5783, 952},
+		{"fig6-medium-shards1", fig6("medium", "ABM", 1), 5976, 1006},
+		{"fig6-medium-shards2", fig6("medium", "ABM", 2), 6348, 1112},
+		{"fig6-medium-shards4", fig6("medium", "ABM", 4), 6805, 1213},
+		{"hybrid-steady", hybridSteady(), 871, 325},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -906,3 +906,63 @@ func TestDWRRMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestSwitchStreamBuiltOnFirstDraw checks that the MMU calls the
+// switch's RNG constructor only when a policy draws from the stream:
+// never under DT or ABM, nor behind an ECN threshold, which decides
+// from the queue alone, and once under IB, whose drops then equal
+// those of a stream seeded when the switch is built.
+func TestSwitchStreamBuiltOnFirstDraw(t *testing.T) {
+	const seed = 11
+	// run sends two 1440-byte flows at twice the port's line rate into
+	// one queue and returns the constructor calls and the queue's drops.
+	run := func(pol bm.Policy, ecn, eager bool) (builds int, afd, total int64) {
+		s := sim.New(7)
+		cfg := SwitchConfig{
+			MMU: MMUConfig{BufferSize: 500 * units.Kilobyte, BM: pol, StatsInterval: 10 * units.Microsecond},
+			RNG: func() *rand.Rand { builds++; return rand.New(rand.NewSource(seed)) },
+		}
+		if ecn {
+			cfg.MMU.AQMFactory = func() aqm.Policy { return aqm.ECNThreshold{K: 30 * units.Kilobyte} }
+		}
+		sw, _ := testSwitch(s, cfg)
+		if eager {
+			// The stream the MMU drew from before it seeded on demand.
+			sw.mmu.rng = rand.New(rand.NewSource(seed))
+		}
+		for i := 0; i < 2000; i++ {
+			for flow := uint64(1); flow <= 2; flow++ {
+				p := dataPkt(flow, 1440)
+				p.Set(packet.FlagECT)
+				s.At(units.Time(i)*1200*units.Nanosecond, func() { sw.Receive(p) })
+			}
+		}
+		s.RunUntil(3 * units.Millisecond)
+		sw.Stop()
+		drain(s, sw)
+		q := sw.Port(0).Queue(0)
+		return builds, q.DropsAFD, q.TotalDrops()
+	}
+	for _, c := range []struct {
+		name string
+		pol  bm.Policy
+		ecn  bool
+	}{{"DT", bm.DT{}, false}, {"ABM", bm.ABM{}, false}, {"DT+ECN", bm.DT{}, true}} {
+		if builds, _, drops := run(c.pol, c.ecn, false); builds != 0 || drops == 0 {
+			t.Errorf("%s: %d stream builds and %d drops, want none and some", c.name, builds, drops)
+		}
+	}
+	ib := func() bm.Policy {
+		return &bm.IB{ElephantBytes: 20 * units.Kilobyte, TargetQueue: 20 * units.Kilobyte,
+			Window: 100 * units.Microsecond, MaxDropProb: 0.5}
+	}
+	builds, afd, total := run(ib(), false, false)
+	_, eagerAFD, eagerTotal := run(ib(), false, true)
+	if builds != 1 || afd == 0 {
+		t.Fatalf("IB: %d stream builds and %d AFD drops, want one and some", builds, afd)
+	}
+	t.Logf("IB: %d drops, %d of them AFD", total, afd)
+	if afd != eagerAFD || total != eagerTotal {
+		t.Errorf("IB drops %d (AFD %d) seeded on the first draw, %d (AFD %d) seeded at build", total, afd, eagerTotal, eagerAFD)
+	}
+}

@@ -118,7 +118,7 @@ type MMU struct {
 	aqmCtx    aqm.Ctx // untouched when the switch has no AQM
 	activeSet []int
 
-	rng *rand.Rand
+	rng *rand.Rand // seeds on its first draw (see lazyStream)
 
 	// Telemetry. The sink is nil when telemetry is off; the admission
 	// path's counts live in the queues (see Switch.AddCounts).
@@ -126,7 +126,28 @@ type MMU struct {
 	histHeadroom *hist.Histogram
 }
 
-func newMMU(cfg MMUConfig, sw *Switch, rng *rand.Rand, sink *obs.Sink) *MMU {
+// lazyStream is the source of the MMU's random stream: it calls the
+// switch's RNG constructor on the first draw and passes every draw on
+// to the stream it built, so the values are those of that stream. A
+// switch whose policies never draw (DT, ABM, an ECN threshold) never
+// seeds one.
+type lazyStream struct {
+	build func() *rand.Rand
+	r     *rand.Rand
+}
+
+func (l *lazyStream) stream() *rand.Rand {
+	if l.r == nil {
+		l.r = l.build()
+	}
+	return l.r
+}
+
+func (l *lazyStream) Int63() int64    { return l.stream().Int63() }
+func (l *lazyStream) Uint64() uint64  { return l.stream().Uint64() }
+func (l *lazyStream) Seed(seed int64) { l.stream().Seed(seed) }
+
+func newMMU(cfg MMUConfig, sw *Switch, newRNG func() *rand.Rand, sink *obs.Sink) *MMU {
 	if cfg.BufferSize <= 0 {
 		panic("device: MMU buffer size must be positive")
 	}
@@ -139,7 +160,8 @@ func newMMU(cfg MMUConfig, sw *Switch, rng *rand.Rand, sink *obs.Sink) *MMU {
 	if cfg.AlphaUnscheduled <= 0 {
 		cfg.AlphaUnscheduled = 64
 	}
-	m := &MMU{cfg: cfg, sw: sw, queues: sw.queues, prios: sw.prios, rng: rng, obsSink: sink}
+	m := &MMU{cfg: cfg, sw: sw, queues: sw.queues, prios: sw.prios, obsSink: sink}
+	m.rng = rand.New(&lazyStream{build: newRNG})
 	m.dropper, _ = cfg.BM.(bm.Dropper)
 	m.flowAware, _ = cfg.BM.(bm.FlowAware)
 	m.headroomElig, _ = cfg.BM.(bm.HeadroomEligible)

@@ -118,12 +118,14 @@ type SwitchConfig struct {
 	// (needed by PowerTCP).
 	EnableINT bool
 
-	// RNG is the switch's private random stream (MMU policies such as
-	// IB's random-early drop and RED/PIE AQMs draw from it). nil falls
-	// back to the simulator's shared source. The topology layer passes
-	// a stream derived from (seed, switch ID) so switch randomness is
+	// RNG builds the switch's private random stream (IB's random-early
+	// drop and the RED/ARED/PIE AQMs draw from it). The MMU calls it at
+	// most once, on its first draw, so a switch whose policies never
+	// draw never seeds a stream. nil falls back to the simulator's
+	// shared source. The topology layer passes the constructor of a
+	// stream derived from (seed, switch ID) so switch randomness is
 	// independent of event interleaving and of the shard partition.
-	RNG *rand.Rand
+	RNG func() *rand.Rand
 
 	// Obs is the telemetry sink for this switch's shard; nil disables
 	// telemetry at zero hot-path cost (see internal/obs).
@@ -182,7 +184,7 @@ func NewSwitch(s *sim.Simulator, cfg SwitchConfig) *Switch {
 	}
 	rng := cfg.RNG
 	if rng == nil {
-		rng = s.Rand()
+		rng = s.Rand
 	}
 	sw.obsSink = cfg.Obs
 	sw.histQDelay = cfg.Obs.Hist(obs.HistQueueDelay)

@@ -175,7 +175,8 @@ func TestPacketConservation(t *testing.T) {
 // shard's crossing line from the window barrier on. The sender's
 // serialization end takes its rate's line for a full segment or a
 // header-only packet and the heap for any other size: a flow's last
-// partial segment, each time it crosses a link.
+// partial segment, each time it crosses a link. The packet free lists
+// report how many packets they allocated.
 func TestEngineCalendarCounters(t *testing.T) {
 	run := func(shards int, linkDelay units.Time) {
 		name := fmt.Sprintf("shards=%d delay=%v", shards, linkDelay)
@@ -211,6 +212,12 @@ func TestEngineCalendarCounters(t *testing.T) {
 		}
 		if shards > 0 && c["engine/mailbox_events"] == 0 {
 			t.Errorf("%s: no tier crossing went through a mailbox", name)
+		}
+		// The free lists allocate only at their high-water marks, far
+		// fewer packets than the run sends.
+		sent := c["model/data_pkts_sent"] + c["model/ack_pkts_sent"]
+		if a := c["engine/pkt_pool_allocs"]; a <= 0 || a > sent/8 {
+			t.Errorf("%s: pkt_pool_allocs=%d for %d packets sent, want between 1 and %d", name, a, sent, sent/8)
 		}
 	}
 	run(0, 10*units.Microsecond)

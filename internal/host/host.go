@@ -38,7 +38,10 @@ type Host struct {
 	cfg  Config
 	link *device.Link // egress toward the ToR
 
-	queue   packet.FIFO // NIC FIFO
+	// queue is the NIC FIFO. A data packet in it may carry a run of its
+	// flow's segments (see Output); backlog counts the segments.
+	queue   packet.FIFO
+	backlog int
 	busy    bool
 	TxBytes units.ByteCount
 	RxBytes units.ByteCount // payload bytes received (goodput)
@@ -121,7 +124,17 @@ func (h *Host) Receive(pkt *packet.Packet) {
 
 // Output enqueues a packet into the NIC FIFO; the NIC serializes at line
 // rate onto the access link.
+//
+// A data segment that continues the FIFO's tail — same flow, the next
+// byte, the same SentAt, the same flags but for FIN — joins it as a
+// run: the tail's Payload grows and the segment returns to the free
+// list. maybeTransmit cuts the run back into MSS segments, which is
+// exact because a transport.Sender sends full segments except a flow's
+// last, and that one carries FIN and ends the run. Equal flags keep a
+// run from crossing the unscheduled tag's boundary or mixing
+// retransmissions with new data.
 func (h *Host) Output(pkt *packet.Packet) {
+	h.backlog++
 	if pkt.Is(packet.FlagACK) {
 		h.ackSent++
 	} else {
@@ -129,16 +142,38 @@ func (h *Host) Output(pkt *packet.Packet) {
 		if pkt.Is(packet.FlagRetransmit) {
 			h.retransSent++
 		}
+		if t := h.queue.Tail(); t != nil && t.FlowID == pkt.FlowID && t.Seq+int64(t.Payload) == pkt.Seq &&
+			t.SentAt == pkt.SentAt && t.Flags == pkt.Flags&^packet.FlagFIN {
+			t.Payload += pkt.Payload
+			t.Flags = pkt.Flags
+			h.sim.FreePacket(pkt)
+			return // the NIC is busy: the tail waits behind the packet on the wire
+		}
 	}
 	h.queue.Push(pkt)
 	h.maybeTransmit()
 }
 
+// maybeTransmit starts the head segment when the NIC is idle. A head
+// run longer than one MSS hands its first MSS to a fresh packet and
+// stays queued; its last segment leaves as the run's own packet.
 func (h *Host) maybeTransmit() {
-	if h.busy || h.queue.Len() == 0 {
+	if h.busy || h.backlog == 0 {
 		return
 	}
-	pkt := h.queue.Pop()
+	pkt := h.queue.Head()
+	if mss := h.cfg.MSS; pkt.Payload > mss {
+		run := pkt
+		pkt = h.sim.NewPacket()
+		pkt.FlowID, pkt.Src, pkt.Dst, pkt.Prio = run.FlowID, run.Src, run.Dst, run.Prio
+		pkt.Seq, pkt.Payload, pkt.SentAt = run.Seq, mss, run.SentAt
+		pkt.Flags = run.Flags &^ packet.FlagFIN
+		run.Seq += int64(mss)
+		run.Payload -= mss
+	} else {
+		h.queue.Pop()
+	}
+	h.backlog--
 	h.busy = true
 	h.txPkt = pkt
 	h.tx.Start(pkt, hostTxDone, h)
@@ -184,8 +219,9 @@ func (h *Host) StartFlow(flowID uint64, dst packet.NodeID, size units.ByteCount,
 	return sn
 }
 
-// Backlog returns the NIC queue depth in packets.
-func (h *Host) Backlog() int { return h.queue.Len() }
+// Backlog returns the NIC queue depth in segments, a run counting one
+// per segment it carries.
+func (h *Host) Backlog() int { return h.backlog }
 
 // Sender returns the sender for flowID, or nil.
 func (h *Host) Sender(flowID uint64) *transport.Sender { return h.senders.get(flowID) }

@@ -50,11 +50,13 @@ const (
 	CtrMailboxEvents  // events merged across shard boundaries
 	CtrTraceDropped   // events discarded by the per-shard buffer cap
 
-	// engine/: event calendar self-observation (see eventq.Stats). Each
-	// shard has its own calendar, so the split depends on the partition.
+	// engine/: event calendar and packet free list self-observation
+	// (see eventq.Stats, packet.Pool). Each shard has its own calendar
+	// and free list, so the split depends on the partition.
 	CtrCalendarHeap    // pushes into the heap (timers, planned arrivals, partial segments' serialization ends)
 	CtrCalendarLine    // pushes appended to a delay line (link deliveries, full-size and header-only serialization ends)
 	CtrTimerStaleWakes // sim.Timer wake-ups that fired before their deadline and rescheduled
+	CtrPktPoolAllocs   // packets the free lists allocated: each shard's high-water mark of live packets
 
 	NumCtrs
 )
@@ -92,6 +94,7 @@ var ctrNames = [NumCtrs]string{
 	"engine/calendar_heap",
 	"engine/calendar_line",
 	"engine/timer_stale_wakes",
+	"engine/pkt_pool_allocs",
 }
 
 // Name returns the counter's export name ("model/..." or "engine/...").

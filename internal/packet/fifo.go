@@ -36,6 +36,10 @@ func (f *FIFO) Pop() *Packet {
 // Head returns the head packet without removing it, or nil.
 func (f *FIFO) Head() *Packet { return f.head }
 
+// Tail returns the most recently pushed packet without removing it, or
+// nil.
+func (f *FIFO) Tail() *Packet { return f.tail }
+
 // Len returns the number of packets in f.
 func (f *FIFO) Len() int { return f.n }
 

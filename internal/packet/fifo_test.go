@@ -33,6 +33,13 @@ func (m *fifoModel) check(step int) {
 		if pkt != nil {
 			m.t.Fatalf("step %d: fifo %d links past its last packet", step, i)
 		}
+		var tail *Packet
+		if len(want) > 0 {
+			tail = want[len(want)-1]
+		}
+		if f.Tail() != tail {
+			m.t.Fatalf("step %d: fifo %d Tail %p, model %p", step, i, f.Tail(), tail)
+		}
 	}
 	if m.pool.Allocs+m.pool.Recycled != m.gets {
 		m.t.Fatalf("step %d: allocs %d + recycled %d != %d gets", step, m.pool.Allocs, m.pool.Recycled, m.gets)
@@ -49,7 +56,7 @@ func take(s *[]*Packet, k byte) *Packet {
 
 // FuzzPacketFIFO drives three FIFOs and a Pool with Get, Push, Pop,
 // Put and double-Put sequences, and checks them against slices after
-// every step: FIFO order, Head and Len, LIFO reuse order, zeroed
+// every step: FIFO order, Head, Tail and Len, LIFO reuse order, zeroed
 // recycled packets, and that a second Put of a pooled packet panics
 // and changes nothing.
 func FuzzPacketFIFO(f *testing.F) {

@@ -66,7 +66,10 @@ type Packet struct {
 	// pooled guards against double-release to a Pool.
 	pooled bool
 
-	Seq     int64 // first payload byte offset within the flow
+	Seq int64 // first payload byte offset within the flow
+	// Payload is the segment's data bytes. In a host's NIC queue a data
+	// packet may carry a run of its flow's segments, several MSS long;
+	// the NIC cuts it into segments as it transmits (see host.Output).
 	Payload units.ByteCount
 	SentAt  units.Time // stamped by the sender, echoed on ACKs
 

@@ -277,10 +277,14 @@ func buildWorkloads(n *topo.Network, r Scenario, col *metrics.Collector,
 	chip units.ByteCount, horizon units.Time) (*workload.Stream, error) {
 
 	// Workload randomness is isolated from simulation randomness so every
-	// scheme at the same seed sees identical arrivals.
-	rng := rand.New(rand.NewSource(r.Seed + 1000))
+	// scheme at the same seed sees identical arrivals. Only random
+	// priorities draw from this stream, so only they seed it.
 	qpp := r.Buffer.QueuesPerPort
 	w := r.Workload
+	var rng *rand.Rand
+	if w.RandomPrio {
+		rng = rand.New(rand.NewSource(r.Seed + 1000))
+	}
 
 	var ws *workload.WebSearch
 	if w.Load > 0 {

@@ -33,7 +33,7 @@ type Simulator struct {
 	now    units.Time
 	q      eventq.Queue
 	pool   packet.Pool
-	rng    *rand.Rand
+	rng    *rand.Rand // nil until Rand is first called
 	seed   int64
 	nexec  uint64
 	halted bool
@@ -42,9 +42,7 @@ type Simulator struct {
 }
 
 // New returns a simulator whose random source is seeded with seed.
-func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed)), seed: seed}
-}
+func New(seed int64) *Simulator { return &Simulator{seed: seed} }
 
 // Now returns the current simulated time.
 func (s *Simulator) Now() units.Time { return s.now }
@@ -54,8 +52,14 @@ func (s *Simulator) Now() units.Time { return s.now }
 // execution order (see topo: per-switch MMU randomness).
 func (s *Simulator) Seed() int64 { return s.seed }
 
-// Rand returns the simulator's deterministic random source.
-func (s *Simulator) Rand() *rand.Rand { return s.rng }
+// Rand returns the simulator's deterministic random source, seeded on
+// the first call: a run that never draws from it never builds it.
+func (s *Simulator) Rand() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	}
+	return s.rng
+}
 
 // Executed returns the number of events executed so far.
 func (s *Simulator) Executed() uint64 { return s.nexec }
@@ -198,13 +202,14 @@ func (s *Simulator) NextEventTime() (units.Time, bool) { return s.q.PeekTime() }
 func (s *Simulator) Pending() int { return s.q.Len() }
 
 // AddCounts implements obs.Source: the engine's self-observation —
-// where the calendar's pushes went (eventq.Stats) and how many Timer
-// wake-ups fired early.
+// where the calendar's pushes went (eventq.Stats), how many Timer
+// wake-ups fired early, and how many packets the free list allocated.
 func (s *Simulator) AddCounts(t *obs.Tally) {
 	st := s.q.Stats()
 	t[obs.CtrCalendarHeap] += int64(st.Heap)
 	t[obs.CtrCalendarLine] += int64(st.Line)
 	t[obs.CtrTimerStaleWakes] += int64(s.staleWakes)
+	t[obs.CtrPktPoolAllocs] += s.pool.Allocs
 }
 
 // Ticker repeatedly invokes fn every interval until Stop is called.

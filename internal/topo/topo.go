@@ -267,11 +267,12 @@ func NewShardedNetwork(p *sim.Parallel, cfg Config, part Partition) *Network {
 	return n
 }
 
-// switchRNG derives the switch's private random stream from the base
-// seed and its node ID — the same stream in serial and sharded mode,
-// regardless of partition or event interleaving.
-func switchRNG(baseSeed int64, id int) *rand.Rand {
-	return rand.New(rand.NewSource(randutil.DeriveSeed(baseSeed, id)))
+// switchRNG returns the constructor of the switch's private random
+// stream, derived from the base seed and its node ID — the same stream
+// in serial and sharded mode, regardless of partition or event
+// interleaving. The switch calls it on its first draw.
+func switchRNG(baseSeed int64, id int) func() *rand.Rand {
+	return func() *rand.Rand { return rand.New(rand.NewSource(randutil.DeriveSeed(baseSeed, id))) }
 }
 
 // tierLink creates the link from switch from to switch to (graph
