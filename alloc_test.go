@@ -84,6 +84,18 @@ func TestParallelAllocParity(t *testing.T) {
 	t.Logf("serial %.0f allocs/run, shards=1 %.0f allocs/run", serial, parallel)
 }
 
+// tofino4q is the committed four-queue DWRR scenario cut to dur: a
+// web-search-heavy cell whose bytes are mostly per-flow state.
+func tofino4q(tb testing.TB, dur units.Time) scenario.Scenario {
+	tb.Helper()
+	sc, err := scenario.Load("scenarios/tofino-4q.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sc.Duration = scenario.Duration(dur)
+	return sc
+}
+
 // hybridSteady is a steady long-flow permutation under the hybrid
 // fluid/packet engine: four 50 MB Swift flows that the engine demotes
 // to fluid and integrates in epochs.
@@ -110,8 +122,10 @@ func hybridSteady() scenario.Scenario {
 
 // TestAllocBudgets pins the allocations and the bytes allocated per run
 // of the Fig 6 incast cell at 8 ms (small fabric, DT and ABM; medium
-// fabric, ABM at shards 0 and at 1, 2 and 4 shards) and of the hybrid
-// steady-state cell. measured and measuredKB are what this test read
+// fabric, ABM at shards 0 and at 1, 2 and 4 shards), of the hybrid
+// steady-state cell and of the four-queue scenario at 50 ms, whose
+// 602 web-search and incast flows make per-flow state most of what
+// it allocates. measured and measuredKB are what this test read
 // when the budgets were set (go1.24, linux/amd64) and each budget is
 // 1.10 × its figure: the counts repeat to within a couple of
 // allocations run to run, so the slack only absorbs toolchain
@@ -133,13 +147,14 @@ func TestAllocBudgets(t *testing.T) {
 		measured   float64
 		measuredKB float64
 	}{
-		{"fig6-small-DT", fig6("small", "DT", 0), 2062, 429},
-		{"fig6-small-ABM", fig6("small", "ABM", 0), 2037, 428},
-		{"fig6-medium-serial", fig6("medium", "ABM", 0), 5783, 952},
-		{"fig6-medium-shards1", fig6("medium", "ABM", 1), 5976, 1006},
-		{"fig6-medium-shards2", fig6("medium", "ABM", 2), 6348, 1112},
-		{"fig6-medium-shards4", fig6("medium", "ABM", 4), 6805, 1213},
-		{"hybrid-steady", hybridSteady(), 871, 325},
+		{"fig6-small-DT", fig6("small", "DT", 0), 1678, 324},
+		{"fig6-small-ABM", fig6("small", "ABM", 0), 1647, 322},
+		{"fig6-medium-serial", fig6("medium", "ABM", 0), 5021, 813},
+		{"fig6-medium-shards1", fig6("medium", "ABM", 1), 5215, 866},
+		{"fig6-medium-shards2", fig6("medium", "ABM", 2), 5586, 973},
+		{"fig6-medium-shards4", fig6("medium", "ABM", 4), 6042, 1073},
+		{"hybrid-steady", hybridSteady(), 833, 192},
+		{"tofino-4q-50ms", tofino4q(t, 50*units.Millisecond), 7275, 1168},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

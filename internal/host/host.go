@@ -50,6 +50,9 @@ type Host struct {
 	txPkt *packet.Packet
 	tx    device.Serializer // cfg.Rate and its serialization lines
 
+	// ep is what every flow of the host shares, its loss-recovery
+	// tally included; the host is its NIC.
+	ep        transport.Endpoint
 	senders   flowTable[transport.Sender]
 	receivers flowTable[transport.Receiver]
 
@@ -57,9 +60,6 @@ type Host struct {
 	// emissions: sender data and receiver ACKs both route through it.
 	dataSent, retransSent, ackSent int64
 	dataConsumed, ackRetired       int64
-	// recovery is the tally every sender this host starts reports its
-	// timeouts and fast retransmits to.
-	recovery transport.Recovery
 }
 
 // New creates a host. Attach the uplink with Connect before starting
@@ -75,6 +75,12 @@ func New(s *sim.Simulator, cfg Config) *Host {
 		cfg.UnscheduledBytes = cfg.Rate.BytesOver(cfg.BaseRTT)
 	}
 	h := &Host{sim: s, cfg: cfg, tx: device.NewSerializer(s, cfg.Rate, cfg.MSS)}
+	h.ep.Init(s, cfg.ID, transport.Config{
+		MSS:              cfg.MSS,
+		MinRTO:           cfg.MinRTO,
+		UnscheduledBytes: cfg.UnscheduledBytes,
+		Obs:              cfg.Obs,
+	}, h)
 	cfg.Obs.AddSource(h)
 	return h
 }
@@ -87,9 +93,10 @@ func (h *Host) AddCounts(t *obs.Tally) {
 	t[obs.CtrAckSent] += h.ackSent
 	t[obs.CtrDataConsumed] += h.dataConsumed
 	t[obs.CtrAckRetired] += h.ackRetired
-	t[obs.CtrRTOFired] += h.recovery.Timeouts
-	t[obs.CtrFastRetrans] += h.recovery.FastRetrans
-	t[obs.CtrCwndCuts] += h.recovery.Timeouts + h.recovery.FastRetrans
+	rec := &h.ep.Recovery
+	t[obs.CtrRTOFired] += rec.Timeouts
+	t[obs.CtrFastRetrans] += rec.FastRetrans
+	t[obs.CtrCwndCuts] += rec.Timeouts + rec.FastRetrans
 }
 
 // ID implements device.Endpoint.
@@ -206,14 +213,7 @@ func (h *Host) StartFlow(flowID uint64, dst packet.NodeID, size units.ByteCount,
 		BaseRTT:  h.cfg.BaseRTT,
 		LineRate: h.cfg.Rate,
 	})
-	sn := transport.NewSender(h.sim, transport.Config{
-		MSS:              h.cfg.MSS,
-		MinRTO:           h.cfg.MinRTO,
-		UnscheduledBytes: h.cfg.UnscheduledBytes,
-		Prio:             prio,
-		Recovery:         &h.recovery,
-		Obs:              h.cfg.Obs,
-	}, algo, flowID, h.cfg.ID, dst, size, h.Output, onComplete)
+	sn := transport.NewSender(&h.ep, algo, flowID, dst, size, prio, onComplete)
 	h.senders.put(flowID, sn)
 	sn.Start()
 	return sn
@@ -231,7 +231,7 @@ func (h *Host) Sender(flowID uint64) *transport.Sender { return h.senders.get(fl
 func (h *Host) receiver(flowID uint64, peer packet.NodeID) *transport.Receiver {
 	rc := h.receivers.get(flowID)
 	if rc == nil {
-		rc = transport.NewReceiver(h.sim, flowID, h.cfg.ID, peer, h.Output)
+		rc = transport.NewReceiver(&h.ep, flowID, peer)
 		h.receivers.put(flowID, rc)
 	}
 	return rc

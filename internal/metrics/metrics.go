@@ -72,7 +72,8 @@ type Collector struct {
 	BufferSamples []float64
 }
 
-// AddFlow records a completed flow.
+// AddFlow appends a flow's row. The workload stream adds it when the
+// flow starts; the flow's completion later fills in End and Finished.
 func (c *Collector) AddFlow(r FlowRecord) { c.Flows = append(c.Flows, r) }
 
 // SampleBuffer records one occupancy fraction observation.
@@ -125,6 +126,15 @@ func Percentile(vals []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), vals...)
 	sort.Float64s(sorted)
+	return nearestRank(sorted, p)
+}
+
+// nearestRank returns the p-th percentile (0..100) of sorted, which
+// must be in ascending order, or 0 if it is empty.
+func nearestRank(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
 	if p == 0 {
 		return sorted[0]
 	}
@@ -191,7 +201,9 @@ type Summary struct {
 	Unfinished           int     `json:"unfinished"`
 }
 
-// Summarize computes the standard panel set.
+// Summarize computes the standard panel set. Each population is its
+// own fresh slice, so it is sorted once in place and every percentile
+// of it read from that sort; the values equal Percentile's.
 func (c *Collector) Summarize(lineRate units.Rate) Summary {
 	short := c.Filter(func(r FlowRecord) bool {
 		return r.Class == ClassWebSearch && r.Size <= ShortFlowCut
@@ -199,13 +211,17 @@ func (c *Collector) Summarize(lineRate units.Rate) Summary {
 	allShort := c.Filter(func(r FlowRecord) bool { return r.Size <= ShortFlowCut })
 	long := c.Filter(LongOf(ClassWebSearch))
 	incast := c.Filter(ByClass(ClassIncast))
+	buffer := append([]float64(nil), c.BufferSamples...)
+	for _, vals := range [][]float64{short, allShort, long, incast, buffer} {
+		sort.Float64s(vals)
+	}
 	return Summary{
-		P99IncastSlowdown:    Percentile(incast, 99),
-		P99ShortSlowdown:     Percentile(short, 99),
-		P999ShortSlowdown:    Percentile(short, 99.9),
-		P999AllShortSlowdown: Percentile(allShort, 99.9),
-		MedianLongSlowdown:   Percentile(long, 50),
-		P99BufferFrac:        Percentile(c.BufferSamples, 99),
+		P99IncastSlowdown:    nearestRank(incast, 99),
+		P99ShortSlowdown:     nearestRank(short, 99),
+		P999ShortSlowdown:    nearestRank(short, 99.9),
+		P999AllShortSlowdown: nearestRank(allShort, 99.9),
+		MedianLongSlowdown:   nearestRank(long, 50),
+		P99BufferFrac:        nearestRank(buffer, 99),
 		AvgThroughputFrac:    c.AvgThroughputFrac(ClassWebSearch, lineRate),
 		Flows:                len(c.Flows),
 		Unfinished:           len(c.Flows) - c.FinishedCount(),

@@ -172,6 +172,65 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// Property: Summarize, which sorts each population once in place,
+// equals the per-field Filter + Percentile computation exactly, and
+// leaves the collector as it found it.
+func TestSummarizeMatchesPercentiles(t *testing.T) {
+	const lineRate = 10 * units.GigabitPerSec
+	f := func(seed int64, nFlows, nSamples uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c := &Collector{}
+		for i := 0; i < int(nFlows); i++ {
+			start := units.Time(rng.Intn(1000)) * units.Microsecond
+			c.AddFlow(FlowRecord{
+				ID:       uint64(i),
+				Class:    FlowClass(rng.Intn(4)),
+				Size:     units.ByteCount(1 + rng.Intn(int(2*ShortFlowCut))),
+				Start:    start,
+				End:      start + units.Time(1+rng.Intn(5000))*units.Microsecond,
+				Ideal:    units.Time(rng.Intn(200)) * units.Microsecond, // 0 sometimes
+				Finished: rng.Intn(8) != 0,
+			})
+		}
+		for i := 0; i < int(nSamples); i++ {
+			c.SampleBuffer(float64(rng.Intn(5)) / 4) // repeated values
+		}
+		flows := append([]FlowRecord(nil), c.Flows...)
+		samples := append([]float64(nil), c.BufferSamples...)
+
+		short := c.Filter(func(r FlowRecord) bool { return r.Class == ClassWebSearch && r.Size <= ShortFlowCut })
+		want := Summary{
+			P99IncastSlowdown:    Percentile(c.Filter(ByClass(ClassIncast)), 99),
+			P99ShortSlowdown:     Percentile(short, 99),
+			P999ShortSlowdown:    Percentile(short, 99.9),
+			P999AllShortSlowdown: Percentile(c.Filter(func(r FlowRecord) bool { return r.Size <= ShortFlowCut }), 99.9),
+			MedianLongSlowdown:   Percentile(c.Filter(LongOf(ClassWebSearch)), 50),
+			P99BufferFrac:        Percentile(c.BufferSamples, 99),
+			AvgThroughputFrac:    c.AvgThroughputFrac(ClassWebSearch, lineRate),
+			Flows:                len(c.Flows),
+			Unfinished:           len(c.Flows) - c.FinishedCount(),
+		}
+		if got := c.Summarize(lineRate); got != want {
+			t.Logf("seed %d: Summarize %+v, want %+v", seed, got, want)
+			return false
+		}
+		for i := range flows {
+			if c.Flows[i] != flows[i] {
+				return false
+			}
+		}
+		for i := range samples {
+			if c.BufferSamples[i] != samples[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Fatal("empty mean must be 0")

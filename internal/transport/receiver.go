@@ -2,7 +2,6 @@ package transport
 
 import (
 	"abm/internal/packet"
-	"abm/internal/sim"
 	"abm/internal/units"
 )
 
@@ -11,28 +10,26 @@ import (
 // packet with per-packet ECN echo (DCTCP-style accurate ECN), timestamp
 // echo, and telemetry echo.
 type Receiver struct {
-	sim *sim.Simulator
-	out func(*packet.Packet) // host NIC enqueue, toward the sender
+	ep *Endpoint
 
 	FlowID uint64
 	Peer   packet.NodeID // the data sender
-	Self   packet.NodeID
 
 	rcvNxt int64
-	ooo    []span // out-of-order ranges beyond rcvNxt, sorted, disjoint
-	oooAlt []span // spare buffer insert builds into, swapped with ooo
+	// holes is the out-of-order state, taken from ep while the flow
+	// has a hole beyond rcvNxt and nil otherwise.
+	holes *holes
 
 	BytesReceived units.ByteCount // cumulative payload, including out of order
 	TrimmedSeen   int64
-	LastArrival   units.Time
 }
 
 type span struct{ start, end int64 }
 
-// NewReceiver creates the receiving half of a flow.
-func NewReceiver(s *sim.Simulator, flowID uint64, self, peer packet.NodeID,
-	out func(*packet.Packet)) *Receiver {
-	return &Receiver{sim: s, out: out, FlowID: flowID, Self: self, Peer: peer}
+// NewReceiver creates the receiving half of a flow on ep's host whose
+// data comes from peer.
+func NewReceiver(ep *Endpoint, flowID uint64, peer packet.NodeID) *Receiver {
+	return &Receiver{ep: ep, FlowID: flowID, Peer: peer}
 }
 
 // RcvNxt returns the cumulative in-order point.
@@ -40,7 +37,6 @@ func (r *Receiver) RcvNxt() int64 { return r.rcvNxt }
 
 // OnData processes a data packet and responds with an ACK.
 func (r *Receiver) OnData(pkt *packet.Packet) {
-	r.LastArrival = r.sim.Now()
 	if pkt.Is(packet.FlagTrimmed) {
 		// The payload was cut in the fabric: acknowledge what we have so
 		// the sender learns about the hole quickly.
@@ -50,14 +46,15 @@ func (r *Receiver) OnData(pkt *packet.Packet) {
 		r.BytesReceived += pkt.Payload
 	}
 
-	ack := r.sim.NewPacket()
+	ep := r.ep
+	ack := ep.sim.NewPacket()
 	ack.FlowID = pkt.FlowID
-	ack.Src = r.Self
+	ack.Src = ep.id
 	ack.Dst = r.Peer
 	ack.Prio = pkt.Prio
 	ack.AckNo = r.rcvNxt
 	ack.Flags = packet.FlagACK
-	ack.SentAt = r.sim.Now()
+	ack.SentAt = ep.sim.Now()
 	ack.EchoTS = pkt.SentAt
 	// The data packet's telemetry array moves to the ACK; nil it out so
 	// releasing the data packet cannot recycle the array underneath us.
@@ -66,7 +63,7 @@ func (r *Receiver) OnData(pkt *packet.Packet) {
 	if pkt.Is(packet.FlagCE) {
 		ack.Set(packet.FlagECE)
 	}
-	r.out(ack)
+	ep.nic.Output(ack)
 }
 
 // insert merges [start, end) into the received set and advances rcvNxt
@@ -75,19 +72,31 @@ func (r *Receiver) OnData(pkt *packet.Packet) {
 // yet read once an insertion shifts the tail, and reslicing the
 // consumed prefix away would walk the backing array's base forward so
 // every in-order packet reallocates. With the swap, the two buffers
-// reach the flow's high-water span count and steady state allocates
-// nothing.
+// reach the high-water span count and steady state allocates nothing.
+//
+// Without holes, a segment at or below rcvNxt just advances it: the
+// merge would build the one span [rcvNxt, end) and consume it. A
+// segment beyond rcvNxt takes a buffer pair from the endpoint, and
+// the pair goes back once the list empties.
 func (r *Receiver) insert(start, end int64) {
 	if end <= r.rcvNxt {
 		return // entirely duplicate
+	}
+	if r.holes == nil {
+		if start <= r.rcvNxt {
+			r.rcvNxt = end
+			return
+		}
+		r.holes = r.ep.takeHoles()
 	}
 	if start < r.rcvNxt {
 		start = r.rcvNxt
 	}
 	// Merge into the sorted disjoint span list, building into the spare.
-	out := r.oooAlt[:0]
+	h := r.holes
+	out := h.alt[:0]
 	inserted := false
-	for _, s := range r.ooo {
+	for _, s := range h.ooo {
 		switch {
 		case s.end < start:
 			out = append(out, s)
@@ -109,8 +118,14 @@ func (r *Receiver) insert(start, end int64) {
 	if !inserted {
 		out = append(out, span{start, end})
 	}
-	// Advance the cumulative point over the contiguous prefix, then
-	// shift the survivors down so the buffer base never migrates.
+	r.advance(out)
+}
+
+// advance moves rcvNxt over the contiguous prefix of out, the merged
+// span list built in the spare buffer, then shifts the survivors down
+// so the buffer base never migrates and swaps out in as the list. An
+// empty list hands the buffer pair back to the endpoint.
+func (r *Receiver) advance(out []span) {
 	k := 0
 	for k < len(out) && out[k].start <= r.rcvNxt {
 		if out[k].end > r.rcvNxt {
@@ -119,12 +134,22 @@ func (r *Receiver) insert(start, end int64) {
 		k++
 	}
 	n := copy(out, out[k:])
-	r.oooAlt = r.ooo[:0]
-	r.ooo = out[:n]
+	h := r.holes
+	h.alt = h.ooo[:0]
+	h.ooo = out[:n]
+	if n == 0 {
+		r.ep.putHoles(h)
+		r.holes = nil
+	}
 }
 
 // Gaps returns the number of out-of-order spans currently held.
-func (r *Receiver) Gaps() int { return len(r.ooo) }
+func (r *Receiver) Gaps() int {
+	if r.holes == nil {
+		return 0
+	}
+	return len(r.holes.ooo)
+}
 
 // AdvanceTo moves the cumulative in-order point to offset to, crediting
 // the skipped bytes as received. The hybrid engine calls it at flow
@@ -139,29 +164,22 @@ func (r *Receiver) AdvanceTo(to int64) {
 		return
 	}
 	credited := to - r.rcvNxt
-	out := r.oooAlt[:0]
-	for _, s := range r.ooo {
-		if s.end <= to {
-			credited -= s.end - s.start // was already counted on arrival
-			continue
-		}
-		if s.start <= to {
-			credited -= to - s.start
-			s.start = to
-		}
-		out = append(out, s)
-	}
 	r.rcvNxt = to
-	// Contiguous prefix may now touch the first surviving span.
-	k := 0
-	for k < len(out) && out[k].start <= r.rcvNxt {
-		if out[k].end > r.rcvNxt {
-			r.rcvNxt = out[k].end
+	if h := r.holes; h != nil {
+		out := h.alt[:0]
+		for _, s := range h.ooo {
+			if s.end <= to {
+				credited -= s.end - s.start // was already counted on arrival
+				continue
+			}
+			if s.start <= to {
+				credited -= to - s.start
+				s.start = to
+			}
+			out = append(out, s)
 		}
-		k++
+		// Contiguous prefix may now touch the first surviving span.
+		r.advance(out)
 	}
-	n := copy(out, out[k:])
-	r.oooAlt = r.ooo[:0]
-	r.ooo = out[:n]
 	r.BytesReceived += units.ByteCount(credited)
 }

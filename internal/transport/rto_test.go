@@ -63,7 +63,7 @@ func TestRTOBackoffResetsOnProgress(t *testing.T) {
 	p.s.At(0, func() { p.snd.Start() })
 	// Let two RTOs fire, then heal the path.
 	p.s.RunUntil(40 * units.Millisecond)
-	if p.snd.rec.Timeouts < 1 {
+	if p.snd.ep.Recovery.Timeouts < 1 {
 		t.Fatal("expected timeouts while the path is broken")
 	}
 	drop = false
@@ -76,14 +76,14 @@ func TestRTOBackoffResetsOnProgress(t *testing.T) {
 // MaxRTO caps the backoff.
 func TestRTOCappedAtMax(t *testing.T) {
 	s := sim.New(1)
-	sn := NewSender(s, Config{MaxRTO: 20 * units.Millisecond}, &stubCC{cwnd: 1440},
-		1, 1, 2, 1440, func(*packet.Packet) {}, nil)
+	ep := newEndpoint(s, 1, Config{MaxRTO: 20 * units.Millisecond}, func(*packet.Packet) {})
+	sn := NewSender(ep, &stubCC{cwnd: 1440}, 1, 2, 1440, 0, nil)
 	sn.Start()
 	s.RunUntil(2 * units.Second)
 	// With a 20ms cap, two seconds fit at least ~90 timeouts; without the
 	// cap exponential backoff would allow only ~7.
-	if sn.rec.Timeouts < 50 {
-		t.Fatalf("timeouts = %d, backoff cap not applied", sn.rec.Timeouts)
+	if sn.ep.Recovery.Timeouts < 50 {
+		t.Fatalf("timeouts = %d, backoff cap not applied", sn.ep.Recovery.Timeouts)
 	}
 }
 
@@ -122,25 +122,25 @@ func TestRTORearmsAcrossDemotePromote(t *testing.T) {
 	}
 	p.snd.Demote()
 	p.s.RunUntil(30 * units.Millisecond) // three minRTOs in fluid mode
-	if p.snd.rec.Timeouts != 0 {
-		t.Fatalf("RTO fired %d times while fluid", p.snd.rec.Timeouts)
+	if p.snd.ep.Recovery.Timeouts != 0 {
+		t.Fatalf("RTO fired %d times while fluid", p.snd.ep.Recovery.Timeouts)
 	}
 	p.faults = func(*packet.Packet) bool { return true } // black hole from here on
 	at := p.s.Now()
 	p.snd.Promote(p.snd.SndUna() + 10*1440)
 	rto := p.snd.RTO()
 	p.s.RunUntil(at + rto - 1)
-	if p.snd.rec.Timeouts != 0 {
+	if p.snd.ep.Recovery.Timeouts != 0 {
 		t.Fatalf("RTO fired before promotion time + RTO (%v)", rto)
 	}
 	p.s.RunUntil(at + rto)
-	if p.snd.rec.Timeouts != 1 {
-		t.Fatalf("timeouts = %d at promotion time + RTO, want 1", p.snd.rec.Timeouts)
+	if p.snd.ep.Recovery.Timeouts != 1 {
+		t.Fatalf("timeouts = %d at promotion time + RTO, want 1", p.snd.ep.Recovery.Timeouts)
 	}
 	// A second demotion with the backed-off timer pending stops it too.
 	p.snd.Demote()
 	p.s.RunUntil(at + 10*rto)
-	if p.snd.rec.Timeouts != 1 {
-		t.Fatalf("backed-off RTO fired while fluid: timeouts = %d", p.snd.rec.Timeouts)
+	if p.snd.ep.Recovery.Timeouts != 1 {
+		t.Fatalf("backed-off RTO fired while fluid: timeouts = %d", p.snd.ep.Recovery.Timeouts)
 	}
 }

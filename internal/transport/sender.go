@@ -16,7 +16,7 @@ import (
 	"abm/internal/units"
 )
 
-// Config parameterizes one flow's transport.
+// Config parameterizes the transport of every flow on one Endpoint.
 type Config struct {
 	MSS             units.ByteCount // payload bytes per segment
 	MinRTO          units.Time
@@ -28,14 +28,7 @@ type Config struct {
 	// (i.e. the segment really is a first-RTT packet).
 	UnscheduledBytes units.ByteCount
 
-	Prio uint8
-
-	// Recovery is the tally the sender's loss-recovery events add to;
-	// a host hands every sender it starts its own, so the counts
-	// outlive the flows. Nil gives the sender a private one.
-	Recovery *Recovery
-
-	// Obs is the telemetry sink of the sender's shard; nil disables
+	// Obs is the telemetry sink of the endpoint's shard; nil disables
 	// telemetry (see internal/obs).
 	Obs *obs.Sink
 }
@@ -62,29 +55,30 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Sender is the sending half of a flow.
+// Sender is the sending half of a flow. What it shares with the other
+// flows of its host lives on its Endpoint.
 type Sender struct {
-	sim *sim.Simulator
-	out func(*packet.Packet) // host NIC enqueue
-	cfg Config
+	ep  *Endpoint
 	alg cc.Algorithm
 
 	FlowID uint64
-	Src    packet.NodeID
-	Dst    packet.NodeID
 	Size   units.ByteCount
+	Dst    packet.NodeID
+	prio   uint8
+	// finished and inRecovery sit beside Dst and prio to share their
+	// word.
+	finished   bool
+	inRecovery bool
 
 	StartedAt  units.Time
 	FinishedAt units.Time
-	finished   bool
 	onComplete func(now units.Time)
 
 	sndUna int64
 	sndNxt int64
 
-	dupAcks    int
-	inRecovery bool
-	recover    int64
+	dupAcks int
+	recover int64
 
 	// Hybrid engine state. While fluid is set the per-packet machinery
 	// is torn down: no sends, no timers; OnAck still runs bookkeeping
@@ -102,50 +96,31 @@ type Sender struct {
 	rtoTimer     sim.Timer // re-armed on every packet and ACK, rarely fires
 	pacingTimer  sim.Event
 	pacingNext   units.Time
-
-	// Prebound pacing callback: created once so arming the pacing timer
-	// never allocates a closure.
-	pacingFn func()
-
-	// rec counts loss-recovery events; it is shared with the other
-	// senders of the host that started this one (see Config.Recovery).
-	// The host's NIC counts the packets.
-	rec *Recovery
-
-	obsSink *obs.Sink // nil when telemetry is off
 }
 
-// NewSender creates a flow sender. The congestion-control algorithm must
-// already be initialized (cc.Algorithm.Init). out enqueues packets into
-// the host NIC; onComplete fires when every byte has been cumulatively
-// acknowledged.
-func NewSender(s *sim.Simulator, cfg Config, alg cc.Algorithm,
-	flowID uint64, src, dst packet.NodeID, size units.ByteCount,
-	out func(*packet.Packet), onComplete func(now units.Time)) *Sender {
+// NewSender creates the sender of a flow of size bytes from ep's host
+// to dst at priority prio. The congestion-control algorithm must
+// already be initialized (cc.Algorithm.Init); onComplete fires when
+// every byte has been cumulatively acknowledged.
+func NewSender(ep *Endpoint, alg cc.Algorithm, flowID uint64, dst packet.NodeID,
+	size units.ByteCount, prio uint8, onComplete func(now units.Time)) *Sender {
 	if size <= 0 {
 		panic(fmt.Sprintf("transport: flow %d has size %v", flowID, size))
 	}
-	cfg.fillDefaults()
 	sn := &Sender{
-		sim: s, out: out, cfg: cfg, alg: alg,
-		FlowID: flowID, Src: src, Dst: dst, Size: size,
+		ep: ep, alg: alg,
+		FlowID: flowID, Dst: dst, prio: prio, Size: size,
 		onComplete: onComplete,
-		rto:        cfg.MinRTO,
-		rec:        cfg.Recovery,
-		obsSink:    cfg.Obs,
+		rto:        ep.cfg.MinRTO,
 	}
-	if sn.rec == nil {
-		sn.rec = new(Recovery)
-	}
-	sn.rtoTimer.Init(s, sn.onRTO)
-	sn.pacingFn = func() { sn.trySend() }
+	sn.rtoTimer.Init(ep.sim, sn.onRTO)
 	return sn
 }
 
 // Start begins transmission at the current simulated time.
 func (sn *Sender) Start() {
-	sn.StartedAt = sn.sim.Now()
-	sn.pacingNext = sn.sim.Now()
+	sn.StartedAt = sn.ep.sim.Now()
+	sn.pacingNext = sn.StartedAt
 	sn.trySend()
 }
 
@@ -173,11 +148,11 @@ func (sn *Sender) trySend() {
 	}
 	rate := sn.alg.PacingRate()
 	for int64(sn.Size) > sn.sndNxt {
-		payload := units.MinBytes(sn.cfg.MSS, sn.Size-units.ByteCount(sn.sndNxt))
+		payload := units.MinBytes(sn.ep.cfg.MSS, sn.Size-units.ByteCount(sn.sndNxt))
 		if sn.inflight()+payload > sn.alg.Window() {
 			return // window-limited; ACKs will reopen
 		}
-		now := sn.sim.Now()
+		now := sn.ep.sim.Now()
 		if rate > 0 && now < sn.pacingNext {
 			sn.armPacing(sn.pacingNext)
 			return
@@ -195,27 +170,32 @@ func (sn *Sender) armPacing(at units.Time) {
 	if sn.pacingTimer.Scheduled() {
 		return
 	}
-	sn.pacingTimer = sn.sim.At(at, sn.pacingFn)
+	sn.pacingTimer = sn.ep.sim.AtArg(at, pace, sn)
 }
+
+// pace is every sender's pacing wake-up: a package-level func with the
+// sender as its argument (no per-flow closure).
+func pace(a any) { a.(*Sender).trySend() }
 
 // emit builds and sends one segment. The packet comes from the
 // simulator's free list; whoever consumes it (MMU drop, receiver,
 // peer's ACK path) releases it.
 func (sn *Sender) emit(seq int64, payload units.ByteCount, retrans bool) {
-	pkt := sn.sim.NewPacket()
+	ep := sn.ep
+	pkt := ep.sim.NewPacket()
 	pkt.FlowID = sn.FlowID
-	pkt.Src = sn.Src
+	pkt.Src = ep.id
 	pkt.Dst = sn.Dst
-	pkt.Prio = sn.cfg.Prio
+	pkt.Prio = sn.prio
 	pkt.Seq = seq
 	pkt.Payload = payload
-	pkt.SentAt = sn.sim.Now()
+	pkt.SentAt = ep.sim.Now()
 	if sn.alg.UsesECN() {
 		pkt.Set(packet.FlagECT)
 	}
 	if retrans {
 		pkt.Set(packet.FlagRetransmit)
-	} else if sn.sndUna == 0 && seq < int64(sn.cfg.UnscheduledBytes) {
+	} else if sn.sndUna == 0 && seq < int64(ep.cfg.UnscheduledBytes) {
 		// First-RTT packet: no feedback has arrived and the byte offset is
 		// within the unscheduled budget.
 		pkt.Set(packet.FlagUnscheduled)
@@ -223,7 +203,7 @@ func (sn *Sender) emit(seq int64, payload units.ByteCount, retrans bool) {
 	if seq+int64(payload) >= int64(sn.Size) {
 		pkt.Set(packet.FlagFIN)
 	}
-	sn.out(pkt)
+	ep.nic.Output(pkt)
 	sn.armRTO()
 }
 
@@ -232,7 +212,7 @@ func (sn *Sender) OnAck(pkt *packet.Packet) {
 	if sn.finished {
 		return
 	}
-	now := sn.sim.Now()
+	now := sn.ep.sim.Now()
 	ackNo := pkt.AckNo
 	if sn.fluid {
 		// Fluid mode: the integrator owns delivery; ACKs for packets
@@ -250,7 +230,7 @@ func (sn *Sender) OnAck(pkt *packet.Packet) {
 			}
 		} else if sn.inflight() > 0 {
 			sn.dupAcks++
-			if sn.dupAcks >= sn.cfg.DupAckThreshold {
+			if sn.dupAcks >= sn.ep.cfg.DupAckThreshold {
 				sn.disturb(now)
 			}
 		}
@@ -297,17 +277,17 @@ func (sn *Sender) OnAck(pkt *packet.Packet) {
 		return
 	}
 	sn.dupAcks++
-	if sn.dupAcks == sn.cfg.DupAckThreshold && !sn.inRecovery {
+	if ep := sn.ep; sn.dupAcks == ep.cfg.DupAckThreshold && !sn.inRecovery {
 		sn.inRecovery = true
 		sn.recover = sn.sndNxt
 		sn.lastDisturb = now
 		sn.alg.OnRecovery(now)
-		sn.rec.FastRetrans++
-		if sn.obsSink.Enabled(obs.KindCwndCut) {
-			sn.obsSink.Emit(obs.Event{
+		ep.Recovery.FastRetrans++
+		if ep.cfg.Obs.Enabled(obs.KindCwndCut) {
+			ep.cfg.Obs.Emit(obs.Event{
 				At:   now,
 				Kind: obs.KindCwndCut,
-				Node: int32(sn.Src),
+				Node: int32(ep.id),
 				Flow: sn.FlowID,
 				QLen: sn.alg.Window(),
 			})
@@ -319,14 +299,14 @@ func (sn *Sender) OnAck(pkt *packet.Packet) {
 
 // retransmitHead resends the segment at sndUna.
 func (sn *Sender) retransmitHead() {
-	payload := units.MinBytes(sn.cfg.MSS, sn.Size-units.ByteCount(sn.sndUna))
+	payload := units.MinBytes(sn.ep.cfg.MSS, sn.Size-units.ByteCount(sn.sndUna))
 	sn.emit(sn.sndUna, payload, true)
 }
 
 func (sn *Sender) armRTO() {
 	d := sn.rto << sn.rtoBackoff
-	if d > sn.cfg.MaxRTO {
-		d = sn.cfg.MaxRTO
+	if d > sn.ep.cfg.MaxRTO {
+		d = sn.ep.cfg.MaxRTO
 	}
 	sn.rtoTimer.Arm(d)
 }
@@ -335,20 +315,22 @@ func (sn *Sender) onRTO() {
 	if sn.finished || sn.fluid {
 		return
 	}
-	sn.rec.Timeouts++
-	sn.lastDisturb = sn.sim.Now()
-	sn.alg.OnTimeout(sn.sim.Now())
-	if sn.obsSink.Enabled(obs.KindTimeout) {
+	ep := sn.ep
+	now := ep.sim.Now()
+	ep.Recovery.Timeouts++
+	sn.lastDisturb = now
+	sn.alg.OnTimeout(now)
+	if ep.cfg.Obs.Enabled(obs.KindTimeout) {
 		// Aux carries the timeout duration that just fired (the armRTO
 		// clamp applied to the pre-backoff-bump state).
 		d := sn.rto << sn.rtoBackoff
-		if d > sn.cfg.MaxRTO {
-			d = sn.cfg.MaxRTO
+		if d > ep.cfg.MaxRTO {
+			d = ep.cfg.MaxRTO
 		}
-		sn.obsSink.Emit(obs.Event{
-			At:   sn.sim.Now(),
+		ep.cfg.Obs.Emit(obs.Event{
+			At:   now,
 			Kind: obs.KindTimeout,
-			Node: int32(sn.Src),
+			Node: int32(ep.id),
 			Flow: sn.FlowID,
 			Seq:  sn.sndUna,
 			Aux:  int64(d),
@@ -359,12 +341,12 @@ func (sn *Sender) onRTO() {
 	sn.dupAcks = 0
 	// Go-back-N: rewind and resend from the first unacknowledged byte.
 	sn.sndNxt = sn.sndUna
-	sn.pacingNext = sn.sim.Now()
+	sn.pacingNext = now
 	if sn.rtoBackoff < 16 {
 		sn.rtoBackoff++
 	}
 	sn.retransmitHead()
-	sn.sndNxt = sn.sndUna + int64(units.MinBytes(sn.cfg.MSS, sn.Size-units.ByteCount(sn.sndUna)))
+	sn.sndNxt = sn.sndUna + int64(units.MinBytes(ep.cfg.MSS, sn.Size-units.ByteCount(sn.sndUna)))
 }
 
 // updateRTO applies the RFC 6298 estimator.
@@ -381,11 +363,11 @@ func (sn *Sender) updateRTO(rtt units.Time) {
 		sn.srtt = (7*sn.srtt + rtt) / 8
 	}
 	sn.rto = sn.srtt + 4*sn.rttvar
-	if sn.rto < sn.cfg.MinRTO {
-		sn.rto = sn.cfg.MinRTO
+	if sn.rto < sn.ep.cfg.MinRTO {
+		sn.rto = sn.ep.cfg.MinRTO
 	}
-	if sn.rto > sn.cfg.MaxRTO {
-		sn.rto = sn.cfg.MaxRTO
+	if sn.rto > sn.ep.cfg.MaxRTO {
+		sn.rto = sn.ep.cfg.MaxRTO
 	}
 }
 
@@ -432,7 +414,7 @@ func (sn *Sender) Promote(deliveredTo int64) {
 	if sn.sndNxt < sn.sndUna {
 		sn.sndNxt = sn.sndUna
 	}
-	now := sn.sim.Now()
+	now := sn.ep.sim.Now()
 	if sn.sndUna >= int64(sn.Size) {
 		sn.complete(now)
 		return

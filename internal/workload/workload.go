@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"abm/internal/cc"
 	"abm/internal/metrics"
@@ -125,17 +126,26 @@ type Stream struct {
 // NewStream validates the workloads (any may be nil) against the fabric
 // and returns their stream, generating arrivals with time <= horizon —
 // the same inclusive bound RunUntil(horizon) gives. Every launch is
-// recorded in col.
+// recorded in col, whose flow rows are sized up front for the launches
+// the workloads' rates predict.
 func NewStream(n *topo.Network, col *metrics.Collector, horizon units.Time,
 	lf *LongFlows, ws *WebSearch, ic *Incast) (*Stream, error) {
 
 	s := &Stream{net: n, col: col, horizon: horizon, long: lf, ws: ws, ic: ic, wsAt: never, icAt: never}
+	// expect is the expected launch count: the long flows plus each
+	// arrival process's rate over the horizon.
+	var expect float64
+	secs := float64(horizon) / float64(units.Second)
 	if lf != nil {
 		if lf.Size <= 0 {
 			return nil, errors.New("workload: long flows need a size of at least one byte")
 		}
 		if lf.CC == nil {
 			return nil, errors.New("workload: long flows need a cc factory")
+		}
+		expect = float64(n.NumHosts())
+		if lf.Count > 0 {
+			expect = float64(min(lf.Count, n.NumHosts()))
 		}
 	}
 	if ws != nil {
@@ -151,10 +161,12 @@ func NewStream(n *topo.Network, col *metrics.Collector, horizon units.Time,
 		if ws.Sizes == nil {
 			ws.Sizes = randutil.WebSearch
 		}
-		mean, err := meanGap(ws.flowsPerSec(n))
+		rate := ws.flowsPerSec(n)
+		mean, err := meanGap(rate)
 		if err != nil {
 			return nil, fmt.Errorf("workload: web-search load %v: %w", ws.Load, err)
 		}
+		expect += float64(rate * secs)
 		s.wsMean = mean
 		s.wsRNG = rand.New(rand.NewSource(seedOr(ws.Seed, 0x5eed_ab1e)))
 		s.wsAt = 0
@@ -177,13 +189,20 @@ func NewStream(n *topo.Network, col *metrics.Collector, horizon units.Time,
 		if err != nil {
 			return nil, fmt.Errorf("workload: incast query rate %g/s: %w", ic.QueryRate, err)
 		}
+		expect += float64(ic.QueryRate * secs * float64(min(ic.Fanout, n.NumHosts())))
 		s.icMean = mean
 		s.icRNG = rand.New(rand.NewSource(seedOr(ic.Seed, 0x1ca57)))
 		s.icAt = 0
 		s.drawQuery()
 	}
+	col.Flows = slices.Grow(col.Flows, int(min(expect, maxPresize)))
 	return s, nil
 }
+
+// maxPresize caps the flow rows NewStream sizes up front, so an
+// implausible rate cannot demand a huge block before the run; launches
+// beyond it grow the rows as they come.
+const maxPresize = 1 << 20
 
 func seedOr(seed, def int64) int64 {
 	if seed == 0 {
